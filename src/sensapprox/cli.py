@@ -219,13 +219,22 @@ def cmd_verify(args) -> int:
     slope = Y.min_abs_slope()
     slope_ok = slope > M
     f = target_evaluator(target)
-    est = norms.mc_norm(
-        lambda xs: Y.eval_arr(xs) - f(xs), mu, p, n=args.samples, seed=args.seed
+    # sample mu/mass, then ||g||_{L^p(mu)} = mass^(1/p) ||g||_{L^p(mu/mass)}
+    mass = mu.total_mass
+    unit = BorelMeasure(
+        atoms=[(loc, m / mass) for loc, m in mu.atoms],
+        parts=[(w / mass, kind) for w, kind in mu.parts],
     )
-    mc_total = est.value + est.absolute_error_bound
+    est = norms.mc_norm(
+        lambda xs: Y.eval_arr(xs) - f(xs), unit, p, n=args.samples, seed=args.seed
+    )
+    root = float(mass) ** (1.0 / p)
+    distance = est.value * root
+    radius = est.absolute_error_bound * root
+    mc_total = distance + radius
     error_ok = mc_total < float(eps)
     print(
-        f"mc_distance={est.value:.6g} radius={est.absolute_error_bound:.6g} "
+        f"mc_distance={distance:.6g} radius={radius:.6g} "
         f"eps={float(eps):.6g} min_abs_slope={_rat(slope)} M={float(M):.6g}"
     )
     if slope_ok and error_ok:

@@ -4,11 +4,14 @@ A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
 Masses of interval unions are closed-form for atom/uniform/piecewise
 parts (exact rational arithmetic), error-function based for normal
-parts, and exponential-CDF based for exponential parts.
+parts, and exponential-CDF based for exponential parts. Sampling is by
+composition: pick a component, then invert its CDF exactly (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. 2).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,10 +19,28 @@ from statistics import NormalDist
 
 import numpy as np
 from scipy.special import erf as _erf_arr
+from scipy.special import ndtri
 
 from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF
 
 _SQRT2 = math.sqrt(2.0)
+# largest float below 1: keeps ndtri and log1p finite at the top end
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _pieces(masses, u):
+    """Split u by cumulative masses: yield (i, hit, t) per piece i that u
+    hits, where t is u[hit] less the mass of the pieces before i."""
+    if len(masses) == 1:
+        yield 0, slice(None), u  # no index or copy of u
+        return
+    upper = np.array([float(c) for c in itertools.accumulate(masses)])
+    lower = np.concatenate(([0.0], upper[:-1]))
+    idx = np.searchsorted(upper, u)
+    for i in range(len(masses)):
+        hit = idx == i
+        if hit.any():
+            yield i, hit, u[hit] - lower[i]
 
 
 def _frac(x):
@@ -42,6 +63,9 @@ class AtomKind:
 
     def __post_init__(self):
         object.__setattr__(self, "location", _frac(self.location))
+
+    def inv_cdf_arr(self, v):
+        return np.full_like(v, float(self.location))
 
 
 @dataclass(frozen=True)
@@ -67,6 +91,10 @@ class Uniform:
     def pdf_arr(self, xs):
         a, b = float(self.a), float(self.b)
         return np.where((xs > a) & (xs < b), 1.0 / (b - a), 0.0)
+
+    def inv_cdf_arr(self, v):
+        a, b = float(self.a), float(self.b)
+        return a + (b - a) * v
 
     def breakpoints(self):
         return [self.a, self.b]
@@ -97,6 +125,9 @@ class Normal:
         z = (xs - m) / s
         return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
 
+    def inv_cdf_arr(self, v):
+        return float(self.mean) + float(self.std) * ndtri(v)
+
     def breakpoints(self):
         return []
 
@@ -124,6 +155,9 @@ class Exponential:
     def pdf_arr(self, xs):
         r = float(self.rate)
         return np.where(xs > 0.0, r * np.exp(-r * xs), 0.0)
+
+    def inv_cdf_arr(self, v):
+        return -np.log1p(-v) / float(self.rate)
 
     def breakpoints(self):
         return [Fraction(0)]
@@ -181,6 +215,12 @@ class PiecewisePoly:
             acc_b += c * b ** (k + 1) / (k + 1)
         return acc_b - acc_a
 
+    @staticmethod
+    def _anti(piece):
+        """Float antiderivative, descending powers (np.polyval), F(0) = 0."""
+        anti = [float(c) / (k + 1) for k, c in enumerate(piece)]
+        return list(reversed(anti)) + [0.0]
+
     def _total_integral(self):
         return sum(
             self._poly_integral(piece, a, b)
@@ -210,9 +250,7 @@ class PiecewisePoly:
         acc = 0.0
         for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
             af, bf = float(a), float(b)
-            # antiderivative in descending powers with F(0) = 0
-            anti = [float(c) / (k + 1) for k, c in enumerate(piece)]
-            anti = list(reversed(anti)) + [0.0]
+            anti = self._anti(piece)
             base = np.polyval(anti, af)
             inside = (xs > af) & (xs < bf)
             if inside.any():
@@ -229,6 +267,43 @@ class PiecewisePoly:
                 cs = [float(c) for c in reversed(piece)]
                 out[mask] = np.polyval(cs, xs[mask])
         return out
+
+    def inv_cdf_arr(self, v):
+        # find the cell by cumulative mass, then solve F(x) = v in it only
+        cells = list(zip(zip(self.breaks, self.breaks[1:]), self.coeffs))
+        masses = [self._poly_integral(piece, a, b) for (a, b), piece in cells]
+        out = np.empty_like(v)
+        for i, hit, t in _pieces(masses, v):
+            (a, b), piece = cells[i]
+            out[hit] = self._cell_inv(piece, a, b, t)
+        return out
+
+    def _cell_inv(self, piece, a, b, t):
+        """x in [a, b] whose mass from a is t, on one cell."""
+        af, bf = float(a), float(b)
+        if len(piece) <= 2:
+            # density d0 + c1*(x - a): a quadratic CDF, solved in the root
+            # form that does not cancel, also where d0 = 0; in place,
+            # because at 10^6 draws each temporary array is 8 MB
+            d0 = float(self._poly(piece, a))
+            c1 = float(piece[1]) if len(piece) == 2 else 0.0
+            disc = 2.0 * c1 * t
+            disc += d0 * d0
+            np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+            disc += d0
+            x = np.divide(2.0 * t, disc, out=disc)
+            x += af
+            return np.clip(x, af, bf, out=x)
+        anti = self._anti(piece)
+        target = t + np.polyval(anti, af)
+        lo = np.full_like(t, af)
+        hi = np.full_like(t, bf)
+        for _ in range(56):
+            mid = 0.5 * (lo + hi)
+            ge = np.polyval(anti, mid) >= target
+            hi = np.where(ge, mid, hi)
+            lo = np.where(ge, lo, mid)
+        return hi
 
     def breakpoints(self):
         return list(self.breaks)
@@ -367,34 +442,25 @@ class BorelMeasure:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, n, seed):
-        """n i.i.d. draws by inverse transform; deterministic given seed."""
+        """n i.i.d. draws by composition; deterministic given seed."""
+        rng = np.random.default_rng(seed)
+        return self.from_uniforms(1.0 - rng.random(n))  # u in (0, 1]
+
+    def from_uniforms(self, u):
+        """Map uniforms u in (0, 1] to draws of this probability measure.
+
+        Composition: the component is picked from cumulative weights
+        (atoms first, then parts, in stored order) and u, rescaled to
+        v in (0, 1) within it, goes through that component's inverse CDF.
+        """
         if not self.is_probability:
             raise ValueError("sampling requires a probability measure")
-        rng = np.random.default_rng(seed)
-        u = 1.0 - rng.random(n)  # (0, 1]
-        out = np.empty(n)
-        done = np.zeros(n, dtype=bool)
-        for loc, m in self.atoms:
-            hi = self.cdf(float(loc))
-            hit = (~done) & (u > hi - float(m)) & (u <= hi)
-            out[hit] = float(loc)
-            done |= hit
-        rem = ~done
-        if rem.any():
-            ur = u[rem]
-            lo0, hi0 = self._bracket()
-            while self.cdf(lo0) >= ur.min():
-                lo0 = 2.0 * lo0 - 1.0
-            while self.cdf(hi0) < ur.max():
-                hi0 = 2.0 * hi0 + 1.0
-            lo = np.full(ur.shape, lo0)
-            hi = np.full(ur.shape, hi0)
-            for _ in range(56):
-                mid = 0.5 * (lo + hi)
-                ge = self.cdf_arr(mid) >= ur
-                hi = np.where(ge, mid, hi)
-                lo = np.where(ge, lo, mid)
-            out[rem] = hi
+        comps = [(m, AtomKind(loc)) for loc, m in self.atoms] + list(self.parts)
+        out = np.empty_like(u)
+        for i, hit, t in _pieces([w for w, _ in comps], u):
+            w, kind = comps[i]
+            v = t / float(w)
+            out[hit] = kind.inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
         return out
 
     # -- support window ------------------------------------------------------

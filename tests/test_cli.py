@@ -90,6 +90,19 @@ class TestSensitizeCommand:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_verify_on_measure_of_mass_two(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        rc = main([
+            "sensitize", "--target", "x", "--measure", "mix(2*uniform(0,1), mass=2)",
+            "--p", "1", "--eps", "1/10", "--M", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        capsys.readouterr()
+        rc = main(["verify", "--cert", str(out),
+                   "--samples", "200000", "--seed", "3"])
+        assert rc == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_bad_target_is_input_error(self, tmp_path, capsys):
         rc = main([
             "sensitize", "--target", "x +", "--measure", "uniform(0,1)",

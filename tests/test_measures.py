@@ -110,7 +110,11 @@ class TestSample:
         with pytest.raises(ValueError, match="probability"):
             mu.sample(10, seed=0)
 
-    @pytest.mark.parametrize("name,mu", [("uniform", UNIFORM), ("normal", NORMAL), ("mix", MIX)])
+    @pytest.mark.parametrize("name,mu", [
+        ("uniform", UNIFORM), ("normal", NORMAL), ("mix", MIX),
+        ("exponential", measure("exponential(1)")),
+        ("pwd", measure("pwd(breaks(0,1), poly(0,2))")),
+    ])
     def test_dkw_band(self, name, mu):
         n = 10**6
         alpha = 1e-3
@@ -127,6 +131,30 @@ class TestSample:
             np.max(np.abs(ecdf_before - cdf_before)),
         )
         assert d <= band
+
+    @pytest.mark.parametrize("text", [
+        "uniform(-1,3)",
+        "normal(1,2)",
+        "exponential(3)",
+        "pwd(breaks(0,1), poly(0,2))",  # zero density at the left end
+        "pwd(breaks(0,1,2), poly(0,1), poly(2,-1))",  # triangular, two cells
+        "pwd(breaks(0,1), poly(0,0,3))",  # degree 2: bisection in the cell
+    ])
+    def test_inv_cdf_round_trip(self, text):
+        kind = measure(text).parts[0][1]
+        v = np.linspace(0.0, 1.0, 2001)[1:-1]
+        assert np.allclose(kind.cdf_arr(kind.inv_cdf_arr(v)), v, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        "normal(0,1)",
+        "exponential(1)",
+        "mix(0.5*exponential(1), 0.5*normal(0,1))",
+    ])
+    def test_extreme_uniforms_give_finite_draws(self, text):
+        # 1 - rng.random() lies in [2^-53, 1]; 1/2 and its successor are
+        # the ends of the two components of the mixture
+        u = np.array([2.0**-53, 0.5, math.nextafter(0.5, 1.0), 1.0])
+        assert np.all(np.isfinite(measure(text).from_uniforms(u)))
 
 
 class TestEssentialWindow:
