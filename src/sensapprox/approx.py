@@ -16,17 +16,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import norms
 from .funcspace import (
     SensitiveApproximant,
     StepFunction,
     TriangleWave,
     build_zigzag,
-    to_fraction,
 )
-from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, open_interval
+from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
 from .measures import BorelMeasure
 from .norms import NonIntegrableError, NormEstimate
 from .parsing import (
@@ -66,8 +63,8 @@ class ApproxRequest:
     M: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", to_fraction(self.eps))
-        object.__setattr__(self, "M", to_fraction(self.M))
+        object.__setattr__(self, "eps", as_rational(self.eps))
+        object.__setattr__(self, "M", as_rational(self.M))
         if not (1 <= self.p < math.inf):
             raise ValueError("p must satisfy 1 <= p < infinity")
         if self.eps <= 0:
@@ -181,7 +178,7 @@ def _pin_atoms(phi0: StepFunction, req: ApproxRequest, eta: Fraction) -> StepFun
         for other, _ in req.mu.atoms:
             if other != loc:
                 gap = min(gap, abs(other - loc) / 2)
-        want_fr = to_fraction(want)
+        want_fr = as_rational(want)
         phi0 = phi0.override_on(loc - gap, loc + gap, want_fr)
     return phi0
 
@@ -211,7 +208,7 @@ def _piecewise_constant_candidate(req: ApproxRequest):
     for a, b in zip(thresholds, thresholds[1:]):
         v = eval_target(req.target, (a + b) / 2)
         if v != 0:
-            terms.append((to_fraction(v), a, b))
+            terms.append((as_rational(v), a, b))
     return StepFunction(terms=terms)
 
 
@@ -222,7 +219,7 @@ def _grid_candidate(req: ApproxRequest, window, n_cells):
     for a, b in zip(cells, cells[1:]):
         v = eval_target(req.target, (a + b) / 2)
         if v != 0:
-            terms.append((to_fraction(v), a, b))
+            terms.append((as_rational(v), a, b))
     return StepFunction(terms=terms), (hi - lo) / n_cells
 
 
@@ -248,8 +245,8 @@ def build_step_approximation(req: ApproxRequest, error_target=None, quad_tol=Non
     # generic grid route
     delta0 = min(1e-6, (target_err / 4.0) ** req.p)
     a, b = req.mu.essential_window(delta0)
-    lo = to_fraction(a)
-    hi = to_fraction(b)
+    lo = as_rational(a)
+    hi = as_rational(b)
     n_cells = 16
     best = None
     for round_no in range(14):
@@ -288,6 +285,7 @@ def _rational_upper_root(total_mass: Fraction, p) -> Fraction:
     """Rational R >= total_mass^(1/p)."""
     r = float(total_mass) ** (1.0 / p)
     r = math.nextafter(math.nextafter(r, math.inf), math.inf)
+    # exact binary value: the bound holds for r, its decimal may lie below
     return Fraction(r)
 
 

@@ -18,8 +18,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import approx, norms
 from .funcspace import SensitiveApproximant, StepFunction, TriangleWave
 from .measures import BorelMeasure
@@ -27,6 +25,7 @@ from .parsing import (
     EvaluationError,
     MeasureSpecError,
     ParseError,
+    eval_target,
     parse_measure,
     parse_target,
     target_evaluator,
@@ -212,6 +211,10 @@ def cmd_verify(args) -> int:
         eps = _parse_rat(data["request"]["eps"])
         M = _parse_rat(data["request"]["M"])
         p = float(data["request"]["p"])
+        if args.samples < 1000:
+            raise ValueError("samples must be at least 1000")
+        if args.seed < 0:
+            raise ValueError("seed must be nonnegative")
     except (CorruptCertificate, ParseError, MeasureSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -299,7 +302,7 @@ def cmd_plot(args) -> int:
     lines = ["x,target,approximant"]
     for x in xs:
         try:
-            tv = float(parse_eval(target, x))
+            tv = float(eval_target(target, x))
         except EvaluationError:
             tv = math.nan
         yv = float(Y.eval(x))
@@ -312,12 +315,6 @@ def cmd_plot(args) -> int:
             fh.write(f"{float(pt)!r}\n")
     print(f"wrote {args.out} and {side}")
     return EXIT_OK
-
-
-def parse_eval(target, x):
-    from .parsing import eval_target
-
-    return eval_target(target, x)
 
 
 # ---------------------------------------------------------------------------

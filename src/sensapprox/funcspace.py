@@ -1,4 +1,4 @@
-"""Exact algebra of step functions, the triangle wave, and their sums.
+"""Step functions, the triangle wave, and the approximant phi0 + s * wave.
 
 All breakpoints, values, scales and slopes are Fractions; floating point
 appears only in the vectorized evaluators used by quadrature and Monte
@@ -11,30 +11,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .intervals import IntervalUnion
-
-
-def to_fraction(x):
-    """Exact rational from int/Fraction, or from a float's shortest decimal."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    return Fraction(x)
-
-
-def exact_point(x):
-    """Exact rational of the point x as represented (binary-exact floats)."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+from .intervals import IntervalUnion, NEG_INF, POS_INF, as_endpoint, as_rational
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +34,7 @@ class TriangleWave:
             raise ValueError("frequency parameter must be a positive integer")
 
     def eval(self, x) -> Fraction:
-        t = (exact_point(x) * self.b) % 2
+        t = (as_rational(x) * self.b) % 2
         return 1 - abs(t - 1)
 
     def eval_arr(self, xs) -> np.ndarray:
@@ -61,8 +43,8 @@ class TriangleWave:
 
     def lattice_points(self, lo, hi):
         """Lattice points j/b strictly inside the open window (lo, hi)."""
-        lo = exact_point(lo)
-        hi = exact_point(hi)
+        lo = as_rational(lo)
+        hi = as_rational(hi)
         j_min = math.floor(lo * self.b) + 1
         j_max = math.ceil(hi * self.b) - 1
         return [Fraction(j, self.b) for j in range(j_min, j_max + 1)]
@@ -70,8 +52,8 @@ class TriangleWave:
 
 def build_zigzag(eps, M) -> TriangleWave:
     """Frequency ceil(2 (M+1) / eps), in exact rational arithmetic."""
-    eps = to_fraction(eps)
-    M = to_fraction(M)
+    eps = as_rational(eps)
+    M = as_rational(M)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if M < 0:
@@ -88,17 +70,23 @@ class StepFunction:
 
     terms: tuple of (value, lo, hi) with lo < hi, sorted, disjoint, value != 0.
     exceptions: tuple of (point, value) pairs overriding the pointwise value
-    at finitely many points (value != 0 and point not interior to a term).
+    at finitely many points.
+
+    The breakpoints and the float arrays behind ``eval_arr`` are built once,
+    on construction: region k is the open cell left of breakpoint k (the
+    last one runs to +inf), and the pointwise value at a breakpoint is 0
+    unless an exception overrides it.
     """
 
-    __slots__ = ("terms", "exceptions", "_arr_cache")
+    __slots__ = ("terms", "exceptions", "_los", "_pts", "_pts_f", "_region",
+                 "_point")
 
     def __init__(self, terms=(), exceptions=()):
         cleaned = []
         for value, lo, hi in terms:
-            v = to_fraction(value) if isinstance(value, float) else exact_point(value)
-            lo_e = lo if lo == -math.inf else exact_point(lo)
-            hi_e = hi if hi == math.inf else exact_point(hi)
+            v = as_rational(value)
+            lo_e = as_endpoint(lo)
+            hi_e = as_endpoint(hi)
             if not lo_e < hi_e:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
             if v != 0:
@@ -110,16 +98,36 @@ class StepFunction:
         self.terms = tuple(cleaned)
         exc = []
         for pt, value in exceptions:
-            p = exact_point(pt)
-            v = to_fraction(value) if isinstance(value, float) else exact_point(value)
+            v = as_rational(value)
             if v != 0:
-                exc.append((p, v))
+                exc.append((as_rational(pt), v))
         exc.sort()
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
             if p1 == p2:
                 raise ValueError(f"duplicate exception point {p1}")
         self.exceptions = tuple(exc)
-        self._arr_cache = None
+        self._los = [lo for _, lo, _ in self.terms]
+
+        # sorted terms give sorted ends; only a shared end repeats
+        pts = []
+        for _, lo, hi in self.terms:
+            for end in (lo, hi):
+                if isinstance(end, Fraction) and (not pts or pts[-1] != end):
+                    pts.append(end)
+        if exc:
+            pts = sorted(set(pts).union(p for p, _ in exc))
+        self._pts = tuple(pts)
+        self._pts_f = np.array([float(p) for p in pts])
+
+        index = {p: i for i, p in enumerate(pts)}
+        self._region = np.zeros(len(pts) + 1)
+        for v, lo, hi in self.terms:
+            start = index[lo] + 1 if lo != NEG_INF else 0
+            stop = index[hi] + 1 if hi != POS_INF else len(pts) + 1
+            self._region[start:stop] = float(v)
+        self._point = np.zeros(len(pts))
+        for p, v in exc:
+            self._point[index[p]] = float(v)
 
     def __eq__(self, other):
         return (
@@ -135,10 +143,6 @@ class StepFunction:
         return f"StepFunction(terms={self.terms!r}, exceptions={self.exceptions!r})"
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def from_indicator(cls, u: IntervalUnion, value):
         """value times the indicator of a union of open intervals."""
         if not u.all_open():
@@ -148,12 +152,11 @@ class StepFunction:
     # -- queries -------------------------------------------------------------
 
     def eval(self, x) -> Fraction:
-        xq = exact_point(x)
+        xq = as_rational(x)
         for pt, v in self.exceptions:
             if pt == xq:
                 return v
-        los = [t[1] for t in self.terms]
-        i = bisect.bisect_right(los, xq) - 1
+        i = bisect.bisect_right(self._los, xq) - 1
         if i >= 0:
             v, lo, hi = self.terms[i]
             if lo < xq < hi:
@@ -162,70 +165,17 @@ class StepFunction:
 
     def endpoints(self):
         """Finite interval endpoints plus exception points, sorted."""
-        pts = set()
-        for _, lo, hi in self.terms:
-            if lo != -math.inf:
-                pts.add(lo)
-            if hi != math.inf:
-                pts.add(hi)
-        for pt, _ in self.exceptions:
-            pts.add(pt)
-        return sorted(pts)
+        return self._pts
 
     def sup_norm(self) -> Fraction:
         vals = [abs(v) for v, _, _ in self.terms]
         vals += [abs(v) for _, v in self.exceptions]
         return max(vals, default=Fraction(0))
 
-    def support_union(self) -> IntervalUnion:
-        from .intervals import open_interval
-
-        return IntervalUnion([open_interval(lo, hi) for _, lo, hi in self.terms])
-
-    # -- algebra -------------------------------------------------------------
-
-    def scaled(self, c):
-        c = exact_point(c) if not isinstance(c, float) else to_fraction(c)
-        if c == 0:
-            return StepFunction()
-        return StepFunction(
-            terms=[(v * c, lo, hi) for v, lo, hi in self.terms],
-            exceptions=[(p, v * c) for p, v in self.exceptions],
-        )
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def __add__(self, other):
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        pts = sorted(set(self.endpoints()) | set(other.endpoints()))
-        if not pts:
-            v = self.eval(0) + other.eval(0)
-            return StepFunction(terms=[(v, -math.inf, math.inf)] if v != 0 else [])
-        # infinite tails: evaluate just outside the breakpoint range
-        lo_tail = self.eval(pts[0] - 1) + other.eval(pts[0] - 1)
-        hi_tail = self.eval(pts[-1] + 1) + other.eval(pts[-1] + 1)
-        terms = []
-        if lo_tail != 0:
-            terms.append((lo_tail, -math.inf, pts[0]))
-        if hi_tail != 0:
-            terms.append((hi_tail, pts[-1], math.inf))
-        for lo, hi in zip(pts, pts[1:]):
-            mid = (lo + hi) / 2
-            v = self.eval(mid) + other.eval(mid)
-            if v != 0:
-                terms.append((v, lo, hi))
-        point_vals = {p: self.eval(p) + other.eval(p) for p in pts}
-        return _compress(terms, point_vals)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def override_on(self, lo, hi, value):
         """Replace the function by `value` on the open interval (lo, hi)."""
-        lo = exact_point(lo)
-        hi = exact_point(hi)
+        lo = as_rational(lo)
+        hi = as_rational(hi)
         if not lo < hi:
             raise ValueError("override interval requires lo < hi")
         terms = []
@@ -244,67 +194,17 @@ class StepFunction:
 
     # -- vectorized evaluation ------------------------------------------------
 
-    def _arrays(self):
-        if self._arr_cache is None:
-            pts = self.endpoints()
-            pts_f = np.array([float(p) for p in pts])
-            region_vals = np.empty(len(pts) + 1)
-            if len(pts) == 0:
-                region_vals = np.array([0.0])
-            else:
-                probes = (
-                    [pts[0] - 1]
-                    + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
-                    + [pts[-1] + 1]
-                )
-                region_vals = np.array(
-                    [float(self._eval_no_exc(p)) for p in probes]
-                )
-            point_vals = np.array([float(self.eval(p)) for p in pts])
-            self._arr_cache = (pts_f, region_vals, point_vals)
-        return self._arr_cache
-
-    def _eval_no_exc(self, x):
-        los = [t[1] for t in self.terms]
-        i = bisect.bisect_right(los, x) - 1
-        if i >= 0:
-            v, lo, hi = self.terms[i]
-            if lo < x < hi:
-                return v
-        return Fraction(0)
-
     def eval_arr(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        pts_f, region_vals, point_vals = self._arrays()
+        pts_f = self._pts_f
         if len(pts_f) == 0:
-            return np.zeros_like(xs)
+            return np.full_like(xs, self._region[0])
         idx = np.searchsorted(pts_f, xs, side="left")
-        out = region_vals[idx]
+        out = self._region[idx]
         hit = (idx < len(pts_f)) & (xs == pts_f[np.minimum(idx, len(pts_f) - 1)])
         if hit.any():
-            out = out.copy()
-            out[hit] = point_vals[idx[hit]]
+            out[hit] = self._point[idx[hit]]
         return out
-
-
-def _compress(terms, point_vals):
-    """Merge equal-valued adjacent cells whose shared point value matches."""
-    terms = sorted(((v, lo, hi) for v, lo, hi in terms), key=lambda t: (t[1], t[2]))
-    merged = []
-    absorbed = set()
-    for v, lo, hi in terms:
-        if merged:
-            pv, plo, phi = merged[-1]
-            if phi == lo and pv == v and point_vals.get(lo) == v:
-                merged[-1] = (pv, plo, hi)
-                absorbed.add(lo)
-                continue
-        merged.append((v, lo, hi))
-    interior = set(absorbed)
-    exceptions = [
-        (p, v) for p, v in point_vals.items() if v != 0 and p not in interior
-    ]
-    return StepFunction(terms=merged, exceptions=exceptions)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +223,9 @@ class SensitiveApproximant:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", to_fraction(self.scale))
-        object.__setattr__(self, "eps", to_fraction(self.eps))
-        object.__setattr__(self, "M", to_fraction(self.M))
+        object.__setattr__(self, "scale", as_rational(self.scale))
+        object.__setattr__(self, "eps", as_rational(self.eps))
+        object.__setattr__(self, "M", as_rational(self.M))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -344,8 +244,8 @@ class SensitiveApproximant:
 
     def nondiff_points(self, lo, hi):
         """phi0 endpoints plus wave lattice inside the open window, sorted."""
-        lo = exact_point(lo)
-        hi = exact_point(hi)
+        lo = as_rational(lo)
+        hi = as_rational(hi)
         pts = set(self.wave.lattice_points(lo, hi))
         for p in self.phi0.endpoints():
             if lo < p < hi:
@@ -354,8 +254,8 @@ class SensitiveApproximant:
 
     def slope_profile(self, lo, hi):
         """Maximal affine cells of the window with their exact slopes."""
-        lo = exact_point(lo)
-        hi = exact_point(hi)
+        lo = as_rational(lo)
+        hi = as_rational(hi)
         cuts = [lo] + self.nondiff_points(lo, hi) + [hi]
         out = []
         s = self.scale

@@ -1,7 +1,8 @@
 """Exact interval-union algebra on the real line.
 
-Endpoints are Fractions (floats are converted to their exact binary
-rational on construction) or +/-infinity; infinite endpoints are open.
+Endpoints are Fractions (a float becomes the rational of its shortest
+round-trip decimal, see ``as_rational``) or +/-infinity; infinite
+endpoints are open.
 Unions are kept in normal form: sorted, pairwise disjoint, adjacent
 intervals not mergeable.
 """
@@ -16,14 +17,21 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-def as_endpoint(x):
-    if x == POS_INF or x == NEG_INF:
-        return x
+def as_rational(x) -> Fraction:
+    """Exact rational of an input number: a Fraction as is, an int exactly,
+    a float as its shortest round-trip decimal (0.1 -> 1/10)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"expected a finite number, got {x!r}")
+        return Fraction(repr(float(x)))
     return Fraction(x)
+
+
+def as_endpoint(x):
+    """as_rational, letting the infinite ends of the line through."""
+    return x if x == POS_INF or x == NEG_INF else as_rational(x)
 
 
 @dataclass(frozen=True)

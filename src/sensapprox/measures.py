@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erf as _erf_arr
 from scipy.special import ndtri
 
-from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF
+from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
 
 _SQRT2 = math.sqrt(2.0)
 # largest float below 1: keeps ndtri and log1p finite at the top end
@@ -43,14 +43,6 @@ def _pieces(masses, u):
             yield i, hit, u[hit] - lower[i]
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # Density kinds (each normalized to unit mass)
 
@@ -62,7 +54,7 @@ class AtomKind:
     location: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "location", _frac(self.location))
+        object.__setattr__(self, "location", as_rational(self.location))
 
     def inv_cdf_arr(self, v):
         return np.full_like(v, float(self.location))
@@ -74,15 +66,15 @@ class Uniform:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
+        object.__setattr__(self, "a", as_rational(self.a))
+        object.__setattr__(self, "b", as_rational(self.b))
 
     def cdf(self, x):
         if x <= self.a:
             return Fraction(0)
         if x >= self.b:
             return Fraction(1)
-        return (_frac(x) - self.a) / (self.b - self.a)
+        return (as_rational(x) - self.a) / (self.b - self.a)
 
     def cdf_arr(self, xs):
         a, b = float(self.a), float(self.b)
@@ -109,8 +101,8 @@ class Normal:
     std: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _frac(self.mean))
-        object.__setattr__(self, "std", _frac(self.std))
+        object.__setattr__(self, "mean", as_rational(self.mean))
+        object.__setattr__(self, "std", as_rational(self.std))
 
     def cdf(self, x):
         z = (float(x) - float(self.mean)) / float(self.std)
@@ -141,7 +133,7 @@ class Exponential:
     rate: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", _frac(self.rate))
+        object.__setattr__(self, "rate", as_rational(self.rate))
 
     def cdf(self, x):
         xf = float(x)
@@ -178,9 +170,9 @@ class PiecewisePoly:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "breaks", tuple(_frac(b) for b in self.breaks))
+        object.__setattr__(self, "breaks", tuple(as_rational(b) for b in self.breaks))
         object.__setattr__(
-            self, "coeffs", tuple(tuple(_frac(c) for c in piece) for piece in self.coeffs)
+            self, "coeffs", tuple(tuple(as_rational(c) for c in piece) for piece in self.coeffs)
         )
         self._validate()
 
@@ -228,7 +220,7 @@ class PiecewisePoly:
         )
 
     def cdf(self, x):
-        xq = _frac(x) if not isinstance(x, float) or math.isfinite(x) else None
+        xq = as_rational(x) if not isinstance(x, float) or math.isfinite(x) else None
         if xq is None:
             return Fraction(1) if x > 0 else Fraction(0)
         if xq <= self.breaks[0]:
@@ -330,10 +322,10 @@ class BorelMeasure:
 
     def __init__(self, atoms=(), parts=(), total_mass=None, source_text=""):
         self.source_text = source_text
-        self.atoms = tuple(sorted(((_frac(l), _frac(m)) for l, m in atoms)))
-        self.parts = tuple((_frac(w), kind) for w, kind in parts)
+        self.atoms = tuple(sorted(((as_rational(l), as_rational(m)) for l, m in atoms)))
+        self.parts = tuple((as_rational(w), kind) for w, kind in parts)
         computed = sum(m for _, m in self.atoms) + sum(w for w, _ in self.parts)
-        self.total_mass = _frac(total_mass) if total_mass is not None else computed
+        self.total_mass = as_rational(total_mass) if total_mass is not None else computed
         if computed != self.total_mass:
             raise ValueError(
                 f"component masses sum to {computed}, declared {self.total_mass}"

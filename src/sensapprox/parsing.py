@@ -630,6 +630,7 @@ def piecewise_constant_thresholds(f: TargetFunction):
         return None
     vals = []
     for v in out:
+        # exact binary value: eval_target compares points with the float itself
         vals.append(v if isinstance(v, Fraction) else Fraction(v))
     return sorted(set(vals))
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import sensapprox
 from sensapprox.approx import ApproxRequest, sensitize
 from sensapprox.cli import (
     CorruptCertificate,
@@ -166,6 +170,27 @@ class TestVerifyCommand:
         rc = main(["verify", "--cert", str(tmp_path / "nope.json")])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "10"], ["--samples", "-5"], ["--seed", "-1"],
+    ])
+    def test_bad_sampling_flags_are_input_errors(self, tmp_path, flags):
+        out = tmp_path / "cert.json"
+        assert main([
+            "sensitize", "--target", "0", "--measure", "uniform(0,1)",
+            "--p", "1", "--eps", "1", "--M", "0", "--out", str(out),
+        ]) == 0
+        src = os.path.dirname(os.path.dirname(sensapprox.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "sensapprox.cli", "verify", "--cert", str(out),
+             *flags],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ")
+        assert "Traceback" not in run.stderr
 
 
 class TestNormCommand:

@@ -92,29 +92,6 @@ class TestStepFunction:
         with pytest.raises(ValueError):
             StepFunction.from_indicator(u, 1)
 
-    def test_sum_with_overlap(self):
-        a = StepFunction(terms=[(1, 0, 2)])
-        b = StepFunction(terms=[(1, 1, 3)])
-        s = a + b
-        assert s.terms == (
-            (1, 0, 1),
-            (2, 1, 2),
-            (1, 2, 3),
-        )
-        # pointwise open-interval semantics at the seams
-        assert s.exceptions == ((1, 1), (2, 1))
-        assert s.eval(1) == 1  # 1_(0,2) alone covers x=1
-        assert s.eval(2) == 1  # 1_(1,3) alone covers x=2
-        assert s.eval(Fraction(3, 2)) == 2
-
-    def test_sum_merges_compatible_cells(self):
-        a = StepFunction(terms=[(1, 0, 1)])
-        b = StepFunction(terms=[(1, 1, 2)], exceptions=[])
-        s = a + b
-        # x=1 has pointwise value 0, so the two cells must stay split
-        assert len(s.terms) == 2
-        assert s.eval(1) == 0
-
     def test_sup_norm(self):
         s = StepFunction(terms=[(3, 0, 1), (-5, 2, 3)], exceptions=[(4, 1)])
         assert s.sup_norm() == 5
@@ -132,6 +109,44 @@ class TestStepFunction:
         xs = np.array([-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
         expect = [float(s.eval(Fraction(float(x)))) for x in xs]
         assert np.allclose(s.eval_arr(xs), expect)
+
+
+_dyadic = st.builds(
+    lambda k, j: Fraction(k, 2**j),
+    st.integers(min_value=-64, max_value=64), st.integers(min_value=0, max_value=4),
+)
+_value = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+@st.composite
+def step_functions(draw):
+    """Sorted disjoint terms, possibly with infinite ends, plus exceptions
+    at term ends, inside terms and elsewhere; all points are dyadic, so
+    they are exact floats and eval_arr must agree with eval exactly."""
+    pts = sorted(set(draw(st.lists(_dyadic, max_size=8))))
+    ends = [-math.inf] + pts + [math.inf]
+    terms = [
+        (draw(_value), lo, hi)
+        for lo, hi in zip(ends, ends[1:])
+        if draw(st.booleans())
+    ]
+    interior = [(lo + hi) / 2 for _, lo, hi in terms
+                if math.isfinite(lo) and math.isfinite(hi)]
+    candidates = sorted(set(pts + interior + draw(st.lists(_dyadic, max_size=3))))
+    exc_pts = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return StepFunction(terms=terms,
+                        exceptions=[(p, draw(_value)) for p in exc_pts])
+
+
+@settings(deadline=None)
+@given(step_functions(),
+       st.lists(st.floats(min_value=-100, max_value=100), max_size=20))
+def test_eval_arr_agrees_with_exact_eval(s, extra):
+    xs = [float(p) for p in s.endpoints()]
+    xs += [math.nextafter(x, d) for x in list(xs) for d in (-math.inf, math.inf)]
+    xs += extra + [-1e300, 1e300]
+    expect = [float(s.eval(Fraction(x))) for x in xs]
+    assert s.eval_arr(np.array(xs)).tolist() == expect
 
 
 class TestApproximantEval:

@@ -4,13 +4,45 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sensapprox.approx import ApproxRequest
+from sensapprox.funcspace import build_zigzag
 from sensapprox.intervals import (
     Interval,
     IntervalUnion,
+    as_rational,
     closed_interval,
     open_interval,
     point,
 )
+from sensapprox.measures import BorelMeasure
+from sensapprox.parsing import parse_target, piecewise_constant_thresholds
+
+
+class TestAsRational:
+    def test_fraction_passes_through(self):
+        x = Fraction(1, 3)
+        assert as_rational(x) is x
+
+    def test_int_is_exact(self):
+        big = 10**30 + 1
+        assert as_rational(big) == Fraction(big)
+        assert as_rational(-7) == Fraction(-7)
+
+    def test_float_is_shortest_decimal(self):
+        assert as_rational(0.1) == Fraction(1, 10)
+
+    def test_non_finite_inputs_rejected(self):
+        mu = BorelMeasure(atoms=[(0, 1)])
+        with pytest.raises(ValueError):
+            ApproxRequest(target=parse_target("x"), mu=mu, p=1,
+                          eps=float("inf"), M=0)
+        with pytest.raises(ValueError):
+            build_zigzag(float("nan"), 1)
+
+    def test_thresholds_keep_the_exact_binary_value(self):
+        # eval_target compares points with the float sqrt(2) itself
+        target = parse_target("if(x < sqrt(2), 1, 0)")
+        assert piecewise_constant_thresholds(target) == [Fraction(math.sqrt(2))]
 
 
 def test_normal_form_merges_overlap():
