@@ -187,7 +187,7 @@ def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEsti
     f = target_evaluator(req.target)
     knots = [float(pt) for pt in phi0.endpoints()]
     knots += [float(pt) for pt in req.mu.density_breakpoints()]
-    return norms.lp_distance(f, phi0.eval_arr, req.mu, req.p, tol, knots=sorted(set(knots)))
+    return norms.lp_distance(f, phi0.eval_arr, req.mu, req.p, tol, knots=knots)
 
 
 def _piecewise_constant_candidate(req: ApproxRequest):
@@ -339,7 +339,7 @@ def sensitize(req: ApproxRequest):
         error_method="triangle-chain",
         min_abs_slope=Y.min_abs_slope(),
         sup_bound=Y.sup_bound(),
-        nondiff_count_in_window=len(Y.nondiff_points(w_lo, w_hi)),
+        nondiff_count_in_window=Y.nondiff_count(w_lo, w_hi),
         window=(w_lo, w_hi),
         quadrature_tolerance=quad_tol,
     )

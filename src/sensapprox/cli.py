@@ -39,6 +39,9 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_HYPOTHESIS = 4
 
+# most rows, and most non-differentiability points, that plot writes
+MAX_PLOT_POINTS = 10**5
+
 
 def _rat(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
@@ -122,7 +125,7 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
         b = int(data["b"])
         eps = _parse_rat(data["request"]["eps"])
         M = _parse_rat(data["request"]["M"])
-        p = float(data["request"]["p"])
+        p = _parse_p(str(data["request"]["p"]))
         stored_slope = _parse_rat(data["min_abs_slope"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptCertificate(f"malformed certificate field: {exc}") from exc
@@ -208,9 +211,6 @@ def cmd_verify(args) -> int:
         target = parse_target(data["request"]["target"])
         spec = parse_measure(data["request"]["measure"])
         mu = BorelMeasure.from_spec(spec)
-        eps = _parse_rat(data["request"]["eps"])
-        M = _parse_rat(data["request"]["M"])
-        p = float(data["request"]["p"])
         if args.samples < 1000:
             raise ValueError("samples must be at least 1000")
         if args.seed < 0:
@@ -219,6 +219,7 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    p, eps, M = Y.p, Y.eps, Y.M
     slope = Y.min_abs_slope()
     slope_ok = slope > M
     f = target_evaluator(target)
@@ -292,8 +293,12 @@ def cmd_plot(args) -> int:
         if not lo < hi:
             raise ValueError("window requires a < b")
         n = int(args.points)
-        if n < 2:
-            raise ValueError("points must be at least 2")
+        if not 2 <= n <= MAX_PLOT_POINTS:
+            raise ValueError(f"points must be between 2 and {MAX_PLOT_POINTS}")
+        kinks = Y.nondiff_count(lo, hi)
+        if kinks > MAX_PLOT_POINTS:
+            raise ValueError(f"window holds {kinks} non-differentiability "
+                             f"points, more than {MAX_PLOT_POINTS}")
     except (CorruptCertificate, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -41,13 +41,14 @@ class TriangleWave:
         t = np.mod(np.asarray(xs, dtype=float) * self.b, 2.0)
         return 1.0 - np.abs(t - 1.0)
 
+    def lattice_range(self, lo, hi) -> range:
+        """The integers j with lo < j/b < hi, for the open window (lo, hi)."""
+        return range(math.floor(as_rational(lo) * self.b) + 1,
+                     math.ceil(as_rational(hi) * self.b))
+
     def lattice_points(self, lo, hi):
         """Lattice points j/b strictly inside the open window (lo, hi)."""
-        lo = as_rational(lo)
-        hi = as_rational(hi)
-        j_min = math.floor(lo * self.b) + 1
-        j_max = math.ceil(hi * self.b) - 1
-        return [Fraction(j, self.b) for j in range(j_min, j_max + 1)]
+        return [Fraction(j, self.b) for j in self.lattice_range(lo, hi)]
 
 
 def build_zigzag(eps, M) -> TriangleWave:
@@ -242,15 +243,23 @@ class SensitiveApproximant:
     def sup_bound(self) -> Fraction:
         return self.phi0.sup_norm() + self.scale
 
+    def _endpoints_off_lattice(self, lo, hi):
+        """phi0 endpoints inside the open window that are not j/b, sorted."""
+        pts = self.phi0.endpoints()
+        inside = pts[bisect.bisect_right(pts, as_rational(lo)):
+                     bisect.bisect_left(pts, as_rational(hi))]
+        return [p for p in inside if (p * self.wave.b).denominator != 1]
+
+    def nondiff_count(self, lo, hi) -> int:
+        """len(nondiff_points(lo, hi)), without listing the lattice."""
+        return (len(self.wave.lattice_range(lo, hi))
+                + len(self._endpoints_off_lattice(lo, hi)))
+
     def nondiff_points(self, lo, hi):
         """phi0 endpoints plus wave lattice inside the open window, sorted."""
-        lo = as_rational(lo)
-        hi = as_rational(hi)
-        pts = set(self.wave.lattice_points(lo, hi))
-        for p in self.phi0.endpoints():
-            if lo < p < hi:
-                pts.add(p)
-        return sorted(pts)
+        # two disjoint sorted runs: the sort only merges them
+        return sorted(self.wave.lattice_points(lo, hi)
+                      + self._endpoints_off_lattice(lo, hi))
 
     def slope_profile(self, lo, hi):
         """Maximal affine cells of the window with their exact slopes."""

@@ -110,12 +110,9 @@ def _adaptive(g, knots, budget):
 
 
 def _part_knots(wa, wb, knots):
-    pts = {wa, wb}
-    for k in knots:
-        kf = float(k)
-        if wa < kf < wb:
-            pts.add(kf)
-    return sorted(pts)
+    """Sorted distinct knots: the window ends plus the knots inside them."""
+    k = np.asarray(knots, dtype=float)
+    return np.unique(np.concatenate(([wa, wb], k[(wa < k) & (k < wb)])))
 
 
 def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
@@ -238,6 +235,8 @@ def wave_norm_bound(wave, mu: BorelMeasure, p) -> float:
         return min(crude, total ** (1.0 / p) + 1e-12)
     lo = min(a for a, _ in lo_hi)
     hi = max(b for _, b in lo_hi)
-    knots = [float(k) for k in wave.lattice_points(lo, hi)]
+    lattice = wave.lattice_range(lo, hi)
+    # j/b in float64 is the correctly rounded float(Fraction(j, b)) for |j| < 2^53
+    knots = np.arange(lattice.start, lattice.stop) / wave.b
     est = lp_norm(wave.eval_arr, mu, p, tol=1e-3, knots=knots)
     return min(crude, est.value + est.absolute_error_bound)

@@ -15,6 +15,7 @@ throughout; nothing is widened to floating point at parse time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,7 +101,9 @@ FUNCTIONS = {
     "max": 2,
 }
 
-CMP_OPS = ("<=", ">=", "==", "<", ">")
+# comparison operators of if(...) tests, applied to scalars and arrays alike
+CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+           ">=": operator.ge, "==": operator.eq}
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +434,7 @@ def _apply_call(name, args):
 
 
 def _ev_test(test, x):
-    a = _ev(test.left, x)
-    b = _ev(test.right, x)
-    return {
-        "<": a < b,
-        "<=": a <= b,
-        ">": a > b,
-        ">=": a >= b,
-        "==": a == b,
-    }[test.op]
+    return CMP_OPS[test.op](_ev(test.left, x), _ev(test.right, x))
 
 
 def eval_target(f: TargetFunction, x):
@@ -527,15 +522,7 @@ def _apply_call_vec(name, args):
 
 
 def _eva_test(test, xs):
-    a = _eva(test.left, xs)
-    b = _eva(test.right, xs)
-    return {
-        "<": a < b,
-        "<=": a <= b,
-        ">": a > b,
-        ">=": a >= b,
-        "==": a == b,
-    }[test.op]
+    return CMP_OPS[test.op](_eva(test.left, xs), _eva(test.right, xs))
 
 
 def eval_target_array(f: TargetFunction, xs) -> np.ndarray:
@@ -585,39 +572,21 @@ def _collect_thresholds(node, out):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _is_x_free(node):
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Num):
-        return True
-    if isinstance(node, Neg):
-        return _is_x_free(node.operand)
-    if isinstance(node, BinOp):
-        return _is_x_free(node.left) and _is_x_free(node.right)
-    if isinstance(node, Call):
-        return all(_is_x_free(a) for a in node.args)
-    if isinstance(node, Conditional):
-        return (
-            _is_x_free(node.test.left)
-            and _is_x_free(node.test.right)
-            and _is_x_free(node.if_true)
-            and _is_x_free(node.if_false)
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+def _x_free(node):
+    """No x in the subtree: the walk accepts it and collects no threshold."""
+    found = []
+    return _collect_thresholds(node, found) and not found
 
 
 def _threshold_from_compare(test, out):
-    left_is_x = isinstance(test.left, Var)
-    right_is_x = isinstance(test.right, Var)
-    if left_is_x and _is_x_free(test.right):
+    left_free, right_free = _x_free(test.left), _x_free(test.right)
+    if isinstance(test.left, Var) and right_free:
         out.append(eval_const(test.right))
-        return True
-    if right_is_x and _is_x_free(test.left):
+    elif isinstance(test.right, Var) and left_free:
         out.append(eval_const(test.left))
-        return True
-    if _is_x_free(test.left) and _is_x_free(test.right):
-        return True
-    return False
+    else:
+        return left_free and right_free
+    return True
 
 
 def piecewise_constant_thresholds(f: TargetFunction):

@@ -19,6 +19,15 @@ from sensapprox.measures import BorelMeasure
 from sensapprox.parsing import parse_measure, parse_target
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so a traceback shows on stderr."""
+    src = os.path.dirname(os.path.dirname(sensapprox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sensapprox.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 def make_certificate(target="x", mu="uniform(0,1)", p=1, eps="1/4", M=2):
     req = ApproxRequest(
         target=parse_target(target),
@@ -180,17 +189,29 @@ class TestVerifyCommand:
             "sensitize", "--target", "0", "--measure", "uniform(0,1)",
             "--p", "1", "--eps", "1", "--M", "0", "--out", str(out),
         ]) == 0
-        src = os.path.dirname(os.path.dirname(sensapprox.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run(
-            [sys.executable, "-m", "sensapprox.cli", "verify", "--cert", str(out),
-             *flags],
-            capture_output=True, text=True, env=env,
-        )
+        run = run_cli("verify", "--cert", str(out), *flags)
         assert run.returncode == 2
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("p", ["0", "-1", "0.5", "inf", "nan"])
+    def test_certificate_p_out_of_range_is_input_error(self, tmp_path, capsys, p):
+        out = tmp_path / "cert.json"
+        assert main([
+            "sensitize", "--target", "0", "--measure", "uniform(0,1)",
+            "--p", "1", "--eps", "1", "--M", "0", "--out", str(out),
+        ]) == 0
+        raw = json.loads(out.read_text())
+        raw["request"]["p"] = p
+        out.write_text(json.dumps(raw))
+        run = run_cli("verify", "--cert", str(out), "--samples", "1000")
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ")
+        assert "Traceback" not in run.stderr
+        capsys.readouterr()
+        assert main(["plot", "--cert", str(out), "--window", "0:1",
+                     "--points", "5", "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestNormCommand:
@@ -252,7 +273,11 @@ class TestPlotCommand:
             "sensitize", "--target", "0", "--measure", "uniform(0,1)",
             "--p", "1", "--eps", "1", "--M", "0", "--out", str(cert_path),
         ]) == 0
-        rc = main(["plot", "--cert", str(cert_path), "--window", "1:0",
-                   "--points", "5", "--out", str(tmp_path / "c.csv")])
-        assert rc == 2
         capsys.readouterr()
+        # an empty window, 4*10^5 lattice points (b = 2), too many rows
+        for window, points in (("1:0", "5"), ("-100000:100000", "5"),
+                               ("0:1", "100000000")):
+            rc = main(["plot", "--cert", str(cert_path), f"--window={window}",
+                       "--points", points, "--out", str(tmp_path / "c.csv")])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: ")

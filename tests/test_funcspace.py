@@ -235,3 +235,58 @@ class TestNondiffPoints:
         pts = y.nondiff_points(-2, 2)
         gaps = [b - a for a, b in zip(pts, pts[1:])]
         assert min(gaps) > 0
+
+    def test_count_at_huge_b_is_closed_form(self):
+        # 2*10^12 - 1 lattice points in (-1000, 1000), plus 1/3 off the
+        # lattice; 1/2 and 1000 lie on it. Listing them would not finish.
+        phi0 = StepFunction(terms=[(1, Fraction(1, 3), Fraction(1, 2)),
+                                   (2, Fraction(1, 2), Fraction(1000))])
+        y = approximant(phi0, Fraction(1, 2), 10**9)
+        assert y.nondiff_count(-1000, 1000) == 2 * 10**12
+
+    def test_sensitize_lists_no_lattice(self, monkeypatch):
+        from sensapprox.approx import ApproxRequest, sensitize
+        from sensapprox.measures import BorelMeasure
+        from sensapprox.parsing import parse_measure, parse_target
+
+        def boom(*_args):
+            raise AssertionError("sensitize listed lattice points")
+
+        monkeypatch.setattr(SensitiveApproximant, "nondiff_points", boom)
+        monkeypatch.setattr(TriangleWave, "lattice_points", boom)
+        req = ApproxRequest(
+            target=parse_target("x"),
+            mu=BorelMeasure.from_spec(parse_measure("uniform(0,1)")),
+            p=1, eps=Fraction(1, 10), M=Fraction(999),
+        )
+        y, cert = sensitize(req)
+        monkeypatch.undo()
+        assert cert.b == 20_000
+        assert cert.nondiff_count_in_window == len(y.nondiff_points(*cert.window))
+
+
+@st.composite
+def approximant_and_window(draw):
+    """An approximant whose phi0 ends and exceptions lie on and off its
+    lattice, with a rational window whose ends may be lattice points."""
+    b = draw(st.integers(min_value=1, max_value=60))
+    on = st.integers(min_value=-3 * b, max_value=3 * b).map(lambda j: Fraction(j, b))
+    off = st.fractions(min_value=-3, max_value=3, max_denominator=13)
+    point = st.one_of(on, off)
+    pts = sorted(set(draw(st.lists(point, max_size=8))))
+    terms = [(draw(_value), lo, hi) for lo, hi in zip(pts, pts[1:])
+             if draw(st.booleans())]
+    exc = [(p, draw(_value)) for p in draw(st.lists(point, max_size=3, unique=True))]
+    lo, hi = sorted(draw(st.lists(point, min_size=2, max_size=2, unique=True)))
+    y = approximant(StepFunction(terms=terms, exceptions=exc), Fraction(1, 2), b)
+    return y, lo, hi
+
+
+@settings(deadline=None)
+@given(approximant_and_window())
+def test_nondiff_count_matches_listed_points(case):
+    y, lo, hi = case
+    pts = y.nondiff_points(lo, hi)
+    assert y.nondiff_count(lo, hi) == len(pts)
+    inside = {p for p in y.phi0.endpoints() if lo < p < hi}
+    assert pts == sorted(set(y.wave.lattice_points(lo, hi)) | inside)

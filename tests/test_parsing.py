@@ -136,11 +136,17 @@ class TestEvalTarget:
 
 class TestPiecewiseConstantDetection:
     def test_indicator(self):
-        t = parse_target("if(x<0.5, if(x>0, 1, 0), 0)")
-        assert piecewise_constant_thresholds(t) == [0, Fraction(1, 2)]
+        for text, want in (
+            ("if(x<0.5, if(x>0, 1, 0), 0)", [0, Fraction(1, 2)]),
+            ("if(x < if(1 < 2, 1, 2), 1, 0)", [1]),
+            ("if(1 < 2, if(x > 3, 1, 0), 0)", [3]),
+        ):
+            assert piecewise_constant_thresholds(parse_target(text)) == want, text
 
     def test_not_piecewise(self):
-        assert piecewise_constant_thresholds(parse_target("x^2")) is None
+        for text in ("x^2", "if(x < if(x < 1, 2, 3), 1, 0)",
+                     "if(x < log(0-1), 1, 0)", "if(x < x, 1, 0)"):
+            assert piecewise_constant_thresholds(parse_target(text)) is None, text
 
     def test_constant(self):
         assert piecewise_constant_thresholds(parse_target("3")) == []
