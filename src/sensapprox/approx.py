@@ -23,7 +23,8 @@ from .funcspace import (
     TriangleWave,
     build_zigzag,
 )
-from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
+from .intervals import (Interval, IntervalUnion, NEG_INF, POS_INF, as_rational,
+                        uniform_grid)
 from .measures import BorelMeasure
 from .norms import NonIntegrableError, NormEstimate
 from .parsing import (
@@ -178,8 +179,7 @@ def _pin_atoms(phi0: StepFunction, req: ApproxRequest, eta: Fraction) -> StepFun
         for other, _ in req.mu.atoms:
             if other != loc:
                 gap = min(gap, abs(other - loc) / 2)
-        want_fr = as_rational(want)
-        phi0 = phi0.override_on(loc - gap, loc + gap, want_fr)
+        phi0 = phi0.override_on(loc - gap, loc + gap, want)
     return phi0
 
 
@@ -192,34 +192,25 @@ def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEsti
 
 def _piecewise_constant_candidate(req: ApproxRequest):
     thresholds = piecewise_constant_thresholds(req.target)
-    if thresholds is None or not thresholds:
-        if thresholds is None:
-            return None
-        # constant target
-        v = eval_target(req.target, 0)
-        if v == 0:
-            return StepFunction()
+    if thresholds is None:
         return None
+    if not thresholds:  # constant target
+        return StepFunction() if eval_target(req.target, 0) == 0 else None
     lo_val = eval_target(req.target, thresholds[0] - 1)
     hi_val = eval_target(req.target, thresholds[-1] + 1)
     if lo_val != 0 or hi_val != 0:
         return None  # unbounded support; grid route handles it
-    terms = []
-    for a, b in zip(thresholds, thresholds[1:]):
-        v = eval_target(req.target, (a + b) / 2)
-        if v != 0:
-            terms.append((as_rational(v), a, b))
-    return StepFunction(terms=terms)
+    # StepFunction drops the zero values
+    return StepFunction(terms=[(eval_target(req.target, (a + b) / 2), a, b)
+                               for a, b in zip(thresholds, thresholds[1:])])
 
 
 def _grid_candidate(req: ApproxRequest, window, n_cells):
     lo, hi = window
-    cells = [lo + (hi - lo) * Fraction(i, n_cells) for i in range(n_cells + 1)]
-    terms = []
-    for a, b in zip(cells, cells[1:]):
-        v = eval_target(req.target, (a + b) / 2)
-        if v != 0:
-            terms.append((as_rational(v), a, b))
+    # even points are the cell ends, odd points the cell midpoints
+    pts = uniform_grid(lo, hi, 2 * n_cells)
+    terms = [(eval_target(req.target, mid), a, b)
+             for a, mid, b in zip(pts[0::2], pts[1::2], pts[2::2])]
     return StepFunction(terms=terms), (hi - lo) / n_cells
 
 
@@ -322,8 +313,8 @@ def sensitize(req: ApproxRequest):
                              eps=eps, M=M, p=req.p)
     endpoints = phi0.endpoints()
     if endpoints:
-        w_lo = min(endpoints) - Fraction(1)
-        w_hi = max(endpoints) + Fraction(1)
+        w_lo = endpoints[0] - Fraction(1)
+        w_hi = endpoints[-1] + Fraction(1)
     else:
         w_lo, w_hi = Fraction(-1), Fraction(1)
     cert = Certificate(

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import approx, norms
 from .funcspace import SensitiveApproximant, StepFunction, TriangleWave
+from .intervals import uniform_grid
 from .measures import BorelMeasure
 from .parsing import (
     EvaluationError,
@@ -127,7 +128,7 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
         M = _parse_rat(data["request"]["M"])
         p = _parse_p(str(data["request"]["p"]))
         stored_slope = _parse_rat(data["min_abs_slope"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise CorruptCertificate(f"malformed certificate field: {exc}") from exc
     if stored_slope != scale * b:
         raise CorruptCertificate(
@@ -152,24 +153,12 @@ def _parse_p(text):
     return p
 
 
-def _parse_positive_fraction(text, name):
+def _parse_fraction(text, name):
+    """Exact rational of a flag; the sign is checked where it is used."""
     try:
-        v = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"invalid {name}: {text!r}")
-    if v <= 0:
-        raise ValueError(f"{name} must be positive")
-    return v
-
-
-def _parse_nonneg_fraction(text, name):
-    try:
-        v = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"invalid {name}: {text!r}")
-    if v < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +171,8 @@ def cmd_sensitize(args) -> int:
         spec = parse_measure(args.measure)
         mu = BorelMeasure.from_spec(spec)
         p = _parse_p(args.p)
-        eps = _parse_positive_fraction(args.eps, "eps")
-        M = _parse_nonneg_fraction(args.M, "M")
+        eps = _parse_fraction(args.eps, "eps")
+        M = _parse_fraction(args.M, "M")
         req = approx.ApproxRequest(target=target, mu=mu, p=p, eps=eps, M=M)
     except (ParseError, MeasureSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -288,8 +277,8 @@ def cmd_plot(args) -> int:
         lo_text, sep, hi_text = args.window.partition(":")
         if not sep:
             raise ValueError("window must be given as a:b")
-        lo = Fraction(lo_text)
-        hi = Fraction(hi_text)
+        lo = _parse_fraction(lo_text, "window start")
+        hi = _parse_fraction(hi_text, "window end")
         if not lo < hi:
             raise ValueError("window requires a < b")
         n = int(args.points)
@@ -303,9 +292,8 @@ def cmd_plot(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    xs = [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
     lines = ["x,target,approximant"]
-    for x in xs:
+    for x in uniform_grid(lo, hi, n - 1):
         try:
             tv = float(eval_target(target, x))
         except EvaluationError:

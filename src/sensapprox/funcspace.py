@@ -1,10 +1,10 @@
 """Step functions, the triangle wave, and the approximant phi0 + s * wave.
 
-All breakpoints, values, scales and slopes are Fractions; floating point
-appears only in the vectorized evaluators used by quadrature and Monte
-Carlo. A step function is zero outside its intervals and at interval
-endpoints, except where an explicit (point, value) exception overrides
-the pointwise value.
+All breakpoints, values, scales and slopes are Fractions; floats appear
+only in the vectorized evaluators for quadrature and Monte Carlo. A step
+function is zero outside its intervals and at their endpoints, except at
+its (point, value) exceptions. It is built in one walk over its terms in
+linear time, sorting them only when they arrive out of order.
 """
 
 from __future__ import annotations
@@ -74,13 +74,14 @@ class StepFunction:
     at finitely many points.
 
     The breakpoints and the float arrays behind ``eval_arr`` are built once,
-    on construction: region k is the open cell left of breakpoint k (the
-    last one runs to +inf), and the pointwise value at a breakpoint is 0
-    unless an exception overrides it.
+    on construction, in one walk that compares each term only with the end
+    of the one before it; the terms are sorted, and checked for overlap,
+    only when they arrive out of order, as ``override_on`` appends them.
+    Region k is the open cell left of breakpoint k (the last one runs to
+    +inf); the value at a breakpoint is 0 unless an exception overrides it.
     """
 
-    __slots__ = ("terms", "exceptions", "_los", "_pts", "_pts_f", "_region",
-                 "_point")
+    __slots__ = ("terms", "exceptions", "_pts", "_pts_f", "_region", "_point")
 
     def __init__(self, terms=(), exceptions=()):
         cleaned = []
@@ -90,45 +91,40 @@ class StepFunction:
             hi_e = as_endpoint(hi)
             if not lo_e < hi_e:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
-            if v != 0:
+            if v:
                 cleaned.append((v, lo_e, hi_e))
-        cleaned.sort(key=lambda t: t[1])
-        for (_, _, h1), (_, l2, _) in zip(cleaned, cleaned[1:]):
-            if h1 > l2:
+        walk = _walk_terms(cleaned)
+        if walk is None:
+            cleaned.sort(key=lambda t: t[1])
+            walk = _walk_terms(cleaned)
+            if walk is None:
                 raise ValueError("step-function intervals must be disjoint")
+        pts, region = walk
         self.terms = tuple(cleaned)
         exc = []
         for pt, value in exceptions:
             v = as_rational(value)
-            if v != 0:
+            if v:
                 exc.append((as_rational(pt), v))
         exc.sort()
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
             if p1 == p2:
                 raise ValueError(f"duplicate exception point {p1}")
         self.exceptions = tuple(exc)
-        self._los = [lo for _, lo, _ in self.terms]
 
-        # sorted terms give sorted ends; only a shared end repeats
-        pts = []
-        for _, lo, hi in self.terms:
-            for end in (lo, hi):
-                if isinstance(end, Fraction) and (not pts or pts[-1] != end):
-                    pts.append(end)
-        if exc:
-            pts = sorted(set(pts).union(p for p, _ in exc))
+        point = [0.0] * len(pts)
+        for p, v in exc:
+            i = bisect.bisect_left(pts, p)
+            if i == len(pts) or pts[i] != p:
+                # p splits region i into two cells of the same value
+                pts.insert(i, p)
+                region.insert(i, region[i])
+                point.insert(i, 0.0)
+            point[i] = float(v)
         self._pts = tuple(pts)
         self._pts_f = np.array([float(p) for p in pts])
-
-        index = {p: i for i, p in enumerate(pts)}
-        self._region = np.zeros(len(pts) + 1)
-        for v, lo, hi in self.terms:
-            start = index[lo] + 1 if lo != NEG_INF else 0
-            stop = index[hi] + 1 if hi != POS_INF else len(pts) + 1
-            self._region[start:stop] = float(v)
-        self._point = np.zeros(len(pts))
-        for p, v in exc:
-            self._point[index[p]] = float(v)
+        self._region = np.array(region)
+        self._point = np.array(point)
 
     def __eq__(self, other):
         return (
@@ -157,7 +153,7 @@ class StepFunction:
         for pt, v in self.exceptions:
             if pt == xq:
                 return v
-        i = bisect.bisect_right(self._los, xq) - 1
+        i = bisect.bisect_right(self.terms, xq, key=lambda t: t[1]) - 1
         if i >= 0:
             v, lo, hi = self.terms[i]
             if lo < xq < hi:
@@ -188,8 +184,7 @@ class StepFunction:
                 terms.append((v, tlo, lo))
             if thi > hi:
                 terms.append((v, hi, thi))
-        if value != 0:
-            terms.append((value, lo, hi))
+        terms.append((value, lo, hi))
         exceptions = [(p, v) for p, v in self.exceptions if not lo < p < hi]
         return StepFunction(terms=terms, exceptions=exceptions)
 
@@ -206,6 +201,26 @@ class StepFunction:
         if hit.any():
             out[hit] = self._point[idx[hit]]
         return out
+
+
+def _walk_terms(terms):
+    """Breakpoints and region values of sorted disjoint terms, or None when
+    a term starts before the previous one ends (out of order or overlap)."""
+    pts, region, prev = [], [], NEG_INF
+    for v, lo, hi in terms:
+        if lo != prev:
+            if lo < prev:
+                return None
+            pts.append(lo)
+            region.append(0.0)
+        pts.append(hi)
+        region.append(float(v))
+        prev = hi
+    if prev == POS_INF:
+        pts.pop()
+    else:
+        region.append(0.0)
+    return pts, region
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,17 @@ def as_rational(x) -> Fraction:
 
 def as_endpoint(x):
     """as_rational, letting the infinite ends of the line through."""
-    return x if x == POS_INF or x == NEG_INF else as_rational(x)
+    return x if isinstance(x, float) and math.isinf(x) else as_rational(x)
+
+
+def uniform_grid(lo, hi, n):
+    """The n + 1 points lo + (hi - lo) i / n as Fractions over the common
+    denominator d n of lo, hi and n: one gcd per point, no Fraction sums."""
+    lo, hi = as_rational(lo), as_rational(hi)
+    d = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    step = hi.numerator * (d // hi.denominator) - a
+    return [Fraction(a * n + step * i, d * n) for i in range(n + 1)]
 
 
 @dataclass(frozen=True)

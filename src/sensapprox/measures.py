@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import erf as _erf_arr
 from scipy.special import ndtri
 
-from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
+from .intervals import (Interval, IntervalUnion, NEG_INF, POS_INF, as_rational,
+                        uniform_grid)
 
 _SQRT2 = math.sqrt(2.0)
 # largest float below 1: keeps ndtri and log1p finite at the top end
@@ -180,8 +181,7 @@ class PiecewisePoly:
         from .parsing import MeasureSpecError
 
         for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            for t in range(101):
-                x = a + (b - a) * Fraction(t, 100)
+            for x in uniform_grid(a, b, 100):
                 if self._poly(piece, x) < 0:
                     raise MeasureSpecError(
                         f"pwd piece negative at x={float(x):g}"

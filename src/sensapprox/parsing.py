@@ -345,10 +345,6 @@ def _as_number(x):
     return float(x)
 
 
-def _both_exact(a, b):
-    return isinstance(a, Fraction) and isinstance(b, Fraction)
-
-
 def _ev(node, x):
     if isinstance(node, Num):
         return node.value

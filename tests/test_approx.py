@@ -8,6 +8,7 @@ from sensapprox.approx import (
     ApproxRequest,
     NonFiniteMomentError,
     TruncationCapError,
+    _grid_candidate,
     approximate_borel_set,
     build_step_approximation,
     certify_error,
@@ -147,6 +148,22 @@ class TestBuildStepApproximation:
                       p=1, eps="1/4", M=2)
         phi0, _ = build_step_approximation(req)
         assert phi0.eval(0) == 1
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 4096])
+    @pytest.mark.parametrize("lo, hi", [
+        (Fraction(-7, 3), Fraction(5, 8)),
+        (Fraction(-22, 7), Fraction(-1, 9)),
+        (Fraction(-1), Fraction(3, 10)),
+    ])
+    def test_grid_cells_and_midpoints_are_exact(self, lo, hi, n):
+        # the target x + 100 stores each cell's exact midpoint (+ 100) as
+        # the cell's value, and is nonzero on every cell
+        req = request("x + 100", "uniform(0,1)")
+        phi0, width = _grid_candidate(req, (lo, hi), n)
+        cells = [lo + (hi - lo) * Fraction(i, n) for i in range(n + 1)]
+        assert phi0.terms == tuple(((a + b) / 2 + 100, a, b)
+                                   for a, b in zip(cells, cells[1:]))
+        assert width == (hi - lo) / n
 
 
 class TestCertifyError:

@@ -213,6 +213,26 @@ class TestVerifyCommand:
                      "--points", "5", "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("where", ["value", "lower", "point", "scale"])
+    def test_zero_denominator_in_certificate_is_input_error(self, tmp_path, where):
+        _, cert = make_certificate()
+        out = tmp_path / "cert.json"
+        write_certificate(cert, out)
+        raw = json.loads(out.read_text())
+        if where == "scale":
+            raw["scale"] = "1/0"
+        elif where == "point":
+            raw["exceptions"] = [{"point": "1/0", "value": "1/1"}]
+        else:
+            raw["phi0"][0][where] = "1/0"
+        out.write_text(json.dumps(raw))
+        for run in (run_cli("verify", "--cert", str(out), "--samples", "1000"),
+                    run_cli("plot", "--cert", str(out), "--window=0:1",
+                            "--points", "5", "--out", str(tmp_path / "p.csv"))):
+            assert run.returncode == 2
+            assert run.stderr.startswith("error: ")
+            assert "Traceback" not in run.stderr
+
 
 class TestNormCommand:
     def test_uniform_identity(self, capsys):
@@ -281,3 +301,16 @@ class TestPlotCommand:
                        "--points", points, "--out", str(tmp_path / "c.csv")])
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("window", ["1/0:2", "0:1/0"])
+    def test_zero_denominator_window_is_input_error(self, tmp_path, window):
+        cert_path = tmp_path / "cert.json"
+        assert main([
+            "sensitize", "--target", "0", "--measure", "uniform(0,1)",
+            "--p", "1", "--eps", "1", "--M", "0", "--out", str(cert_path),
+        ]) == 0
+        run = run_cli("plot", "--cert", str(cert_path), f"--window={window}",
+                      "--points", "5", "--out", str(tmp_path / "c.csv"))
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ")
+        assert "Traceback" not in run.stderr

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -119,10 +120,11 @@ _value = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
 
 
 @st.composite
-def step_functions(draw):
-    """Sorted disjoint terms, possibly with infinite ends, plus exceptions
-    at term ends, inside terms and elsewhere; all points are dyadic, so
-    they are exact floats and eval_arr must agree with eval exactly."""
+def step_parts(draw):
+    """Sorted disjoint terms, possibly with infinite ends, shared ends and
+    gaps, plus exceptions at term ends, inside terms and elsewhere; all
+    points are dyadic, so they are exact floats and eval_arr must agree
+    with eval exactly."""
     pts = sorted(set(draw(st.lists(_dyadic, max_size=8))))
     ends = [-math.inf] + pts + [math.inf]
     terms = [
@@ -134,8 +136,11 @@ def step_functions(draw):
                 if math.isfinite(lo) and math.isfinite(hi)]
     candidates = sorted(set(pts + interior + draw(st.lists(_dyadic, max_size=3))))
     exc_pts = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
-    return StepFunction(terms=terms,
-                        exceptions=[(p, draw(_value)) for p in exc_pts])
+    return terms, [(p, draw(_value)) for p in exc_pts]
+
+
+def step_functions():
+    return step_parts().map(lambda parts: StepFunction(*parts))
 
 
 @settings(deadline=None)
@@ -147,6 +152,44 @@ def test_eval_arr_agrees_with_exact_eval(s, extra):
     xs += extra + [-1e300, 1e300]
     expect = [float(s.eval(Fraction(x))) for x in xs]
     assert s.eval_arr(np.array(xs)).tolist() == expect
+
+
+@settings(deadline=None)
+@given(step_parts(), st.data())
+def test_any_term_order_builds_the_sorted_function(parts, data):
+    terms, exc = parts
+    want = StepFunction(terms=terms, exceptions=exc)
+    xs = [float(p) for p in want.endpoints()]
+    xs = np.array(xs + [math.nextafter(x, d) for x in xs
+                        for d in (-math.inf, math.inf)])
+    if len(terms) <= 5:
+        orders = list(itertools.permutations(terms))
+    else:
+        orders = [data.draw(st.permutations(terms)) for _ in range(20)]
+    for order in orders:
+        got = StepFunction(terms=order, exceptions=exc)
+        assert got.terms == want.terms
+        assert got.endpoints() == want.endpoints()
+        assert got.eval_arr(xs).tolist() == want.eval_arr(xs).tolist()
+
+
+@settings(deadline=None)
+@given(step_parts().filter(lambda parts: parts[0]), st.data())
+def test_overlapping_terms_raise_in_any_order(parts, data):
+    terms, exc = parts
+    v, lo, hi = data.draw(st.sampled_from(terms))
+    if math.isfinite(lo) and math.isfinite(hi):
+        inside = (lo + hi) / 2
+    elif math.isfinite(hi):
+        inside = hi - 1
+    else:
+        inside = Fraction(0) if lo == -math.inf else lo + 1
+    width = data.draw(st.sampled_from([Fraction(1, 64), Fraction(1), math.inf]))
+    extra = data.draw(st.sampled_from([(-v, inside, inside + width),
+                                       (v, lo, hi)]))
+    order = data.draw(st.permutations(terms + [extra]))
+    with pytest.raises(ValueError, match="disjoint"):
+        StepFunction(terms=order, exceptions=exc)
 
 
 class TestApproximantEval:
