@@ -20,7 +20,6 @@ from . import norms
 from .funcspace import (
     SensitiveApproximant,
     StepFunction,
-    TriangleWave,
     build_zigzag,
 )
 from .intervals import (Interval, IntervalUnion, NEG_INF, POS_INF, as_rational,
@@ -214,7 +213,7 @@ def _grid_candidate(req: ApproxRequest, window, n_cells):
     return StepFunction(terms=terms), (hi - lo) / n_cells
 
 
-def build_step_approximation(req: ApproxRequest, error_target=None, quad_tol=None):
+def build_step_approximation(req: ApproxRequest, error_target=None):
     """Step function phi0 with certified ||phi0 - target||_p < eps/2.
 
     error_target (default eps/2) may be tightened by sensitize to leave
@@ -223,8 +222,7 @@ def build_step_approximation(req: ApproxRequest, error_target=None, quad_tol=Non
     eps_f = float(req.eps)
     target_err = eps_f / 2.0 if error_target is None else float(error_target)
     target_err = min(target_err, eps_f / 2.0)
-    qtol = (eps_f / 100.0) if quad_tol is None else float(quad_tol)
-    cert_tol = min(qtol, target_err / 4.0)
+    cert_tol = min(eps_f / 100.0, target_err / 4.0)
 
     candidate = _piecewise_constant_candidate(req)
     if candidate is not None:
@@ -287,15 +285,11 @@ def sensitize(req: ApproxRequest):
     eps = req.eps
     M = req.M
     total = req.mu.total_mass
-    if total <= 1:
-        scale = eps / 2
-        wave = build_zigzag(eps, M)
-    else:
-        # finite non-probability measure: shrink the wave so the error
-        # chain survives, recompute the frequency from the actual scale
-        R = _rational_upper_root(total, req.p)
-        scale = min(eps / 2, eps / (2 * R))
-        wave = TriangleWave(b=math.ceil((M + 1) / scale))
+    # a finite non-probability measure shrinks the wave by R >= mass^(1/p)
+    # so the error chain survives; b = ceil(2 (M+1) R / eps) = ceil((M+1) / scale)
+    R = _rational_upper_root(total, req.p) if total > 1 else 1
+    scale = eps / (2 * R)
+    wave = build_zigzag(eps / R, M)
 
     wave_ub = norms.wave_norm_bound(wave, req.mu, req.p)
     quad_tol = float(eps) / 100.0
@@ -304,8 +298,7 @@ def sensitize(req: ApproxRequest):
     if error_target <= 0:
         raise RuntimeError("no error budget left for the step approximation")
 
-    phi0, est = build_step_approximation(req, error_target=error_target,
-                                         quad_tol=quad_tol)
+    phi0, est = build_step_approximation(req, error_target=error_target)
     phi0_err = est.value + est.absolute_error_bound
     error_bound = certify_error(phi0_err, scale, wave_ub)
 

@@ -2,10 +2,10 @@
 
 A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
-Masses of interval unions are closed-form for atom/uniform/piecewise
-parts (exact rational arithmetic), error-function based for normal
-parts, and exponential-CDF based for exponential parts. Sampling is by
-composition: pick a component, then invert its CDF exactly (Devroye,
+Each density kind has one distribution function, the float ``cdf_arr``;
+interval masses, quantiles and the essential window all go through it,
+while atoms are counted exactly. Sampling draws from ``mu / total_mass``
+by composition: pick a component, then invert its CDF exactly (Devroye,
 *Non-Uniform Random Variate Generation*, 1986, ch. 2).
 """
 
@@ -21,8 +21,7 @@ import numpy as np
 from scipy.special import erf as _erf_arr
 from scipy.special import ndtri
 
-from .intervals import (Interval, IntervalUnion, NEG_INF, POS_INF, as_rational,
-                        uniform_grid)
+from .intervals import IntervalUnion, as_rational, uniform_grid
 
 _SQRT2 = math.sqrt(2.0)
 # largest float below 1: keeps ndtri and log1p finite at the top end
@@ -70,13 +69,6 @@ class Uniform:
         object.__setattr__(self, "a", as_rational(self.a))
         object.__setattr__(self, "b", as_rational(self.b))
 
-    def cdf(self, x):
-        if x <= self.a:
-            return Fraction(0)
-        if x >= self.b:
-            return Fraction(1)
-        return (as_rational(x) - self.a) / (self.b - self.a)
-
     def cdf_arr(self, xs):
         a, b = float(self.a), float(self.b)
         return np.clip((xs - a) / (b - a), 0.0, 1.0)
@@ -105,10 +97,6 @@ class Normal:
         object.__setattr__(self, "mean", as_rational(self.mean))
         object.__setattr__(self, "std", as_rational(self.std))
 
-    def cdf(self, x):
-        z = (float(x) - float(self.mean)) / float(self.std)
-        return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
     def cdf_arr(self, xs):
         z = (xs - float(self.mean)) / float(self.std)
         return 0.5 * (1.0 + _erf_arr(z / _SQRT2))
@@ -135,12 +123,6 @@ class Exponential:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", as_rational(self.rate))
-
-    def cdf(self, x):
-        xf = float(x)
-        if xf <= 0.0:
-            return 0.0
-        return -math.expm1(-float(self.rate) * xf)
 
     def cdf_arr(self, xs):
         return np.where(xs <= 0.0, 0.0, -np.expm1(-float(self.rate) * xs))
@@ -175,9 +157,17 @@ class PiecewisePoly:
         object.__setattr__(
             self, "coeffs", tuple(tuple(as_rational(c) for c in piece) for piece in self.coeffs)
         )
-        self._validate()
+        # per cell: float ends, the exact mass before it, and the float
+        # antiderivative in t = x - a, so cdf_arr adds small terms to the
+        # mass before the cell instead of cancelling large ones
+        cells, before = [], Fraction(0)
+        for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
+            cells.append((float(a), float(b), float(before), self._local_anti(piece, a)))
+            before += self._poly_integral(piece, a, b)
+        object.__setattr__(self, "_cells", tuple(cells))
+        self._validate(before)
 
-    def _validate(self):
+    def _validate(self, total):
         from .parsing import MeasureSpecError
 
         for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
@@ -186,10 +176,8 @@ class PiecewisePoly:
                     raise MeasureSpecError(
                         f"pwd piece negative at x={float(x):g}"
                     )
-        if self._total_integral() != 1:
-            raise MeasureSpecError(
-                f"pwd density integrates to {self._total_integral()}, expected 1"
-            )
+        if total != 1:
+            raise MeasureSpecError(f"pwd density integrates to {total}, expected 1")
 
     @staticmethod
     def _poly(piece, x):
@@ -208,47 +196,24 @@ class PiecewisePoly:
         return acc_b - acc_a
 
     @staticmethod
-    def _anti(piece):
-        """Float antiderivative, descending powers (np.polyval), F(0) = 0."""
-        anti = [float(c) / (k + 1) for k, c in enumerate(piece)]
-        return list(reversed(anti)) + [0.0]
-
-    def _total_integral(self):
-        return sum(
-            self._poly_integral(piece, a, b)
-            for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs)
-        )
-
-    def cdf(self, x):
-        xq = as_rational(x) if not isinstance(x, float) or math.isfinite(x) else None
-        if xq is None:
-            return Fraction(1) if x > 0 else Fraction(0)
-        if xq <= self.breaks[0]:
-            return Fraction(0)
-        acc = Fraction(0)
-        for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            if xq >= b:
-                acc += self._poly_integral(piece, a, b)
-            else:
-                acc += self._poly_integral(piece, a, xq)
-                break
-        return acc
+    def _local_anti(piece, a):
+        """Float antiderivative in t = x - a, descending powers (np.polyval),
+        zero at t = 0."""
+        # Taylor shift: coefficient k of the density at a + t
+        shifted = [sum(piece[j] * math.comb(j, k) * a ** (j - k)
+                       for j in range(k, len(piece)))
+                   for k in range(len(piece))]
+        return [float(c / (k + 1)) for k, c in reversed(list(enumerate(shifted)))] + [0.0]
 
     def cdf_arr(self, xs):
-        # float path: the exact scalar cdf is far too slow for the
-        # millions of evaluations inverse-transform sampling makes
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
-        acc = 0.0
-        for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            af, bf = float(a), float(b)
-            anti = self._anti(piece)
-            base = np.polyval(anti, af)
+        for af, bf, before, anti in self._cells:
+            out[xs >= af] = before
             inside = (xs > af) & (xs < bf)
             if inside.any():
-                out[inside] = acc + np.polyval(anti, xs[inside]) - base
-            acc += np.polyval(anti, bf) - base
-            out[xs >= bf] = acc
+                out[inside] += np.polyval(anti, xs[inside] - af)
+        out[xs >= self._cells[-1][1]] = 1.0  # the total integral is exactly 1
         return out
 
     def pdf_arr(self, xs):
@@ -286,13 +251,12 @@ class PiecewisePoly:
             x = np.divide(2.0 * t, disc, out=disc)
             x += af
             return np.clip(x, af, bf, out=x)
-        anti = self._anti(piece)
-        target = t + np.polyval(anti, af)
+        anti = self._local_anti(piece, a)
         lo = np.full_like(t, af)
         hi = np.full_like(t, bf)
         for _ in range(56):
             mid = 0.5 * (lo + hi)
-            ge = np.polyval(anti, mid) >= target
+            ge = np.polyval(anti, mid - af) >= t
             hi = np.where(ge, mid, hi)
             lo = np.where(ge, lo, mid)
         return hi
@@ -346,21 +310,7 @@ class BorelMeasure:
         return cls(atoms=atoms, parts=parts, total_mass=spec.declared_total_mass,
                    source_text=spec.source_text)
 
-    @property
-    def is_probability(self):
-        return self.total_mass == 1
-
     # -- CDF / quantile -----------------------------------------------------
-
-    def cdf(self, x):
-        """Right-continuous distribution function at x (float)."""
-        acc = 0.0
-        for loc, m in self.atoms:
-            if loc <= x:
-                acc += float(m)
-        for w, kind in self.parts:
-            acc += float(w) * float(kind.cdf(x))
-        return acc
 
     def cdf_arr(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -388,17 +338,17 @@ class BorelMeasure:
         if not 0.0 < qf <= float(self.total_mass):
             raise ValueError(f"quantile level {q} outside (0, total_mass]")
         for loc, m in self.atoms:
-            hi = self.cdf(float(loc))
+            hi = float(self.cdf_arr(float(loc)))
             if hi - float(m) < qf <= hi:
                 return float(loc)
         lo, hi = self._bracket()
-        while self.cdf(lo) >= qf:
+        while self.cdf_arr(lo) >= qf:
             lo = 2.0 * lo - 1.0
-        while self.cdf(hi) < qf:
+        while self.cdf_arr(hi) < qf:
             hi = 2.0 * hi + 1.0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= qf:
+            if self.cdf_arr(mid) >= qf:
                 hi = mid
             else:
                 lo = mid
@@ -406,48 +356,39 @@ class BorelMeasure:
 
     # -- interval masses ----------------------------------------------------
 
-    def _interval_mass(self, iv: Interval):
-        exact = Fraction(0)
-        approx = 0.0
-        for loc, m in self.atoms:
-            if iv.contains(loc):
-                exact += m
-        for w, kind in self.parts:
-            lo_c = kind.cdf(iv.lo) if iv.lo != NEG_INF else Fraction(0)
-            hi_c = kind.cdf(iv.hi) if iv.hi != POS_INF else Fraction(1)
-            if isinstance(lo_c, Fraction) and isinstance(hi_c, Fraction):
-                exact += w * (hi_c - lo_c)
-            else:
-                approx += float(w) * (float(hi_c) - float(lo_c))
-        return exact, approx
-
     def measure_of(self, s: IntervalUnion):
-        """Mass of a normal-form interval union (float)."""
-        exact = Fraction(0)
-        approx = 0.0
-        for iv in s.intervals:
-            e, a = self._interval_mass(iv)
-            exact += e
-            approx += a
-        return float(exact) + approx
+        """Mass of a normal-form interval union (float).
+
+        Atoms are counted exactly; each part takes its cdf_arr at all
+        interval ends at once.
+        """
+        ivs = s.intervals
+        mass = float(sum(m for loc, m in self.atoms
+                         if any(iv.contains(loc) for iv in ivs)))
+        ends = np.array([float(e) for iv in ivs for e in (iv.lo, iv.hi)])
+        for w, kind in self.parts:
+            c = kind.cdf_arr(ends)
+            mass += float(w) * math.fsum(c[1::2] - c[0::2])
+        return mass
 
     # -- sampling -----------------------------------------------------------
 
     def sample(self, n, seed):
-        """n i.i.d. draws by composition; deterministic given seed."""
+        """n i.i.d. draws of mu / total_mass; deterministic given seed."""
         rng = np.random.default_rng(seed)
         return self.from_uniforms(1.0 - rng.random(n))  # u in (0, 1]
 
     def from_uniforms(self, u):
-        """Map uniforms u in (0, 1] to draws of this probability measure.
+        """Map uniforms u in (0, 1] to draws of mu / total_mass.
 
-        Composition: the component is picked from cumulative weights
-        (atoms first, then parts, in stored order) and u, rescaled to
-        v in (0, 1) within it, goes through that component's inverse CDF.
+        Composition: the component is picked from the cumulative weights
+        w / total_mass (atoms first, then parts, in stored order) and u,
+        rescaled to v in (0, 1) within it, goes through that component's
+        inverse CDF.
         """
-        if not self.is_probability:
-            raise ValueError("sampling requires a probability measure")
-        comps = [(m, AtomKind(loc)) for loc, m in self.atoms] + list(self.parts)
+        mass = self.total_mass
+        comps = [(m / mass, AtomKind(loc)) for loc, m in self.atoms]
+        comps += [(w / mass, kind) for w, kind in self.parts]
         out = np.empty_like(u)
         for i, hit, t in _pieces([w for w, _ in comps], u):
             w, kind = comps[i]

@@ -206,19 +206,23 @@ def lp_distance(f, g, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
 
 
 def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
-    """Monte Carlo estimate with a 4-sigma delta-method error radius."""
+    """Monte Carlo ||f||_{L^p(mu)} with a 4-sigma delta-method error radius.
+
+    Draws from mu / mass, then scales value and radius by mass^(1/p).
+    """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
     xs = mu.sample(n, seed)
     z = np.abs(f(xs)) ** p
     m = float(z.mean())
     sd = float(z.std(ddof=1)) / math.sqrt(n)
+    root = float(mu.total_mass) ** (1.0 / p)
     if m <= 0.0:
-        return NormEstimate(value=0.0, absolute_error_bound=(4.0 * sd) ** (1.0 / p),
-                            method="monte-carlo", p=p, n_samples=n, seed=seed)
-    value = m ** (1.0 / p)
-    radius = 4.0 * sd * (1.0 / p) * m ** (1.0 / p - 1.0)
-    return NormEstimate(value=value, absolute_error_bound=radius,
+        value, radius = 0.0, (4.0 * sd) ** (1.0 / p)
+    else:
+        value = m ** (1.0 / p)
+        radius = 4.0 * sd * (1.0 / p) * m ** (1.0 / p - 1.0)
+    return NormEstimate(value=value * root, absolute_error_bound=radius * root,
                         method="monte-carlo", p=p, n_samples=n, seed=seed)
 
 

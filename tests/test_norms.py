@@ -104,10 +104,11 @@ class TestMcNorm:
         with pytest.raises(ValueError):
             mc_norm(const(1), UNIFORM, p=1, n=10, seed=0)
 
-    def test_requires_probability(self):
-        with pytest.raises(ValueError):
-            mc_norm(const(1), measure("mix(2*uniform(0,1), mass=2)"), p=1,
-                    n=10**4, seed=0)
+    def test_finite_mass_scales_by_mass_root(self):
+        est = mc_norm(const(1), measure("mix(2*uniform(0,1), mass=2)"), p=1,
+                      n=10**4, seed=0)
+        assert est.value == 2.0
+        assert est.absolute_error_bound == 0.0
 
 
 class TestWaveNormBound:
