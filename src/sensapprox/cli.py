@@ -42,6 +42,8 @@ EXIT_HYPOTHESIS = 4
 
 # most rows, and most non-differentiability points, that plot writes
 MAX_PLOT_POINTS = 10**5
+# most Monte Carlo draws that verify takes; at this many, it peaks near 450 MB
+MAX_VERIFY_SAMPLES = 10**7
 
 
 def _rat(fr: Fraction) -> str:
@@ -200,8 +202,8 @@ def cmd_verify(args) -> int:
         target = parse_target(data["request"]["target"])
         spec = parse_measure(data["request"]["measure"])
         mu = BorelMeasure.from_spec(spec)
-        if args.samples < 1000:
-            raise ValueError("samples must be at least 1000")
+        if not 1000 <= args.samples <= MAX_VERIFY_SAMPLES:
+            raise ValueError(f"samples must be between 1000 and {MAX_VERIFY_SAMPLES}")
         if args.seed < 0:
             raise ValueError("seed must be nonnegative")
     except (CorruptCertificate, ParseError, MeasureSpecError, ValueError) as exc:
@@ -212,9 +214,13 @@ def cmd_verify(args) -> int:
     slope = Y.min_abs_slope()
     slope_ok = slope > M
     f = target_evaluator(target)
-    est = norms.mc_norm(
-        lambda xs: Y.eval_arr(xs) - f(xs), mu, p, n=args.samples, seed=args.seed
-    )
+    try:
+        est = norms.mc_norm(
+            lambda xs: Y.eval_arr(xs) - f(xs), mu, p, n=args.samples, seed=args.seed
+        )
+    except EvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     distance, radius = est.value, est.absolute_error_bound
     mc_total = distance + radius
     error_ok = mc_total < float(eps)

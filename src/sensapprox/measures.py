@@ -6,7 +6,7 @@ Each density kind has one distribution function, the float ``cdf_arr``;
 interval masses, quantiles and the essential window all go through it,
 while atoms are counted exactly. Sampling draws from ``mu / total_mass``
 by composition: pick a component, then invert its CDF exactly (Devroye,
-*Non-Uniform Random Variate Generation*, 1986, ch. 2).
+*Non-Uniform Random Variate Generation*, 1986, ch. 2), on sorted uniforms.
 """
 
 from __future__ import annotations
@@ -374,9 +374,22 @@ class BorelMeasure:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, n, seed):
-        """n i.i.d. draws of mu / total_mass; deterministic given seed."""
+        """The multiset of n i.i.d. draws of mu / total_mass; deterministic
+        given seed.
+
+        The uniforms are sorted first. ``from_uniforms`` maps each one on
+        its own, so the draws are the multiset that the unsorted uniforms
+        give, in a fixed order: one block per component (atoms first, then
+        parts, in stored order), each block ascending. A statistic that is
+        symmetric in the draws, such as the mean and variance in
+        ``norms.mc_norm``, sees the order only in the rounding of its sums;
+        the sorted order makes the component split and a later step-function
+        lookup of the draws cheap.
+        """
         rng = np.random.default_rng(seed)
-        return self.from_uniforms(1.0 - rng.random(n))  # u in (0, 1]
+        u = 1.0 - rng.random(n)  # u in (0, 1]
+        u.sort()
+        return self.from_uniforms(u)
 
     def from_uniforms(self, u):
         """Map uniforms u in (0, 1] to draws of mu / total_mass.

@@ -208,7 +208,10 @@ def lp_distance(f, g, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
 def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     """Monte Carlo ||f||_{L^p(mu)} with a 4-sigma delta-method error radius.
 
-    Draws from mu / mass, then scales value and radius by mass^(1/p).
+    Draws from mu / mass, then scales value and radius by mass^(1/p). The
+    estimate is a mean and a variance over the draws, symmetric in them,
+    so the order in which ``mu.sample`` returns them (one ascending block
+    per component) leaves it unchanged up to the rounding of the sums.
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")

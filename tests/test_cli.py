@@ -182,6 +182,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--samples", "10"], ["--samples", "-5"], ["--seed", "-1"],
+        ["--samples", str(10**12)],
     ])
     def test_bad_sampling_flags_are_input_errors(self, tmp_path, flags):
         out = tmp_path / "cert.json"
@@ -193,6 +194,20 @@ class TestVerifyCommand:
         assert run.returncode == 2
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr
+
+    def test_target_evaluation_failure_is_input_error(self, tmp_path):
+        # log(x) is undefined at the atom at 0, where verify samples
+        _, cert = make_certificate(mu="mix(0.5*atom(0), 0.5*uniform(0,1))")
+        out = tmp_path / "cert.json"
+        write_certificate(cert, out)
+        raw = json.loads(out.read_text())
+        raw["request"]["target"] = "log(x)"
+        out.write_text(json.dumps(raw))
+        run = run_cli("verify", "--cert", str(out), "--samples", "1000")
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: ")
+        assert "Traceback" not in run.stderr
+        assert "FAIL" not in run.stdout
 
     @pytest.mark.parametrize("p", ["0", "-1", "0.5", "inf", "nan"])
     def test_certificate_p_out_of_range_is_input_error(self, tmp_path, capsys, p):

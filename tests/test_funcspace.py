@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.funcspace import (
     SensitiveApproximant,
@@ -13,6 +13,24 @@ from sensapprox.funcspace import (
     build_zigzag,
 )
 from sensapprox.intervals import Interval, IntervalUnion, open_interval
+
+
+# signed zeros, the smallest and largest subnormals and the smallest normal
+_WAVE_PROBES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                -2.225073858507201e-308, 2.2250738585072014e-308]
+
+
+def mod_form_wave(xs, b):
+    """Reference: the wave through np.mod, which eval_arr matches bit for bit."""
+    t = np.mod(np.asarray(xs, dtype=float) * b, 2.0)
+    return 1.0 - np.abs(t - 1.0)
+
+
+def assert_same_floats(got, want):
+    """Equal bit patterns, signed zeros included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def approximant(phi0, scale, b, eps=1, M=0, p=1):
@@ -78,6 +96,29 @@ class TestTriangleWave:
     def test_lattice_points_open_window(self):
         w = TriangleWave(2)
         assert w.lattice_points(-1, 1) == [Fraction(-1, 2), 0, Fraction(1, 2)]
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(min_value=1, max_value=2 * 10**7),
+           st.integers(min_value=-10**9, max_value=10**9),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+    @example(b=1, j=0, extra=[])  # t = -2^-1074, where the two forms' t differ
+    def test_eval_arr_is_the_mod_form_bit_for_bit(self, b, j, extra):
+        lattice = j / b
+        xs = [lattice, math.nextafter(lattice, -math.inf), math.nextafter(lattice, math.inf)]
+        xs += extra + _WAVE_PROBES
+        w = TriangleWave(b)
+        with np.errstate(over="ignore", invalid="ignore"):  # x * b may overflow
+            assert_same_floats(w.eval_arr(np.array(xs)), mod_form_wave(xs, b))
+        for x in xs[:3] + _WAVE_PROBES:
+            for arg in (x, np.float64(x), np.array(x)):
+                got = w.eval_arr(arg)
+                assert np.ndim(got) == 0
+                assert_same_floats(got, mod_form_wave(arg, b))
+
+    def test_eval_arr_of_non_finite_points_is_nan(self):
+        with np.errstate(invalid="ignore"):
+            vals = TriangleWave(3).eval_arr(np.array([math.inf, -math.inf, math.nan]))
+        assert np.all(np.isnan(vals))
 
 
 class TestStepFunction:
@@ -145,13 +186,22 @@ def step_functions():
 
 @settings(deadline=None)
 @given(step_functions(),
-       st.lists(st.floats(min_value=-100, max_value=100), max_size=20))
-def test_eval_arr_agrees_with_exact_eval(s, extra):
+       st.lists(st.floats(min_value=-100, max_value=100), max_size=20),
+       st.randoms(use_true_random=False))
+def test_eval_arr_agrees_with_exact_eval(s, extra, rnd):
     xs = [float(p) for p in s.endpoints()]
     xs += [math.nextafter(x, d) for x in list(xs) for d in (-math.inf, math.inf)]
     xs += extra + [-1e300, 1e300]
-    expect = [float(s.eval(Fraction(x))) for x in xs]
-    assert s.eval_arr(np.array(xs)).tolist() == expect
+    shuffled = list(xs)
+    rnd.shuffle(shuffled)
+    # the lookup must not depend on the order of the points: sampled
+    # points arrive in ascending runs, quadrature knots in any order
+    for points in (xs, shuffled, sorted(xs)):
+        expect = [float(s.eval(Fraction(x))) for x in points]
+        assert s.eval_arr(np.array(points)).tolist() == expect
+    # the infinities lie in the outer cells, as -1e300 and 1e300 do
+    assert (s.eval_arr(np.array([-math.inf, math.inf])).tolist()
+            == s.eval_arr(np.array([-1e300, 1e300])).tolist())
 
 
 @settings(deadline=None)

@@ -20,6 +20,22 @@ NORMAL = measure("normal(0,1)")
 MIX = measure("mix(0.5*atom(0), 0.5*uniform(0,1))")
 
 
+# every measure kind, mixtures of them and a measure of mass 2
+SAMPLED = [
+    "uniform(-1,3)",
+    "normal(1,2)",
+    "exponential(3)",
+    "atom(3)",
+    "pwd(breaks(0,1,2), poly(0,1), poly(2,-1))",
+    "pwd(breaks(0,1), poly(0,0,3))",
+    "mix(0.5*atom(0), 0.5*uniform(0,1))",
+    "mix(0.5*normal(0,1), 0.5*uniform(0,1))",
+    "mix(0.5*exponential(1), 0.5*normal(0,1))",
+    "mix(0.3*atom(2), 0.2*atom(-1), 0.5*normal(0,1))",
+    "mix(2*uniform(0,1), mass=2)",
+]
+
+
 def union(*ivs):
     return IntervalUnion(ivs)
 
@@ -148,6 +164,27 @@ class TestSample:
         kind = measure(text).parts[0][1]
         v = np.linspace(0.0, 1.0, 2001)[1:-1]
         assert np.allclose(kind.cdf_arr(kind.inv_cdf_arr(v)), v, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("text", SAMPLED)
+    def test_sorted_uniforms_give_the_same_multiset(self, text):
+        mu = measure(text)
+        for seed in (0, 9):
+            unsorted = mu.from_uniforms(1.0 - np.random.default_rng(seed).random(10**5))
+            assert np.array_equal(np.sort(mu.sample(10**5, seed)), np.sort(unsorted))
+
+    @pytest.mark.parametrize("text", SAMPLED)
+    def test_each_component_draws_one_ascending_block(self, text):
+        mu = measure(text)
+        components = len(mu.atoms) + len(mu.parts)
+        for seed in (0, 9):
+            xs = mu.sample(10**5, seed)
+            assert np.count_nonzero(np.diff(xs) < 0) <= components - 1
+
+    def test_blocks_come_atoms_first_then_parts(self):
+        xs = measure("mix(0.5*normal(0,1), 0.3*atom(2), 0.2*atom(-1))").sample(10**4, 4)
+        low, high = np.count_nonzero(xs == -1.0), np.count_nonzero(xs == 2.0)
+        assert np.all(xs[:low] == -1.0) and np.all(xs[low:low + high] == 2.0)
+        assert np.all(np.diff(xs[low + high:]) >= 0)
 
     @pytest.mark.parametrize("text", [
         "normal(0,1)",
