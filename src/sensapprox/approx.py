@@ -294,9 +294,8 @@ def sensitize(req: ApproxRequest):
     wave_ub = norms.wave_norm_bound(wave, req.mu, req.p)
     quad_tol = float(eps) / 100.0
     headroom = float(eps) - quad_tol - float(scale) * wave_ub
+    # scale * wave_ub <= eps / 2, as the wave bound is capped at mass^(1/p)
     error_target = min(float(eps) / 2.0, headroom) * (1.0 - 1e-9)
-    if error_target <= 0:
-        raise RuntimeError("no error budget left for the step approximation")
 
     phi0, est = build_step_approximation(req, error_target=error_target)
     phi0_err = est.value + est.absolute_error_bound

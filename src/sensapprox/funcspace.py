@@ -209,6 +209,8 @@ class StepFunction:
 
     def eval_arr(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim == 0:
+            return self.eval_arr(xs.reshape(1))[0]
         idx = np.searchsorted(self._pts_f, xs, side="left")
         out = self._region[idx]
         hit = self._pts_f[idx] == xs

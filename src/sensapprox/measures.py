@@ -4,9 +4,12 @@ A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
 Each density kind has one distribution function, the float ``cdf_arr``;
 interval masses, quantiles and the essential window all go through it,
-while atoms are counted exactly. Sampling draws from ``mu / total_mass``
-by composition: pick a component, then invert its CDF exactly (Devroye,
-*Non-Uniform Random Variate Generation*, 1986, ch. 2), on sorted uniforms.
+while atoms are counted exactly. Each kind also states its ``variation``:
+the jumps of its density and a bound on the variation between them, from
+which ``norms.wave_norm_bound`` bounds the wave term in closed form.
+Sampling draws from ``mu / total_mass`` by composition: pick a component,
+then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
+Generation*, 1986, ch. 2), on sorted uniforms.
 """
 
 from __future__ import annotations
@@ -84,6 +87,11 @@ class Uniform:
     def breakpoints(self):
         return [self.a, self.b]
 
+    def variation(self):
+        """Density jumps (x, jump) and the variation left between them."""
+        h = 1 / (self.b - self.a)
+        return [(self.a, h), (self.b, -h)], 0
+
     def window(self, tail):
         return float(self.a), float(self.b)
 
@@ -112,6 +120,10 @@ class Normal:
     def breakpoints(self):
         return []
 
+    def variation(self):
+        """No jumps; the density rises to pdf(mean) and falls back."""
+        return [], 2.0 / (float(self.std) * math.sqrt(2.0 * math.pi))
+
     def window(self, tail):
         d = NormalDist(float(self.mean), float(self.std))
         return d.inv_cdf(tail), d.inv_cdf(1.0 - tail)
@@ -136,6 +148,10 @@ class Exponential:
 
     def breakpoints(self):
         return [Fraction(0)]
+
+    def variation(self):
+        """A jump of rate at 0, then a fall from rate to 0."""
+        return [(Fraction(0), self.rate)], self.rate
 
     def window(self, tail):
         return 0.0, -math.log(tail) / float(self.rate)
@@ -196,13 +212,17 @@ class PiecewisePoly:
         return acc_b - acc_a
 
     @staticmethod
-    def _local_anti(piece, a):
+    def _shifted(piece, a):
+        """Taylor shift: exact coefficient k of the density at a + t."""
+        return [sum(piece[j] * math.comb(j, k) * a ** (j - k)
+                    for j in range(k, len(piece)))
+                for k in range(len(piece))]
+
+    @classmethod
+    def _local_anti(cls, piece, a):
         """Float antiderivative in t = x - a, descending powers (np.polyval),
         zero at t = 0."""
-        # Taylor shift: coefficient k of the density at a + t
-        shifted = [sum(piece[j] * math.comb(j, k) * a ** (j - k)
-                       for j in range(k, len(piece)))
-                   for k in range(len(piece))]
+        shifted = cls._shifted(piece, a)
         return [float(c / (k + 1)) for k, c in reversed(list(enumerate(shifted)))] + [0.0]
 
     def cdf_arr(self, xs):
@@ -263,6 +283,18 @@ class PiecewisePoly:
 
     def breakpoints(self):
         return list(self.breaks)
+
+    def variation(self):
+        """The jump at every break; per cell, sum_{k>=1} |d_k| h^k bounds
+        the integral of |density'|, with d_k the shifted coefficients."""
+        jumps, rest, left = [], Fraction(0), Fraction(0)
+        for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
+            d = self._shifted(piece, a)
+            jumps.append((a, d[0] - left))
+            rest += sum(abs(c) * (b - a) ** k for k, c in enumerate(d) if k)
+            left = self._poly(piece, b)
+        jumps.append((self.breaks[-1], -left))
+        return jumps, rest
 
     def window(self, tail):
         return float(self.breaks[0]), float(self.breaks[-1])

@@ -1,15 +1,16 @@
 """Certified L^p norms and distances against a BorelMeasure.
 
 The quadrature path is adaptive bisection with a Simpson coarse/fine
-pair per segment; kinks of the integrand (step-function endpoints, wave
-lattice, density breakpoints) are inserted as mandatory knots so each
-segment is smooth. The Monte Carlo path is an independent oracle used
-for cross-validation and certificate verification.
+pair per segment; kinks of the integrand (step-function endpoints,
+density breakpoints) are inserted as mandatory knots so each segment is
+smooth. The Monte Carlo path is an independent oracle used for
+cross-validation and certificate verification. The wave term has a
+closed-form bound that costs the same at every frequency; the wave
+lattice is never a knot source.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +29,6 @@ class NonIntegrableError(ValueError):
 class NormEstimate:
     value: float
     absolute_error_bound: float
-    method: str  # adaptive-quadrature | closed-form | monte-carlo
-    p: float
-    n_samples: int | None = None
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +45,8 @@ def _simpson_pair(g, a, b):
     interior: knots sit exactly on kinks and removable discontinuities
     (open-interval step endpoints, density support boundaries), and the
     integral only sees the interior values.  The nudge is O(1e-9 * h),
-    so the induced quadrature bias vanishes under refinement.
+    so the induced quadrature bias vanishes under refinement. A
+    non-finite segment value raises NonIntegrableError.
     """
     h = b - a
     x_lo = a + 1e-9 * h
@@ -59,54 +57,39 @@ def _simpson_pair(g, a, b):
     y = g(x.ravel()).reshape(x.shape)
     coarse = h / 6.0 * (y[0] + 4.0 * y[2] + y[4])
     fine = h / 12.0 * (y[0] + 4.0 * y[1] + 2.0 * y[2] + 4.0 * y[3] + y[4])
+    if not np.all(np.isfinite(fine)):
+        raise NonIntegrableError("non-finite quadrature contribution")
     return fine, np.abs(fine - coarse) / 15.0
 
 
 def _adaptive(g, knots, budget):
-    """Integrate g over [knots[0], knots[-1]]; returns (value, error_bound)."""
-    a = np.asarray(knots[:-1], dtype=float)
-    b = np.asarray(knots[1:], dtype=float)
-    keep = b > a
-    a, b = a[keep], b[keep]
-    if len(a) == 0:
+    """Integrate g over [knots[0], knots[-1]]; returns (value, error_bound).
+
+    The segments are the columns (lo, hi, value, error) of one array. Each
+    round bisects the max(16, n // 8) segments of largest error, ties going
+    to the smaller left end, that carry more than budget / (4 n) each.
+    """
+    lo = np.asarray(knots[:-1], dtype=float)
+    hi = np.asarray(knots[1:], dtype=float)
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    if not len(lo):
         return 0.0, 0.0
-    vals, errs = _simpson_pair(g, a, b)
-    if not np.all(np.isfinite(vals)):
-        raise NonIntegrableError("non-finite quadrature contribution")
-    heap = [(-e, lo, hi, v) for e, lo, hi, v in zip(errs, a, b, vals)]
-    heapq.heapify(heap)
-    n_segs = len(heap)
-    total_err = float(errs.sum())
+    seg = np.array([lo, hi, *_simpson_pair(g, lo, hi)])
     for _ in range(_MAX_ROUNDS):
-        if total_err <= budget or n_segs >= _MAX_SEGMENTS:
+        n = seg.shape[1]
+        if seg[3].sum() <= budget or n >= _MAX_SEGMENTS:
             break
-        # split the worst batch of segments
-        batch = []
-        while heap and len(batch) < max(16, n_segs // 8):
-            e, lo, hi, v = heapq.heappop(heap)
-            if -e <= budget / (4.0 * max(n_segs, 1)):
-                heapq.heappush(heap, (e, lo, hi, v))
-                break
-            batch.append((lo, hi, v, -e))
-        if not batch:
+        worst = np.lexsort((seg[0], -seg[3]))[:max(16, n // 8)]
+        split = worst[seg[3, worst] > budget / (4.0 * n)]
+        if not len(split):
             break
-        lo = np.array([s[0] for s in batch])
-        hi = np.array([s[1] for s in batch])
+        lo, hi = seg[0, split], seg[1, split]
         mid = 0.5 * (lo + hi)
-        v1, e1 = _simpson_pair(g, lo, mid)
-        v2, e2 = _simpson_pair(g, mid, hi)
-        if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
-            raise NonIntegrableError("non-finite quadrature contribution")
-        for (slo, shi, sv, serr), nv1, ne1, nv2, ne2, smid in zip(
-            batch, v1, e1, v2, e2, mid
-        ):
-            total_err += ne1 + ne2 - serr
-            heapq.heappush(heap, (-ne1, slo, smid, nv1))
-            heapq.heappush(heap, (-ne2, smid, shi, nv2))
-            n_segs += 1
-    value = float(sum(item[3] for item in heap))
-    total_err = float(sum(-item[0] for item in heap))
-    return value, total_err
+        seg = np.concatenate((np.delete(seg, split, axis=1),
+                              [lo, mid, *_simpson_pair(g, lo, mid)],
+                              [mid, hi, *_simpson_pair(g, mid, hi)]), axis=1)
+    return float(seg[2].sum()), float(seg[3].sum())
 
 
 def _part_knots(wa, wb, knots):
@@ -166,8 +149,6 @@ def _ring(g, a, b):
     lo = np.array(knots[:-1])
     hi = np.array(knots[1:])
     vals, errs = _simpson_pair(g, lo, hi)
-    if not np.all(np.isfinite(vals)):
-        raise NonIntegrableError("non-finite tail contribution")
     return float(vals.sum()), float(errs.sum())
 
 
@@ -196,8 +177,7 @@ def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
         raise ValueError("tol must be positive")
     total, err = _integral_abs_p(f, mu, p, budget=tol**p, knots=knots)
     value, bound = _norm_from_integral(total, err, p)
-    return NormEstimate(value=value, absolute_error_bound=bound,
-                        method="adaptive-quadrature", p=p)
+    return NormEstimate(value=value, absolute_error_bound=bound)
 
 
 def lp_distance(f, g, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
@@ -225,25 +205,48 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     else:
         value = m ** (1.0 / p)
         radius = 4.0 * sd * (1.0 / p) * m ** (1.0 / p - 1.0)
-    return NormEstimate(value=value * root, absolute_error_bound=radius * root,
-                        method="monte-carlo", p=p, n_samples=n, seed=seed)
+    return NormEstimate(value=value * root, absolute_error_bound=radius * root)
+
+
+def _gap_upper(u, p):
+    """Upper bound of u - u^(p+1) for an exact wave value u: 0 on the
+    lattice, else the float value plus its rounding error (the slope in u
+    lies in [-p, 1], and the power and the difference round once each)."""
+    if u in (0, 1):
+        return 0.0
+    uf = float(u)
+    return max(uf - uf ** (p + 1), 0.0) + (p + 3) * 2.0**-53
+
+
+def _raise_ulps(x, ulps):
+    """x raised by a relative ulps * 2^-52, then to the next float up."""
+    return math.nextafter(x * (1.0 + ulps * 2.0**-52), math.inf)
 
 
 def wave_norm_bound(wave, mu: BorelMeasure, p) -> float:
-    """Upper bound for the wave's L^p norm; at most total_mass^(1/p)."""
+    """Upper bound for the wave's L^p norm; at most total_mass^(1/p).
+
+    wave^p averages 1/(p+1) over every half-period, so G, the primitive of
+    wave^p - 1/(p+1), is 0 on the lattice and |G| = (u - u^(p+1)) / (b(p+1))
+    <= c_p / (b(p+1)), with u = wave and c_p = p (p+1)^(-1-1/p). Integrating
+    by parts, a unit density f adds 1/(p+1) - int G df <= (1 + S/b) / (p+1),
+    where S sums |jump| (u - u^(p+1)) over the jumps of f plus c_p times the
+    rest of its variation (a Koksma-type inequality: Kuipers & Niederreiter,
+    *Uniform Distribution of Sequences*, 1974, ch. 2). Atoms add
+    m wave(loc)^p. The sum and its root are rounded up past their error.
+    """
     crude = float(mu.total_mass) ** (1.0 / p)
     crude = math.nextafter(crude, math.inf)
-    lo_hi = [kind.window(1e-9) for _, kind in mu.parts]
-    if not lo_hi:
-        # purely atomic: exact sum over atoms
-        total = sum(
-            float(m) * float(wave.eval(loc)) ** p for loc, m in mu.atoms
-        )
-        return min(crude, total ** (1.0 / p) + 1e-12)
-    lo = min(a for a, _ in lo_hi)
-    hi = max(b for _, b in lo_hi)
-    lattice = wave.lattice_range(lo, hi)
-    # j/b in float64 is the correctly rounded float(Fraction(j, b)) for |j| < 2^53
-    knots = np.arange(lattice.start, lattice.stop) / wave.b
-    est = lp_norm(wave.eval_arr, mu, p, tol=1e-3, knots=knots)
-    return min(crude, est.value + est.absolute_error_bound)
+    c_p = p * (p + 1) ** (-1.0 - 1.0 / p)
+    terms = [float(m) * float(wave.eval(loc)) ** p for loc, m in mu.atoms]
+    for w, kind in mu.parts:
+        jumps, rest = kind.variation()
+        s = math.fsum([abs(float(d)) * _gap_upper(wave.eval(x), p) for x, d in jumps]
+                      + [c_p * float(rest)])
+        terms.append(float(w) * (1.0 + s / wave.b) / (p + 1))
+    # nonnegative terms of a few roundings each, and wave(loc)^p carries p
+    # times the rounding of wave(loc): p + 32 ulps exceed the sum's error
+    total = _raise_ulps(math.fsum(terms), p + 32)
+    # an ulp of pow, and the rounding of 1/p times |ln total|
+    root = _raise_ulps(total ** (1.0 / p), abs(math.log(total)) / p + 2)
+    return min(crude, root)

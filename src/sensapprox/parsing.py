@@ -448,12 +448,13 @@ def eval_const(node):
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation (float arrays; branch masking keeps untaken
-# conditional branches unevaluated, as in scalar semantics)
+# conditional branches unevaluated, as in scalar semantics). A literal
+# stays a float and numpy broadcasts it, so an x-free subtree is a scalar.
 
 
 def _eva(node, xs):
     if isinstance(node, Num):
-        return np.full(xs.shape, float(node.value))
+        return float(node.value)
     if isinstance(node, Var):
         return xs
     if isinstance(node, Neg):
@@ -463,7 +464,7 @@ def _eva(node, xs):
         b = _eva(node.right, xs)
         return _apply_binop_vec(node.op, a, b)
     if isinstance(node, Conditional):
-        mask = _eva_test(node.test, xs)
+        mask = np.broadcast_to(_eva_test(node.test, xs), xs.shape)
         out = np.empty(xs.shape)
         if mask.any():
             out[mask] = _eva(node.if_true, xs[mask])
@@ -526,6 +527,8 @@ def eval_target_array(f: TargetFunction, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore"):
         out = _eva(f.root, xs)
+    if np.shape(out) != xs.shape:  # an x-free target
+        out = np.full(xs.shape, out)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("overflow to non-finite value")
     return out

@@ -152,6 +152,14 @@ class TestStepFunction:
         expect = [float(s.eval(Fraction(float(x)))) for x in xs]
         assert np.allclose(s.eval_arr(xs), expect)
 
+    def test_eval_arr_of_a_0d_point_is_a_scalar(self):
+        s = StepFunction(terms=[(1, 0, 1)], exceptions=[(0, 5)])
+        for x, want in ((0.0, 5.0), (0.5, 1.0), (2.0, 0.0)):
+            for arg in (x, np.float64(x), np.array(x)):
+                got = s.eval_arr(arg)
+                assert np.ndim(got) == 0
+                assert got == want
+
 
 _dyadic = st.builds(
     lambda k, j: Fraction(k, 2**j),

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sensapprox import norms
 from sensapprox.funcspace import StepFunction, TriangleWave
-from sensapprox.measures import BorelMeasure
+from sensapprox.measures import BorelMeasure, Exponential, Normal, PiecewisePoly, Uniform
 from sensapprox.norms import (
     NonIntegrableError,
     lp_distance,
@@ -130,6 +133,86 @@ class TestWaveNormBound:
             est = lp_norm(wave.eval_arr, UNIFORM, p=2, tol=1e-8,
                           knots=[float(k) for k in wave.lattice_points(0, 1)])
             assert est.value <= bound + 1e-9
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mp_density(kind):
+    """(pdf, lo, hi, mass outside [lo, hi]) of a density kind, in mpmath."""
+    if isinstance(kind, Uniform):
+        a, b = _mp(kind.a), _mp(kind.b)
+        return (lambda x: 1 / (b - a)), a, b, 0
+    if isinstance(kind, Normal):
+        m, sd = _mp(kind.mean), _mp(kind.std)
+        pdf = lambda x: mpmath.npdf(x, m, sd)  # noqa: E731
+        return pdf, m - 8 * sd, m + 8 * sd, mpmath.erfc(8 / mpmath.sqrt(2))
+    if isinstance(kind, Exponential):
+        r = _mp(kind.rate)
+        return (lambda x: r * mpmath.exp(-r * x)), 0, 20 / r, mpmath.exp(-20)
+    assert isinstance(kind, PiecewisePoly)
+    breaks = [_mp(b) for b in kind.breaks]
+    cells = [(breaks[i], breaks[i + 1], [_mp(c) for c in piece])
+             for i, piece in enumerate(kind.coeffs)]
+
+    def pdf(x):
+        for a, b, cs in cells:
+            if a <= x <= b:
+                return mpmath.polyval(cs[::-1], x)
+        return 0
+
+    return pdf, breaks[0], breaks[-1], 0
+
+
+def _mp_wave_norm(mu, b, p):
+    """(integral of wave^p d mu)^(1/p) by mpmath.quad, split at the lattice
+    and the breakpoints; the tails outside the window count with weight 1,
+    so the value is at least the exact norm."""
+    wave = lambda x: 1 - abs(mpmath.fmod(x * b, 2) - 1)  # noqa: E731
+    total = mpmath.mpf(0)
+    for loc, m in mu.atoms:
+        total += _mp(m) * wave(_mp(loc)) ** p
+    for w, kind in mu.parts:
+        pdf, lo, hi, tail = _mp_density(kind)
+        cuts = {lo, hi} | {_mp(q) for q in kind.breakpoints()}
+        cuts |= {mpmath.mpf(j) / b for j in range(int(mpmath.floor(lo * b)),
+                                                  int(mpmath.ceil(hi * b)) + 1)}
+        cuts = sorted(c for c in cuts if lo <= c <= hi)
+        part = mpmath.quad(lambda x: wave(x) ** p * pdf(x), cuts)
+        total += _mp(w) * (part + tail)
+    return total ** (1 / mpmath.mpf(p))
+
+
+BOUND_MEASURES = [
+    measure("uniform(0,1)"),  # ends on every lattice
+    measure("uniform(0.13, 0.71)"),
+    measure("normal(0.3, 0.1)"),
+    measure("exponential(8)"),
+    # a jump at 1/2 and a degree-2 cell
+    measure("pwd(breaks(0, 0.5, 1), poly(1), poly(3, -12, 12))"),
+    measure("mix(0.25*atom(0.1), 0.5*atom(-0.37), 0.25*atom(1))"),
+    measure("mix(2*uniform(0,1), mass=2)"),
+]
+
+
+@settings(deadline=None, max_examples=40)
+@example(BOUND_MEASURES[0], 2, 2.0)  # ends on the lattice: exact up to rounding
+@example(BOUND_MEASURES[-1], 7, 1.0)
+@given(st.sampled_from(BOUND_MEASURES), st.integers(1, 50), st.floats(1.0, 4.0))
+def test_wave_norm_bound_is_at_least_the_quadrature(mu, b, p):
+    with mpmath.workdps(20):
+        reference = _mp_wave_norm(mu, b, p)
+        assert mpmath.mpf(wave_norm_bound(TriangleWave(b), mu, p)) >= reference
+
+
+def test_wave_norm_bound_needs_no_quadrature_at_large_b(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lp_norm called")
+
+    monkeypatch.setattr(norms, "lp_norm", refuse)
+    bound = wave_norm_bound(TriangleWave(2 * 10**7), UNIFORM, 2)
+    assert 3 ** -0.5 <= bound <= 3 ** -0.5 + 1e-14
 
 
 CORPUS = [

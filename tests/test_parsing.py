@@ -38,6 +38,9 @@ CORPUS = [
     "-x",
     "2^x",
     "(x + 1) / (x^2 + 1)",
+    "3",
+    "if(x < 0, 1, 2)",
+    "if(1 < 2, x, 0)",
 ]
 
 
@@ -126,6 +129,7 @@ class TestEvalTarget:
         t = parse_target(text)
         xs = [-1.5, -0.3, 0.2, 0.9, 2.5]
         out = eval_target_array(t, xs)
+        assert out.shape == (len(xs),)
         for x, v in zip(xs, out):
             assert float(eval_target(t, x)) == pytest.approx(v, abs=1e-12)
 
