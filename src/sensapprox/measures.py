@@ -4,12 +4,16 @@ A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
 Each density kind has one distribution function, the float ``cdf_arr``;
 interval masses, quantiles and the essential window all go through it,
-while atoms are counted exactly. Each kind also states its ``variation``:
+while atoms are counted exactly. The normal CDF is libm's ``math.erf``,
+taken point by point: it only ever sees the scalars of the quantile
+bisection and a few interval ends. Each kind also states its ``variation``:
 the jumps of its density and a bound on the variation between them, from
 which ``norms.wave_norm_bound`` bounds the wave term in closed form.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
-Generation*, 1986, ch. 2), on sorted uniforms.
+Generation*, 1986, ch. 2), on sorted uniforms. The normal quantile is
+Wichura's AS241 PPND16 (*Applied Statistics* 37, 1988), run in numpy on
+cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -21,14 +25,129 @@ from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erf as _erf_arr
-from scipy.special import ndtri
 
 from .intervals import IntervalUnion, as_rational, uniform_grid
 
 _SQRT2 = math.sqrt(2.0)
 # largest float below 1: keeps ndtri and log1p finite at the top end
 _BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def _columns(num, den):
+    """The (2, 1) columns (num_k, den_k) of a rational's coefficients,
+    highest power first."""
+    return np.array([num, den])[:, ::-1].T[:, :, None]
+
+
+# Wichura's AS241 PPND16 (Applied Statistics 37, 1988): the numerator and
+# denominator coefficients, ascending, of the rational in r = 0.180625 - q^2
+# that gives the quantile over q = p - 1/2 on the central band
+# |q| <= 0.425 (taken as 0.075 <= p <= 0.925), and of the two tail
+# rationals in r = sqrt(-log(min(p, 1 - p))), split at r = 5
+_AS241_CENTRAL = _columns(
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3),
+)
+_AS241_NEAR = _columns(
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR = _columns(
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
+# points per ndtri block: the four block-sized temporaries of a branch
+# (1 MB) stay in cache; on 10^6 sorted points one block of all of them
+# takes more than twice as long, and smaller blocks make more numpy calls
+_NDTRI_BLOCK = 1 << 15
+
+
+def _rational(cols, x):
+    """num(x) / den(x) by Horner, both in one numpy call per step and in
+    place: on a few 10^4 points the calls and the new arrays, not the
+    arithmetic, set the cost."""
+    acc = cols[0] * x
+    for c in cols[1:-1]:
+        acc += c
+        acc *= x
+    acc += cols[-1]
+    return np.divide(acc[0], acc[1], out=acc[0])
+
+
+def _ndtri_tail(s):
+    """Minus the standard normal quantile of each tail mass s < 0.075."""
+    r = np.log(s)
+    np.sqrt(np.negative(r, out=r), out=r)
+    far = r > 5.0
+    rf = r[far] if far.any() else None
+    r -= 1.6
+    out = _rational(_AS241_NEAR, r)
+    if rf is not None:
+        out[far] = np.where(rf == np.inf, np.inf, _rational(_AS241_FAR, rf - 5.0))
+    return out
+
+
+def _ndtri_central(p):
+    """Standard normal quantile of each p in [0.075, 0.925]."""
+    q = p - 0.5
+    r = q * q
+    out = _rational(_AS241_CENTRAL, np.subtract(0.180625, r, out=r))
+    out *= q
+    return out
+
+
+# the central values at the seams bound the tails, so that the output
+# does not step back where the branch changes (log in the tails is not
+# correctly rounded)
+_SEAM_LO, _SEAM_HI = _ndtri_central(np.array([0.075, 0.925]))
+
+
+def _ndtri_low(p):
+    t = _ndtri_tail(p)
+    return np.minimum(np.negative(t, out=t), _SEAM_LO, out=t)
+
+
+def _ndtri_high(p):
+    t = _ndtri_tail(1.0 - p)  # 1 - p is exact here
+    return np.maximum(t, _SEAM_HI, out=t)
+
+
+def _ndtri(p):
+    """Standard normal quantile of each p (AS241): -inf at 0, inf at 1,
+    NaN outside [0, 1].
+
+    Each p is mapped on its own, so the result does not depend on the
+    order or the blocking of the input. Masks split each block into the
+    lower tail, the central band [0.075, 0.925] and the upper tail; NaN
+    falls in the upper tail, which maps it to NaN.
+    """
+    p = np.asarray(p, dtype=float)
+    flat = p.ravel()
+    out = np.empty_like(flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, flat.size, _NDTRI_BLOCK):
+            blk, dst = flat[s:s + _NDTRI_BLOCK], out[s:s + _NDTRI_BLOCK]
+            low = blk < 0.075
+            high = ~(blk <= 0.925)
+            mid = ~(low | high)
+            for part, branch in ((mid, _ndtri_central), (low, _ndtri_low),
+                                 (high, _ndtri_high)):
+                x = blk[part]
+                if x.size:
+                    dst[part] = branch(x)
+    return out.reshape(p.shape)
 
 
 def _pieces(masses, u):
@@ -106,8 +225,11 @@ class Normal:
         object.__setattr__(self, "std", as_rational(self.std))
 
     def cdf_arr(self, xs):
-        z = (xs - float(self.mean)) / float(self.std)
-        return 0.5 * (1.0 + _erf_arr(z / _SQRT2))
+        z = (xs - float(self.mean)) / float(self.std) / _SQRT2
+        if not isinstance(z, np.ndarray):  # a scalar, or a 0-d input made one
+            return 0.5 * (1.0 + math.erf(z))
+        erf = np.fromiter(map(math.erf, z.ravel()), float, z.size).reshape(z.shape)
+        return 0.5 * (1.0 + erf)
 
     def pdf_arr(self, xs):
         m, s = float(self.mean), float(self.std)
@@ -115,7 +237,7 @@ class Normal:
         return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
 
     def inv_cdf_arr(self, v):
-        return float(self.mean) + float(self.std) * ndtri(v)
+        return float(self.mean) + float(self.std) * _ndtri(v)
 
     def breakpoints(self):
         return []

@@ -19,13 +19,17 @@ from sensapprox.measures import BorelMeasure
 from sensapprox.parsing import parse_measure, parse_target
 
 
-def run_cli(*args):
-    """Run the CLI in a fresh interpreter, so a traceback shows on stderr."""
+def run_python(*args):
+    """Run a fresh interpreter that imports this sensapprox."""
     src = os.path.dirname(os.path.dirname(sensapprox.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "sensapprox.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so a traceback shows on stderr."""
+    return run_python("-m", "sensapprox.cli", *args)
 
 
 def make_certificate(target="x", mu="uniform(0,1)", p=1, eps="1/4", M=2):
@@ -329,3 +333,9 @@ class TestPlotCommand:
         assert run.returncode == 2
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    run = run_python("-c", "import sys, sensapprox.cli; print('scipy' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.intervals import Interval, IntervalUnion, closed_interval, open_interval, point
-from sensapprox.measures import BorelMeasure, Uniform
+from sensapprox.measures import _BELOW_ONE, _NDTRI_BLOCK, BorelMeasure, Normal, Uniform, _ndtri
 from sensapprox.parsing import parse_measure
 
 
@@ -54,10 +55,11 @@ class TestMeasureOf:
         assert MIX.measure_of(u) == 0.0
 
     def test_normal_central_interval(self):
-        # oracle: standard normal CDF (scipy.stats)
+        # oracle: standard normal CDF (mpmath)
         a, b = -1.959964, 1.959964
         u = union(open_interval(Fraction(repr(a)), Fraction(repr(b))))
-        expected = scipy.stats.norm.cdf(b) - scipy.stats.norm.cdf(a)
+        with mpmath.workdps(30):
+            expected = float(mpmath.ncdf(b) - mpmath.ncdf(a))
         assert NORMAL.measure_of(u) == pytest.approx(expected, abs=1e-13)
         assert NORMAL.measure_of(u) == pytest.approx(0.95, abs=1e-6)
 
@@ -198,6 +200,74 @@ class TestSample:
         assert np.all(np.isfinite(measure(text).from_uniforms(u)))
 
 
+def _float_neighbours(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+
+
+# the branch seams of AS241: the central band ends, and r = 5 in each tail
+SEAMS = (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
+
+
+def _mp_ndtri(p):
+    """The standard normal quantile of the float p, at 30 digits."""
+    with mpmath.workdps(30):
+        p = mpmath.mpf(p)
+        if p > 0.5:  # 1 - p is exact at this precision
+            return -_mp_ndtri(1 - p)
+        x = mpmath.mpf(NormalDist().inv_cdf(float(p)))
+        for _ in range(4):  # Newton from 15 digits
+            x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+        return x
+
+
+class TestNdtri:
+    def test_relative_error_against_mpmath(self):
+        # a log grid for each tail and a linear one through the central band
+        tail = np.logspace(-300, math.log10(0.5), 240, endpoint=False)  # p = 1/2 gives 0
+        central = np.linspace(0.0, 1.0, 202)[1:-1]
+        ps = np.concatenate([tail, 1.0 - tail[tail > 1e-16], [_BELOW_ONE], central]
+                            + [_float_neighbours(c) for c in SEAMS])
+        want = [_mp_ndtri(p) for p in ps]
+        worst = max(abs((g - w) / w) for g, w in zip(_ndtri(ps), want))
+        assert worst <= 1e-14
+
+    def test_ends_and_centre(self):
+        assert np.array_equal(_ndtri(np.array([0.0, 0.5, 1.0])), [-np.inf, 0.0, np.inf])
+        assert np.all(np.isnan(_ndtri(np.array([-0.5, 1.5, np.nan]))))
+
+    @pytest.mark.parametrize("seam", SEAMS)
+    def test_non_decreasing_across_each_seam(self, seam):
+        assert np.all(np.diff(_ndtri(np.array(_float_neighbours(seam)))) >= 0)
+
+    def test_values_do_not_depend_on_blocking_or_order(self):
+        rng = np.random.default_rng(5)
+        tails = 10.0 ** -rng.uniform(1, 300, 500)
+        ps = np.sort(np.concatenate([rng.random(_NDTRI_BLOCK - 1002), tails, 1.0 - tails[:499],
+                                     SEAMS]))
+        assert ps.size == _NDTRI_BLOCK + 1
+        one_point = np.array([_ndtri(np.array([p]))[0] for p in ps])
+        for n in (_NDTRI_BLOCK - 1, _NDTRI_BLOCK, _NDTRI_BLOCK + 1):
+            assert np.array_equal(_ndtri(ps[:n]), one_point[:n])
+        shuffle = rng.permutation(ps.size)
+        assert np.array_equal(_ndtri(ps[shuffle]), one_point[shuffle])
+        assert np.array_equal(_ndtri(ps.reshape(1, -1)), one_point.reshape(1, -1))
+
+
+class TestNormalCdf:
+    @pytest.mark.parametrize("mean,std", [(0, 1), (Fraction(1, 3), Fraction(5, 2))])
+    def test_is_libm_erf_bit_for_bit(self, mean, std):
+        kind = Normal(mean, std)
+        m, s = float(mean), float(std)
+        xs = np.concatenate([np.linspace(-9.0, 9.0, 1001), [-40.0, 1e-300, -np.inf, np.inf]])
+        want = [0.5 * (1.0 + math.erf((x - m) / s / math.sqrt(2.0))) for x in xs.tolist()]
+        assert kind.cdf_arr(xs).tolist() == want
+        assert kind.cdf_arr(xs.reshape(5, -1)).tolist() == np.reshape(want, (5, -1)).tolist()
+        for x, w in zip(xs.tolist(), want):
+            assert kind.cdf_arr(x) == w
+            assert kind.cdf_arr(np.float64(x)) == w
+            assert kind.cdf_arr(np.array(x)) == w
+
+
 class TestEssentialWindow:
     def test_uniform_window(self):
         a, b = UNIFORM.essential_window(0.01)
@@ -207,8 +277,8 @@ class TestEssentialWindow:
 
     def test_normal_window(self):
         a, b = NORMAL.essential_window(1e-6)
-        # oracle: normal quantile
-        expect = scipy.stats.norm.ppf(1 - 5e-7)
+        # oracle: normal quantile (mpmath)
+        expect = float(_mp_ndtri(1 - 5e-7))
         assert a == pytest.approx(-expect, abs=1e-3)
         assert b == pytest.approx(expect, abs=1e-3)
 
