@@ -3,11 +3,15 @@ then superposition of the scaled triangle wave to reach M-sensitivity
 with certified total L^p error below eps.
 
 Two routes produce the step function. When the target is detectably
-piecewise constant, its cells are taken literally (exact). Otherwise a
-midpoint staircase on an essential window is refined until the
-quadrature-certified error passes. The open-set machinery
-(approximate_borel_set, truncate_union) realizes the measure-theoretic
-route for indicator data and is exercised on its own.
+piecewise constant, its cells are taken literally (exact). Otherwise the
+grid route refines dyadic cells greedily, splitting only the cells of
+largest estimated error, gives each cell a short dyadic value, and
+certifies the result by quadrature. Either way, mu's atoms get the exact
+target value on a small interval around them. The open-set machinery
+(approximate_borel_set, truncate_union) is the paper's measure-theoretic
+route for indicator data. The pipeline does not use it: the literal cells
+and the atom pins already give indicators exactly, with less code. It
+stays a library function, exercised on its own.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import norms
 from .funcspace import (
     SensitiveApproximant,
     StepFunction,
     build_zigzag,
 )
-from .intervals import (Interval, IntervalUnion, NEG_INF, POS_INF, as_rational,
-                        uniform_grid)
+from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
 from .measures import BorelMeasure
 from .norms import NonIntegrableError, NormEstimate
 from .parsing import (
@@ -204,13 +209,121 @@ def _piecewise_constant_candidate(req: ApproxRequest):
                                for a, b in zip(thresholds, thresholds[1:])])
 
 
-def _grid_candidate(req: ApproxRequest, window, n_cells):
-    lo, hi = window
-    # even points are the cell ends, odd points the cell midpoints
-    pts = uniform_grid(lo, hi, 2 * n_cells)
-    terms = [(eval_target(req.target, mid), a, b)
-             for a, mid, b in zip(pts[0::2], pts[1::2], pts[2::2])]
-    return StepFunction(terms=terms), (hi - lo) / n_cells
+# Refinement budget of the grid route. A refinement run ends when the float
+# estimate of ||target - phi0||_p^p falls to a share of target_err^p, at
+# first (3/4)^p, which leaves the certified quadrature its tolerance of
+# target_err / 4; a failed certification halves the share for the next run.
+_MAX_CELLS = 1 << 17
+_MAX_ROUNDS = 200
+_MAX_CHECKS = 8
+
+
+def _split(lo, hi, marked):
+    """The cells, in order, with each marked cell replaced by its halves;
+    returns (lo, hi, counts), counts being 2 for a split cell, else 1."""
+    counts = 1 + marked
+    first = (np.cumsum(counts) - counts)[marked]
+    mid = 0.5 * (lo[marked] + hi[marked])
+    lo, hi = np.repeat(lo, counts), np.repeat(hi, counts)
+    hi[first] = mid
+    lo[first + 1] = mid
+    return lo, hi, counts
+
+
+def _grid_route(req: ApproxRequest, target_err, cert_tol):
+    """Greedy refinement on dyadic cells with short values (adaptive tree
+    approximation: DeVore, *Acta Numerica* 1998, sec. 3; Binev & DeVore,
+    *Numer. Math.* 2004).
+
+    The cells tile the dyadic hull of the span that ``norms`` integrates
+    over (every part's window(1e-12)), starting from about 16 cells of one
+    power-of-two width. A cell's value is the target at the midpoint of
+    the cell's part inside the span, rounded to a multiple of a power of
+    two that costs at most target_err / 128 in L^p; the target is never
+    evaluated outside the span, and a cell outside it is dropped. Each
+    round estimates the error of the new cells by Simpson's rule on floats,
+    then halves the fewest worst cells that hold the error to be removed.
+    A deviation large enough for one Monte Carlo draw to fail a check
+    weighs 10^6 times more in the estimate.
+    """
+    f = target_evaluator(req.target)
+    p = req.p
+    parts = [(float(w), kind) for w, kind in req.mu.parts]
+    spans = [kind.window(1e-12) for _, kind in parts]
+    span_lo = min((a for a, _ in spans), default=0.0)
+    span_hi = max((b for _, b in spans), default=0.0)
+    width = 2.0 ** math.ceil(math.log2(max(span_hi - span_lo, 2.0**-40) / 16))
+    ends = np.arange(math.floor(span_lo / width), math.ceil(span_hi / width) + 1) * width
+    root = float(req.mu.total_mass) ** (1.0 / p)
+    quantum = 2.0 ** -math.ceil(math.log2(64.0 * root / target_err))
+    # one draw where |target - v|^p exceeds 1000 target_err^p can fail a
+    # Monte Carlo check of 1000 draws, the fewest that verify takes, on its
+    # own; such deviations weigh 10^6 times their size in the estimate, so
+    # that the mass holding them carries at most 10^-6 of the budget
+    outlier = 1000.0 * target_err**p
+
+    def inside(lo, hi):
+        return np.minimum(hi, span_hi) > np.maximum(lo, span_lo)
+
+    def evaluate(lo, hi):
+        """Short values and error estimates of sorted cells in the span."""
+        a, b = np.maximum(lo, span_lo), np.minimum(hi, span_hi)
+        v = np.round(f(0.5 * (a + b)) / quantum) * quantum
+
+        def g(xs):
+            step = v[np.searchsorted(a, xs, side="right") - 1]
+            d = np.abs(f(xs) - step) ** p
+            d[d > outlier] *= 1e6
+            return d * sum(w * kind.pdf_arr(xs) for w, kind in parts)
+        return v, norms._simpson_pair(g, a, b)[0]
+
+    lo, hi = ends[:-1], ends[1:]
+    keep = inside(lo, hi)
+    lo, hi = lo[keep], hi[keep]
+    v, err = evaluate(lo, hi)
+    share = 0.75**p
+    best = math.inf
+    rounds = 0
+    for _ in range(_MAX_CHECKS):
+        goal = share * target_err**p
+        while err.sum() > goal and rounds < _MAX_ROUNDS and len(lo) < _MAX_CELLS:
+            # halving a cell cuts a smooth target's error there by 2^p: mark
+            # the fewest worst cells that hold the error to be removed, but
+            # at most half of the total
+            total = err.sum()
+            need = min(0.5, (total - goal) / (1.0 - 0.5**p) / total) * total
+            order = np.argsort(-err, kind="stable")
+            marked = np.zeros(len(lo), dtype=bool)
+            marked[order[:np.searchsorted(np.cumsum(err[order]), need) + 1]] = True
+            mid = 0.5 * (lo + hi)
+            marked &= (lo < mid) & (mid < hi)  # a float cell halves no further
+            if not marked.any():
+                break
+            rounds += 1
+            lo, hi, counts = _split(lo, hi, marked)
+            v, err = np.repeat(v, counts), np.repeat(err, counts)
+            fresh = np.repeat(marked, counts)
+            keep = ~fresh | inside(lo, hi)
+            lo, hi, v, err, fresh = lo[keep], hi[keep], v[keep], err[keep], fresh[keep]
+            v[fresh], err[fresh] = evaluate(lo[fresh], hi[fresh])
+        terms = [(Fraction(x), Fraction(a), Fraction(b))
+                 for a, b, x in zip(lo.tolist(), hi.tolist(), v.tolist()) if x]
+        # an atom's pin is narrower than every cell
+        eta = Fraction(float(np.min(hi - lo)) / 8) if len(lo) else Fraction(1, 1024)
+        phi0 = _pin_atoms(StepFunction(terms=terms), req, eta)
+        est = _certified_distance(phi0, req, cert_tol)
+        achieved = est.value + est.absolute_error_bound
+        best = min(best, achieved)
+        if achieved < target_err:
+            return phi0, est
+        if err.sum() > goal:
+            break  # refinement stopped short of the goal: no retry helps
+        share = min(share, err.sum() / target_err**p) / 2.0
+    raise RefinementCapError(
+        f"refinement cap reached; best certified error {best:.6g} "
+        f">= target {target_err:.6g}",
+        achieved_error=best,
+    )
 
 
 def build_step_approximation(req: ApproxRequest, error_target=None):
@@ -230,33 +343,7 @@ def build_step_approximation(req: ApproxRequest, error_target=None):
         est = _certified_distance(candidate, req, cert_tol)
         if est.value + est.absolute_error_bound < target_err:
             return candidate, est
-
-    # generic grid route
-    delta0 = min(1e-6, (target_err / 4.0) ** req.p)
-    a, b = req.mu.essential_window(delta0)
-    lo = as_rational(a)
-    hi = as_rational(b)
-    n_cells = 16
-    best = None
-    for round_no in range(14):
-        phi0, cell_w = _grid_candidate(req, (lo, hi), n_cells)
-        phi0 = _pin_atoms(phi0, req, eta=cell_w / 8)
-        est = _certified_distance(phi0, req, cert_tol)
-        achieved = est.value + est.absolute_error_bound
-        if best is None or achieved < best[2]:
-            best = (phi0, est, achieved)
-        if achieved < target_err:
-            return phi0, est
-        n_cells *= 2
-        if round_no % 3 == 2:
-            width = hi - lo
-            lo -= width / 4
-            hi += width / 4
-    raise RefinementCapError(
-        f"refinement cap reached; best certified error {best[2]:.6g} "
-        f">= target {target_err:.6g}",
-        achieved_error=best[2],
-    )
+    return _grid_route(req, target_err, cert_tol)
 
 
 # ---------------------------------------------------------------------------

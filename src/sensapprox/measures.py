@@ -153,9 +153,6 @@ def _ndtri(p):
 def _pieces(masses, u):
     """Split u by cumulative masses: yield (i, hit, t) per piece i that u
     hits, where t is u[hit] less the mass of the pieces before i."""
-    if len(masses) == 1:
-        yield 0, slice(None), u  # no index or copy of u
-        return
     upper = np.array([float(c) for c in itertools.accumulate(masses)])
     lower = np.concatenate(([0.0], upper[:-1]))
     idx = np.searchsorted(upper, u)
@@ -370,6 +367,9 @@ class PiecewisePoly:
     def inv_cdf_arr(self, v):
         # find the cell by cumulative mass, then solve F(x) = v in it only
         cells = list(zip(zip(self.breaks, self.breaks[1:]), self.coeffs))
+        if len(cells) == 1:  # the cell's draws as they are: no scatter
+            (a, b), piece = cells[0]
+            return self._cell_inv(piece, a, b, v)
         masses = [self._poly_integral(piece, a, b) for (a, b), piece in cells]
         out = np.empty_like(v)
         for i, hit, t in _pieces(masses, v):
@@ -556,11 +556,18 @@ class BorelMeasure:
         mass = self.total_mass
         comps = [(m / mass, AtomKind(loc)) for loc, m in self.atoms]
         comps += [(w / mass, kind) for w, kind in self.parts]
+
+        def draws(w, kind, t):
+            v = t / float(w)
+            return kind.inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
+
+        if len(comps) == 1:
+            # one component's draws as they are: no scatter into a second
+            # array, whose 8 MB per 10^6 draws would raise the peak heap
+            return draws(*comps[0], u)
         out = np.empty_like(u)
         for i, hit, t in _pieces([w for w, _ in comps], u):
-            w, kind = comps[i]
-            v = t / float(w)
-            out[hit] = kind.inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
+            out[hit] = draws(*comps[i], t)
         return out
 
     # -- support window ------------------------------------------------------

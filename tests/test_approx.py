@@ -8,7 +8,6 @@ from sensapprox.approx import (
     ApproxRequest,
     NonFiniteMomentError,
     TruncationCapError,
-    _grid_candidate,
     approximate_borel_set,
     build_step_approximation,
     certify_error,
@@ -149,21 +148,44 @@ class TestBuildStepApproximation:
         phi0, _ = build_step_approximation(req)
         assert phi0.eval(0) == 1
 
-    @pytest.mark.parametrize("n", [1, 3, 16, 4096])
-    @pytest.mark.parametrize("lo, hi", [
-        (Fraction(-7, 3), Fraction(5, 8)),
-        (Fraction(-22, 7), Fraction(-1, 9)),
-        (Fraction(-1), Fraction(3, 10)),
+    @pytest.mark.parametrize("mu", [
+        "uniform(0,1)",
+        "uniform(0.3,1)",
+        "normal(0,1)",
+        "exponential(2)",
+        "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))",
+        "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
+        "mix(2*normal(1,2), mass=2)",
     ])
-    def test_grid_cells_and_midpoints_are_exact(self, lo, hi, n):
-        # the target x + 100 stores each cell's exact midpoint (+ 100) as
-        # the cell's value, and is nonzero on every cell
-        req = request("x + 100", "uniform(0,1)")
-        phi0, width = _grid_candidate(req, (lo, hi), n)
-        cells = [lo + (hi - lo) * Fraction(i, n) for i in range(n + 1)]
-        assert phi0.terms == tuple(((a + b) / 2 + 100, a, b)
-                                   for a, b in zip(cells, cells[1:]))
-        assert width == (hi - lo) / n
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_grid_route_cells_are_dyadic_with_short_values(self, mu, p):
+        req = request("sin(3*x) + x^2", mu, p=p, eps="1/20")
+        phi0, est = build_step_approximation(req)
+        target_err = 1 / 40
+        assert est.value + est.absolute_error_bound < target_err
+        atoms = [loc for loc, _ in req.mu.atoms]
+        # an atom pin keeps the exact target value on its own small interval
+        pins = [t for t in phi0.terms if any(t[1] < loc < t[2] for loc in atoms)]
+        pin_ends = {e for _, lo, hi in pins for e in (lo, hi)}
+        root = float(req.mu.total_mass) ** (1 / p)
+        for (v, lo, hi), nxt in zip(phi0.terms, phi0.terms[1:] + ((0, math.inf, 0),)):
+            assert lo < hi <= nxt[1]  # sorted and disjoint
+            if (v, lo, hi) in pins:
+                continue
+            for q in {v, lo, hi} - pin_ends:
+                d = q.denominator
+                assert d & (d - 1) == 0, (q, lo, hi)
+            # a multiple of 2^-k, k the least with 2^-k mass^(1/p) <= target_err / 64
+            assert v.denominator * target_err < 128 * root
+        # next to no mass lies where one draw could fail a Monte Carlo check
+        # of 1000 draws on its own: |target - phi0|^p > 1000 target_err^p
+        ends = [e for _, kind in req.mu.parts for e in kind.window(1e-12)]
+        xs, dx = np.linspace(min(ends), max(ends), 200_001, retstep=True)
+        xs = xs[:-1] + dx / math.pi  # off the cell ends, where phi0 is 0
+        z = np.abs(target_evaluator(req.target)(xs) - phi0.eval_arr(xs)) ** p
+        density = sum(float(w) * kind.pdf_arr(xs) for w, kind in req.mu.parts)
+        outlying = np.sum(density * z * (z > 1000 * target_err**p)) * dx
+        assert outlying < 1e-3 * target_err**p
 
 
 class TestCertifyError:

@@ -120,6 +120,21 @@ class TestSensitizeCommand:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target, measure", [
+        ("log(x)", "uniform(0,1)"),
+        ("log(x-0.3)", "uniform(0.3,1)"),
+    ])
+    def test_target_undefined_off_the_support(self, tmp_path, target, measure):
+        # the step grid rounds the support out to dyadic cells, where the
+        # target is undefined; it must only evaluate inside the support
+        out = tmp_path / "cert.json"
+        run = run_cli("sensitize", "--target", target, "--measure", measure,
+                      "--p", "2", "--eps", "1/10", "--M", "1", "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        run = run_cli("verify", "--cert", str(out), "--samples", "200000", "--seed", "3")
+        assert run.returncode == 0, run.stderr
+        assert "PASS" in run.stdout
+
     def test_bad_target_is_input_error(self, tmp_path, capsys):
         rc = main([
             "sensitize", "--target", "x +", "--measure", "uniform(0,1)",

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.intervals import Interval, IntervalUnion, closed_interval, open_interval, point
-from sensapprox.measures import _BELOW_ONE, _NDTRI_BLOCK, BorelMeasure, Normal, Uniform, _ndtri
+from sensapprox.measures import (_BELOW_ONE, _NDTRI_BLOCK, BorelMeasure, Normal, PiecewisePoly,
+                                 Uniform, _ndtri)
 from sensapprox.parsing import parse_measure
 
 
@@ -187,6 +188,27 @@ class TestSample:
         low, high = np.count_nonzero(xs == -1.0), np.count_nonzero(xs == 2.0)
         assert np.all(xs[:low] == -1.0) and np.all(xs[low:low + high] == 2.0)
         assert np.all(np.diff(xs[low + high:]) >= 0)
+
+    @pytest.mark.parametrize("text", [
+        "uniform(-1,3)",
+        "normal(1,2)",
+        "exponential(3)",
+        "atom(3)",
+        "pwd(breaks(0,1), poly(0,2))",
+        "pwd(breaks(0,1), poly(0,0,3))",
+    ])
+    def test_one_component_draws_match_the_general_path(self, text):
+        # a component of weight 0, or a pwd cell of mass 0, draws nothing
+        # but sends the draws through the split-and-scatter path
+        mu = measure(text)
+        u = np.append(1.0 - np.random.default_rng(5).random(10**5), [2.0**-53, 1.0])
+        u.sort()
+        padded = BorelMeasure(atoms=mu.atoms, parts=mu.parts + ((0, Uniform(5, 6)),))
+        assert np.array_equal(mu.from_uniforms(u), padded.from_uniforms(u))
+        if mu.parts and isinstance(mu.parts[0][1], PiecewisePoly):
+            kind = mu.parts[0][1]
+            cell = PiecewisePoly(kind.breaks + (kind.breaks[-1] + 1,), kind.coeffs + ((0,),))
+            assert np.array_equal(kind.inv_cdf_arr(u[:-1]), cell.inv_cdf_arr(u[:-1]))
 
     @pytest.mark.parametrize("text", [
         "normal(0,1)",
