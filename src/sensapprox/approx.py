@@ -218,6 +218,14 @@ _MAX_ROUNDS = 200
 _MAX_CHECKS = 8
 
 
+def _dyadic_cells(span_lo, span_hi, n):
+    """Ends of the cells that cover [span_lo, span_hi], all of the least
+    power-of-two width at least (span_hi - span_lo) / n; every end is a
+    multiple of the width, so every later midpoint is exact."""
+    width = 2.0 ** math.ceil(math.log2(max(span_hi - span_lo, 2.0**-40) / n))
+    return np.arange(math.floor(span_lo / width), math.ceil(span_hi / width) + 1) * width
+
+
 def _split(lo, hi, marked):
     """The cells, in order, with each marked cell replaced by its halves;
     returns (lo, hi, counts), counts being 2 for a split cell, else 1."""
@@ -252,8 +260,7 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     spans = [kind.window(1e-12) for _, kind in parts]
     span_lo = min((a for a, _ in spans), default=0.0)
     span_hi = max((b for _, b in spans), default=0.0)
-    width = 2.0 ** math.ceil(math.log2(max(span_hi - span_lo, 2.0**-40) / 16))
-    ends = np.arange(math.floor(span_lo / width), math.ceil(span_hi / width) + 1) * width
+    ends = _dyadic_cells(span_lo, span_hi, 16)
     root = float(req.mu.total_mass) ** (1.0 / p)
     quantum = 2.0 ** -math.ceil(math.log2(64.0 * root / target_err))
     # one draw where |target - v|^p exceeds 1000 target_err^p can fail a

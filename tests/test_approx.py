@@ -8,6 +8,8 @@ from sensapprox.approx import (
     ApproxRequest,
     NonFiniteMomentError,
     TruncationCapError,
+    _dyadic_cells,
+    _split,
     approximate_borel_set,
     build_step_approximation,
     certify_error,
@@ -186,6 +188,41 @@ class TestBuildStepApproximation:
         density = sum(float(w) * kind.pdf_arr(xs) for w, kind in req.mu.parts)
         outlying = np.sum(density * z * (z > 1000 * target_err**p)) * dx
         assert outlying < 1e-3 * target_err**p
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 4096])
+    @pytest.mark.parametrize("lo, hi", [
+        (Fraction(-7, 3), Fraction(5, 8)),
+        (Fraction(-22, 7), Fraction(-1, 9)),
+        (Fraction(-1), Fraction(3, 10)),
+    ])
+    def test_grid_cells_and_midpoints_are_exact(self, lo, hi, n):
+        # the grid route's first cells share one power-of-two width that
+        # divides every end, and a split puts the exact midpoint between
+        # the halves of each marked cell
+        ends = _dyadic_cells(float(lo), float(hi), n)
+        width = Fraction(ends[1]) - Fraction(ends[0])
+        assert width.numerator == 1 or width.denominator == 1
+        assert (width.numerator & (width.numerator - 1)) == 0
+        assert (width.denominator & (width.denominator - 1)) == 0
+        assert width / 2 < (hi - lo) / n <= width
+        assert ends[0] <= lo < ends[0] + width
+        assert ends[-1] - width < hi <= ends[-1]
+        assert all(Fraction(e) / width == k + Fraction(ends[0]) / width
+                   for k, e in enumerate(ends.tolist()))
+        cells_lo, cells_hi = ends[:-1], ends[1:]
+        marked = np.arange(len(cells_lo)) % 2 == 0
+        lo2, hi2, counts = _split(cells_lo, cells_hi, marked)
+        assert counts.tolist() == (1 + marked).tolist()
+        assert np.array_equal(lo2[1:], hi2[:-1])  # still a tiling
+        assert (lo2[0], hi2[-1]) == (ends[0], ends[-1])
+        halves = iter(zip(lo2.tolist(), hi2.tolist()))
+        for a, b, split in zip(cells_lo.tolist(), cells_hi.tolist(), marked):
+            if not split:
+                assert next(halves) == (a, b)
+                continue
+            (a1, m1), (m2, b2) = next(halves), next(halves)
+            assert (a1, m2, b2) == (a, m1, b)
+            assert Fraction(m1) == (Fraction(a) + Fraction(b)) / 2
 
 
 class TestCertifyError:
