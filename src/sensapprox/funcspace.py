@@ -1,10 +1,10 @@
 """Step functions, the triangle wave, and the approximant phi0 + s * wave.
 
 All breakpoints, values, scales and slopes are Fractions; floats appear
-only in the vectorized evaluators for quadrature and Monte Carlo. A step
-function is zero outside its intervals and at their endpoints, except at
-its (point, value) exceptions. It is built in one walk over its terms in
-linear time, sorting them only when they arrive out of order.
+only in the vectorized evaluators for quadrature, Monte Carlo and plots.
+A step function is zero outside its intervals and at their endpoints,
+except at its (point, value) exceptions. It is built in one walk over its
+terms in linear time, sorting them only when they arrive out of order.
 """
 
 from __future__ import annotations
@@ -95,10 +95,13 @@ class StepFunction:
     +inf); the value at a breakpoint is 0 unless an exception overrides it.
     The float breakpoints end in a NaN, which sorts after every float and
     equals none, so the index that ``searchsorted`` returns always selects
-    a region and the breakpoint to test for equality.
+    a region and the breakpoint to test for equality. An ascending input,
+    such as a block of sorted Monte Carlo draws or a plot grid, is looked
+    up by a merge instead: the breakpoints are placed among the points,
+    and the output repeats the value of each run between them.
     """
 
-    __slots__ = ("terms", "exceptions", "_pts", "_pts_f", "_region", "_point")
+    __slots__ = ("terms", "exceptions", "_pts", "_pts_f", "_region", "_point", "_runs")
 
     def __init__(self, terms=(), exceptions=()):
         cleaned = []
@@ -142,6 +145,11 @@ class StepFunction:
         self._pts_f = np.array([float(p) for p in pts] + [math.nan])
         self._region = np.array(region)
         self._point = np.array(point)
+        # region 0, point 0, region 1, ..., region k: the values of the runs
+        # of an ascending input
+        self._runs = np.empty(len(region) + len(point))
+        self._runs[0::2] = region
+        self._runs[1::2] = point
 
     def __eq__(self, other):
         return (
@@ -211,12 +219,30 @@ class StepFunction:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 0:
             return self.eval_arr(xs.reshape(1))[0]
+        if xs.ndim == 1 and np.all(xs[1:] >= xs[:-1]):  # a NaN fails it
+            return self._merge_lookup(xs)
+        return self._search_lookup(xs)
+
+    def _search_lookup(self, xs):
+        """Binary search of each point among the breakpoints."""
         idx = np.searchsorted(self._pts_f, xs, side="left")
         out = self._region[idx]
         hit = self._pts_f[idx] == xs
         if hit.any():
             out[hit] = self._point[idx[hit]]
         return out
+
+    def _merge_lookup(self, xs):
+        """The same values for ascending xs: each breakpoint is placed among
+        the points, which then form runs of region k, breakpoint k, region
+        k + 1, ..., and the output repeats each run's value."""
+        pts = self._pts_f[:-1]
+        ends = np.empty(2 * pts.size + 2, dtype=np.intp)
+        ends[0] = 0
+        ends[1:-1:2] = np.searchsorted(xs, pts, side="left")
+        ends[2:-1:2] = np.searchsorted(xs, pts, side="right")
+        ends[-1] = xs.size
+        return np.repeat(self._runs, np.diff(ends))
 
 
 def _walk_terms(terms):
@@ -294,6 +320,14 @@ class SensitiveApproximant:
         # two disjoint sorted runs: the sort only merges them
         return sorted(self.wave.lattice_points(lo, hi)
                       + self._endpoints_off_lattice(lo, hi))
+
+    def nondiff_floats(self, lo, hi):
+        """float(x) of each of nondiff_points(lo, hi), in order, with the
+        lattice taken as j / b: the integer quotient rounds correctly, as
+        float(Fraction(j, b)) does, and rounding keeps the order."""
+        b = self.wave.b
+        return sorted([j / b for j in self.wave.lattice_range(lo, hi)]
+                      + [float(p) for p in self._endpoints_off_lattice(lo, hi)])
 
     def slope_profile(self, lo, hi):
         """Maximal affine cells of the window with their exact slopes."""

@@ -11,9 +11,11 @@ the jumps of its density and a bound on the variation between them, from
 which ``norms.wave_norm_bound`` bounds the wave term in closed form.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
-Generation*, 1986, ch. 2), on sorted uniforms. The normal quantile is
-Wichura's AS241 PPND16 (*Applied Statistics* 37, 1988), run in numpy on
-cache-sized blocks.
+Generation*, 1986, ch. 2). The uniforms are sorted, so each component's
+draws, and each pwd cell's, are one slice of them, found by a binary
+search of the cumulative weights; the inverse CDFs run on cache-sized
+blocks of a slice. The normal quantile is Wichura's AS241 PPND16
+(*Applied Statistics* 37, 1988), run in numpy.
 """
 
 from __future__ import annotations
@@ -68,10 +70,11 @@ _AS241_FAR = _columns(
      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
      2.04426310338993978564e-15),
 )
-# points per ndtri block: the four block-sized temporaries of a branch
-# (1 MB) stay in cache; on 10^6 sorted points one block of all of them
-# takes more than twice as long, and smaller blocks make more numpy calls
-_NDTRI_BLOCK = 1 << 15
+# points per block of the Monte Carlo path (ndtri, from_uniforms, and
+# mc_norm in norms): a few block-sized temporaries (256 kB each) stay in
+# cache; on 10^6 sorted points one block of all of them takes more than
+# twice as long, and smaller blocks make more numpy calls
+BLOCK = 1 << 15
 
 
 def _rational(cols, x):
@@ -137,8 +140,8 @@ def _ndtri(p):
     flat = p.ravel()
     out = np.empty_like(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, flat.size, _NDTRI_BLOCK):
-            blk, dst = flat[s:s + _NDTRI_BLOCK], out[s:s + _NDTRI_BLOCK]
+        for s in range(0, flat.size, BLOCK):
+            blk, dst = flat[s:s + BLOCK], out[s:s + BLOCK]
             low = blk < 0.075
             high = ~(blk <= 0.925)
             mid = ~(low | high)
@@ -150,16 +153,15 @@ def _ndtri(p):
     return out.reshape(p.shape)
 
 
-def _pieces(masses, u):
-    """Split u by cumulative masses: yield (i, hit, t) per piece i that u
-    hits, where t is u[hit] less the mass of the pieces before i."""
-    upper = np.array([float(c) for c in itertools.accumulate(masses)])
-    lower = np.concatenate(([0.0], upper[:-1]))
-    idx = np.searchsorted(upper, u)
-    for i in range(len(masses)):
-        hit = idx == i
-        if hit.any():
-            yield i, hit, u[hit] - lower[i]
+def _slices(lowers, u):
+    """Split ascending u among pieces, where lowers[i] is the float
+    cumulative weight before piece i (lowers[0] = 0): yield (i, start, stop)
+    per piece i that u hits, u[start:stop] being the u with
+    lowers[i] < u <= lowers[i + 1]. The last piece runs to the end of u."""
+    bounds = [0, *np.searchsorted(u, lowers[1:], side="right").tolist(), u.size]
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if start < stop:
+            yield i, start, stop
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +367,13 @@ class PiecewisePoly:
         return out
 
     def inv_cdf_arr(self, v):
-        # find the cell by cumulative mass, then solve F(x) = v in it only
-        cells = list(zip(zip(self.breaks, self.breaks[1:]), self.coeffs))
-        if len(cells) == 1:  # the cell's draws as they are: no scatter
-            (a, b), piece = cells[0]
-            return self._cell_inv(piece, a, b, v)
-        masses = [self._poly_integral(piece, a, b) for (a, b), piece in cells]
+        """x with F(x) = v, for ascending v: each cell's v form one slice,
+        found by the mass before each cell, and are solved in that cell."""
+        before = [cell[2] for cell in self._cells]
         out = np.empty_like(v)
-        for i, hit, t in _pieces(masses, v):
-            (a, b), piece = cells[i]
-            out[hit] = self._cell_inv(piece, a, b, t)
+        for i, start, stop in _slices(before, v):
+            out[start:stop] = self._cell_inv(self.coeffs[i], self.breaks[i], self.breaks[i + 1],
+                                             v[start:stop] - before[i])
         return out
 
     def _cell_inv(self, piece, a, b, t):
@@ -528,46 +527,49 @@ class BorelMeasure:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, n, seed):
-        """The multiset of n i.i.d. draws of mu / total_mass; deterministic
-        given seed.
+        """n i.i.d. draws of mu / total_mass; deterministic given seed.
 
-        The uniforms are sorted first. ``from_uniforms`` maps each one on
-        its own, so the draws are the multiset that the unsorted uniforms
-        give, in a fixed order: one block per component (atoms first, then
-        parts, in stored order), each block ascending. A statistic that is
-        symmetric in the draws, such as the mean and variance in
-        ``norms.mc_norm``, sees the order only in the rounding of its sums;
-        the sorted order makes the component split and a later step-function
-        lookup of the draws cheap.
+        The uniforms are sorted first, so the draws come in a fixed order:
+        one block per component (atoms first, then parts, in stored order),
+        each block ascending. A statistic that is symmetric in the draws,
+        such as the mean and variance in ``norms.mc_norm``, sees the order
+        only in the rounding of its sums; the sorted order makes the
+        component split a pair of slice bounds and a later step-function
+        lookup of the draws a merge.
         """
         rng = np.random.default_rng(seed)
-        u = 1.0 - rng.random(n)  # u in (0, 1]
+        u = rng.random(n)
+        np.subtract(1.0, u, out=u)  # u in (0, 1]
         u.sort()
         return self.from_uniforms(u)
 
     def from_uniforms(self, u):
-        """Map uniforms u in (0, 1] to draws of mu / total_mass.
+        """Map ascending uniforms u in (0, 1] to draws of mu / total_mass.
 
         Composition: the component is picked from the cumulative weights
-        w / total_mass (atoms first, then parts, in stored order) and u,
-        rescaled to v in (0, 1) within it, goes through that component's
-        inverse CDF.
+        w / total_mass (atoms first, then parts, in stored order), so on
+        ascending u each component's draws are one slice of u. Within it,
+        u is rescaled to v in (0, 1) and goes through the component's
+        inverse CDF, ``BLOCK`` points at a time, so that the temporaries
+        stay in cache. Each u is mapped on its own: the result does not
+        depend on the blocking. u is not written to; u that is not
+        ascending, or holds NaN, raises ValueError.
         """
+        u = np.asarray(u, dtype=float)
+        if not np.all(u[1:] >= u[:-1]) or np.isnan(u[:1]).any():
+            raise ValueError("from_uniforms requires ascending uniforms")
         mass = self.total_mass
         comps = [(m / mass, AtomKind(loc)) for loc, m in self.atoms]
         comps += [(w / mass, kind) for w, kind in self.parts]
-
-        def draws(w, kind, t):
-            v = t / float(w)
-            return kind.inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
-
-        if len(comps) == 1:
-            # one component's draws as they are: no scatter into a second
-            # array, whose 8 MB per 10^6 draws would raise the peak heap
-            return draws(*comps[0], u)
+        lowers = [float(c) for c in itertools.accumulate((w for w, _ in comps[:-1]), initial=0)]
         out = np.empty_like(u)
-        for i, hit, t in _pieces([w for w, _ in comps], u):
-            out[hit] = draws(*comps[i], t)
+        for i, start, stop in _slices(lowers, u):
+            w, kind = comps[i]
+            for s in range(start, stop, BLOCK):
+                blk = slice(s, min(s + BLOCK, stop))
+                v = np.subtract(u[blk], lowers[i], out=out[blk])
+                v /= float(w)
+                out[blk] = kind.inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
         return out
 
     # -- support window ------------------------------------------------------

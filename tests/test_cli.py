@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from sensapprox.cli import (
     reconstruct_approximant,
     write_certificate,
 )
+from sensapprox.intervals import uniform_grid
 from sensapprox.measures import BorelMeasure
-from sensapprox.parsing import parse_measure, parse_target
+from sensapprox.parsing import eval_target, parse_measure, parse_target
 
 
 def run_python(*args):
@@ -320,6 +322,29 @@ class TestPlotCommand:
         assert ys == [0.0, 0.25, 0.5, 0.25, 0.0]
         nondiff = (tmp_path / "a.csv.nondiff").read_text().split()
         assert [float(v) for v in nondiff] == [0.5]
+
+    def test_rows_follow_the_exact_values(self, tmp_path, capsys):
+        # log(x) fails at x = 0 only, so that row's target alone is nan;
+        # the grid i/32 and phi0's dyadic ends are exact floats
+        cert_path = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "log(x)", "--measure", "uniform(0,1)",
+                     "--p", "2", "--eps", "1/10", "--M", "1", "--out", str(cert_path)]) == 0
+        out = tmp_path / "c.csv"
+        assert main(["plot", "--cert", str(cert_path), "--window=0:1", "--points", "33",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        Y = reconstruct_approximant(read_certificate(cert_path))
+        grid = uniform_grid(0, 1, 32)
+        rows = [[float(v) for v in ln.split(",")] for ln in out.read_text().splitlines()[1:]]
+        assert [x for x, _, _ in rows] == [float(x) for x in grid]
+        assert math.isnan(rows[0][1])
+        for (_, t, y), xq in zip(rows, grid):
+            if xq:
+                assert t == pytest.approx(float(eval_target(parse_target("log(x)"), xq)),
+                                          rel=1e-15)
+            assert y == pytest.approx(float(Y.eval(xq)), rel=1e-15, abs=1e-15)
+        nondiff = (tmp_path / "c.csv.nondiff").read_text().split()
+        assert nondiff == [repr(float(p)) for p in Y.nondiff_points(0, 1)]
 
     def test_bad_window_is_input_error(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"

@@ -213,6 +213,31 @@ def test_eval_arr_agrees_with_exact_eval(s, extra, rnd):
 
 
 @settings(deadline=None)
+@given(step_functions(),
+       st.lists(st.floats(allow_nan=False), max_size=30),
+       st.lists(st.integers(1, 4), max_size=40),
+       st.data())
+def test_merge_lookup_equals_the_binary_search(s, extra, repeats, data):
+    pts = [float(p) for p in s.endpoints()]
+    xs = pts + [math.nextafter(x, d) for x in pts for d in (-math.inf, math.inf)]
+    xs += extra + [-0.0, 0.0, -math.inf, math.inf]
+    # repeated values: each point as many times as drawn
+    xs = np.sort(np.repeat(xs, (repeats + [1] * len(xs))[:len(xs)]))
+    want = s._search_lookup(xs)
+    assert_same_floats(s._merge_lookup(xs), want)
+    assert_same_floats(s.eval_arr(xs), want)
+    for part in (xs[:1], xs[:0], xs[len(xs) // 2:]):
+        assert_same_floats(s.eval_arr(part), s._search_lookup(part))
+    # one NaN, or one descent, sends the input to the binary search
+    i = data.draw(st.integers(0, len(xs) - 1))
+    broken = [np.insert(xs, i, math.nan)]
+    if xs[i] < xs[-1]:
+        broken.append(np.append(xs, xs[i]))
+    for ys in broken:
+        assert_same_floats(s.eval_arr(ys), s._search_lookup(ys))
+
+
+@settings(deadline=None)
 @given(step_parts(), st.data())
 def test_any_term_order_builds_the_sorted_function(parts, data):
     terms, exc = parts

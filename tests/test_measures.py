@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from statistics import NormalDist
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.intervals import Interval, IntervalUnion, closed_interval, open_interval, point
-from sensapprox.measures import (_BELOW_ONE, _NDTRI_BLOCK, BorelMeasure, Normal, PiecewisePoly,
-                                 Uniform, _ndtri)
+from sensapprox.measures import (_BELOW_ONE, BLOCK, AtomKind, BorelMeasure, Normal,
+                                 PiecewisePoly, Uniform, _ndtri)
 from sensapprox.parsing import parse_measure
 
 
@@ -170,10 +171,55 @@ class TestSample:
 
     @pytest.mark.parametrize("text", SAMPLED)
     def test_sorted_uniforms_give_the_same_multiset(self, text):
+        # sample is from_uniforms of its own sorted uniforms, draw for draw
         mu = measure(text)
         for seed in (0, 9):
-            unsorted = mu.from_uniforms(1.0 - np.random.default_rng(seed).random(10**5))
-            assert np.array_equal(np.sort(mu.sample(10**5, seed)), np.sort(unsorted))
+            u = np.sort(1.0 - np.random.default_rng(seed).random(10**5))
+            assert np.array_equal(mu.from_uniforms(u), mu.sample(10**5, seed))
+
+    @pytest.mark.parametrize("text", SAMPLED + [
+        "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))",
+        "mix(0.25*pwd(breaks(0,1,2), poly(0,1), poly(2,-1)), 0.5*atom(0.3), 0.25*normal(0,1))",
+    ])
+    def test_slices_match_mask_and_scatter(self, text):
+        mu = measure(text)
+        comps = _components(mu)
+        # every cumulative weight, each pwd cell's cumulative mass within
+        # its part, and their float neighbours, among random uniforms
+        cuts = list(itertools.accumulate(w for w, _ in comps))
+        before = 0
+        for w, kind in comps:
+            if isinstance(kind, PiecewisePoly):
+                cuts += [before + w * c for c in itertools.accumulate(_cell_masses(kind))]
+            before += w
+        edges = [x for c in cuts for x in _float_neighbours(float(c)) if 0.0 < x <= 1.0]
+        rng = np.random.default_rng(3)
+        u = np.sort(np.concatenate([1.0 - rng.random(3 * BLOCK + 5), edges,
+                                    [2.0**-53, 2.0**-53, 1.0, 1.0]]))
+        assert np.array_equal(mu.from_uniforms(u), _mask_and_scatter_draws(mu, u))
+        # each component in turn draws nothing
+        upper = np.array([float(c) for c in cuts[:len(comps)]])
+        lower = np.concatenate(([0.0], upper[:-1]))
+        for lo, hi in zip(lower, upper):
+            rest = u[(u <= lo) | (u > hi)]
+            assert np.array_equal(mu.from_uniforms(rest), _mask_and_scatter_draws(mu, rest))
+
+    @pytest.mark.parametrize("bad", [
+        [0.5, 0.25], [0.1, 0.2, 0.2, 0.15, 0.3], [math.nan], [math.nan, 0.5],
+        [0.25, math.nan, 0.5], [0.25, 0.5, math.nan],
+    ])
+    def test_uniforms_that_are_not_ascending_raise(self, bad):
+        with pytest.raises(ValueError, match="ascending"):
+            MIX.from_uniforms(np.array(bad))
+
+    @pytest.mark.parametrize("text", ["uniform(0,1)", "atom(3)", "mix(2*uniform(0,1), mass=2)",
+                                      "mix(0.5*atom(0), 0.5*uniform(0,1))"])
+    def test_uniforms_are_not_written_to(self, text):
+        u = np.sort(1.0 - np.random.default_rng(8).random(BLOCK + 9))
+        kept = u.copy()
+        measure(text).from_uniforms(u)
+        assert np.array_equal(u, kept)
+        assert measure(text).from_uniforms(u[:0]).shape == (0,)
 
     @pytest.mark.parametrize("text", SAMPLED)
     def test_each_component_draws_one_ascending_block(self, text):
@@ -226,6 +272,52 @@ def _float_neighbours(x):
     return [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
 
 
+def _components(mu):
+    """(weight / mass, kind) of each component, atoms first, as sampled."""
+    mass = mu.total_mass
+    return ([(m / mass, AtomKind(loc)) for loc, m in mu.atoms]
+            + [(w / mass, kind) for w, kind in mu.parts])
+
+
+def _cell_masses(kind):
+    return [kind._poly_integral(piece, a, b)
+            for (a, b), piece in zip(zip(kind.breaks, kind.breaks[1:]), kind.coeffs)]
+
+
+def _mask_and_scatter(weights, u, draw):
+    """Pick piece i where upper[i-1] < u <= upper[i], for the cumulative
+    weights upper, by a mask per piece, and scatter draw(i, u - upper[i-1])
+    back; any order of u."""
+    upper = np.array([float(c) for c in itertools.accumulate(weights)])
+    lower = np.concatenate(([0.0], upper[:-1]))
+    idx = np.searchsorted(upper, u)
+    out = np.full_like(u, math.nan)
+    for i in range(len(weights)):
+        hit = idx == i
+        if hit.any():
+            out[hit] = draw(i, u[hit] - lower[i])
+    return out
+
+
+def _mask_and_scatter_draws(mu, u):
+    """Reference composition sampler: masks for the components, and for
+    the cells of a pwd part, with no slices and no blocks."""
+    comps = _components(mu)
+
+    def draw(i, t):
+        w, kind = comps[i]
+        v = np.minimum(t / float(w), _BELOW_ONE)
+        if not isinstance(kind, PiecewisePoly):
+            return kind.inv_cdf_arr(v)
+        cells = list(zip(zip(kind.breaks, kind.breaks[1:]), kind.coeffs))
+        if len(cells) == 1:
+            return kind._cell_inv(cells[0][1], *cells[0][0], v)
+        return _mask_and_scatter(_cell_masses(kind), v,
+                                 lambda j, s: kind._cell_inv(cells[j][1], *cells[j][0], s))
+
+    return _mask_and_scatter([w for w, _ in comps], u, draw)
+
+
 # the branch seams of AS241: the central band ends, and r = 5 in each tail
 SEAMS = (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
 
@@ -264,11 +356,11 @@ class TestNdtri:
     def test_values_do_not_depend_on_blocking_or_order(self):
         rng = np.random.default_rng(5)
         tails = 10.0 ** -rng.uniform(1, 300, 500)
-        ps = np.sort(np.concatenate([rng.random(_NDTRI_BLOCK - 1002), tails, 1.0 - tails[:499],
+        ps = np.sort(np.concatenate([rng.random(BLOCK - 1002), tails, 1.0 - tails[:499],
                                      SEAMS]))
-        assert ps.size == _NDTRI_BLOCK + 1
+        assert ps.size == BLOCK + 1
         one_point = np.array([_ndtri(np.array([p]))[0] for p in ps])
-        for n in (_NDTRI_BLOCK - 1, _NDTRI_BLOCK, _NDTRI_BLOCK + 1):
+        for n in (BLOCK - 1, BLOCK, BLOCK + 1):
             assert np.array_equal(_ndtri(ps[:n]), one_point[:n])
         shuffle = rng.permutation(ps.size)
         assert np.array_equal(_ndtri(ps[shuffle]), one_point[shuffle])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sensapprox import norms
 from sensapprox.funcspace import StepFunction, TriangleWave
-from sensapprox.measures import BorelMeasure, Exponential, Normal, PiecewisePoly, Uniform
+from sensapprox.measures import BLOCK, BorelMeasure, Exponential, Normal, PiecewisePoly, Uniform
 from sensapprox.norms import (
     NonIntegrableError,
     lp_distance,
@@ -112,6 +112,29 @@ class TestMcNorm:
                       n=10**4, seed=0)
         assert est.value == 2.0
         assert est.absolute_error_bound == 0.0
+
+    @pytest.mark.parametrize("n", [1000, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("text,p", [
+        ("mix(0.5*normal(0,1), 0.5*uniform(0,1))", 2.0),
+        ("mix(0.6*atom(0.5), 1.4*exponential(1), mass=2)", 1.0),
+        ("pwd(breaks(0,1,2), poly(0,1), poly(2,-1))", 1.5),
+    ])
+    def test_blocks_give_the_one_shot_estimate(self, text, p, n):
+        mu = measure(text)
+        phi0 = StepFunction(terms=[(1, -1, Fraction(1, 3)), (2, Fraction(1, 3), 1)],
+                            exceptions=[(Fraction(1, 2), 5)])
+        target = target_evaluator(parse_target("sin(3*x) + x^2"))
+        for f in (target, lambda xs: phi0.eval_arr(xs) - target(xs)):
+            est = mc_norm(f, mu, p=p, n=n, seed=4)
+            # the whole sample at once, as a single array
+            z = np.abs(f(mu.sample(n, 4))) ** p
+            m = float(z.mean())
+            sd = float(z.std(ddof=1)) / math.sqrt(n)
+            root = float(mu.total_mass) ** (1.0 / p)
+            value = m ** (1.0 / p)
+            radius = 4.0 * sd * (1.0 / p) * m ** (1.0 / p - 1.0)
+            assert est.value == value * root
+            assert est.absolute_error_bound == radius * root
 
 
 class TestWaveNormBound:
