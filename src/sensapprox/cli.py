@@ -120,15 +120,15 @@ def read_certificate(path) -> dict:
 
 def reconstruct_approximant(data: dict) -> SensitiveApproximant:
     try:
-        terms = [
-            (_parse_rat(t["value"]), _parse_rat(t["lower"]), _parse_rat(t["upper"]))
-            for t in data["phi0"]
-        ]
-        exceptions = [
-            (_parse_rat(e["point"]), _parse_rat(e["value"]))
-            for e in data["exceptions"]
-        ]
-        phi0 = StepFunction(terms=terms, exceptions=exceptions)
+        # str() as in _parse_rat: a JSON number reads as its decimal, while
+        # true, null or a list is no rational; write_certificate emits the
+        # rows in order, so one out of order is an error, not sorted
+        phi0 = StepFunction(
+            terms=[(str(t["value"]), str(t["lower"]), str(t["upper"]))
+                   for t in data["phi0"]],
+            exceptions=[(str(e["point"]), str(e["value"])) for e in data["exceptions"]],
+            ordered=True,
+        )
         scale = _parse_rat(data["scale"])
         b = int(data["b"])
         eps = _parse_rat(data["request"]["eps"])
@@ -225,6 +225,10 @@ def cmd_verify(args) -> int:
         )
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print(f"error: not enough memory for {args.samples} samples; lower --samples",
+              file=sys.stderr)
         return EXIT_INPUT
     distance, radius = est.value, est.absolute_error_bound
     mc_total = distance + radius

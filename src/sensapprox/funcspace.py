@@ -1,22 +1,26 @@
 """Step functions, the triangle wave, and the approximant phi0 + s * wave.
 
-All breakpoints, values, scales and slopes are Fractions; floats appear
-only in the vectorized evaluators for quadrature, Monte Carlo and plots.
-A step function is zero outside its intervals and at their endpoints,
-except at its (point, value) exceptions. It is built in one walk over its
-terms in linear time, sorting them only when they arrive out of order.
+Every breakpoint, value, scale and slope is exact. A step function holds
+its numbers as integer pairs (n, d), checks and orders its terms by
+cross-multiplication, and builds its Fractions only when asked for them;
+floats appear only in the vectorized evaluators for quadrature, Monte
+Carlo and plots. A step function is zero outside its intervals and at
+their endpoints, except at its (point, value) exceptions. It is built in
+one walk over its terms in linear time, sorting them only when they
+arrive out of order.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .intervals import IntervalUnion, NEG_INF, POS_INF, as_endpoint, as_rational
+from .intervals import NEG_INF, POS_INF, as_rational
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +83,56 @@ def build_zigzag(eps, M) -> TriangleWave:
 # ---------------------------------------------------------------------------
 # Step functions
 
+# the infinite ends of the line as numbers (see _number)
+_NEG_INF = (-1, 0, NEG_INF)
+_POS_INF = (1, 0, POS_INF)
+
+
+def _number(x, seen):
+    """x as (n, d, exact): n / d is as_rational(x), with d > 0, and exact is
+    that Fraction when it is at hand, else None. A string "n/d" of decimal
+    digits, as a certificate writes it, gives its two integers and no
+    Fraction, and is looked up in and added to seen, as a certificate's
+    rows repeat their shared ends and many values; any other input goes
+    through as_rational, and a Fraction is kept as it is."""
+    if type(x) is str:
+        num = seen.get(x)
+        if num is None:
+            n, _, d = x.partition("/")
+            # int() reads the decimal digits that Fraction(str) reads; any
+            # other form, "0.5" or "4 / 8", and "1/0" go through Fraction
+            if d.isdecimal() and (n[1:] if n[:1] == "-" else n).isdecimal() and int(d):
+                num = int(n), int(d), None
+            else:
+                num = _number(as_rational(x), seen)
+            seen[x] = num
+        return num
+    q = as_rational(x)
+    return q.numerator, q.denominator, q
+
+
+def _end(x, seen):
+    """_number, letting the infinite ends of the line through as (±1, 0)."""
+    if isinstance(x, float) and math.isinf(x):
+        return _POS_INF if x > 0 else _NEG_INF
+    return _number(x, seen)
+
+
+def _exact(num):
+    """The exact value of a number: its Fraction, or a float infinity."""
+    n, d, q = num
+    return Fraction(n, d) if q is None else q
+
+
+def _cmp(a, b):
+    """An int with the sign of a - b, by exact cross-multiplication."""
+    c = a[0] * b[1] - b[0] * a[1]
+    # only two infinities leave c = 0 with a zero denominator
+    return c if c or a[1] or b[1] else a[0] - b[0]
+
+
+_key = functools.cmp_to_key(_cmp)
+
 
 class StepFunction:
     """Finite combination of indicator multiples over disjoint open intervals.
@@ -87,10 +141,20 @@ class StepFunction:
     exceptions: tuple of (point, value) pairs overriding the pointwise value
     at finitely many points.
 
-    The breakpoints and the float arrays behind ``eval_arr`` are built once,
-    on construction, in one walk that compares each term only with the end
-    of the one before it; the terms are sorted, and checked for overlap,
-    only when they arrive out of order, as ``override_on`` appends them.
+    Every input number is held as an integer pair (n, d), d > 0, with ±inf
+    as (±1, 0) at an open end of the line; a canonical "n/d" string, as a
+    certificate stores it, becomes one without a Fraction. The terms are
+    checked and the breakpoints found on these pairs, by exact
+    cross-multiplication, in one walk that compares each term only with
+    the end of the one before it; the terms are sorted, and checked for
+    overlap, only when they arrive out of order, as ``override_on`` appends
+    them. The float arrays behind ``eval_arr`` are built in the same pass,
+    each entry n / d, which Python rounds correctly, as float(Fraction)
+    does. The exact data, ``terms``, ``exceptions`` and ``endpoints()`` as
+    Fractions, is built on the first request and kept; an input Fraction
+    is reused, so only string input pays for new ones. Monte Carlo
+    evaluation never requests it.
+
     Region k is the open cell left of breakpoint k (the last one runs to
     +inf); the value at a breakpoint is 0 unless an exception overrides it.
     The float breakpoints end in a NaN, which sorts after every float and
@@ -101,48 +165,51 @@ class StepFunction:
     and the output repeats the value of each run between them.
     """
 
-    __slots__ = ("terms", "exceptions", "_pts", "_pts_f", "_region", "_point", "_runs")
+    __slots__ = ("_terms", "_exc", "_pts", "_fractions", "_pts_f", "_region", "_point", "_runs")
 
-    def __init__(self, terms=(), exceptions=()):
-        cleaned = []
+    def __init__(self, terms=(), exceptions=(), *, ordered=False):
+        """ordered: raise on terms out of order, instead of sorting them."""
+        rows, seen = [], {}
         for value, lo, hi in terms:
-            v = as_rational(value)
-            lo_e = as_endpoint(lo)
-            hi_e = as_endpoint(hi)
-            if not lo_e < hi_e:
+            v = _number(value, seen)
+            lo_n = _end(lo, seen)
+            hi_n = _end(hi, seen)
+            if _cmp(lo_n, hi_n) >= 0:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
-            if v:
-                cleaned.append((v, lo_e, hi_e))
-        walk = _walk_terms(cleaned)
+            if v[0]:
+                rows.append((v, lo_n, hi_n))
+        walk = _walk_terms(rows)
+        if walk is None and not ordered:
+            rows.sort(key=lambda t: _key(t[1]))
+            walk = _walk_terms(rows)
         if walk is None:
-            cleaned.sort(key=lambda t: t[1])
-            walk = _walk_terms(cleaned)
-            if walk is None:
-                raise ValueError("step-function intervals must be disjoint")
+            raise ValueError("step-function intervals must be "
+                             + ("sorted and disjoint" if ordered else "disjoint"))
         pts, region = walk
-        self.terms = tuple(cleaned)
         exc = []
         for pt, value in exceptions:
-            v = as_rational(value)
-            if v:
-                exc.append((as_rational(pt), v))
-        exc.sort()
+            v = _number(value, seen)
+            if v[0]:
+                exc.append((_number(pt, seen), v))
+        exc.sort(key=lambda e: _key(e[0]))
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
-            if p1 == p2:
-                raise ValueError(f"duplicate exception point {p1}")
-        self.exceptions = tuple(exc)
+            if not _cmp(p1, p2):
+                raise ValueError(f"duplicate exception point {_exact(p1)}")
 
         point = [0.0] * len(pts)
-        for p, v in exc:
-            i = bisect.bisect_left(pts, p)
-            if i == len(pts) or pts[i] != p:
+        for p, (n, d, _) in exc:
+            i = bisect.bisect_left(pts, _key(p), key=_key)
+            if i == len(pts) or _cmp(pts[i], p):
                 # p splits region i into two cells of the same value
                 pts.insert(i, p)
                 region.insert(i, region[i])
                 point.insert(i, 0.0)
-            point[i] = float(v)
-        self._pts = tuple(pts)
-        self._pts_f = np.array([float(p) for p in pts] + [math.nan])
+            point[i] = n / d
+        self._terms = rows
+        self._exc = exc
+        self._pts = pts
+        self._fractions = None
+        self._pts_f = np.array([n / d for n, d, _ in pts] + [math.nan])
         self._region = np.array(region)
         self._point = np.array(point)
         # region 0, point 0, region 1, ..., region k: the values of the runs
@@ -150,6 +217,24 @@ class StepFunction:
         self._runs = np.empty(len(region) + len(point))
         self._runs[0::2] = region
         self._runs[1::2] = point
+
+    def _fraction_data(self):
+        """terms, exceptions and endpoints as Fractions, built once."""
+        if self._fractions is None:
+            self._fractions = (
+                tuple((_exact(v), _exact(lo), _exact(hi)) for v, lo, hi in self._terms),
+                tuple((_exact(p), _exact(v)) for p, v in self._exc),
+                tuple(_exact(p) for p in self._pts),
+            )
+        return self._fractions
+
+    @property
+    def terms(self):
+        return self._fraction_data()[0]
+
+    @property
+    def exceptions(self):
+        return self._fraction_data()[1]
 
     def __eq__(self, other):
         return (
@@ -163,13 +248,6 @@ class StepFunction:
 
     def __repr__(self):
         return f"StepFunction(terms={self.terms!r}, exceptions={self.exceptions!r})"
-
-    @classmethod
-    def from_indicator(cls, u: IntervalUnion, value):
-        """value times the indicator of a union of open intervals."""
-        if not u.all_open():
-            raise ValueError("indicator support must consist of open intervals")
-        return cls(terms=[(value, iv.lo, iv.hi) for iv in u.intervals])
 
     # -- queries -------------------------------------------------------------
 
@@ -187,7 +265,7 @@ class StepFunction:
 
     def endpoints(self):
         """Finite interval endpoints plus exception points, sorted."""
-        return self._pts
+        return self._fraction_data()[2]
 
     def sup_norm(self) -> Fraction:
         vals = [abs(v) for v, _, _ in self.terms]
@@ -248,17 +326,18 @@ class StepFunction:
 def _walk_terms(terms):
     """Breakpoints and region values of sorted disjoint terms, or None when
     a term starts before the previous one ends (out of order or overlap)."""
-    pts, region, prev = [], [], NEG_INF
-    for v, lo, hi in terms:
-        if lo != prev:
-            if lo < prev:
-                return None
+    pts, region, prev = [], [], _NEG_INF
+    for (n, d, _), lo, hi in terms:
+        c = _cmp(lo, prev)
+        if c < 0:
+            return None
+        if c:
             pts.append(lo)
             region.append(0.0)
         pts.append(hi)
-        region.append(float(v))
+        region.append(n / d)
         prev = hi
-    if prev == POS_INF:
+    if prev == _POS_INF:
         pts.pop()
     else:
         region.append(0.0)

@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .intervals import IntervalUnion, as_rational, uniform_grid
+from .intervals import IntervalUnion, as_rational
 
 _SQRT2 = math.sqrt(2.0)
 # largest float below 1: keeps ndtri and log1p finite at the top end
@@ -278,12 +278,56 @@ class Exponential:
         return 0.0, -math.log(tail) / float(self.rate)
 
 
+# most halvings of one pwd cell in its nonnegativity check: enough for a
+# piece whose minimum inside the cell is 0 at a dyadic point, or positive
+# but tiny, while a root of even order elsewhere inside stays undecided
+_MAX_HALVINGS = 64
+_UNDECIDED = object()
+
+
+def _halves(beta):
+    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves."""
+    left, right = [beta[0]], [beta[-1]]
+    while len(beta) > 1:
+        beta = [(u + w) / 2 for u, w in zip(beta, beta[1:])]
+        left.append(beta[0])
+        right.append(beta[-1])
+    return left, right[::-1]
+
+
+def _negative_point(beta, a, b):
+    """A point of [a, b] where the polynomial with Bernstein coefficients
+    beta there is negative; None if it is nonnegative on all of [a, b], and
+    _UNDECIDED if _MAX_HALVINGS halvings show neither. All coefficients of
+    a cell nonnegative prove the polynomial nonnegative on it (they are the
+    weights of a convex combination); the first and last are its values at
+    the cell's ends, so a negative one proves it negative there."""
+    cells, halvings = [(a, b, beta)], 0
+    while cells:
+        lo, hi, beta = cells.pop()
+        if beta[0] < 0:
+            return lo
+        if beta[-1] < 0:
+            return hi
+        if min(beta) >= 0:
+            continue
+        if halvings == _MAX_HALVINGS:
+            return _UNDECIDED
+        halvings += 1
+        left, right = _halves(beta)
+        mid = (lo + hi) / 2
+        cells += [(mid, hi, right), (lo, mid, left)]
+    return None
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Density that is polynomial on each cell of a breakpoint grid.
 
     coeffs[i] are ascending-power coefficients of the density on
-    (breaks[i], breaks[i+1]); the total integral must be exactly 1.
+    (breaks[i], breaks[i+1]); the total integral must be exactly 1, and
+    each piece is shown nonnegative on its cell in exact arithmetic
+    (``_negative_point``), or rejected.
     """
 
     breaks: tuple
@@ -308,11 +352,15 @@ class PiecewisePoly:
         from .parsing import MeasureSpecError
 
         for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            for x in uniform_grid(a, b, 100):
-                if self._poly(piece, x) < 0:
-                    raise MeasureSpecError(
-                        f"pwd piece negative at x={float(x):g}"
-                    )
+            x = _negative_point(self._bernstein(piece, a, b), a, b) if piece else None
+            if x is _UNDECIDED:
+                raise MeasureSpecError(
+                    f"pwd piece on ({float(a):g}, {float(b):g}) not shown nonnegative "
+                    f"in {_MAX_HALVINGS} halvings: it may touch 0 at a point inside "
+                    "that no halving reaches"
+                )
+            if x is not None:
+                raise MeasureSpecError(f"pwd piece negative at x={float(x):g}")
         if total != 1:
             raise MeasureSpecError(f"pwd density integrates to {total}, expected 1")
 
@@ -338,6 +386,16 @@ class PiecewisePoly:
         return [sum(piece[j] * math.comb(j, k) * a ** (j - k)
                     for j in range(k, len(piece)))
                 for k in range(len(piece))]
+
+    @classmethod
+    def _bernstein(cls, piece, a, b):
+        """Exact Bernstein coefficients on [a, b]: those of q(t) = p(a + t h),
+        h = b - a, q = sum_k c_k t^k, are sum_{k<=j} C(j,k) / C(n,k) c_k."""
+        h = b - a
+        c = [ck * h**k for k, ck in enumerate(cls._shifted(piece, a))]
+        n = len(c) - 1
+        return [sum(Fraction(math.comb(j, k), math.comb(n, k)) * c[k] for k in range(j + 1))
+                for j in range(n + 1)]
 
     @classmethod
     def _local_anti(cls, piece, a):

@@ -5,17 +5,22 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sensapprox
-from sensapprox.approx import ApproxRequest, sensitize
+from sensapprox import norms
+from sensapprox.approx import ApproxRequest, Certificate, sensitize
 from sensapprox.cli import (
     CorruptCertificate,
+    certificate_to_dict,
     main,
     read_certificate,
     reconstruct_approximant,
     write_certificate,
 )
+from sensapprox.funcspace import StepFunction
 from sensapprox.intervals import uniform_grid
 from sensapprox.measures import BorelMeasure
 from sensapprox.parsing import eval_target, parse_measure, parse_target
@@ -93,6 +98,110 @@ class TestCertificateRoundTrip:
         path.write_text(json.dumps(raw))
         with pytest.raises(CorruptCertificate, match="min_abs_slope"):
             reconstruct_approximant(read_certificate(path))
+
+
+def _rows(*rows):
+    """phi0 rows as a certificate's JSON holds them."""
+    return [{"value": v, "lower": lo, "upper": hi} for v, lo, hi in rows]
+
+
+ROWS = _rows(("1/8", "0/1", "1/4"), ("3/8", "1/4", "1/2"))
+
+
+class TestCertificateDecoding:
+    @pytest.mark.parametrize("phi0, exceptions, message", [
+        (_rows(("1/8", "0/1", "1/3"), ("3/8", "1/4", "1/2")), [], "disjoint"),
+        (ROWS[::-1], [], "sorted"),
+        (_rows(("1/8", "1/4", "1/4")), [], "lo < hi"),
+        (_rows(("1/8", "1/3", "1/4")), [], "lo < hi"),
+        (ROWS, [{"point": "1/3", "value": "1/1"}, {"point": "2/6", "value": "2/1"}],
+         "duplicate exception point 1/3"),
+        (_rows((None, "0/1", "1/4")), [], "malformed"),
+        (_rows((True, "0/1", "1/4")), [], "malformed"),
+        (_rows(([1], "0/1", "1/4")), [], "malformed"),
+        (_rows(("1/8", "0/1", "1//4")), [], "malformed"),
+        (_rows(("1/8", "-Infinity", "1/4")), [], "malformed"),
+        (ROWS, [{"point": "1/2/3", "value": "1/1"}], "malformed"),
+    ])
+    def test_bad_phi0_is_input_error(self, tmp_path, capsys, phi0, exceptions, message):
+        _, cert = make_certificate()
+        raw = certificate_to_dict(cert)
+        raw["phi0"], raw["exceptions"] = phi0, exceptions
+        out = tmp_path / "cert.json"
+        # a bare -Infinity, which json reads as the float -inf
+        out.write_text(json.dumps(raw).replace('"-Infinity"', "-Infinity"))
+        for argv in (["verify", "--cert", str(out), "--samples", "1000"],
+                     ["plot", "--cert", str(out), "--window=0:1", "--points", "5",
+                      "--out", str(tmp_path / "p.csv")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, want", [
+        ("0.5", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)), ("4/8", Fraction(1, 2)),
+        (0.5, Fraction(1, 2)), (2, Fraction(2)), (" 3/4 ", Fraction(3, 4)),
+        ("1e-1", Fraction(1, 10)), ("007/2", Fraction(7, 2)),
+    ])
+    def test_other_rational_forms_are_read_as_before(self, text, want):
+        # as a value, and where it can be, as the end shared with ROWS
+        end = text if want == Fraction(1, 2) else "1/2"
+        _, cert = make_certificate()
+        raw = certificate_to_dict(cert)
+        raw["phi0"] = _rows((text, "0/1", "1/4"), ("3/8", "1/4", end), ("1/1", end, "1/1"))
+        phi0 = reconstruct_approximant(json.loads(json.dumps(raw))).phi0
+        assert Fraction(str(text)) == want
+        canonical = StepFunction(terms=[(want, 0, Fraction(1, 4)),
+                                        (Fraction(3, 8), Fraction(1, 4), Fraction(1, 2)),
+                                        (1, Fraction(1, 2), 1)])
+        assert phi0.terms == canonical.terms
+        assert phi0.endpoints() == canonical.endpoints()
+        assert np.array_equal(phi0._runs, canonical._runs)
+        assert np.array_equal(phi0._pts_f, canonical._pts_f, equal_nan=True)
+
+    def test_verify_builds_no_fractions_of_phi0(self):
+        Y, cert = make_certificate(target="x^2", mu="normal(0,1)")
+        Y2 = reconstruct_approximant(certificate_to_dict(cert))
+        xs = np.linspace(-3, 3, 1001)
+        assert np.array_equal(Y2.eval_arr(xs), Y.eval_arr(xs))
+        assert Y2.phi0._fractions is None
+        assert Y2.phi0.endpoints() == Y.phi0.endpoints()
+
+
+_point = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+_nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=30).filter(bool)
+
+
+@st.composite
+def finite_step_functions(draw):
+    """Sorted disjoint terms over non-dyadic rational ends, shared ends and
+    gaps included, and exceptions at ends, inside terms and elsewhere."""
+    pts = sorted(set(draw(st.lists(_point, max_size=10))))
+    terms = [(draw(_nonzero), lo, hi) for lo, hi in zip(pts, pts[1:]) if draw(st.booleans())]
+    candidates = sorted(set(pts + [(2 * lo + hi) / 3 for _, lo, hi in terms]
+                            + draw(st.lists(_point, max_size=3))))
+    exc = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return StepFunction(terms=terms, exceptions=[(p, draw(_nonzero)) for p in exc])
+
+
+@settings(deadline=None, max_examples=150)
+@given(finite_step_functions())
+def test_certificate_round_trip_of_phi0(phi0):
+    """A certificate's phi0 reads back as the same exact data and the same
+    float arrays, bit for bit."""
+    cert = Certificate(
+        target_text="x", measure_text="uniform(0,1)", p=1.0, eps=Fraction(1, 10),
+        M=Fraction(1), b=40, scale=Fraction(1, 20), phi0=phi0, error_bound=0.05,
+        error_method="triangle-chain", min_abs_slope=Fraction(2), sup_bound=Fraction(1),
+        nondiff_count_in_window=0, window=(Fraction(-6), Fraction(6)),
+        quadrature_tolerance=0.001,
+    )
+    back = reconstruct_approximant(json.loads(json.dumps(certificate_to_dict(cert)))).phi0
+    for name in ("_pts_f", "_region", "_point", "_runs"):
+        assert np.array_equal(getattr(back, name), getattr(phi0, name), equal_nan=True)
+    assert back.terms == phi0.terms
+    assert back.exceptions == phi0.exceptions
+    assert back.endpoints() == phi0.endpoints()
 
 
 class TestSensitizeCommand:
@@ -216,6 +325,24 @@ class TestVerifyCommand:
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr
 
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "cert.json"
+        assert main([
+            "sensitize", "--target", "0", "--measure", "uniform(0,1)",
+            "--p", "1", "--eps", "1", "--M", "0", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(norms, "mc_norm", no_memory)
+        assert main(["verify", "--cert", str(out), "--samples", "10000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: not enough memory for 10000000 samples; "
+                                "lower --samples\n")
+        assert "Traceback" not in captured.err and "FAIL" not in captured.out
+
     def test_target_evaluation_failure_is_input_error(self, tmp_path):
         # log(x) is undefined at the atom at 0, where verify samples
         _, cert = make_certificate(mu="mix(0.5*atom(0), 0.5*uniform(0,1))")
@@ -249,7 +376,7 @@ class TestVerifyCommand:
                      "--points", "5", "--out", str(tmp_path / "p.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("where", ["value", "lower", "point", "scale"])
+    @pytest.mark.parametrize("where", ["value", "lower", "upper", "point", "scale"])
     def test_zero_denominator_in_certificate_is_input_error(self, tmp_path, where):
         _, cert = make_certificate()
         out = tmp_path / "cert.json"
@@ -268,6 +395,21 @@ class TestVerifyCommand:
             assert run.returncode == 2
             assert run.stderr.startswith("error: ")
             assert "Traceback" not in run.stderr
+
+
+# negative on about (0.0018, 0.0082), between the points of the grid that
+# used to check pwd densities
+NEGATIVE_PWD = "pwd(breaks(0,1,2), poly(0.0000375, -0.03, 3), poly(0.0149625))"
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--target", "x", "--measure", NEGATIVE_PWD, "--p", "1"],
+    ["sensitize", "--target", "x", "--measure", NEGATIVE_PWD, "--p", "1",
+     "--eps", "1/10", "--M", "1", "--out", "unused.json"],
+])
+def test_negative_pwd_density_is_input_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: pwd piece negative at x=")
 
 
 class TestNormCommand:

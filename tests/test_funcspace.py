@@ -12,7 +12,6 @@ from sensapprox.funcspace import (
     TriangleWave,
     build_zigzag,
 )
-from sensapprox.intervals import Interval, IntervalUnion, open_interval
 
 
 # signed zeros, the smallest and largest subnormals and the smallest normal
@@ -122,17 +121,13 @@ class TestTriangleWave:
 
 
 class TestStepFunction:
-    def test_from_indicator(self):
-        u = IntervalUnion([open_interval(0, 1)])
-        s = StepFunction.from_indicator(u, 3)
-        assert s.eval(Fraction(1, 2)) == 3
-        assert s.eval(0) == 0
-        assert s.eval(2) == 0
-
-    def test_from_indicator_rejects_half_open(self):
-        u = IntervalUnion([Interval(0, False, 1, True)])
-        with pytest.raises(ValueError):
-            StepFunction.from_indicator(u, 1)
+    @pytest.mark.parametrize("terms, exceptions", [
+        ([("1/0", 0, 1)], []), ([(1, "1/0", 2)], []), ([(1, 0, "1/0")], []),
+        ([(1, 0, 1)], [("1/0", 1)]), ([(1, 0, 1)], [(2, "1/0")]),
+    ])
+    def test_zero_denominator_raises_as_fraction_does(self, terms, exceptions):
+        with pytest.raises(ZeroDivisionError):
+            StepFunction(terms=terms, exceptions=exceptions)
 
     def test_sup_norm(self):
         s = StepFunction(terms=[(3, 0, 1), (-5, 2, 3)], exceptions=[(4, 1)])

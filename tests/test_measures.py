@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.intervals import Interval, IntervalUnion, closed_interval, open_interval, point
-from sensapprox.measures import (_BELOW_ONE, BLOCK, AtomKind, BorelMeasure, Normal,
-                                 PiecewisePoly, Uniform, _ndtri)
+from sensapprox.measures import (_BELOW_ONE, _UNDECIDED, BLOCK, AtomKind, BorelMeasure,
+                                 Normal, PiecewisePoly, Uniform, _ndtri, _negative_point)
 from sensapprox.parsing import parse_measure
 
 
@@ -457,3 +457,28 @@ def test_measure_of_matches_exact_rational_mass(ivs, a, width):
     assert abs(uniform.measure_of(s) - float(exact)) <= 1e-15
     exact = sum(_tent_cdf(iv.hi) - _tent_cdf(iv.lo) for iv in ivs)
     assert abs(TENT.measure_of(s) - float(exact)) <= 1e-15
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_small, min_size=1, max_size=4), _small,
+       st.fractions(min_value=0, max_value=Fraction(1, 64), max_denominator=4096),
+       st.booleans(),
+       st.fractions(min_value=-2, max_value=2, max_denominator=8),
+       st.fractions(min_value=Fraction(1, 8), max_value=2, max_denominator=8))
+def test_pwd_sign_check_is_sound(piece, r, m, square, a, h):
+    """A point the check returns is one where the piece is negative; a piece
+    it accepts is nonnegative on a fine exact grid; and (x - r)^2 + m >= 0
+    is never called negative."""
+    if square:
+        piece = [r * r + m, -2 * r, 1]
+    b = a + h
+    x = _negative_point(PiecewisePoly._bernstein(piece, a, b), a, b)
+    if x is None:
+        grid = (a + h * Fraction(i, 64) for i in range(65))
+        assert all(PiecewisePoly._poly(piece, y) >= 0 for y in grid)
+    elif x is not _UNDECIDED:
+        assert not square
+        assert a <= x <= b and PiecewisePoly._poly(piece, x) < 0

@@ -204,6 +204,25 @@ class TestParseMeasure:
         with pytest.raises(MeasureSpecError, match="negative"):
             parse_measure("pwd(breaks(-1,1), poly(0.5,1))")
 
+    def test_pwd_negative_between_grid_points(self):
+        # 3x^2 - 0.03x + 0.0000375 < 0 on about (0.0018, 0.0082), between
+        # the points of a 101-point grid on (0, 1)
+        with pytest.raises(MeasureSpecError, match="negative at x="):
+            parse_measure("pwd(breaks(0,1,2), poly(0.0000375, -0.03, 3), poly(0.0149625))")
+
+    @pytest.mark.parametrize("text", [
+        "pwd(breaks(0,1), poly(0,0,3))",
+        "pwd(breaks(0, 0.5, 1), poly(1), poly(3, -12, 12))",
+        "pwd(breaks(0,1), poly(3,-12,12))",  # a double root at the halving point
+    ])
+    def test_pwd_double_root_at_a_cell_end_or_midpoint(self, text):
+        assert len(parse_measure(text).components) == 1
+
+    def test_pwd_root_inside_no_halving_reaches_is_undecided(self):
+        # 9 (x - 1/3)^2: nonnegative, but 1/3 is no dyadic point of (0, 1)
+        with pytest.raises(MeasureSpecError, match="not shown nonnegative"):
+            parse_measure("pwd(breaks(0,1), poly(1,-6,9))")
+
     def test_syntax_error(self):
         with pytest.raises(ParseError):
             parse_measure("uniform(0,")
