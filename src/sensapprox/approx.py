@@ -6,8 +6,10 @@ Two routes produce the step function. When the target is detectably
 piecewise constant, its cells are taken literally (exact). Otherwise the
 grid route refines dyadic cells greedily, splitting only the cells of
 largest estimated error, gives each cell a short dyadic value, and
-certifies the result by quadrature. Either way, mu's atoms get the exact
-target value on a small interval around them. The open-set machinery
+certifies the result by quadrature. Either way, an atom of mu where the
+step function misses the target gets the target's exact value as one
+exception of the step function, a multiple of the indicator of a
+singleton. The open-set machinery
 (approximate_borel_set, truncate_union) is the paper's measure-theoretic
 route for indicator data. The pipeline does not use it: the literal cells
 and the atom pins already give indicators exactly, with less code. It
@@ -173,18 +175,15 @@ def check_finite_moment(req: ApproxRequest):
 # Step-function approximation
 
 
-def _pin_atoms(phi0: StepFunction, req: ApproxRequest, eta: Fraction) -> StepFunction:
-    """Give the step function the exact target value around mu's atoms."""
+def _pin_atoms(phi0: StepFunction, req: ApproxRequest) -> StepFunction:
+    """phi0, which has no exceptions, with the exception (loc, X(loc)) at
+    each atom of mu where phi0(loc) != X(loc)."""
+    pins = []
     for loc, _m in req.mu.atoms:
         want = eval_target(req.target, loc)
-        if phi0.eval(loc) == want:
-            continue
-        gap = eta
-        for other, _ in req.mu.atoms:
-            if other != loc:
-                gap = min(gap, abs(other - loc) / 2)
-        phi0 = phi0.override_on(loc - gap, loc + gap, want)
-    return phi0
+        if phi0.eval(loc) != want:
+            pins.append((loc, want))
+    return StepFunction(phi0.terms, pins) if pins else phi0
 
 
 def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEstimate:
@@ -315,9 +314,7 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
             v[fresh], err[fresh] = evaluate(lo[fresh], hi[fresh])
         terms = [(Fraction(x), Fraction(a), Fraction(b))
                  for a, b, x in zip(lo.tolist(), hi.tolist(), v.tolist()) if x]
-        # an atom's pin is narrower than every cell
-        eta = Fraction(float(np.min(hi - lo)) / 8) if len(lo) else Fraction(1, 1024)
-        phi0 = _pin_atoms(StepFunction(terms=terms), req, eta)
+        phi0 = _pin_atoms(StepFunction(terms=terms), req)
         est = _certified_distance(phi0, req, cert_tol)
         achieved = est.value + est.absolute_error_bound
         best = min(best, achieved)
@@ -346,7 +343,7 @@ def build_step_approximation(req: ApproxRequest, error_target=None):
 
     candidate = _piecewise_constant_candidate(req)
     if candidate is not None:
-        candidate = _pin_atoms(candidate, req, eta=Fraction(1, 1024))
+        candidate = _pin_atoms(candidate, req)
         est = _certified_distance(candidate, req, cert_tol)
         if est.value + est.absolute_error_bound < target_err:
             return candidate, est

@@ -13,6 +13,7 @@ rational strings; measured quantities are shortest round-trip decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -122,12 +123,11 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
     try:
         # str() as in _parse_rat: a JSON number reads as its decimal, while
         # true, null or a list is no rational; write_certificate emits the
-        # rows in order, so one out of order is an error, not sorted
+        # rows in order, so one out of order is an error
         phi0 = StepFunction(
             terms=[(str(t["value"]), str(t["lower"]), str(t["upper"]))
                    for t in data["phi0"]],
             exceptions=[(str(e["point"]), str(e["value"])) for e in data["exceptions"]],
-            ordered=True,
         )
         scale = _parse_rat(data["scale"])
         b = int(data["b"])
@@ -327,7 +327,9 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="sensapprox",
         description="Approximate an L^p target by a steep piecewise-linear "

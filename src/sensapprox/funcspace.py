@@ -6,8 +6,8 @@ cross-multiplication, and builds its Fractions only when asked for them;
 floats appear only in the vectorized evaluators for quadrature, Monte
 Carlo and plots. A step function is zero outside its intervals and at
 their endpoints, except at its (point, value) exceptions. It is built in
-one walk over its terms in linear time, sorting them only when they
-arrive out of order.
+one walk over its terms, which must arrive sorted and disjoint, in
+linear time.
 """
 
 from __future__ import annotations
@@ -139,21 +139,23 @@ class StepFunction:
 
     terms: tuple of (value, lo, hi) with lo < hi, sorted, disjoint, value != 0.
     exceptions: tuple of (point, value) pairs overriding the pointwise value
-    at finitely many points.
+    at finitely many points; a value of 0 is kept where it changes the
+    function, inside a term, and dropped elsewhere, so that equal
+    functions have equal terms and exceptions.
 
     Every input number is held as an integer pair (n, d), d > 0, with ±inf
     as (±1, 0) at an open end of the line; a canonical "n/d" string, as a
     certificate stores it, becomes one without a Fraction. The terms are
     checked and the breakpoints found on these pairs, by exact
     cross-multiplication, in one walk that compares each term only with
-    the end of the one before it; the terms are sorted, and checked for
-    overlap, only when they arrive out of order, as ``override_on`` appends
-    them. The float arrays behind ``eval_arr`` are built in the same pass,
-    each entry n / d, which Python rounds correctly, as float(Fraction)
-    does. The exact data, ``terms``, ``exceptions`` and ``endpoints()`` as
-    Fractions, is built on the first request and kept; an input Fraction
-    is reused, so only string input pays for new ones. Monte Carlo
-    evaluation never requests it.
+    the end of the one before it: a term that starts before that end is
+    out of order or overlaps, and raises. The float arrays behind
+    ``eval_arr`` are built in the same pass, each entry n / d, which
+    Python rounds correctly, as float(Fraction) does. The exact data,
+    ``terms``, ``exceptions`` and ``endpoints()`` as Fractions, is built
+    on the first request and kept; an input Fraction is reused, so only
+    string input pays for new ones. Monte Carlo evaluation never
+    requests it.
 
     Region k is the open cell left of breakpoint k (the last one runs to
     +inf); the value at a breakpoint is 0 unless an exception overrides it.
@@ -167,8 +169,7 @@ class StepFunction:
 
     __slots__ = ("_terms", "_exc", "_pts", "_fractions", "_pts_f", "_region", "_point", "_runs")
 
-    def __init__(self, terms=(), exceptions=(), *, ordered=False):
-        """ordered: raise on terms out of order, instead of sorting them."""
+    def __init__(self, terms=(), exceptions=()):
         rows, seen = [], {}
         for value, lo, hi in terms:
             v = _number(value, seen)
@@ -178,44 +179,38 @@ class StepFunction:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
             if v[0]:
                 rows.append((v, lo_n, hi_n))
-        walk = _walk_terms(rows)
-        if walk is None and not ordered:
-            rows.sort(key=lambda t: _key(t[1]))
-            walk = _walk_terms(rows)
-        if walk is None:
-            raise ValueError("step-function intervals must be "
-                             + ("sorted and disjoint" if ordered else "disjoint"))
-        pts, region = walk
-        exc = []
-        for pt, value in exceptions:
-            v = _number(value, seen)
-            if v[0]:
-                exc.append((_number(pt, seen), v))
-        exc.sort(key=lambda e: _key(e[0]))
+        pts, region = _walk_terms(rows)
+        exc = sorted(((_number(pt, seen), _number(value, seen))
+                      for pt, value in exceptions), key=lambda e: _key(e[0]))
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
             if not _cmp(p1, p2):
                 raise ValueError(f"duplicate exception point {_exact(p1)}")
 
         point = [0.0] * len(pts)
-        for p, (n, d, _) in exc:
+        kept = []
+        for p, v in exc:
             i = bisect.bisect_left(pts, _key(p), key=_key)
-            if i == len(pts) or _cmp(pts[i], p):
+            at_end = i < len(pts) and not _cmp(pts[i], p)
+            if not v[0] and (at_end or not region[i][0]):
+                continue  # the function is 0 there already
+            if not at_end:
                 # p splits region i into two cells of the same value
                 pts.insert(i, p)
                 region.insert(i, region[i])
                 point.insert(i, 0.0)
-            point[i] = n / d
+            point[i] = v[0] / v[1]
+            kept.append((p, v))
         self._terms = rows
-        self._exc = exc
+        self._exc = kept
         self._pts = pts
         self._fractions = None
         self._pts_f = np.array([n / d for n, d, _ in pts] + [math.nan])
-        self._region = np.array(region)
+        self._region = np.array([n / d for n, d, _ in region])
         self._point = np.array(point)
         # region 0, point 0, region 1, ..., region k: the values of the runs
         # of an ascending input
         self._runs = np.empty(len(region) + len(point))
-        self._runs[0::2] = region
+        self._runs[0::2] = self._region
         self._runs[1::2] = point
 
     def _fraction_data(self):
@@ -272,25 +267,6 @@ class StepFunction:
         vals += [abs(v) for _, v in self.exceptions]
         return max(vals, default=Fraction(0))
 
-    def override_on(self, lo, hi, value):
-        """Replace the function by `value` on the open interval (lo, hi)."""
-        lo = as_rational(lo)
-        hi = as_rational(hi)
-        if not lo < hi:
-            raise ValueError("override interval requires lo < hi")
-        terms = []
-        for v, tlo, thi in self.terms:
-            if thi <= lo or tlo >= hi:
-                terms.append((v, tlo, thi))
-                continue
-            if tlo < lo:
-                terms.append((v, tlo, lo))
-            if thi > hi:
-                terms.append((v, hi, thi))
-        terms.append((value, lo, hi))
-        exceptions = [(p, v) for p, v in self.exceptions if not lo < p < hi]
-        return StepFunction(terms=terms, exceptions=exceptions)
-
     # -- vectorized evaluation ------------------------------------------------
 
     def eval_arr(self, xs) -> np.ndarray:
@@ -313,34 +289,42 @@ class StepFunction:
     def _merge_lookup(self, xs):
         """The same values for ascending xs: each breakpoint is placed among
         the points, which then form runs of region k, breakpoint k, region
-        k + 1, ..., and the output repeats each run's value."""
+        k + 1, ..., and the output repeats each run's value. Two exact
+        breakpoints can round to one float; the running maximum of the run
+        ends gives the points at that float to the first of them, and empty
+        runs to the rest, as the binary search does."""
         pts = self._pts_f[:-1]
         ends = np.empty(2 * pts.size + 2, dtype=np.intp)
         ends[0] = 0
         ends[1:-1:2] = np.searchsorted(xs, pts, side="left")
         ends[2:-1:2] = np.searchsorted(xs, pts, side="right")
         ends[-1] = xs.size
+        np.maximum.accumulate(ends, out=ends)
         return np.repeat(self._runs, np.diff(ends))
 
 
+_ZERO = (0, 1, None)
+
+
 def _walk_terms(terms):
-    """Breakpoints and region values of sorted disjoint terms, or None when
-    a term starts before the previous one ends (out of order or overlap)."""
+    """Breakpoints and region values (numbers, _ZERO off the terms) of
+    sorted disjoint terms; a term that starts before the previous one ends
+    is out of order or overlaps, and raises ValueError."""
     pts, region, prev = [], [], _NEG_INF
-    for (n, d, _), lo, hi in terms:
+    for v, lo, hi in terms:
         c = _cmp(lo, prev)
         if c < 0:
-            return None
+            raise ValueError("step-function intervals must be sorted and disjoint")
         if c:
             pts.append(lo)
-            region.append(0.0)
+            region.append(_ZERO)
         pts.append(hi)
-        region.append(n / d)
+        region.append(v)
         prev = hi
     if prev == _POS_INF:
         pts.pop()
     else:
-        region.append(0.0)
+        region.append(_ZERO)
     return pts, region
 
 

@@ -3,10 +3,9 @@
 A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
 Each density kind has one distribution function, the float ``cdf_arr``;
-interval masses, quantiles and the essential window all go through it,
-while atoms are counted exactly. The normal CDF is libm's ``math.erf``,
-taken point by point: it only ever sees the scalars of the quantile
-bisection and a few interval ends. Each kind also states its ``variation``:
+interval masses go through it, while atoms are counted exactly. The
+normal CDF is libm's ``math.erf``, taken point by point: it only ever
+sees a few interval ends. Each kind also states its ``variation``:
 the jumps of its density and a bound on the variation between them, from
 which ``norms.wave_norm_bound`` bounds the wave term in closed form.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
@@ -521,7 +520,7 @@ class BorelMeasure:
         return cls(atoms=atoms, parts=parts, total_mass=spec.declared_total_mass,
                    source_text=spec.source_text)
 
-    # -- CDF / quantile -----------------------------------------------------
+    # -- CDF ----------------------------------------------------------------
 
     def cdf_arr(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -531,39 +530,6 @@ class BorelMeasure:
         for w, kind in self.parts:
             acc += float(w) * kind.cdf_arr(xs)
         return acc
-
-    def _bracket(self):
-        los = [float(loc) - 1.0 for loc, _ in self.atoms]
-        his = [float(loc) + 1.0 for loc, _ in self.atoms]
-        for _, kind in self.parts:
-            a, b = kind.window(1e-16)
-            los.append(a - 1.0)
-            his.append(b + 1.0)
-        if not los:
-            return -1.0, 1.0
-        return min(los), max(his)
-
-    def quantile(self, q):
-        """Generalized inverse: inf{x : cdf(x) >= q}, for q in (0, total]."""
-        qf = float(q)
-        if not 0.0 < qf <= float(self.total_mass):
-            raise ValueError(f"quantile level {q} outside (0, total_mass]")
-        for loc, m in self.atoms:
-            hi = float(self.cdf_arr(float(loc)))
-            if hi - float(m) < qf <= hi:
-                return float(loc)
-        lo, hi = self._bracket()
-        while self.cdf_arr(lo) >= qf:
-            lo = 2.0 * lo - 1.0
-        while self.cdf_arr(hi) < qf:
-            hi = 2.0 * hi + 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if self.cdf_arr(mid) >= qf:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     # -- interval masses ----------------------------------------------------
 
@@ -633,11 +599,18 @@ class BorelMeasure:
     # -- support window ------------------------------------------------------
 
     def essential_window(self, delta):
-        """Finite (a, b) with mass outside at most delta."""
+        """Finite (a, b) with mass outside at most delta: the hull of the
+        atoms and of each part's window(t), t = min(delta / (2 W), 1/4),
+        where W is the parts' weight. A unit part has mass at most t on
+        each side of its window, so the mass outside is at most
+        2 t W <= delta."""
         if not 0 < delta < float(self.total_mass):
             raise ValueError("delta must lie in (0, total_mass)")
-        a = self.quantile(delta / 2.0)
-        b = self.quantile(float(self.total_mass) - delta / 2.0)
+        ends = [float(loc) for loc, _ in self.atoms]
+        weight = float(sum(w for w, _ in self.parts))
+        for _, kind in self.parts:
+            ends.extend(kind.window(min(delta / (2.0 * weight), 0.25)))
+        a, b = min(ends), max(ends)
         pad = max(1e-9, 1e-9 * (abs(a) + abs(b)))
         return a - pad, b + pad
 

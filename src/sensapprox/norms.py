@@ -108,7 +108,10 @@ def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
     total = 0.0
     err = 0.0
     for loc, m in mu.atoms:
-        total += float(m) * float(power(np.array([float(loc)]))[0])
+        try:
+            total += float(m) * float(power(np.array([float(loc)]))[0])
+        except EvaluationError as exc:
+            raise NonIntegrableError(f"integrand evaluation failed at atom {loc}: {exc}") from exc
 
     cont_w = sum(float(w) for w, _ in mu.parts)
     for w, kind in mu.parts:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sensapprox import approx
 from sensapprox.approx import (
     ApproxRequest,
     NonFiniteMomentError,
@@ -150,6 +151,29 @@ class TestBuildStepApproximation:
         phi0, _ = build_step_approximation(req)
         assert phi0.eval(0) == 1
 
+    @pytest.mark.parametrize("target, mu, pin", [
+        # the pin's value is 0, at a point inside a nonzero cell
+        ("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", (Fraction(3, 10), 0)),
+        ("x^2", "mix(0.3*atom(0.5), 0.7*normal(0,1))", (Fraction(1, 2), Fraction(1, 4))),
+        # literal route: the atom sits on a threshold, where the cells are 0
+        ("if(x < 1/2, if(x > 0, 1, if(x > -1, 2, 0)), 0)",
+         "mix(0.5*atom(0), 0.5*uniform(-1,1))", (Fraction(0), 2)),
+    ])
+    def test_atom_pin_is_one_exception_and_no_row(self, monkeypatch, target, mu, pin):
+        unpinned = []
+        pin_atoms = approx._pin_atoms
+
+        def spy(phi0, req):
+            unpinned.append(phi0)
+            return pin_atoms(phi0, req)
+        monkeypatch.setattr(approx, "_pin_atoms", spy)
+        phi0, _ = build_step_approximation(request(target, mu, p=1, eps="1/10", M=1))
+        assert phi0.exceptions == (pin,)
+        assert phi0.eval(pin[0]) == pin[1]
+        assert unpinned[-1].exceptions == ()
+        assert unpinned[-1].eval(pin[0]) != pin[1]
+        assert phi0.terms == unpinned[-1].terms
+
     @pytest.mark.parametrize("mu", [
         "uniform(0,1)",
         "uniform(0.3,1)",
@@ -165,16 +189,12 @@ class TestBuildStepApproximation:
         phi0, est = build_step_approximation(req)
         target_err = 1 / 40
         assert est.value + est.absolute_error_bound < target_err
-        atoms = [loc for loc, _ in req.mu.atoms]
-        # an atom pin keeps the exact target value on its own small interval
-        pins = [t for t in phi0.terms if any(t[1] < loc < t[2] for loc in atoms)]
-        pin_ends = {e for _, lo, hi in pins for e in (lo, hi)}
+        # an atom pin is an exception, and leaves every cell dyadic
+        assert {pt for pt, _ in phi0.exceptions} <= {loc for loc, _ in req.mu.atoms}
         root = float(req.mu.total_mass) ** (1 / p)
         for (v, lo, hi), nxt in zip(phi0.terms, phi0.terms[1:] + ((0, math.inf, 0),)):
             assert lo < hi <= nxt[1]  # sorted and disjoint
-            if (v, lo, hi) in pins:
-                continue
-            for q in {v, lo, hi} - pin_ends:
+            for q in {v, lo, hi}:
                 d = q.denominator
                 assert d & (d - 1) == 0, (q, lo, hi)
             # a multiple of 2^-k, k the least with 2^-k mass^(1/p) <= target_err / 64

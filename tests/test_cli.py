@@ -14,6 +14,7 @@ from sensapprox import norms
 from sensapprox.approx import ApproxRequest, Certificate, sensitize
 from sensapprox.cli import (
     CorruptCertificate,
+    build_parser,
     certificate_to_dict,
     main,
     read_certificate,
@@ -170,18 +171,21 @@ class TestCertificateDecoding:
 
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=60)
 _nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=30).filter(bool)
+# an exception of value 0 is kept inside a term and must read back
+_exc_value = st.fractions(min_value=-9, max_value=9, max_denominator=30)
 
 
 @st.composite
 def finite_step_functions(draw):
     """Sorted disjoint terms over non-dyadic rational ends, shared ends and
-    gaps included, and exceptions at ends, inside terms and elsewhere."""
+    gaps included, and exceptions, of value 0 too, at ends, inside terms
+    and elsewhere."""
     pts = sorted(set(draw(st.lists(_point, max_size=10))))
     terms = [(draw(_nonzero), lo, hi) for lo, hi in zip(pts, pts[1:]) if draw(st.booleans())]
     candidates = sorted(set(pts + [(2 * lo + hi) / 3 for _, lo, hi in terms]
                             + draw(st.lists(_point, max_size=3))))
     exc = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
-    return StepFunction(terms=terms, exceptions=[(p, draw(_nonzero)) for p in exc])
+    return StepFunction(terms=terms, exceptions=[(p, draw(_exc_value)) for p in exc])
 
 
 @settings(deadline=None, max_examples=150)
@@ -272,6 +276,46 @@ class TestSensitizeCommand:
         ])
         assert rc == 4
         assert "hypothesis violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", ["atom(0.5)", "mix(0.5*atom(0.5), 0.5*uniform(0,1))"])
+    @pytest.mark.parametrize("command", ["sensitize", "norm"])
+    def test_target_undefined_at_an_atom_is_hypothesis_error(self, tmp_path, command, measure):
+        args = ["--target", "1/(x-0.5)", "--measure", measure, "--p", "1"]
+        if command == "sensitize":
+            args += ["--eps", "1/10", "--M", "1", "--out", str(tmp_path / "c.json")]
+        run = run_cli(command, *args)
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("hypothesis violation: ")
+        assert "Traceback" not in run.stderr
+
+    def test_atom_pin_of_value_zero(self, tmp_path, capsys):
+        # x - 0.3 is 0 at the atom, inside a cell of nonzero value
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "x-0.3",
+                     "--measure", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
+                     "--p", "1", "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
+        data = read_certificate(out)
+        assert data["exceptions"] == [{"point": "3/10", "value": "0/1"}]
+        phi0 = reconstruct_approximant(data).phi0
+        assert phi0.exceptions == ((Fraction(3, 10), 0),)
+        assert phi0.eval(Fraction(3, 10)) == 0 and phi0.eval_arr(0.3) == 0.0
+        assert StepFunction(terms=phi0.terms).eval(Fraction(3, 10)) != 0
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_breakpoints_that_round_to_one_float(self, tmp_path):
+        # 1/3 and the 21-digit threshold round to the float of the atom,
+        # which the sorted draws of verify hit
+        out = tmp_path / "cert.json"
+        run = run_cli("sensitize", "--target",
+                      "if(x > 0, if(x < 1/3, 1, if(x < 0.333333333333333333333, 2, 0)), 0)",
+                      "--measure", "mix(0.5*atom(0.3333333333333333), 0.5*uniform(0,1))",
+                      "--p", "1", "--eps", "1/10", "--M", "1", "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        run = run_cli("verify", "--cert", str(out), "--samples", "200000", "--seed", "3")
+        assert run.returncode == 0, run.stderr
+        assert "PASS" in run.stdout
 
 
 class TestVerifyCommand:
@@ -521,3 +565,13 @@ def test_cli_import_leaves_scipy_out():
     run = run_python("-c", "import sys, sensapprox.cli; print('scipy' in sys.modules)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_main_builds_the_parser_once():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["norm", "--target", "x", "--measure", "u",
+                                       "--p", "1", "--tol", "1e-3"])
+    second = build_parser().parse_args(["norm", "--target", "y", "--measure", "u",
+                                        "--p", "2"])
+    assert (first.target, first.p, first.tol) == ("x", "1", "1e-3")
+    assert (second.target, second.p, second.tol) == ("y", "2", "1e-6")

@@ -133,13 +133,25 @@ class TestStepFunction:
         s = StepFunction(terms=[(3, 0, 1), (-5, 2, 3)], exceptions=[(4, 1)])
         assert s.sup_norm() == 5
 
-    def test_override_on(self):
-        s = StepFunction(terms=[(2, 0, 4)])
-        t = s.override_on(1, 2, 7)
-        assert t.eval(Fraction(3, 2)) == 7
-        assert t.eval(Fraction(1, 2)) == 2
-        assert t.eval(3) == 2
-        assert t.eval(1) == 0 and t.eval(2) == 0
+    def test_zero_exception_inside_a_term_is_kept(self):
+        s = StepFunction(terms=[(1, 0, 1)], exceptions=[(Fraction(1, 2), 0)])
+        assert s.exceptions == ((Fraction(1, 2), 0),)
+        assert s.eval(Fraction(1, 2)) == 0
+        assert s.eval_arr(np.array([0.25, 0.5, 0.75])).tolist() == [1.0, 0.0, 1.0]
+        assert s.eval_arr(0.5) == 0.0
+        assert s != StepFunction(terms=[(1, 0, 1)])
+
+    @pytest.mark.parametrize("point", [0, 1, -1, 2, Fraction(3, 2)])
+    def test_zero_exception_where_the_terms_are_zero_is_dropped(self, point):
+        plain = StepFunction(terms=[(1, 0, 1), (2, 1, 2)])
+        s = StepFunction(terms=[(1, 0, 1), (2, 1, 2)], exceptions=[(point, 0)])
+        if point == Fraction(3, 2):  # inside the second term: kept
+            assert s.exceptions == ((point, 0),)
+            return
+        assert s.exceptions == ()
+        assert s == plain and hash(s) == hash(plain)
+        assert s.endpoints() == plain.endpoints()
+        assert np.array_equal(s._runs, plain._runs)
 
     def test_eval_arr_matches_eval(self):
         s = StepFunction(terms=[(2, 0, 1), (-1, 1, 2)], exceptions=[(1, 5)])
@@ -161,14 +173,16 @@ _dyadic = st.builds(
     st.integers(min_value=-64, max_value=64), st.integers(min_value=0, max_value=4),
 )
 _value = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+# an exception's value may be 0: kept inside a term, dropped elsewhere
+_exc_value = st.fractions(min_value=-9, max_value=9, max_denominator=7)
 
 
 @st.composite
 def step_parts(draw):
     """Sorted disjoint terms, possibly with infinite ends, shared ends and
-    gaps, plus exceptions at term ends, inside terms and elsewhere; all
-    points are dyadic, so they are exact floats and eval_arr must agree
-    with eval exactly."""
+    gaps, plus exceptions, of value 0 too, at term ends, inside terms and
+    elsewhere; all points are dyadic, so they are exact floats and
+    eval_arr must agree with eval exactly."""
     pts = sorted(set(draw(st.lists(_dyadic, max_size=8))))
     ends = [-math.inf] + pts + [math.inf]
     terms = [
@@ -180,7 +194,7 @@ def step_parts(draw):
                 if math.isfinite(lo) and math.isfinite(hi)]
     candidates = sorted(set(pts + interior + draw(st.lists(_dyadic, max_size=3))))
     exc_pts = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
-    return terms, [(p, draw(_value)) for p in exc_pts]
+    return terms, [(p, draw(_exc_value)) for p in exc_pts]
 
 
 def step_functions():
@@ -232,23 +246,50 @@ def test_merge_lookup_equals_the_binary_search(s, extra, repeats, data):
         assert_same_floats(s.eval_arr(ys), s._search_lookup(ys))
 
 
+@st.composite
+def near_equal_step_parts(draw):
+    """Terms and exceptions whose exact breakpoints come in clusters that
+    round to one float: around each float c, two or three of c - u/8, c
+    and c + u/8, u the ulp of c. Returns the terms, the exceptions and
+    the floats c."""
+    centres = sorted(set(draw(st.lists(st.floats(-100, 100), min_size=1, max_size=4))))
+    pts = set()
+    for c in centres:
+        q, u = Fraction(c), Fraction(math.ulp(c)) / 8
+        pts.update(draw(st.lists(st.sampled_from([q - u, q, q + u]),
+                                 min_size=2, max_size=3, unique=True)))
+    pts = sorted(pts)
+    ends = [-math.inf] + pts + [math.inf]
+    terms = [(draw(_value), lo, hi) for lo, hi in zip(ends, ends[1:]) if draw(st.booleans())]
+    exc_pts = draw(st.lists(st.sampled_from(pts), unique=True))
+    return terms, [(p, draw(_exc_value)) for p in exc_pts], centres
+
+
 @settings(deadline=None)
-@given(step_parts(), st.data())
-def test_any_term_order_builds_the_sorted_function(parts, data):
+@given(near_equal_step_parts())
+def test_merge_lookup_at_breakpoints_that_round_to_one_float(parts):
+    terms, exc, centres = parts
+    s = StepFunction(terms=terms, exceptions=exc)
+    xs = sorted(centres + [math.nextafter(c, d) for c in centres
+                           for d in (-math.inf, math.inf)])
+    for points in (np.array(xs), np.repeat(xs, 2), np.array(centres)):
+        assert_same_floats(s.eval_arr(points), s._search_lookup(points))
+
+
+@settings(deadline=None)
+@given(step_parts().filter(lambda parts: len(parts[0]) > 1), st.data())
+def test_any_unsorted_term_order_raises(parts, data):
     terms, exc = parts
-    want = StepFunction(terms=terms, exceptions=exc)
-    xs = [float(p) for p in want.endpoints()]
-    xs = np.array(xs + [math.nextafter(x, d) for x in xs
-                        for d in (-math.inf, math.inf)])
+    StepFunction(terms=terms, exceptions=exc)  # the sorted order builds
     if len(terms) <= 5:
         orders = list(itertools.permutations(terms))
     else:
         orders = [data.draw(st.permutations(terms)) for _ in range(20)]
     for order in orders:
-        got = StepFunction(terms=order, exceptions=exc)
-        assert got.terms == want.terms
-        assert got.endpoints() == want.endpoints()
-        assert got.eval_arr(xs).tolist() == want.eval_arr(xs).tolist()
+        if list(order) == terms:
+            continue
+        with pytest.raises(ValueError, match="sorted and disjoint"):
+            StepFunction(terms=order, exceptions=exc)
 
 
 @settings(deadline=None)

@@ -81,37 +81,14 @@ class TestMeasureOf:
         assert MIX.measure_of(IntervalUnion()) == 0.0
 
 
-class TestCdfQuantile:
+class TestCdf:
     def test_uniform_cdf(self):
         assert UNIFORM.cdf_arr(0.3) == pytest.approx(0.3, abs=1e-15)
-
-    def test_atom_absorbs_quantile(self):
-        assert MIX.quantile(0.25) == 0
-
-    def test_normal_median(self):
-        assert NORMAL.quantile(0.5) == pytest.approx(0.0, abs=1e-9)
-
-    def test_quantile_inverse_property(self):
-        for q in (0.05, 0.3, 0.51, 0.77, 0.99):
-            for mu in (UNIFORM, NORMAL, MIX):
-                x = mu.quantile(q)
-                assert mu.cdf_arr(x) >= q - 1e-9
-
-    def test_quantile_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            UNIFORM.quantile(0.0)
-        with pytest.raises(ValueError):
-            UNIFORM.quantile(1.5)
 
     def test_cdf_jump_equals_atom_mass(self):
         below = MIX.cdf_arr(-1e-12)
         at = MIX.cdf_arr(0.0)
         assert at - below == pytest.approx(0.5, abs=1e-9)
-
-    def test_atom_off_the_binary_grid_is_its_own_quantile(self):
-        # float(7/10) lies below 7/10: an exact comparison missed the atom
-        assert measure("mix(0.5*atom(0.7), 0.5*uniform(0,1))").quantile(0.5) == 0.7
-        assert measure("atom(0.3)").quantile(0.5) == 0.3
 
 
 class TestSample:
