@@ -83,9 +83,10 @@ def build_zigzag(eps, M) -> TriangleWave:
 # ---------------------------------------------------------------------------
 # Step functions
 
-# the infinite ends of the line as numbers (see _number)
+# the infinite ends of the line, and zero, as numbers (see _number)
 _NEG_INF = (-1, 0, NEG_INF)
 _POS_INF = (1, 0, POS_INF)
+_ZERO = (0, 1, None)
 
 
 def _number(x, seen):
@@ -301,9 +302,6 @@ class StepFunction:
         ends[-1] = xs.size
         np.maximum.accumulate(ends, out=ends)
         return np.repeat(self._runs, np.diff(ends))
-
-
-_ZERO = (0, 1, None)
 
 
 def _walk_terms(terms):
