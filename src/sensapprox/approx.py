@@ -177,9 +177,12 @@ def check_finite_moment(req: ApproxRequest):
 
 def _pin_atoms(phi0: StepFunction, req: ApproxRequest) -> StepFunction:
     """phi0, which has no exceptions, with the exception (loc, X(loc)) at
-    each atom of mu where phi0(loc) != X(loc)."""
+    each atom of mu where phi0(loc) != X(loc); the atoms are sorted, and a
+    location listed twice is pinned once."""
     pins = []
     for loc, _m in req.mu.atoms:
+        if pins and pins[-1][0] == loc:
+            continue
         want = eval_target(req.target, loc)
         if phi0.eval(loc) != want:
             pins.append((loc, want))

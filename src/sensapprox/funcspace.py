@@ -200,6 +200,12 @@ class StepFunction:
                 region.insert(i, region[i])
                 point.insert(i, 0.0)
             point[i] = v[0] / v[1]
+            # both float lookups read the first breakpoint of a float, and
+            # one before p can round to p's float: it takes p's value
+            pf, j = p[0] / p[1], i
+            while j and pts[j - 1][0] / pts[j - 1][1] == pf:
+                j -= 1
+            point[j] = point[i]
             kept.append((p, v))
         self._terms = rows
         self._exc = kept

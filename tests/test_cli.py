@@ -304,6 +304,23 @@ class TestSensitizeCommand:
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("measure", [
+        # one location listed twice is pinned once
+        "mix(0.5*atom(0.3), 0.5*atom(0.3))",
+        "mix(0.25*atom(0.3), 0.25*atom(0.3), 0.5*uniform(0,1))",
+        # the atom and the cell end 1/2 are one float
+        "mix(0.5*atom(0.50000000000000000001), 0.5*uniform(0,1))",
+        "mix(0.5*atom(0.49999999999999999999), 0.5*uniform(0,1))",
+    ])
+    def test_awkward_atoms_sensitize_and_verify(self, tmp_path, capsys, measure):
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "x", "--measure", measure, "--p", "1",
+                     "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
+        assert len(read_certificate(out)["exceptions"]) == 1
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_breakpoints_that_round_to_one_float(self, tmp_path):
         # 1/3 and the 21-digit threshold round to the float of the atom,
         # which the sorted draws of verify hit

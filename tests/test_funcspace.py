@@ -141,17 +141,25 @@ class TestStepFunction:
         assert s.eval_arr(0.5) == 0.0
         assert s != StepFunction(terms=[(1, 0, 1)])
 
-    @pytest.mark.parametrize("point", [0, 1, -1, 2, Fraction(3, 2)])
+    @pytest.mark.parametrize("point", [0, 1, -1, 2])
     def test_zero_exception_where_the_terms_are_zero_is_dropped(self, point):
         plain = StepFunction(terms=[(1, 0, 1), (2, 1, 2)])
         s = StepFunction(terms=[(1, 0, 1), (2, 1, 2)], exceptions=[(point, 0)])
-        if point == Fraction(3, 2):  # inside the second term: kept
-            assert s.exceptions == ((point, 0),)
-            return
         assert s.exceptions == ()
         assert s == plain and hash(s) == hash(plain)
         assert s.endpoints() == plain.endpoints()
         assert np.array_equal(s._runs, plain._runs)
+
+    @pytest.mark.parametrize("offset", [1, -1])
+    def test_exception_at_the_float_of_a_breakpoint_wins_there(self, offset):
+        # 1/2 + offset * 10^-20 and the term end 1/2 are one float
+        pt = Fraction(1, 2) + Fraction(offset, 10**20)
+        s = StepFunction(terms=[(1, 0, Fraction(1, 2)), (2, Fraction(1, 2), 1)],
+                         exceptions=[(pt, 5)])
+        assert s.eval(Fraction(1, 2)) == 0 and s.eval(pt) == 5
+        for xs in (np.array([0.5]), np.array([0.25, 0.5, 0.5, 0.75]), np.array([0.75, 0.5])):
+            assert s.eval_arr(xs)[xs == 0.5].tolist() == [5.0] * int((xs == 0.5).sum())
+            assert s._search_lookup(xs).tolist() == s.eval_arr(xs).tolist()
 
     def test_eval_arr_matches_eval(self):
         s = StepFunction(terms=[(2, 0, 1), (-1, 1, 2)], exceptions=[(1, 5)])
@@ -274,6 +282,12 @@ def test_merge_lookup_at_breakpoints_that_round_to_one_float(parts):
                            for d in (-math.inf, math.inf)])
     for points in (np.array(xs), np.repeat(xs, 2), np.array(centres)):
         assert_same_floats(s.eval_arr(points), s._search_lookup(points))
+    # an exception alone at its float gives its value there, whichever
+    # breakpoint of that float sorts first
+    for c in centres:
+        values = [v for p, v in s.exceptions if float(p) == c]
+        if len(values) == 1:
+            assert s.eval_arr(np.array([c])).tolist() == [float(values[0])]
 
 
 @settings(deadline=None)
