@@ -38,7 +38,6 @@ from .parsing import (
     eval_target_array,
     parse_measure,
     parse_target,
-    print_target,
 )
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "parse_measure",
     "parse_target",
     "point",
-    "print_target",
     "sensitize",
     "truncate_union",
     "wave_norm_bound",

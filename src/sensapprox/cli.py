@@ -23,7 +23,7 @@ import numpy as np
 
 from . import approx, norms
 from .funcspace import SensitiveApproximant, StepFunction, TriangleWave
-from .intervals import uniform_grid, uniform_grid_floats
+from .intervals import uniform_grid_floats
 from .measures import BorelMeasure
 from .parsing import (
     EvaluationError,
@@ -54,10 +54,6 @@ MAX_VERIFY_SAMPLES = 10**7
 
 def _rat(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
-
-
-def _parse_rat(text) -> Fraction:
-    return Fraction(str(text))
 
 
 def certificate_to_dict(cert: approx.Certificate) -> dict:
@@ -121,7 +117,7 @@ def read_certificate(path) -> dict:
 
 def reconstruct_approximant(data: dict) -> SensitiveApproximant:
     try:
-        # str() as in _parse_rat: a JSON number reads as its decimal, while
+        # str() of each field: a JSON number reads as its decimal, while
         # true, null or a list is no rational; write_certificate emits the
         # rows in order, so one out of order is an error
         phi0 = StepFunction(
@@ -129,12 +125,12 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
                    for t in data["phi0"]],
             exceptions=[(str(e["point"]), str(e["value"])) for e in data["exceptions"]],
         )
-        scale = _parse_rat(data["scale"])
+        scale = _parse_fraction(str(data["scale"]), "scale")
         b = int(data["b"])
-        eps = _parse_rat(data["request"]["eps"])
-        M = _parse_rat(data["request"]["M"])
+        eps = _parse_fraction(str(data["request"]["eps"]), "eps")
+        M = _parse_fraction(str(data["request"]["M"]), "M")
         p = _parse_p(str(data["request"]["p"]))
-        stored_slope = _parse_rat(data["min_abs_slope"])
+        stored_slope = _parse_fraction(str(data["min_abs_slope"]), "min_abs_slope")
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise CorruptCertificate(f"malformed certificate field: {exc}") from exc
     if stored_slope != scale * b:
@@ -312,8 +308,9 @@ def cmd_plot(args) -> int:
     try:
         ts = eval_target_array(target, xs)
     except EvaluationError:
-        # some row cannot be evaluated: exact values row by row, NaN there
-        ts = np.array([_target_or_nan(target, x) for x in uniform_grid(lo, hi, n - 1)])
+        # some row cannot be evaluated: the same float abscissae row by
+        # row, NaN there
+        ts = np.array([_target_or_nan(target, x) for x in xs.tolist()])
     cols = (map(repr, col.tolist()) for col in (xs, ts, ys))
     with open(args.out, "w") as fh:
         fh.write("x,target,approximant\n" + "\n".join(map(",".join, zip(*cols))) + "\n")

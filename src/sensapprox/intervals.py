@@ -34,28 +34,16 @@ def as_endpoint(x):
     return x if isinstance(x, float) and math.isinf(x) else as_rational(x)
 
 
-def _grid_numerators(lo, hi, n):
-    """The numerators of lo + (hi - lo) i / n, i = 0..n, over the common
-    denominator d n of lo, hi and n, and that denominator."""
+def uniform_grid_floats(lo, hi, n):
+    """float(x) of each of the n + 1 points x = lo + (hi - lo) i / n: the
+    numerators over the common denominator d n of lo, hi and n, divided as
+    integers, which rounds correctly, as float(x) does."""
     lo, hi = as_rational(lo), as_rational(hi)
     d = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     step = hi.numerator * (d // hi.denominator) - a
-    return [a * n + step * i for i in range(n + 1)], d * n
-
-
-def uniform_grid(lo, hi, n):
-    """The n + 1 points lo + (hi - lo) i / n as Fractions: one gcd per
-    point, no Fraction sums."""
-    nums, den = _grid_numerators(lo, hi, n)
-    return [Fraction(k, den) for k in nums]
-
-
-def uniform_grid_floats(lo, hi, n):
-    """float(x) of each point x of uniform_grid(lo, hi, n), without the
-    Fractions: the integer quotient rounds correctly, as float(x) does."""
-    nums, den = _grid_numerators(lo, hi, n)
-    return [k / den for k in nums]
+    den = d * n
+    return [(a * n + step * i) / den for i in range(n + 1)]
 
 
 @dataclass(frozen=True)

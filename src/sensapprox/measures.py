@@ -69,10 +69,10 @@ _AS241_FAR = _columns(
      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
      2.04426310338993978564e-15),
 )
-# points per block of the Monte Carlo path (ndtri, from_uniforms, and
-# mc_norm in norms): a few block-sized temporaries (256 kB each) stay in
-# cache; on 10^6 sorted points one block of all of them takes more than
-# twice as long, and smaller blocks make more numpy calls
+# points per block of the Monte Carlo path (from_uniforms, which feeds
+# ndtri, and mc_norm in norms): a few block-sized temporaries (256 kB
+# each) stay in cache; on 10^6 sorted points one block of all of them
+# takes more than twice as long, and smaller blocks make more numpy calls
 BLOCK = 1 << 15
 
 
@@ -131,25 +131,22 @@ def _ndtri(p):
     NaN outside [0, 1].
 
     Each p is mapped on its own, so the result does not depend on the
-    order or the blocking of the input. Masks split each block into the
-    lower tail, the central band [0.075, 0.925] and the upper tail; NaN
-    falls in the upper tail, which maps it to NaN.
+    order or the blocking of the input; ``from_uniforms`` passes at most
+    ``BLOCK`` points at a time. Masks split p into the lower tail, the
+    central band [0.075, 0.925] and the upper tail; NaN falls in the upper
+    tail, which maps it to NaN.
     """
     p = np.asarray(p, dtype=float)
-    flat = p.ravel()
-    out = np.empty_like(flat)
+    out = np.empty_like(p)
+    low = p < 0.075
+    high = ~(p <= 0.925)
+    mid = ~(low | high)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, flat.size, BLOCK):
-            blk, dst = flat[s:s + BLOCK], out[s:s + BLOCK]
-            low = blk < 0.075
-            high = ~(blk <= 0.925)
-            mid = ~(low | high)
-            for part, branch in ((mid, _ndtri_central), (low, _ndtri_low),
-                                 (high, _ndtri_high)):
-                x = blk[part]
-                if x.size:
-                    dst[part] = branch(x)
-    return out.reshape(p.shape)
+        for part, branch in ((mid, _ndtri_central), (low, _ndtri_low), (high, _ndtri_high)):
+            x = p[part]
+            if x.size:
+                out[part] = branch(x)
+    return out
 
 
 def _slices(lowers, u):
@@ -201,9 +198,6 @@ class Uniform:
         a, b = float(self.a), float(self.b)
         return a + (b - a) * v
 
-    def breakpoints(self):
-        return [self.a, self.b]
-
     def variation(self):
         """Density jumps (x, jump) and the variation left between them."""
         h = 1 / (self.b - self.a)
@@ -223,9 +217,7 @@ class Normal:
         object.__setattr__(self, "std", as_rational(self.std))
 
     def cdf_arr(self, xs):
-        z = (xs - float(self.mean)) / float(self.std) / _SQRT2
-        if not isinstance(z, np.ndarray):  # a scalar, or a 0-d input made one
-            return 0.5 * (1.0 + math.erf(z))
+        z = np.asarray((xs - float(self.mean)) / float(self.std) / _SQRT2)
         erf = np.fromiter(map(math.erf, z.ravel()), float, z.size).reshape(z.shape)
         return 0.5 * (1.0 + erf)
 
@@ -236,9 +228,6 @@ class Normal:
 
     def inv_cdf_arr(self, v):
         return float(self.mean) + float(self.std) * _ndtri(v)
-
-    def breakpoints(self):
-        return []
 
     def variation(self):
         """No jumps; the density rises to pdf(mean) and falls back."""
@@ -265,9 +254,6 @@ class Exponential:
 
     def inv_cdf_arr(self, v):
         return -np.log1p(-v) / float(self.rate)
-
-    def breakpoints(self):
-        return [Fraction(0)]
 
     def variation(self):
         """A jump of rate at 0, then a fall from rate to 0."""
@@ -337,21 +323,28 @@ class PiecewisePoly:
         object.__setattr__(
             self, "coeffs", tuple(tuple(as_rational(c) for c in piece) for piece in self.coeffs)
         )
-        # per cell: float ends, the exact mass before it, and the float
-        # antiderivative in t = x - a, so cdf_arr adds small terms to the
-        # mass before the cell instead of cancelling large ones
+        # per cell: float ends, the float mass before it, the float
+        # antiderivative in t = x - a (descending powers, zero at t = 0, so
+        # cdf_arr adds small terms to the mass before the cell instead of
+        # cancelling large ones), and the exact Taylor coefficients d_k of
+        # the density at a + t, from which every exact fact of the cell
+        # follows: its mass sum_k d_k h^(k+1) / (k+1), with h = b - a, its
+        # Bernstein coefficients and its value sum_k d_k h^k at b
         cells, before = [], Fraction(0)
         for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            cells.append((float(a), float(b), float(before), self._local_anti(piece, a)))
-            before += self._poly_integral(piece, a, b)
+            d = self._shifted(piece, a)
+            anti = [float(c / (k + 1)) for k, c in reversed(list(enumerate(d)))] + [0.0]
+            cells.append((float(a), float(b), float(before), anti, d))
+            before += sum(c * (b - a) ** (k + 1) / (k + 1) for k, c in enumerate(d))
         object.__setattr__(self, "_cells", tuple(cells))
         self._validate(before)
 
     def _validate(self, total):
         from .parsing import MeasureSpecError
 
-        for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            x = _negative_point(self._bernstein(piece, a, b), a, b) if piece else None
+        for (a, b), cell in zip(zip(self.breaks, self.breaks[1:]), self._cells):
+            d = cell[4]
+            x = _negative_point(self._bernstein(d, b - a), a, b) if d else None
             if x is _UNDECIDED:
                 raise MeasureSpecError(
                     f"pwd piece on ({float(a):g}, {float(b):g}) not shown nonnegative "
@@ -364,49 +357,26 @@ class PiecewisePoly:
             raise MeasureSpecError(f"pwd density integrates to {total}, expected 1")
 
     @staticmethod
-    def _poly(piece, x):
-        acc = Fraction(0)
-        for c in reversed(piece):
-            acc = acc * x + c
-        return acc
-
-    @staticmethod
-    def _poly_integral(piece, a, b):
-        acc_a = Fraction(0)
-        acc_b = Fraction(0)
-        for k, c in enumerate(piece):
-            acc_a += c * a ** (k + 1) / (k + 1)
-            acc_b += c * b ** (k + 1) / (k + 1)
-        return acc_b - acc_a
-
-    @staticmethod
     def _shifted(piece, a):
         """Taylor shift: exact coefficient k of the density at a + t."""
         return [sum(piece[j] * math.comb(j, k) * a ** (j - k)
                     for j in range(k, len(piece)))
                 for k in range(len(piece))]
 
-    @classmethod
-    def _bernstein(cls, piece, a, b):
-        """Exact Bernstein coefficients on [a, b]: those of q(t) = p(a + t h),
-        h = b - a, q = sum_k c_k t^k, are sum_{k<=j} C(j,k) / C(n,k) c_k."""
-        h = b - a
-        c = [ck * h**k for k, ck in enumerate(cls._shifted(piece, a))]
+    @staticmethod
+    def _bernstein(d, h):
+        """Exact Bernstein coefficients on a cell of width h whose Taylor
+        coefficients at its left end are d: those of q(t) = sum_k c_k t^k,
+        c_k = d_k h^k, on [0, 1] are sum_{k<=j} C(j,k) / C(n,k) c_k."""
+        c = [dk * h**k for k, dk in enumerate(d)]
         n = len(c) - 1
         return [sum(Fraction(math.comb(j, k), math.comb(n, k)) * c[k] for k in range(j + 1))
                 for j in range(n + 1)]
 
-    @classmethod
-    def _local_anti(cls, piece, a):
-        """Float antiderivative in t = x - a, descending powers (np.polyval),
-        zero at t = 0."""
-        shifted = cls._shifted(piece, a)
-        return [float(c / (k + 1)) for k, c in reversed(list(enumerate(shifted)))] + [0.0]
-
     def cdf_arr(self, xs):
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
-        for af, bf, before, anti in self._cells:
+        for af, bf, before, anti, _ in self._cells:
             out[xs >= af] = before
             inside = (xs > af) & (xs < bf)
             if inside.any():
@@ -429,19 +399,18 @@ class PiecewisePoly:
         before = [cell[2] for cell in self._cells]
         out = np.empty_like(v)
         for i, start, stop in _slices(before, v):
-            out[start:stop] = self._cell_inv(self.coeffs[i], self.breaks[i], self.breaks[i + 1],
-                                             v[start:stop] - before[i])
+            out[start:stop] = self._cell_inv(i, v[start:stop] - before[i])
         return out
 
-    def _cell_inv(self, piece, a, b, t):
-        """x in [a, b] whose mass from a is t, on one cell."""
-        af, bf = float(a), float(b)
-        if len(piece) <= 2:
+    def _cell_inv(self, i, t):
+        """x in cell i whose mass from the cell's left end is t."""
+        af, bf, _, anti, d = self._cells[i]
+        if len(d) <= 2:
             # density d0 + c1*(x - a): a quadratic CDF, solved in the root
             # form that does not cancel, also where d0 = 0; in place,
             # because at 10^6 draws each temporary array is 8 MB
-            d0 = float(self._poly(piece, a))
-            c1 = float(piece[1]) if len(piece) == 2 else 0.0
+            d0 = float(d[0])
+            c1 = float(d[1]) if len(d) == 2 else 0.0
             disc = 2.0 * c1 * t
             disc += d0 * d0
             np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
@@ -449,7 +418,6 @@ class PiecewisePoly:
             x = np.divide(2.0 * t, disc, out=disc)
             x += af
             return np.clip(x, af, bf, out=x)
-        anti = self._local_anti(piece, a)
         lo = np.full_like(t, af)
         hi = np.full_like(t, bf)
         for _ in range(56):
@@ -459,18 +427,15 @@ class PiecewisePoly:
             lo = np.where(ge, lo, mid)
         return hi
 
-    def breakpoints(self):
-        return list(self.breaks)
-
     def variation(self):
         """The jump at every break; per cell, sum_{k>=1} |d_k| h^k bounds
         the integral of |density'|, with d_k the shifted coefficients."""
         jumps, rest, left = [], Fraction(0), Fraction(0)
-        for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            d = self._shifted(piece, a)
+        for (a, b), cell in zip(zip(self.breaks, self.breaks[1:]), self._cells):
+            d = cell[4]
             jumps.append((a, d[0] - left))
             rest += sum(abs(c) * (b - a) ** k for k, c in enumerate(d) if k)
-            left = self._poly(piece, b)
+            left = sum(c * (b - a) ** k for k, c in enumerate(d))
         jumps.append((self.breaks[-1], -left))
         return jumps, rest
 
@@ -615,8 +580,9 @@ class BorelMeasure:
         return a - pad, b + pad
 
     def density_breakpoints(self):
-        """Atom locations plus density kink locations (exact values)."""
+        """Atom locations plus the points where a density jumps, as its
+        ``variation`` lists them (exact values)."""
         pts = [loc for loc, _ in self.atoms]
         for _, kind in self.parts:
-            pts.extend(kind.breakpoints())
+            pts.extend(x for x, _ in kind.variation()[0])
         return sorted(set(pts))

@@ -282,56 +282,6 @@ def parse_target(text: str) -> TargetFunction:
 
 
 # ---------------------------------------------------------------------------
-# Printing (fully parenthesized; parentheses carry no structure, so
-# parse(print(parse(t))) == parse(t))
-
-
-def decimal_str(fr: Fraction) -> str:
-    """Exact decimal rendering; denominators are 2^a 5^b for parsed literals."""
-    num, den = fr.numerator, fr.denominator
-    if den == 1:
-        return str(num)
-    a = b = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        a += 1
-    while d % 5 == 0:
-        d //= 5
-        b += 1
-    if d != 1:
-        return f"{num}/{den}"
-    k = max(a, b)
-    scaled = abs(num) * 10**k // den
-    digits = str(scaled).rjust(k + 1, "0")
-    sign = "-" if num < 0 else ""
-    return f"{sign}{digits[:-k]}.{digits[-k:]}"
-
-
-def print_target(node) -> str:
-    if isinstance(node, TargetFunction):
-        return print_target(node.root)
-    if isinstance(node, Num):
-        return decimal_str(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Neg):
-        return f"(-{print_target(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({print_target(node.left)} {node.op} {print_target(node.right)})"
-    if isinstance(node, Compare):
-        return f"{print_target(node.left)} {node.op} {print_target(node.right)}"
-    if isinstance(node, Conditional):
-        return (
-            f"if({print_target(node.test)}, {print_target(node.if_true)}, "
-            f"{print_target(node.if_false)})"
-        )
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(print_target(a) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
 # Scalar evaluation (Fraction-preserving where the operation is exact)
 
 _EXP_LIMIT = 10**6

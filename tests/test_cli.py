@@ -22,7 +22,6 @@ from sensapprox.cli import (
     write_certificate,
 )
 from sensapprox.funcspace import StepFunction
-from sensapprox.intervals import uniform_grid
 from sensapprox.measures import BorelMeasure
 from sensapprox.parsing import eval_target, parse_measure, parse_target
 
@@ -537,7 +536,7 @@ class TestPlotCommand:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         Y = reconstruct_approximant(read_certificate(cert_path))
-        grid = uniform_grid(0, 1, 32)
+        grid = [Fraction(i, 32) for i in range(33)]
         rows = [[float(v) for v in ln.split(",")] for ln in out.read_text().splitlines()[1:]]
         assert [x for x, _, _ in rows] == [float(x) for x in grid]
         assert math.isnan(rows[0][1])

@@ -256,9 +256,21 @@ def _components(mu):
             + [(w / mass, kind) for w, kind in mu.parts])
 
 
+def _horner(piece, x):
+    """Exact value at x of the polynomial with ascending coefficients piece."""
+    acc = Fraction(0)
+    for c in reversed(piece):
+        acc = acc * x + c
+    return acc
+
+
 def _cell_masses(kind):
-    return [kind._poly_integral(piece, a, b)
-            for (a, b), piece in zip(zip(kind.breaks, kind.breaks[1:]), kind.coeffs)]
+    """Exact mass of each pwd cell: its antiderivative in x at both ends."""
+    masses = []
+    for (a, b), piece in zip(zip(kind.breaks, kind.breaks[1:]), kind.coeffs):
+        anti = [0, *(c / (k + 1) for k, c in enumerate(piece))]
+        masses.append(_horner(anti, b) - _horner(anti, a))
+    return masses
 
 
 def _mask_and_scatter(weights, u, draw):
@@ -286,11 +298,9 @@ def _mask_and_scatter_draws(mu, u):
         v = np.minimum(t / float(w), _BELOW_ONE)
         if not isinstance(kind, PiecewisePoly):
             return kind.inv_cdf_arr(v)
-        cells = list(zip(zip(kind.breaks, kind.breaks[1:]), kind.coeffs))
-        if len(cells) == 1:
-            return kind._cell_inv(cells[0][1], *cells[0][0], v)
-        return _mask_and_scatter(_cell_masses(kind), v,
-                                 lambda j, s: kind._cell_inv(cells[j][1], *cells[j][0], s))
+        if len(kind.coeffs) == 1:
+            return kind._cell_inv(0, v)
+        return _mask_and_scatter(_cell_masses(kind), v, kind._cell_inv)
 
     return _mask_and_scatter([w for w, _ in comps], u, draw)
 
@@ -452,10 +462,10 @@ def test_pwd_sign_check_is_sound(piece, r, m, square, a, h):
     if square:
         piece = [r * r + m, -2 * r, 1]
     b = a + h
-    x = _negative_point(PiecewisePoly._bernstein(piece, a, b), a, b)
+    x = _negative_point(PiecewisePoly._bernstein(PiecewisePoly._shifted(piece, a), h), a, b)
     if x is None:
         grid = (a + h * Fraction(i, 64) for i in range(65))
-        assert all(PiecewisePoly._poly(piece, y) >= 0 for y in grid)
+        assert all(_horner(piece, y) >= 0 for y in grid)
     elif x is not _UNDECIDED:
         assert not square
-        assert a <= x <= b and PiecewisePoly._poly(piece, x) < 0
+        assert a <= x <= b and _horner(piece, x) < 0

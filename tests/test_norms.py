@@ -198,7 +198,8 @@ def _mp_wave_norm(mu, b, p):
         total += _mp(m) * wave(_mp(loc)) ** p
     for w, kind in mu.parts:
         pdf, lo, hi, tail = _mp_density(kind)
-        cuts = {lo, hi} | {_mp(q) for q in kind.breakpoints()}
+        # a uniform or exponential density jumps at lo or hi only
+        cuts = {lo, hi} | {_mp(q) for q in getattr(kind, "breaks", ())}
         cuts |= {mpmath.mpf(j) / b for j in range(int(mpmath.floor(lo * b)),
                                                   int(mpmath.ceil(hi * b)) + 1)}
         cuts = sorted(c for c in cuts if lo <= c <= hi)
