@@ -245,12 +245,14 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     approximation: DeVore, *Acta Numerica* 1998, sec. 3; Binev & DeVore,
     *Numer. Math.* 2004).
 
-    The cells tile the dyadic hull of the span that ``norms`` integrates
+    The cells tile the dyadic hull of the spans that ``norms`` integrates
     over (every part's window(1e-12)), starting from about 16 cells of one
-    power-of-two width. A cell's value is the target at the midpoint of
-    the cell's part inside the span, rounded to a multiple of a power of
-    two that costs at most target_err / 128 in L^p; the target is never
-    evaluated outside the span, and a cell outside it is dropped. Each
+    power-of-two width. The spans merge into disjoint pieces, and a first
+    cell that reaches into two pieces is halved until it meets one. A
+    cell's value is the target at the midpoint of the cell's part inside
+    its piece, rounded to a multiple of a power of two that costs at most
+    target_err / 128 in L^p; the target is never evaluated outside the
+    pieces, where mu has no mass, and a cell that meets none is dropped. Each
     round estimates the error of the new cells by Simpson's rule on floats,
     then halves the fewest worst cells that hold the error to be removed.
     A deviation large enough for one Monte Carlo draw to fail a check
@@ -259,10 +261,17 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     f = target_evaluator(req.target)
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
-    spans = [kind.window(1e-12) for _, kind in parts]
-    span_lo = min((a for a, _ in spans), default=0.0)
-    span_hi = max((b for _, b in spans), default=0.0)
-    ends = _dyadic_cells(span_lo, span_hi, 16)
+    pieces = []  # the spans, merged into sorted disjoint pieces
+    for a, b in sorted(kind.window(1e-12) for _, kind in parts):
+        if pieces and a <= pieces[-1][1]:
+            pieces[-1][1] = max(pieces[-1][1], b)
+        else:
+            pieces.append([a, b])
+    # piece lower ends, padded so that "the piece after k" always exists
+    lows = np.array([a for a, _ in pieces] + [math.inf, math.inf])
+    highs = np.array([b for _, b in pieces])
+    hull = (pieces[0][0], pieces[-1][1]) if pieces else (0.0, 0.0)
+    ends = _dyadic_cells(*hull, 16)
     root = float(req.mu.total_mass) ** (1.0 / p)
     quantum = 2.0 ** -math.ceil(math.log2(64.0 * root / target_err))
     # one draw where |target - v|^p exceeds 1000 target_err^p can fail a
@@ -271,12 +280,18 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     # that the mass holding them carries at most 10^-6 of the budget
     outlier = 1000.0 * target_err**p
 
+    def piece(lo):
+        """Index of the first piece that ends past each cell's lower end."""
+        return np.searchsorted(highs, lo, side="right")
+
     def inside(lo, hi):
-        return np.minimum(hi, span_hi) > np.maximum(lo, span_lo)
+        return lows[piece(lo)] < hi
 
     def evaluate(lo, hi):
-        """Short values and error estimates of sorted cells in the span."""
-        a, b = np.maximum(lo, span_lo), np.minimum(hi, span_hi)
+        """Short values and error estimates of sorted cells, each of which
+        meets one piece."""
+        k = piece(lo)
+        a, b = np.maximum(lo, lows[k]), np.minimum(hi, highs[k])
         v = np.round(f(0.5 * (a + b)) / quantum) * quantum
 
         def g(xs):
@@ -287,8 +302,13 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
         return v, norms._simpson_pair(g, a, b)[0]
 
     lo, hi = ends[:-1], ends[1:]
-    keep = inside(lo, hi)
-    lo, hi = lo[keep], hi[keep]
+    while True:
+        keep = inside(lo, hi)
+        lo, hi = lo[keep], hi[keep]
+        straddle = lows[piece(lo) + 1] < hi
+        if not straddle.any():
+            break
+        lo, hi, _ = _split(lo, hi, straddle)
     v, err = evaluate(lo, hi)
     share = 0.75**p
     best = math.inf

@@ -378,8 +378,11 @@ class SensitiveApproximant:
         return [p for p in inside if (p * self.wave.b).denominator != 1]
 
     def nondiff_count(self, lo, hi) -> int:
-        """len(nondiff_points(lo, hi)), without listing the lattice."""
-        return (len(self.wave.lattice_range(lo, hi))
+        """len(nondiff_points(lo, hi)), without listing the lattice; the
+        range's ends are subtracted, as len() of a range fails past
+        2^63 - 1 points."""
+        lattice = self.wave.lattice_range(lo, hi)
+        return (max(0, lattice.stop - lattice.start)
                 + len(self._endpoints_off_lattice(lo, hi)))
 
     def nondiff_points(self, lo, hi):

@@ -177,8 +177,8 @@ def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
     """
     if p < 1 or not math.isfinite(p):
         raise ValueError("p must satisfy 1 <= p < infinity")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     total, err = _integral_abs_p(f, mu, p, budget=tol**p, knots=knots)
     value, bound = _norm_from_integral(total, err, p)
     return NormEstimate(value=value, absolute_error_bound=bound)
@@ -198,16 +198,16 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     per component) leaves it unchanged up to the rounding of the sums.
     f is called on one block of ``BLOCK`` consecutive draws at a time, so
     its temporaries stay in cache, and must map each point on its own;
-    |f|^p is gathered in one array, whose mean and variance are those of
-    the whole sample at once.
+    |f|^p then overwrites that block of the draws, so that the sample
+    takes one array of n floats, whose mean and variance are those of the
+    whole sample at once.
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
-    xs = mu.sample(n, seed)
-    z = np.empty_like(xs)
+    z = mu.sample(n, seed)
     for s in range(0, n, BLOCK):
         blk = z[s:s + BLOCK]
-        np.abs(f(xs[s:s + BLOCK]), out=blk)
+        np.abs(f(blk), out=blk)
         blk **= p  # the same power as |f|^p: square at p = 2
     m = float(z.mean())
     sd = float(z.std(ddof=1)) / math.sqrt(n)

@@ -237,6 +237,10 @@ class TestSensitizeCommand:
     @pytest.mark.parametrize("target, measure", [
         ("log(x)", "uniform(0,1)"),
         ("log(x-0.3)", "uniform(0.3,1)"),
+        # undefined in the gap between the parts' supports; the second gap
+        # is narrower than the first cells
+        ("sqrt((x-1)*(x-2))", "mix(0.5*uniform(0,1), 0.5*uniform(2,3))"),
+        ("log(abs(x-0.5)-0.003)", "mix(0.5*uniform(0,0.497), 0.5*uniform(0.503,1))"),
     ])
     def test_target_undefined_off_the_support(self, tmp_path, target, measure):
         # the step grid rounds the support out to dyadic cells, where the
@@ -248,6 +252,17 @@ class TestSensitizeCommand:
         run = run_cli("verify", "--cert", str(out), "--samples", "200000", "--seed", "3")
         assert run.returncode == 0, run.stderr
         assert "PASS" in run.stdout
+
+    def test_huge_M_sensitizes_and_verifies(self, tmp_path, capsys):
+        # b = 2*10^21 + 20: the window holds more lattice points than the
+        # len() of a range can count
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "x", "--measure", "normal(0,1)", "--p", "1",
+                     "--eps", "1/10", "--M", str(10**20), "--out", str(out)]) == 0
+        assert read_certificate(out)["nondiff_count_in_window"] > 2**63
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_bad_target_is_input_error(self, tmp_path, capsys):
         rc = main([
@@ -500,6 +515,12 @@ class TestNormCommand:
                    "--p", "inf"])
         assert rc == 2
         capsys.readouterr()
+        # a tolerance that is no positive finite number is rejected too
+        for tol in ("nan", "inf", "0"):
+            rc = main(["norm", "--target", "x", "--measure", "uniform(0,1)",
+                       "--p", "1", "--tol", tol])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith("error: tol must be positive")
 
 
 class TestPlotCommand:

@@ -37,6 +37,11 @@ class TestLpNorm:
         est = lp_norm(const(1), UNIFORM, p=3, tol=1e-9)
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            lp_norm(const(1), UNIFORM, p=1, tol=tol)
+
     def test_scaled_indicator(self):
         f = StepFunction(terms=[(3, 0, Fraction(1, 2))])
         est = lp_norm(f.eval_arr, UNIFORM, p=1, tol=1e-9,
