@@ -158,7 +158,8 @@ def _parse_p(text):
 
 
 def _parse_fraction(text, name):
-    """Exact rational of a flag; the sign is checked where it is used."""
+    """Exact rational of a flag or a certificate field; the sign is
+    checked where it is used."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
