@@ -19,6 +19,9 @@ from sensapprox.parsing import (
     parse_target,
     piecewise_constant_thresholds,
 )
+from sensapprox.approx import Certificate
+from sensapprox.cli import read_certificate, write_certificate
+from sensapprox.funcspace import StepFunction
 
 
 CORPUS = [
@@ -73,6 +76,25 @@ class TestParseTarget:
     def test_comparison_only_inside_if(self):
         with pytest.raises(ParseError):
             parse_target("x < 1")
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_round_trip(self, text, tmp_path):
+        """The target text that a certificate stores reads back as the same
+        tree, and neither parentheses nor whitespace carry structure."""
+        t = parse_target(text)
+        cert = Certificate(
+            target_text=t.source_text, measure_text="uniform(0,1)", p=1.0,
+            eps=Fraction(1, 10), M=Fraction(1), b=40, scale=Fraction(1, 20),
+            phi0=StepFunction(terms=[]), error_bound=0.05,
+            error_method="triangle-chain", min_abs_slope=Fraction(2),
+            sup_bound=Fraction(1), nondiff_count_in_window=0,
+            window=(Fraction(-1), Fraction(1)), quadrature_tolerance=0.001,
+        )
+        path = tmp_path / "cert.json"
+        write_certificate(cert, path)
+        assert parse_target(read_certificate(path)["request"]["target"]).root == t.root
+        assert parse_target(f"({text})").root == t.root
+        assert parse_target("".join(text.split())).root == t.root
 
     def test_unary_minus_binds_looser_than_power(self):
         t = parse_target("-x^2")
