@@ -178,20 +178,21 @@ def check_finite_moment(req: ApproxRequest):
 def _pin_atoms(phi0: StepFunction, req: ApproxRequest) -> StepFunction:
     """phi0, which has no exceptions, with the exception (loc, X(loc)) at
     each atom of mu where phi0(loc) != X(loc); the atoms are sorted, and a
-    location listed twice is pinned once."""
+    location listed twice is pinned once. A float X(loc) is compared by
+    its exact value and pinned as its shortest decimal (as_rational)."""
     pins = []
     for loc, _m in req.mu.atoms:
         if pins and pins[-1][0] == loc:
             continue
         want = eval_target(req.target, loc)
         if phi0.eval(loc) != want:
-            pins.append((loc, want))
-    return StepFunction(phi0.terms, pins) if pins else phi0
+            pins.append((loc, as_rational(want)))
+    return phi0.with_exceptions(pins) if pins else phi0
 
 
 def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEstimate:
     f = target_evaluator(req.target)
-    knots = [float(pt) for pt in phi0.endpoints()]
+    knots = phi0.endpoint_floats().tolist()
     knots += [float(pt) for pt in req.mu.density_breakpoints()]
     return norms.lp_distance(f, phi0.eval_arr, req.mu, req.p, tol, knots=knots)
 
@@ -206,8 +207,9 @@ def _piecewise_constant_candidate(req: ApproxRequest):
     hi_val = eval_target(req.target, thresholds[-1] + 1)
     if lo_val != 0 or hi_val != 0:
         return None  # unbounded support; grid route handles it
-    # StepFunction drops the zero values
-    return StepFunction(terms=[(eval_target(req.target, (a + b) / 2), a, b)
+    # StepFunction drops the zero values; a float value is taken as its
+    # shortest decimal, as in _pin_atoms
+    return StepFunction(terms=[(as_rational(eval_target(req.target, (a + b) / 2)), a, b)
                                for a, b in zip(thresholds, thresholds[1:])])
 
 
@@ -246,12 +248,13 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     *Numer. Math.* 2004).
 
     The cells tile the dyadic hull of the spans that ``norms`` integrates
-    over (every part's window(1e-12)), starting from about 16 cells of one
-    power-of-two width. The spans merge into disjoint pieces, and a first
-    cell that reaches into two pieces is halved until it meets one. A
-    cell's value is the target at the midpoint of the cell's part inside
-    its piece, rounded to a multiple of a power of two that costs at most
-    target_err / 128 in L^p; the target is never evaluated outside the
+    over (every part's spans(1e-12): its window less the pwd cells of
+    density 0), starting from about 16 cells of one power-of-two width.
+    The spans merge into disjoint pieces, and a first cell that reaches
+    into two pieces is halved until it meets one. A cell's value is the
+    target at the midpoint of the cell's part inside its piece, rounded to
+    a multiple of a power of two that costs at most target_err / 128 in
+    L^p; the target is never evaluated outside the
     pieces, where mu has no mass, and a cell that meets none is dropped. Each
     round estimates the error of the new cells by Simpson's rule on floats,
     then halves the fewest worst cells that hold the error to be removed.
@@ -262,7 +265,7 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
     pieces = []  # the spans, merged into sorted disjoint pieces
-    for a, b in sorted(kind.window(1e-12) for _, kind in parts):
+    for a, b in sorted(span for _, kind in parts for span in kind.spans(1e-12)):
         if pieces and a <= pieces[-1][1]:
             pieces[-1][1] = max(pieces[-1][1], b)
         else:
@@ -335,8 +338,8 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
             keep = ~fresh | inside(lo, hi)
             lo, hi, v, err, fresh = lo[keep], hi[keep], v[keep], err[keep], fresh[keep]
             v[fresh], err[fresh] = evaluate(lo[fresh], hi[fresh])
-        terms = [(Fraction(x), Fraction(a), Fraction(b))
-                 for a, b, x in zip(lo.tolist(), hi.tolist(), v.tolist()) if x]
+        # StepFunction takes each float as its exact binary value
+        terms = [(x, a, b) for a, b, x in zip(lo.tolist(), hi.tolist(), v.tolist()) if x]
         phi0 = _pin_atoms(StepFunction(terms=terms), req)
         est = _certified_distance(phi0, req, cert_tol)
         achieved = est.value + est.absolute_error_bound
@@ -417,10 +420,10 @@ def sensitize(req: ApproxRequest):
 
     Y = SensitiveApproximant(phi0=phi0, scale=scale, wave=wave,
                              eps=eps, M=M, p=req.p)
-    endpoints = phi0.endpoints()
+    endpoints = phi0.endpoint_pairs()
     if endpoints:
-        w_lo = endpoints[0] - Fraction(1)
-        w_hi = endpoints[-1] + Fraction(1)
+        w_lo = Fraction(*endpoints[0]) - 1
+        w_hi = Fraction(*endpoints[-1]) + 1
     else:
         w_lo, w_hi = Fraction(-1), Fraction(1)
     cert = Certificate(

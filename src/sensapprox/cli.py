@@ -57,7 +57,26 @@ def _rat(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def certificate_to_dict(cert: approx.Certificate) -> dict:
+def _pair(num) -> str:
+    """An integer pair (n, d), d > 0, as "n/d" in lowest terms, as _rat
+    writes its Fraction; a certificate holds no infinite end (d = 0)."""
+    n, d = num
+    if not d:
+        raise ValueError("a certificate row cannot hold an infinite end")
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
+def _rows(phi0: StepFunction):
+    """The certificate rows of phi0, written from its integer pairs: the
+    terms as (lower, upper, value) and the exceptions as (point, value)
+    strings, each tuple in the sorted order of its keys."""
+    return ([(_pair(lo), _pair(hi), _pair(v)) for v, lo, hi in phi0.term_pairs()],
+            [(_pair(p), _pair(v)) for p, v in phi0.exception_pairs()])
+
+
+def _fields(cert: approx.Certificate) -> dict:
+    """Every certificate field but the phi0 and exceptions rows."""
     return {
         "schema_version": SCHEMA_VERSION,
         "request": {
@@ -69,13 +88,6 @@ def certificate_to_dict(cert: approx.Certificate) -> dict:
         },
         "b": cert.b,
         "scale": _rat(cert.scale),
-        "phi0": [
-            {"value": _rat(v), "lower": _rat(lo), "upper": _rat(hi)}
-            for v, lo, hi in cert.phi0.terms
-        ],
-        "exceptions": [
-            {"point": _rat(p), "value": _rat(v)} for p, v in cert.phi0.exceptions
-        ],
         "error_bound": repr(cert.error_bound),
         "error_method": cert.error_method,
         "min_abs_slope": _rat(cert.min_abs_slope),
@@ -86,10 +98,44 @@ def certificate_to_dict(cert: approx.Certificate) -> dict:
     }
 
 
+# the keys of a phi0 row and of an exceptions row, sorted
+_TERM_KEYS = ("lower", "upper", "value")
+_EXCEPTION_KEYS = ("point", "value")
+
+
+def certificate_to_dict(cert: approx.Certificate) -> dict:
+    terms, exceptions = _rows(cert.phi0)
+    return {
+        **_fields(cert),
+        "phi0": [dict(zip(_TERM_KEYS, row)) for row in terms],
+        "exceptions": [dict(zip(_EXCEPTION_KEYS, row)) for row in exceptions],
+    }
+
+
+def _json_rows(keys, rows) -> str:
+    """json.dumps(indent=2) of the list of dicts zip(keys, row), as the
+    value of a top-level key: every row through one template. The row
+    strings are digits, "-" and "/", which JSON does not escape."""
+    if not rows:
+        return "[]"
+    row = "    {\n" + ",\n".join(f'      "{k}": "%s"' for k in keys) + "\n    }"
+    return "[\n" + ",\n".join([row % r for r in rows]) + "\n  ]"
+
+
 def write_certificate(cert: approx.Certificate, path):
+    """The bytes of json.dump(certificate_to_dict(cert), indent=2,
+    sort_keys=True) and a newline. The fields other than the rows go
+    through json, with empty row lists; each "[]" is then replaced by the
+    rows. No string value holds the text of a key line, as json escapes
+    the quotes and newlines of a string."""
+    terms, exceptions = _rows(cert.phi0)
+    text = json.dumps({**_fields(cert), "phi0": [], "exceptions": []},
+                      indent=2, sort_keys=True)
+    for key, keys, rows in (("phi0", _TERM_KEYS, terms),
+                            ("exceptions", _EXCEPTION_KEYS, exceptions)):
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": ' + _json_rows(keys, rows), 1)
     with open(path, "w") as fh:
-        json.dump(certificate_to_dict(cert), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 class CorruptCertificate(ValueError):

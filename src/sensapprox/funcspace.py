@@ -1,9 +1,12 @@
 """Step functions, the triangle wave, and the approximant phi0 + s * wave.
 
 Every breakpoint, value, scale and slope is exact. A step function holds
-its numbers as integer pairs (n, d), checks and orders its terms by
-cross-multiplication, and builds its Fractions only when asked for them;
-floats appear only in the vectorized evaluators for quadrature, Monte
+its numbers as integer pairs (n, d): a float enters as its
+``as_integer_ratio()``, a certificate's "n/d" string as its two integers.
+It checks and orders its terms, finds its sup norm and its endpoints off
+the wave lattice by cross-multiplication, and builds its Fractions only
+when asked for them; a certificate's rows are written from the pairs.
+Floats appear only in the vectorized evaluators for quadrature, Monte
 Carlo and plots. A step function is zero outside its intervals and at
 their endpoints, except at its (point, value) exceptions. It is built in
 one walk over its terms, which must arrive sorted and disjoint, in
@@ -90,12 +93,19 @@ _ZERO = (0, 1, None)
 
 
 def _number(x, seen):
-    """x as (n, d, exact): n / d is as_rational(x), with d > 0, and exact is
-    that Fraction when it is at hand, else None. A string "n/d" of decimal
-    digits, as a certificate writes it, gives its two integers and no
-    Fraction, and is looked up in and added to seen, as a certificate's
-    rows repeat their shared ends and many values; any other input goes
-    through as_rational, and a Fraction is kept as it is."""
+    """x as (n, d, exact), with d > 0, and exact the Fraction n / d when it
+    is at hand, else None. A finite float is its exact binary value, the
+    pair of ``as_integer_ratio()``, which is Fraction(x); NaN and the
+    infinities raise ValueError. A string "n/d" of decimal digits, as a
+    certificate writes it, gives its two integers and no Fraction, and is
+    looked up in and added to seen, as a certificate's rows repeat their
+    shared ends and many values; any other input goes through as_rational,
+    and a Fraction is kept as it is."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"expected a finite number, got {x!r}")
+        n, d = x.as_integer_ratio()
+        return n, d, None
     if type(x) is str:
         num = seen.get(x)
         if num is None:
@@ -145,18 +155,18 @@ class StepFunction:
     functions have equal terms and exceptions.
 
     Every input number is held as an integer pair (n, d), d > 0, with ±inf
-    as (±1, 0) at an open end of the line; a canonical "n/d" string, as a
-    certificate stores it, becomes one without a Fraction. The terms are
-    checked and the breakpoints found on these pairs, by exact
-    cross-multiplication, in one walk that compares each term only with
-    the end of the one before it: a term that starts before that end is
-    out of order or overlaps, and raises. The float arrays behind
-    ``eval_arr`` are built in the same pass, each entry n / d, which
-    Python rounds correctly, as float(Fraction) does. The exact data,
-    ``terms``, ``exceptions`` and ``endpoints()`` as Fractions, is built
-    on the first request and kept; an input Fraction is reused, so only
-    string input pays for new ones. Monte Carlo evaluation never
-    requests it.
+    as (±1, 0) at an open end of the line; a float, as the grid route's
+    cells arrive, and a canonical "n/d" string, as a certificate stores
+    it, become one without a Fraction. The terms are checked and the
+    breakpoints found on these pairs, by exact cross-multiplication, in
+    one walk that compares each term only with the end of the one before
+    it: a term that starts before that end is out of order or overlaps,
+    and raises. The float arrays behind ``eval_arr`` are built in the same
+    pass, each entry n / d, which Python rounds correctly, as
+    float(Fraction) does. The exact data, ``terms``, ``exceptions`` and
+    ``endpoints()`` as Fractions, is built on the first request and kept;
+    an input Fraction is reused. Neither ``sensitize``, which reads the
+    pair and float views, nor Monte Carlo evaluation requests it.
 
     Region k is the open cell left of breakpoint k (the last one runs to
     +inf); the value at a breakpoint is 0 unless an exception overrides it.
@@ -180,9 +190,22 @@ class StepFunction:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
             if v[0]:
                 rows.append((v, lo_n, hi_n))
+        self._build(rows, [(_number(pt, seen), _number(value, seen))
+                           for pt, value in exceptions])
+
+    def with_exceptions(self, exceptions):
+        """The step function of these terms, as they are held, and the
+        given (point, value) exceptions in place of its own."""
+        out = object.__new__(StepFunction)
+        seen = {}
+        out._build(self._terms, [(_number(pt, seen), _number(value, seen))
+                                 for pt, value in exceptions])
+        return out
+
+    def _build(self, rows, exceptions):
+        """The lookup data of terms and exceptions given as numbers."""
         pts, region = _walk_terms(rows)
-        exc = sorted(((_number(pt, seen), _number(value, seen))
-                      for pt, value in exceptions), key=lambda e: _key(e[0]))
+        exc = sorted(exceptions, key=lambda e: _key(e[0]))
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
             if not _cmp(p1, p2):
                 raise ValueError(f"duplicate exception point {_exact(p1)}")
@@ -254,25 +277,50 @@ class StepFunction:
     # -- queries -------------------------------------------------------------
 
     def eval(self, x) -> Fraction:
-        xq = as_rational(x)
-        for pt, v in self.exceptions:
-            if pt == xq:
-                return v
-        i = bisect.bisect_right(self.terms, xq, key=lambda t: t[1]) - 1
-        if i >= 0:
-            v, lo, hi = self.terms[i]
-            if lo < xq < hi:
-                return v
+        """The exact value at x, taken as the terms' numbers are (a float as
+        its exact binary value), found among the exceptions and the terms
+        by cross-multiplication: one Fraction, or none if x is one."""
+        xn = _number(x, {})
+        exc = self._exc
+        i = bisect.bisect_left(exc, _key(xn), key=lambda e: _key(e[0]))
+        if i < len(exc) and not _cmp(exc[i][0], xn):
+            return _exact(exc[i][1])
+        # the first term that ends past x holds it, if it starts before x
+        terms = self._terms
+        i = bisect.bisect_right(terms, _key(xn), key=lambda t: _key(t[2]))
+        if i < len(terms) and _cmp(terms[i][1], xn) < 0:
+            return _exact(terms[i][0])
         return Fraction(0)
 
     def endpoints(self):
         """Finite interval endpoints plus exception points, sorted."""
         return self._fraction_data()[2]
 
+    def endpoint_pairs(self):
+        """endpoints() as integer pairs (n, d), d > 0, not reduced."""
+        return [(n, d) for n, d, _ in self._pts]
+
+    def endpoint_floats(self):
+        """float(x) of each of endpoints(), as an array."""
+        return self._pts_f[:-1]
+
+    def term_pairs(self):
+        """terms as ((n, d) value, (n, d) lo, (n, d) hi) integer pairs, not
+        reduced; an infinite end is (-1, 0) or (1, 0)."""
+        return [((v[0], v[1]), (lo[0], lo[1]), (hi[0], hi[1])) for v, lo, hi in self._terms]
+
+    def exception_pairs(self):
+        """exceptions as ((n, d) point, (n, d) value) integer pairs, not reduced."""
+        return [((p[0], p[1]), (v[0], v[1])) for p, v in self._exc]
+
     def sup_norm(self) -> Fraction:
-        vals = [abs(v) for v, _, _ in self.terms]
-        vals += [abs(v) for _, v in self.exceptions]
-        return max(vals, default=Fraction(0))
+        """The largest |value| of a term or an exception, compared by
+        cross-multiplication: one Fraction."""
+        n, d = 0, 1
+        for v in [t[0] for t in self._terms] + [e[1] for e in self._exc]:
+            if abs(v[0]) * d > n * v[1]:
+                n, d = abs(v[0]), v[1]
+        return Fraction(n, d)
 
     # -- vectorized evaluation ------------------------------------------------
 
@@ -355,6 +403,7 @@ class SensitiveApproximant:
             raise ValueError("scale must be positive")
 
     def eval(self, x) -> Fraction:
+        x = as_rational(x)  # one rational for both parts
         return self.phi0.eval(x) + self.scale * self.wave.eval(x)
 
     def eval_arr(self, xs) -> np.ndarray:
@@ -371,11 +420,14 @@ class SensitiveApproximant:
         return self.phi0.sup_norm() + self.scale
 
     def _endpoints_off_lattice(self, lo, hi):
-        """phi0 endpoints inside the open window that are not j/b, sorted."""
-        pts = self.phi0.endpoints()
-        inside = pts[bisect.bisect_right(pts, as_rational(lo)):
-                     bisect.bisect_left(pts, as_rational(hi))]
-        return [p for p in inside if (p * self.wave.b).denominator != 1]
+        """phi0 endpoints inside the open window that are not j/b, sorted,
+        as integer pairs (n, d): n b is no multiple of d."""
+        pts = self.phi0.endpoint_pairs()
+        lo, hi = as_rational(lo), as_rational(hi)
+        inside = pts[bisect.bisect_right(pts, _key((lo.numerator, lo.denominator)), key=_key):
+                     bisect.bisect_left(pts, _key((hi.numerator, hi.denominator)), key=_key)]
+        b = self.wave.b
+        return [(n, d) for n, d in inside if n * b % d]
 
     def nondiff_count(self, lo, hi) -> int:
         """len(nondiff_points(lo, hi)), without listing the lattice; the
@@ -389,15 +441,15 @@ class SensitiveApproximant:
         """phi0 endpoints plus wave lattice inside the open window, sorted."""
         # two disjoint sorted runs: the sort only merges them
         return sorted(self.wave.lattice_points(lo, hi)
-                      + self._endpoints_off_lattice(lo, hi))
+                      + [Fraction(n, d) for n, d in self._endpoints_off_lattice(lo, hi)])
 
     def nondiff_floats(self, lo, hi):
-        """float(x) of each of nondiff_points(lo, hi), in order, with the
-        lattice taken as j / b: the integer quotient rounds correctly, as
-        float(Fraction(j, b)) does, and rounding keeps the order."""
+        """float(x) of each of nondiff_points(lo, hi), in order, with each
+        point taken as the integer quotient n / d, which rounds correctly,
+        as float(Fraction(n, d)) does; rounding keeps the order."""
         b = self.wave.b
         return sorted([j / b for j in self.wave.lattice_range(lo, hi)]
-                      + [float(p) for p in self._endpoints_off_lattice(lo, hi)])
+                      + [n / d for n, d in self._endpoints_off_lattice(lo, hi)])
 
     def slope_profile(self, lo, hi):
         """Maximal affine cells of the window with their exact slopes."""

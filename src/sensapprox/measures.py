@@ -7,7 +7,9 @@ interval masses go through it, while atoms are counted exactly. The
 normal CDF is libm's ``math.erf``, taken point by point: it only ever
 sees a few interval ends. Each kind also states its ``variation``:
 the jumps of its density and a bound on the variation between them, from
-which ``norms.wave_norm_bound`` bounds the wave term in closed form.
+which ``norms.wave_norm_bound`` bounds the wave term in closed form, and
+its ``spans``: the window less the pwd cells where the density is
+identically 0, the only places where quadrature evaluates a target.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. 2). The uniforms are sorted, so each component's
@@ -206,6 +208,9 @@ class Uniform:
     def window(self, tail):
         return float(self.a), float(self.b)
 
+    def spans(self, tail):
+        return [self.window(tail)]
+
 
 @dataclass(frozen=True)
 class Normal:
@@ -237,6 +242,9 @@ class Normal:
         d = NormalDist(float(self.mean), float(self.std))
         return d.inv_cdf(tail), d.inv_cdf(1.0 - tail)
 
+    def spans(self, tail):
+        return [self.window(tail)]
+
 
 @dataclass(frozen=True)
 class Exponential:
@@ -261,6 +269,9 @@ class Exponential:
 
     def window(self, tail):
         return 0.0, -math.log(tail) / float(self.rate)
+
+    def spans(self, tail):
+        return [self.window(tail)]
 
 
 # most halvings of one pwd cell in its nonnegativity check: enough for a
@@ -441,6 +452,20 @@ class PiecewisePoly:
 
     def window(self, tail):
         return float(self.breaks[0]), float(self.breaks[-1])
+
+    def spans(self, tail):
+        """The runs of adjacent cells whose polynomial is not identically 0,
+        as float (a, b): the window less the cells where the density, and
+        so mu, is 0."""
+        out = []
+        for af, bf, _, _, d in self._cells:
+            if not any(d):
+                continue
+            if out and out[-1][1] == af:
+                out[-1] = (out[-1][0], bf)
+            else:
+                out.append((af, bf))
+        return out
 
 
 @dataclass(frozen=True)

@@ -63,15 +63,16 @@ def _simpson_pair(g, a, b):
     return fine, np.abs(fine - coarse) / 15.0
 
 
-def _adaptive(g, knots, budget):
-    """Integrate g over [knots[0], knots[-1]]; returns (value, error_bound).
+def _adaptive(g, pieces, budget):
+    """Integrate g over the pieces, each a sorted array of knots from its
+    lower to its upper end; returns (value, error_bound).
 
     The segments are the columns (lo, hi, value, error) of one array. Each
     round bisects the max(16, n // 8) segments of largest error, ties going
     to the smaller left end, that carry more than budget / (4 n) each.
     """
-    lo = np.asarray(knots[:-1], dtype=float)
-    hi = np.asarray(knots[1:], dtype=float)
+    lo = np.concatenate([k[:-1] for k in pieces])
+    hi = np.concatenate([k[1:] for k in pieces])
     keep = hi > lo
     lo, hi = lo[keep], hi[keep]
     if not len(lo):
@@ -126,7 +127,9 @@ def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
 
         windows = [kind.window(t) for t in (1e-6, 1e-9, 1e-12)]
         (a1, b1), (a2, b2), (a3, b3) = windows
-        core, core_err = _adaptive(g, _part_knots(a1, b1, knots), part_budget / 2.0)
+        # the spans of the window: a pwd cell of density 0 is no piece
+        pieces = [_part_knots(a, b, knots) for a, b in kind.spans(1e-6)]
+        core, core_err = _adaptive(g, pieces, part_budget / 2.0)
         # tail rings; for compactly supported kinds these are empty
         d_lo1, e_lo1 = _ring(g, a2, a1)
         d_hi1, e_hi1 = _ring(g, b1, b2)

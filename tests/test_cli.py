@@ -187,24 +187,74 @@ def finite_step_functions(draw):
     return StepFunction(terms=terms, exceptions=[(p, draw(_exc_value)) for p in exc])
 
 
-@settings(deadline=None, max_examples=150)
-@given(finite_step_functions())
-def test_certificate_round_trip_of_phi0(phi0):
-    """A certificate's phi0 reads back as the same exact data and the same
-    float arrays, bit for bit."""
-    cert = Certificate(
-        target_text="x", measure_text="uniform(0,1)", p=1.0, eps=Fraction(1, 10),
+def _certificate_of(phi0, target_text="x"):
+    return Certificate(
+        target_text=target_text, measure_text="uniform(0,1)", p=1.0, eps=Fraction(1, 10),
         M=Fraction(1), b=40, scale=Fraction(1, 20), phi0=phi0, error_bound=0.05,
         error_method="triangle-chain", min_abs_slope=Fraction(2), sup_bound=Fraction(1),
         nondiff_count_in_window=0, window=(Fraction(-6), Fraction(6)),
         quadrature_tolerance=0.001,
     )
+
+
+@settings(deadline=None, max_examples=150)
+@given(finite_step_functions())
+def test_certificate_round_trip_of_phi0(phi0):
+    """A certificate's phi0 reads back as the same exact data and the same
+    float arrays, bit for bit."""
+    cert = _certificate_of(phi0)
     back = reconstruct_approximant(json.loads(json.dumps(certificate_to_dict(cert)))).phi0
     for name in ("_pts_f", "_region", "_point", "_runs"):
         assert np.array_equal(getattr(back, name), getattr(phi0, name), equal_nan=True)
     assert back.terms == phi0.terms
     assert back.exceptions == phi0.exceptions
     assert back.endpoints() == phi0.endpoints()
+
+
+def _unreduced_phi0():
+    """A phi0 read back from rows whose strings are not in lowest terms."""
+    raw = certificate_to_dict(make_certificate()[1])
+    raw["phi0"] = _rows(("2/4", "0/3", "2/8"), ("-6/4", "2/8", "4/6"))
+    raw["exceptions"] = [{"point": "3/9", "value": "0/3"}, {"point": "10/4", "value": "-4/2"}]
+    return reconstruct_approximant(raw).phi0
+
+
+class TestCertificateWriter:
+    @pytest.mark.parametrize("make_phi0", [
+        StepFunction,
+        lambda: StepFunction(exceptions=[(Fraction(-1, 3), 2), (Fraction(5, 7), Fraction(-1, 9))]),
+        lambda: StepFunction(terms=[(Fraction(-3, 2), -1, Fraction(-1, 2)),
+                                    (Fraction(-1, 8), Fraction(-1, 2), 0), (2, 0, 1)],
+                             exceptions=[(Fraction(-3, 4), 0), (Fraction(-1, 2), -5)]),
+        lambda: make_certificate(target="x^2", mu="normal(0,1)", p=2, eps="1/50", M=0)[1].phi0,
+        _unreduced_phi0,
+    ], ids=["empty", "exceptions-only", "negative", "normal-1/50", "unreduced"])
+    def test_bytes_equal_the_stdlib_encoder(self, tmp_path, make_phi0):
+        phi0 = make_phi0()
+        # quotes, a backslash, a newline that looks like a key line and a
+        # non-ASCII letter in a string field go through json
+        for text in ("x", 'x "\\ é\n  "phi0": []'):
+            cert = _certificate_of(phi0, target_text=text)
+            path = tmp_path / "cert.json"
+            write_certificate(cert, path)
+            want = json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
+            assert path.read_bytes() == want.encode()
+
+    def test_rows_are_written_in_lowest_terms(self, tmp_path):
+        path = tmp_path / "cert.json"
+        write_certificate(_certificate_of(_unreduced_phi0()), path)
+        data = json.loads(path.read_text())
+        assert data["phi0"] == _rows(("1/2", "0/1", "1/4"), ("-3/2", "1/4", "2/3"))
+        # the exception of value 0 lies inside a term, so it is kept
+        assert data["exceptions"] == [{"point": "1/3", "value": "0/1"},
+                                      {"point": "5/2", "value": "-2/1"}]
+
+    def test_sensitize_builds_no_fractions_of_phi0(self, tmp_path):
+        _, cert = make_certificate(target="x^2", mu="mix(0.3*atom(0.5), 0.7*normal(0,1))",
+                                   p=2, eps="1/25", M=0)
+        write_certificate(cert, tmp_path / "cert.json")
+        assert cert.phi0.exception_pairs() == [((1, 2), (1, 4))]
+        assert cert.phi0._fractions is None
 
 
 class TestSensitizeCommand:
@@ -241,6 +291,8 @@ class TestSensitizeCommand:
         # is narrower than the first cells
         ("sqrt((x-1)*(x-2))", "mix(0.5*uniform(0,1), 0.5*uniform(2,3))"),
         ("log(abs(x-0.5)-0.003)", "mix(0.5*uniform(0,0.497), 0.5*uniform(0.503,1))"),
+        # undefined where a pwd density is identically 0 inside its span
+        ("sqrt((x-1)*(x-2))", "pwd(breaks(0,1,2,3), poly(0.5), poly(0), poly(0.5))"),
     ])
     def test_target_undefined_off_the_support(self, tmp_path, target, measure):
         # the step grid rounds the support out to dyadic cells, where the
@@ -503,6 +555,24 @@ class TestNormCommand:
         assert rc == 0
         value = float(capsys.readouterr().out.split("value=")[1].split()[0])
         assert value == pytest.approx(1.0, abs=1e-2)
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-9"])
+    def test_target_undefined_where_a_pwd_density_is_zero(self, capsys, tol):
+        # (x-1)(x-2) < 0 on the cell (1, 2), where the density is 0; the
+        # exact norm^2 is 2 * int_0^1 |(x-1)(x-2)| / 2 dx = 5/6
+        rc = main(["norm", "--target", "sqrt((x-1)*(x-2))", "--measure",
+                   "pwd(breaks(0,1,2,3), poly(0.5), poly(0), poly(0.5))",
+                   "--p", "2", "--tol", tol])
+        assert rc == 0
+        out = capsys.readouterr().out
+        value = float(out.split("value=")[1].split()[0])
+        bound = float(out.split("bound=")[1].split()[0])
+        exact = math.sqrt(5 / 6)
+        assert abs(value - exact) <= float(tol)
+        if tol == "1e-9":
+            # at the default tolerance the Simpson pair of a quadratic reads
+            # error 0, and the endpoint nudge leaves the value 1.4e-12 off
+            assert abs(value - exact) <= bound
 
     def test_divergent_is_hypothesis_error(self, capsys):
         rc = main(["norm", "--target", "exp(x^2)", "--measure", "normal(0,1)",

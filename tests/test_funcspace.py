@@ -468,3 +468,96 @@ def test_nondiff_count_matches_listed_points(case):
     assert y.nondiff_count(lo, hi) == len(pts)
     inside = {p for p in y.phi0.endpoints() if lo < p < hi}
     assert pts == sorted(set(y.wave.lattice_points(lo, hi)) | inside)
+
+
+# dyadic floats of every scale, signed: an odd mantissa of up to 53 bits
+# times 2^e, from the smallest subnormal 2^-1074 up past 2^1000
+_float_point = st.builds(
+    lambda sign, m, e: sign * math.ldexp(2 * m + 1, e),
+    st.sampled_from([-1.0, 1.0]), st.integers(0, 2**52 - 1), st.integers(-1074, 970),
+).filter(math.isfinite)
+_float_value = st.one_of(_float_point, st.sampled_from([0.0, -0.0, 5e-324, 2.0**1000]))
+
+
+@st.composite
+def float_step_parts(draw):
+    """Sorted disjoint float terms, possibly with infinite ends, and float
+    exceptions at ends, inside terms and elsewhere."""
+    pts = sorted(set(draw(st.lists(_float_point, max_size=8))))
+    ends = [-math.inf] + pts + [math.inf]
+    terms = [(draw(_float_value), lo, hi) for lo, hi in zip(ends, ends[1:])
+             if draw(st.booleans())]
+    candidates = sorted(set(pts + draw(st.lists(_float_point, max_size=4))))
+    exc_pts = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return terms, [(p, draw(_float_value)) for p in exc_pts]
+
+
+def _exact_float(x):
+    return x if math.isinf(x) else Fraction(x)
+
+
+@settings(deadline=None)
+@given(float_step_parts(), st.lists(_float_point, max_size=10))
+@example(([(5e-324, -5e-324, 5e-324), (2.0**1000, 1.0, 2.0**1000)],
+          [(0.0, 0.0), (-5e-324, 3.0)]), [])
+def test_floats_enter_as_their_exact_values(parts, extra):
+    terms, exc = parts
+    s = StepFunction(terms=terms, exceptions=exc)
+    q = StepFunction(terms=[tuple(map(_exact_float, t)) for t in terms],
+                     exceptions=[tuple(map(Fraction, e)) for e in exc])
+    assert s.terms == q.terms and s.exceptions == q.exceptions
+    assert s.endpoints() == q.endpoints() and s == q and hash(s) == hash(q)
+    assert s.endpoint_pairs() == [(p.numerator, p.denominator) for p in q.endpoints()]
+    assert s.endpoint_floats().tolist() == [float(p) for p in q.endpoints()]
+    xs = [float(p) for p in q.endpoints()] + extra + [0.0, -0.0]
+    xs += [math.nextafter(x, d) for x in list(xs) for d in (-math.inf, math.inf)]
+    for points in (np.array(xs), np.sort(xs)):
+        assert_same_floats(s.eval_arr(points), q.eval_arr(points))
+    # the Fraction oracles of sup_norm and eval
+    values = [v for v, _, _ in q.terms] + [v for _, v in q.exceptions]
+    assert s.sup_norm() == max(map(abs, values), default=0)
+    # a float point is its exact value, as a float end is
+    for x in xs[:8]:
+        assert s.eval(x) == q.eval(Fraction(x)) == s.eval(Fraction(x))
+        assert float(s.eval(x)) == s.eval_arr(x)
+
+
+@settings(deadline=None)
+@given(float_step_parts(), st.integers(1, 10**6), st.data())
+def test_nondiff_count_of_float_ends_matches_a_fraction_oracle(parts, b, data):
+    terms, exc = parts
+    y = approximant(StepFunction(terms=terms, exceptions=exc), Fraction(1, 2), b)
+    ends = y.phi0.endpoints()
+    window = st.one_of(st.sampled_from(ends), st.fractions(-3, 3, max_denominator=50)) \
+        if ends else st.fractions(-3, 3, max_denominator=50)
+    lo, hi = sorted([data.draw(window), data.draw(window)])
+    lattice = max(0, math.ceil(hi * b) - math.floor(lo * b) - 1)
+    off = [p for p in ends if lo < p < hi and (p * b).denominator != 1]
+    assert y.nondiff_count(lo, hi) == lattice + len(off)
+    if lattice <= 1000:  # the lists hold the lattice
+        pts = sorted(y.wave.lattice_points(lo, hi) + off)
+        assert y.nondiff_points(lo, hi) == pts
+        assert y.nondiff_floats(lo, hi) == [float(p) for p in pts]
+
+
+def test_a_float_end_and_a_float_point_are_one_number():
+    s = StepFunction(terms=[(1, 0.0, 0.1)])
+    assert s.eval(0.1) == 0 and s.eval_arr(0.1) == 0.0
+    assert s.eval(Fraction(1, 10)) == 1  # below the float 0.1
+    # the approximant takes a float point as its shortest decimal, for
+    # phi0 and the wave alike
+    y = approximant(s, Fraction(1, 2), 2)
+    assert y.eval(0.1) == 1 + Fraction(1, 2) * TriangleWave(2).eval(Fraction(1, 10))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_numbers_raise(bad):
+    with pytest.raises(ValueError, match="expected a finite number"):
+        StepFunction(terms=[(bad, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="expected a finite number"):
+        StepFunction(exceptions=[(bad, 1.0)])
+    with pytest.raises(ValueError, match="expected a finite number"):
+        StepFunction(exceptions=[(0.5, bad)])
+    if math.isnan(bad):  # an infinite end is an open end of the line
+        with pytest.raises(ValueError):
+            StepFunction(terms=[(1.0, bad, 1.0)])
