@@ -178,15 +178,15 @@ def check_finite_moment(req: ApproxRequest):
 def _pin_atoms(phi0: StepFunction, req: ApproxRequest) -> StepFunction:
     """phi0, which has no exceptions, with the exception (loc, X(loc)) at
     each atom of mu where phi0(loc) != X(loc); the atoms are sorted, and a
-    location listed twice is pinned once. A float X(loc) is compared by
-    its exact value and pinned as its shortest decimal (as_rational)."""
+    location listed twice is pinned once. X(loc) is compared and pinned as
+    it is, a float as its exact binary value."""
     pins = []
     for loc, _m in req.mu.atoms:
         if pins and pins[-1][0] == loc:
             continue
         want = eval_target(req.target, loc)
         if phi0.eval(loc) != want:
-            pins.append((loc, as_rational(want)))
+            pins.append((loc, want))
     return phi0.with_exceptions(pins) if pins else phi0
 
 
@@ -207,9 +207,8 @@ def _piecewise_constant_candidate(req: ApproxRequest):
     hi_val = eval_target(req.target, thresholds[-1] + 1)
     if lo_val != 0 or hi_val != 0:
         return None  # unbounded support; grid route handles it
-    # StepFunction drops the zero values; a float value is taken as its
-    # shortest decimal, as in _pin_atoms
-    return StepFunction(terms=[(as_rational(eval_target(req.target, (a + b) / 2)), a, b)
+    # StepFunction drops the zero values
+    return StepFunction(terms=[(eval_target(req.target, (a + b) / 2), a, b)
                                for a, b in zip(thresholds, thresholds[1:])])
 
 
@@ -391,8 +390,7 @@ def _rational_upper_root(total_mass: Fraction, p) -> Fraction:
     """Rational R >= total_mass^(1/p)."""
     r = float(total_mass) ** (1.0 / p)
     r = math.nextafter(math.nextafter(r, math.inf), math.inf)
-    # exact binary value: the bound holds for r, its decimal may lie below
-    return Fraction(r)
+    return as_rational(r)
 
 
 def sensitize(req: ApproxRequest):

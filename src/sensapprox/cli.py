@@ -1,9 +1,9 @@
 """Command-line surface: sensitize, verify, norm, plot.
 
-Exit codes: 0 success/PASS, 1 verification FAIL, 2 input error,
-3 pipeline budget exhausted, 4 hypothesis violation (p out of range is
-an input error; a numerically diverging moment is a hypothesis
-violation).
+Exit codes: 0 success/PASS, 1 verification FAIL, 2 input error (p out
+of range, or a wave frequency b >= 2^1024 - 2^970, which has no float),
+3 pipeline budget exhausted, 4 hypothesis violation (a numerically
+diverging moment).
 
 Certificate files are JSON, schema_version "1". Quantities that must be
 exact (scale, min_abs_slope, sup_bound, breakpoints) are "num/den"
@@ -173,19 +173,19 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
             exceptions=[(str(e["point"]), str(e["value"])) for e in data["exceptions"]],
         )
         scale = _parse_fraction(str(data["scale"]), "scale")
-        b = int(data["b"])
+        wave = TriangleWave(b=int(data["b"]))
         eps = _parse_fraction(str(data["request"]["eps"]), "eps")
         M = _parse_fraction(str(data["request"]["M"]), "M")
         p = _parse_p(str(data["request"]["p"]))
         stored_slope = _parse_fraction(str(data["min_abs_slope"]), "min_abs_slope")
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise CorruptCertificate(f"malformed certificate field: {exc}") from exc
-    if stored_slope != scale * b:
+    if stored_slope != scale * wave.b:
         raise CorruptCertificate(
-            f"stored min_abs_slope {stored_slope} != scale*b {scale * b}"
+            f"stored min_abs_slope {stored_slope} != scale*b {scale * wave.b}"
         )
     return SensitiveApproximant(
-        phi0=phi0, scale=scale, wave=TriangleWave(b=b), eps=eps, M=M, p=p
+        phi0=phi0, scale=scale, wave=wave, eps=eps, M=M, p=p
     )
 
 
@@ -236,6 +236,9 @@ def cmd_sensitize(args) -> int:
     except approx.RefinementCapError as exc:
         print(f"pipeline budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except OverflowError as exc:  # a number of the request past the float range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     write_certificate(cert, args.out)
     print(
         f"b={cert.b} error_bound={cert.error_bound:.6g} "

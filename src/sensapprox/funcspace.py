@@ -1,6 +1,7 @@
 """Step functions, the triangle wave, and the approximant phi0 + s * wave.
 
-Every breakpoint, value, scale and slope is exact. A step function holds
+Every breakpoint, value, scale and slope is exact; a float input is its
+exact binary value, as ``as_rational`` reads it. A step function holds
 its numbers as integer pairs (n, d): a float enters as its
 ``as_integer_ratio()``, a certificate's "n/d" string as its two integers.
 It checks and orders its terms, finds its sup norm and its endpoints off
@@ -39,6 +40,8 @@ class TriangleWave:
     def __post_init__(self):
         if self.b < 1:
             raise ValueError("frequency parameter must be a positive integer")
+        if self.b >= 2**1024 - 2**970:  # float(b) overflows, and eval_arr with it
+            raise OverflowError(f"frequency parameter of {self.b.bit_length()} bits has no float")
 
     def eval(self, x) -> Fraction:
         t = (as_rational(x) * self.b) % 2
@@ -94,18 +97,19 @@ _ZERO = (0, 1, None)
 
 def _number(x, seen):
     """x as (n, d, exact), with d > 0, and exact the Fraction n / d when it
-    is at hand, else None. A finite float is its exact binary value, the
-    pair of ``as_integer_ratio()``, which is Fraction(x); NaN and the
-    infinities raise ValueError. A string "n/d" of decimal digits, as a
-    certificate writes it, gives its two integers and no Fraction, and is
-    looked up in and added to seen, as a certificate's rows repeat their
-    shared ends and many values; any other input goes through as_rational,
-    and a Fraction is kept as it is."""
+    is at hand, else None: the number that as_rational reads. A finite
+    float gives the pair of ``as_integer_ratio()`` and no Fraction. A
+    string "n/d" of decimal digits, as a certificate writes it, gives its
+    two integers and no Fraction, and is looked up in and added to seen,
+    as a certificate's rows repeat their shared ends and many values. Any
+    other input goes through as_rational, which keeps a Fraction as it is
+    and raises on NaN and the infinities."""
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"expected a finite number, got {x!r}")
-        n, d = x.as_integer_ratio()
-        return n, d, None
+        try:
+            n, d = x.as_integer_ratio()
+            return n, d, None
+        except (OverflowError, ValueError):
+            pass  # NaN or ±inf, which as_rational rejects
     if type(x) is str:
         num = seen.get(x)
         if num is None:
@@ -277,9 +281,9 @@ class StepFunction:
     # -- queries -------------------------------------------------------------
 
     def eval(self, x) -> Fraction:
-        """The exact value at x, taken as the terms' numbers are (a float as
-        its exact binary value), found among the exceptions and the terms
-        by cross-multiplication: one Fraction, or none if x is one."""
+        """The exact value at x, a float taken as its exact binary value,
+        found among the exceptions and the terms by cross-multiplication:
+        one Fraction, or none if x is one."""
         xn = _number(x, {})
         exc = self._exc
         i = bisect.bisect_left(exc, _key(xn), key=lambda e: _key(e[0]))
@@ -403,7 +407,6 @@ class SensitiveApproximant:
             raise ValueError("scale must be positive")
 
     def eval(self, x) -> Fraction:
-        x = as_rational(x)  # one rational for both parts
         return self.phi0.eval(x) + self.scale * self.wave.eval(x)
 
     def eval_arr(self, xs) -> np.ndarray:

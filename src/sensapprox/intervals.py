@@ -1,8 +1,7 @@
 """Exact interval-union algebra on the real line.
 
-Endpoints are Fractions (a float becomes the rational of its shortest
-round-trip decimal, see ``as_rational``) or +/-infinity; infinite
-endpoints are open.
+Endpoints are Fractions (a float becomes its exact binary value, see
+``as_rational``) or +/-infinity; infinite endpoints are open.
 Unions are kept in normal form: sorted, pairwise disjoint, adjacent
 intervals not mergeable.
 """
@@ -17,21 +16,18 @@ NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-def as_rational(x) -> Fraction:
-    """Exact rational of an input number: a Fraction as is, an int exactly,
-    a float as its shortest round-trip decimal (0.1 -> 1/10)."""
+def as_rational(x, ends=False) -> Fraction:
+    """The one exact rational of an input number: a Fraction as is, an int
+    exactly, a float as its exact binary value Fraction(x) (0.1 ->
+    3602879701896397/2^55), a string, such as a decimal "0.1", as Fraction
+    reads it. NaN raises ValueError, and so does ±inf unless ends."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"expected a finite number, got {x!r}")
-        return Fraction(repr(float(x)))
+    if isinstance(x, float) and not math.isfinite(x):
+        if ends and math.isinf(x):
+            return x
+        raise ValueError(f"expected a finite number, got {x!r}")
     return Fraction(x)
-
-
-def as_endpoint(x):
-    """as_rational, letting the infinite ends of the line through."""
-    return x if isinstance(x, float) and math.isinf(x) else as_rational(x)
 
 
 def uniform_grid_floats(lo, hi, n):
@@ -54,8 +50,8 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_endpoint(self.lo))
-        object.__setattr__(self, "hi", as_endpoint(self.hi))
+        object.__setattr__(self, "lo", as_rational(self.lo, ends=True))
+        object.__setattr__(self, "hi", as_rational(self.hi, ends=True))
         if self.lo == NEG_INF and self.lo_closed:
             raise ValueError("infinite endpoint must be open")
         if self.hi == POS_INF and self.hi_closed:

@@ -21,6 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .intervals import as_rational
+
 
 class ParseError(ValueError):
     """Syntax or validation failure, with a byte offset into the input."""
@@ -546,11 +548,7 @@ def piecewise_constant_thresholds(f: TargetFunction):
             return None
     except EvaluationError:
         return None
-    vals = []
-    for v in out:
-        # exact binary value: eval_target compares points with the float itself
-        vals.append(v if isinstance(v, Fraction) else Fraction(v))
-    return sorted(set(vals))
+    return sorted(set(map(as_rational, out)))
 
 
 # ---------------------------------------------------------------------------

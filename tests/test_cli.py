@@ -316,6 +316,29 @@ class TestSensitizeCommand:
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps, M", [("1e-400", "0"), ("1/10", "1e400")])
+    def test_frequency_without_a_float_is_input_error(self, tmp_path, eps, M):
+        # b = ceil(2 (M+1) / eps) is about 2*10^400, past the largest float
+        out = tmp_path / "cert.json"
+        run = run_cli("sensitize", "--target", "x", "--measure", "uniform(0,1)", "--p", "1",
+                      "--eps", eps, "--M", M, "--out", str(out))
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: frequency parameter of 13")
+        assert run.stderr.count("\n") == 1 and not out.exists()
+
+    def test_a_float_pin_is_its_exact_binary_value(self, tmp_path, capsys):
+        # sin(0.3) is a float, pinned as n / 2^54, not as its shortest decimal
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "sin(x)",
+                     "--measure", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
+                     "--p", "1", "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
+        value = "5323618770401843/18014398509481984"
+        assert read_certificate(out)["exceptions"] == [{"point": "3/10", "value": value}]
+        assert Fraction(value) == Fraction(eval_target(parse_target("sin(x)"), Fraction(3, 10)))
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_bad_target_is_input_error(self, tmp_path, capsys):
         rc = main([
             "sensitize", "--target", "x +", "--measure", "uniform(0,1)",
@@ -431,6 +454,23 @@ class TestVerifyCommand:
                    "--samples", "50000", "--seed", "0"])
         assert rc == 1
         assert "MC distance" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "plot"])
+    def test_frequency_without_a_float_is_input_error(self, tmp_path, command):
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "x", "--measure", "uniform(0,1)", "--p", "1",
+                     "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
+        # b = 10^400, with the stored slope kept at scale * b
+        raw = json.loads(out.read_text())
+        raw["b"] = 10**400
+        raw["min_abs_slope"] = str(Fraction(raw["scale"]) * 10**400)
+        out.write_text(json.dumps(raw))
+        flags = {"verify": ["--samples", "1000"],
+                 "plot": ["--window", "0:1", "--points", "10", "--out", str(tmp_path / "p.csv")]}
+        run = run_cli(command, "--cert", str(out), *flags[command])
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: malformed certificate field: frequency parameter")
+        assert run.stderr.count("\n") == 1
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         rc = main(["verify", "--cert", str(tmp_path / "nope.json")])

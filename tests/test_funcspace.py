@@ -50,7 +50,8 @@ class TestBuildZigzag:
         assert build_zigzag(Fraction(3, 10), Fraction(1)).b == 14
 
     def test_decimal_float_inputs(self):
-        # floats go through their shortest-decimal rational form
+        # a float is its exact binary value: 0.3 lies just below 3/10, and
+        # 4 / 0.3 = 13.33... rounds up to 14 as 4 / (3/10) does
         assert build_zigzag(0.3, 1).b == 14
 
     def test_rejects_bad_eps(self):
@@ -544,10 +545,11 @@ def test_a_float_end_and_a_float_point_are_one_number():
     s = StepFunction(terms=[(1, 0.0, 0.1)])
     assert s.eval(0.1) == 0 and s.eval_arr(0.1) == 0.0
     assert s.eval(Fraction(1, 10)) == 1  # below the float 0.1
-    # the approximant takes a float point as its shortest decimal, for
-    # phi0 and the wave alike
+    # the approximant takes a float point as its exact binary value, for
+    # phi0 and the wave alike: 0.1 is the end of the term, where phi0 is 0
     y = approximant(s, Fraction(1, 2), 2)
-    assert y.eval(0.1) == 1 + Fraction(1, 2) * TriangleWave(2).eval(Fraction(1, 10))
+    assert y.eval(0.1) == Fraction(1, 2) * TriangleWave(2).eval(Fraction(0.1))
+    assert y.eval(0.1) == y.phi0.eval(Fraction(0.1)) + y.scale * y.wave.eval(Fraction(0.1))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.approx import ApproxRequest
-from sensapprox.funcspace import build_zigzag
+from sensapprox.funcspace import SensitiveApproximant, StepFunction, TriangleWave, build_zigzag
 from sensapprox.intervals import (
     Interval,
     IntervalUnion,
@@ -14,7 +14,7 @@ from sensapprox.intervals import (
     open_interval,
     point,
 )
-from sensapprox.measures import BorelMeasure
+from sensapprox.measures import BorelMeasure, Uniform
 from sensapprox.parsing import parse_target, piecewise_constant_thresholds
 
 
@@ -28,8 +28,20 @@ class TestAsRational:
         assert as_rational(big) == Fraction(big)
         assert as_rational(-7) == Fraction(-7)
 
-    def test_float_is_shortest_decimal(self):
-        assert as_rational(0.1) == Fraction(1, 10)
+    def test_float_is_its_exact_binary_value(self):
+        assert as_rational(0.1) == Fraction(3602879701896397, 36028797018963968)
+        assert as_rational(0.1) == Fraction(0.1) != Fraction(1, 10)
+        # a decimal is passed as text
+        assert as_rational("0.1") == Fraction(1, 10)
+
+    def test_infinite_ends_pass_only_when_asked(self):
+        assert as_rational(-math.inf, ends=True) == -math.inf
+        assert as_rational(math.inf, ends=True) == math.inf
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="expected a finite number"):
+                as_rational(bad)
+        with pytest.raises(ValueError, match="expected a finite number"):
+            as_rational(math.nan, ends=True)
 
     def test_non_finite_inputs_rejected(self):
         mu = BorelMeasure(atoms=[(0, 1)])
@@ -43,6 +55,49 @@ class TestAsRational:
         # eval_target compares points with the float sqrt(2) itself
         target = parse_target("if(x < sqrt(2), 1, 0)")
         assert piecewise_constant_thresholds(target) == [Fraction(math.sqrt(2))]
+
+
+@settings(deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 10**6),
+       st.floats(1e-290, 1e300), st.floats(0, 1e6))
+@example(0.1, 10, 0.7, 6.0)
+@example(-0.0, 1, 5e-290, 0.0)
+def test_every_entry_point_reads_a_float_as_its_exact_binary_value(x, b, eps, M):
+    q = Fraction(x)
+    assert as_rational(x) == q
+    iv = closed_interval(x, x)
+    assert (iv.lo, iv.hi) == (q, q)
+    # StepFunction values, ends and exception points, and eval at a point
+    # that only Fraction(x) finds
+    if x:  # a value of 0 leaves no term
+        assert StepFunction(terms=[(x, -math.inf, math.inf)]).terms == ((q, -math.inf, math.inf),)
+    assert StepFunction(terms=[(1, x, math.inf)]).endpoints() == (q,)
+    assert StepFunction(terms=[(1, -math.inf, x)]).terms[0][2] == q
+    pin = StepFunction(exceptions=[(x, 1)])
+    assert pin.exceptions == ((q, 1),)
+    assert pin.eval(x) == 1
+    wave = TriangleWave(b)
+    assert wave.eval(x) == 1 - abs(q * b % 2 - 1)
+    lattice = wave.lattice_range(x, x)
+    assert (lattice.start, lattice.stop) == (math.floor(q * b) + 1, math.ceil(q * b))
+    y = SensitiveApproximant(phi0=StepFunction(exceptions=[(q, 1)]), scale=Fraction(1, 2),
+                             wave=wave, eps=1, M=0, p=1)
+    assert y.eval(x) == 1 + wave.eval(q) / 2
+    assert build_zigzag(eps, M).b == math.ceil(2 * (Fraction(M) + 1) / Fraction(eps))
+    mass = abs(x) or 1.0
+    assert BorelMeasure(atoms=[(x, mass)]).atoms == ((q, Fraction(mass)),)
+
+
+def test_float_inputs_differ_from_their_decimals():
+    # the float 0.7 lies below 7/10, so 14 / 0.7 exceeds 20
+    assert build_zigzag(0.7, 6).b == 21
+    assert build_zigzag("0.7", 6).b == build_zigzag(Fraction(7, 10), 6).b == 20
+    # the float masses 0.3 and 0.7 sum to 1 - 2^-54, not 1
+    with pytest.raises(ValueError, match="component masses sum to"):
+        BorelMeasure(atoms=[(0, 0.3)], parts=[(0.7, Uniform(0, 1))], total_mass=1)
+    for m, w in (("0.3", "0.7"), (Fraction(3, 10), Fraction(7, 10))):
+        mu = BorelMeasure(atoms=[(0, m)], parts=[(w, Uniform(0, 1))], total_mass=1)
+        assert mu.atoms == ((0, Fraction(3, 10)),) and mu.total_mass == 1
 
 
 def test_normal_form_merges_overlap():
