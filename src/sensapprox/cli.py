@@ -274,8 +274,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:
-        print(f"error: not enough memory for {args.samples} samples; lower --samples",
-              file=sys.stderr)
+        print("error: not enough memory to verify: the draws take a few MB "
+              "whatever --samples is", file=sys.stderr)
         return EXIT_INPUT
     distance, radius = est.value, est.absolute_error_bound
     mc_total = distance + radius

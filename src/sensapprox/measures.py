@@ -12,11 +12,11 @@ its ``spans``: the window less the pwd cells where the density is
 identically 0, the only places where quadrature evaluates a target.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
-Generation*, 1986, ch. 2). The uniforms are sorted, so each component's
-draws, and each pwd cell's, are one slice of them, found by a binary
-search of the cumulative weights; the inverse CDFs run on cache-sized
-blocks of a slice. The normal quantile is Wichura's AS241 PPND16
-(*Applied Statistics* 37, 1988), run in numpy.
+Generation*, 1986, ch. 2). The uniforms come one cache-sized block at a
+time through one reused buffer, and each block is sorted, so that within
+it each component's draws, and each pwd cell's, are one slice, found by
+a binary search of the cumulative weights. The normal quantile is
+Wichura's AS241 PPND16 (*Applied Statistics* 37, 1988), run in numpy.
 """
 
 from __future__ import annotations
@@ -71,9 +71,11 @@ _AS241_FAR = _columns(
      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
      2.04426310338993978564e-15),
 )
-# points per block of the Monte Carlo path (from_uniforms, which feeds
-# ndtri, and mc_norm in norms): a few block-sized temporaries (256 kB
-# each) stay in cache; on 10^6 sorted points one block of all of them
+# draws per block of the Monte Carlo path (sample_blocks, whose one buffer
+# from_uniforms maps in place, and mc_norm in norms, which folds each
+# block into its running mean and variance): a few block-sized
+# temporaries (256 kB each) stay in cache, and the path's memory does not
+# grow with the number of draws; on 10^6 points one block of all of them
 # takes more than twice as long, and smaller blocks make more numpy calls
 BLOCK = 1 << 15
 
@@ -496,6 +498,15 @@ class BorelMeasure:
             )
         if self.total_mass <= 0:
             raise ValueError("total mass must be positive")
+        # the composition table of from_uniforms: per component (atoms
+        # first, then parts, in stored order), its float weight w / mass,
+        # the float cumulative weight before it and its kind
+        comps = [(m / self.total_mass, AtomKind(loc)) for loc, m in self.atoms]
+        comps += [(w / self.total_mass, kind) for w, kind in self.parts]
+        self._weights = tuple(float(w) for w, _ in comps)
+        self._lowers = tuple(
+            float(c) for c in itertools.accumulate((w for w, _ in comps[:-1]), initial=0))
+        self._kinds = tuple(kind for _, kind in comps)
 
     @classmethod
     def from_spec(cls, spec: MeasureSpec):
@@ -543,21 +554,41 @@ class BorelMeasure:
     def sample(self, n, seed):
         """n i.i.d. draws of mu / total_mass; deterministic given seed.
 
-        The uniforms are sorted first, so the draws come in a fixed order:
-        one block per component (atoms first, then parts, in stored order),
-        each block ascending. A statistic that is symmetric in the draws,
-        such as the mean and variance in ``norms.mc_norm``, sees the order
-        only in the rounding of its sums; the sorted order makes the
-        component split a pair of slice bounds and a later step-function
-        lookup of the draws a merge.
+        The blocks of ``sample_blocks(n, seed)``, joined in order: each
+        block holds one ascending run per component (atoms first, then
+        parts, in stored order).
+        """
+        out = np.empty(n)
+        s = 0
+        for blk in self.sample_blocks(n, seed):
+            out[s:s + blk.size] = blk
+            s += blk.size
+        return out
+
+    def sample_blocks(self, n, seed):
+        """Yield n i.i.d. draws of mu / total_mass, ``BLOCK`` at a time.
+
+        The uniforms are ``default_rng(seed).random(n)`` read a block at a
+        time into one reused buffer, which is the same stream. Each block
+        is taken to 1 - u in (0, 1], sorted and mapped by
+        ``from_uniforms``, all in place, so the draws take one block of
+        memory whatever n is. A block is a view of that buffer: it may be
+        written to, and the next block overwrites it. A statistic that is
+        symmetric in the draws, such as the mean and variance in
+        ``norms.mc_norm``, sees the blocking only in the rounding of its
+        sums; the sorting makes the component split of a block a pair of
+        slice bounds and a later step-function lookup of it a merge.
         """
         rng = np.random.default_rng(seed)
-        u = rng.random(n)
-        np.subtract(1.0, u, out=u)  # u in (0, 1]
-        u.sort()
-        return self.from_uniforms(u)
+        buf = np.empty(min(n, BLOCK))
+        for s in range(0, n, BLOCK):
+            u = buf[:min(BLOCK, n - s)]
+            rng.random(out=u)
+            np.subtract(1.0, u, out=u)
+            u.sort()
+            yield self.from_uniforms(u, out=u)
 
-    def from_uniforms(self, u):
+    def from_uniforms(self, u, out=None):
         """Map ascending uniforms u in (0, 1] to draws of mu / total_mass.
 
         Composition: the component is picked from the cumulative weights
@@ -566,23 +597,22 @@ class BorelMeasure:
         u is rescaled to v in (0, 1) and goes through the component's
         inverse CDF, ``BLOCK`` points at a time, so that the temporaries
         stay in cache. Each u is mapped on its own: the result does not
-        depend on the blocking. u is not written to; u that is not
+        depend on the blocking. The draws go to ``out``, an array of u's
+        shape, which may be u itself, or to a new array; u that is not
         ascending, or holds NaN, raises ValueError.
         """
         u = np.asarray(u, dtype=float)
         if not np.all(u[1:] >= u[:-1]) or np.isnan(u[:1]).any():
             raise ValueError("from_uniforms requires ascending uniforms")
-        mass = self.total_mass
-        comps = [(m / mass, AtomKind(loc)) for loc, m in self.atoms]
-        comps += [(w / mass, kind) for w, kind in self.parts]
-        lowers = [float(c) for c in itertools.accumulate((w for w, _ in comps[:-1]), initial=0)]
-        out = np.empty_like(u)
-        for i, start, stop in _slices(lowers, u):
-            w, kind = comps[i]
+        if out is None:
+            out = np.empty_like(u)
+        # the slice bounds are all found before the first draw is written
+        for i, start, stop in _slices(self._lowers, u):
+            low, w, kind = self._lowers[i], self._weights[i], self._kinds[i]
             for s in range(start, stop, BLOCK):
                 blk = slice(s, min(s + BLOCK, stop))
-                v = np.subtract(u[blk], lowers[i], out=out[blk])
-                v /= float(w)
+                v = np.subtract(u[blk], low, out=out[blk])
+                v /= w
                 out[blk] = kind.inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
         return out
 

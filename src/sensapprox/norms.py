@@ -4,8 +4,9 @@ The quadrature path is adaptive bisection with a Simpson coarse/fine
 pair per segment; kinks of the integrand (step-function endpoints,
 density breakpoints) are inserted as mandatory knots so each segment is
 smooth. The Monte Carlo path is an independent oracle used for
-cross-validation and certificate verification; it evaluates the
-integrand on cache-sized blocks of the sorted draws. The wave term has a
+cross-validation and certificate verification; it draws, evaluates and
+folds its sample one cache-sized block at a time, so that its memory does
+not grow with the number of draws. The wave term has a
 closed-form bound that costs the same at every frequency; the wave
 lattice is never a knot source.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import BLOCK, BorelMeasure
+from .measures import BorelMeasure
 from .parsing import EvaluationError
 
 
@@ -196,30 +197,38 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     """Monte Carlo ||f||_{L^p(mu)} with a 4-sigma delta-method error radius.
 
     Draws from mu / mass, then scales value and radius by mass^(1/p). The
-    estimate is a mean and a variance over the draws, symmetric in them,
-    so the order in which ``mu.sample`` returns them (one ascending run
-    per component) leaves it unchanged up to the rounding of the sums.
-    f is called on one block of ``BLOCK`` consecutive draws at a time, so
-    its temporaries stay in cache, and must map each point on its own;
-    |f|^p then overwrites that block of the draws, so that the sample
-    takes one array of n floats, whose mean and variance are those of the
-    whole sample at once.
+    draws come from ``mu.sample_blocks``, ``BLOCK`` at a time, and f is
+    called on one block, so its temporaries stay in cache; it must map
+    each point on its own. |f|^p overwrites the block, whose count, mean
+    and sum of squared deviations are folded into running totals by the
+    pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
+    the sample variance", *Am. Stat.* 37, 1983). So no array of n floats
+    is made, and the mean and variance are those of the whole sample up
+    to the rounding of the sums; for n <= BLOCK they are numpy's, bit for
+    bit.
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
-    z = mu.sample(n, seed)
-    for s in range(0, n, BLOCK):
-        blk = z[s:s + BLOCK]
-        np.abs(f(blk), out=blk)
-        blk **= p  # the same power as |f|^p: square at p = 2
-    m = float(z.mean())
-    sd = float(z.std(ddof=1)) / math.sqrt(n)
+    count, mean, m2 = 0, 0.0, 0.0
+    for z in mu.sample_blocks(n, seed):
+        np.abs(f(z), out=z)
+        z **= p  # the same power as |f|^p: square at p = 2
+        k = z.size
+        z_mean = float(z.mean())
+        z -= z_mean
+        z *= z
+        delta = z_mean - mean
+        count += k
+        # k / count is 1 for the first block, which so sets mean and m2
+        mean += delta * (k / count)
+        m2 += float(z.sum()) + delta * delta * ((count - k) * k / count)
+    sd = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     root = float(mu.total_mass) ** (1.0 / p)
-    if m <= 0.0:
+    if mean <= 0.0:
         value, radius = 0.0, (4.0 * sd) ** (1.0 / p)
     else:
-        value = m ** (1.0 / p)
-        radius = 4.0 * sd * (1.0 / p) * m ** (1.0 / p - 1.0)
+        value = mean ** (1.0 / p)
+        radius = 4.0 * sd * (1.0 / p) * mean ** (1.0 / p - 1.0)
     return NormEstimate(value=value * root, absolute_error_bound=radius * root)
 
 

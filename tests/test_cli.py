@@ -506,8 +506,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(norms, "mc_norm", no_memory)
         assert main(["verify", "--cert", str(out), "--samples", "10000000"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == ("error: not enough memory for 10000000 samples; "
-                                "lower --samples\n")
+        assert captured.err == ("error: not enough memory to verify: the draws take "
+                                "a few MB whatever --samples is\n")
         assert "Traceback" not in captured.err and "FAIL" not in captured.out
 
     def test_target_evaluation_failure_is_input_error(self, tmp_path):

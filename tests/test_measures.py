@@ -148,11 +148,30 @@ class TestSample:
 
     @pytest.mark.parametrize("text", SAMPLED)
     def test_sorted_uniforms_give_the_same_multiset(self, text):
-        # sample is from_uniforms of its own sorted uniforms, draw for draw
+        # each block of sample is from_uniforms of that block of the
+        # generator's stream, sorted, draw for draw
         mu = measure(text)
         for seed in (0, 9):
-            u = np.sort(1.0 - np.random.default_rng(seed).random(10**5))
-            assert np.array_equal(mu.from_uniforms(u), mu.sample(10**5, seed))
+            xs = mu.sample(10**5, seed)
+            rng = np.random.default_rng(seed)
+            for s in range(0, 10**5, BLOCK):
+                u = np.sort(1.0 - rng.random(min(BLOCK, 10**5 - s)))
+                assert np.array_equal(mu.from_uniforms(u), xs[s:s + BLOCK])
+
+    @pytest.mark.parametrize("text", SAMPLED)
+    def test_blocks_draw_the_globally_sorted_multiset(self, text):
+        # the draws of all n uniforms sorted at once, in another order
+        mu = measure(text)
+        n = 3 * BLOCK + 11
+        for seed in (0, 9):
+            u = np.sort(1.0 - np.random.default_rng(seed).random(n))
+            assert np.array_equal(np.sort(mu.sample(n, seed)), np.sort(mu.from_uniforms(u)))
+
+    def test_blocks_are_one_reused_buffer(self):
+        blocks = [(blk.size, blk.__array_interface__["data"][0])
+                  for blk in MIX.sample_blocks(2 * BLOCK + 1, 5)]
+        assert [size for size, _ in blocks] == [BLOCK, BLOCK, 1]
+        assert len({address for _, address in blocks}) == 1
 
     @pytest.mark.parametrize("text", SAMPLED + [
         "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))",
@@ -194,17 +213,22 @@ class TestSample:
     def test_uniforms_are_not_written_to(self, text):
         u = np.sort(1.0 - np.random.default_rng(8).random(BLOCK + 9))
         kept = u.copy()
-        measure(text).from_uniforms(u)
+        xs = measure(text).from_uniforms(u)
         assert np.array_equal(u, kept)
         assert measure(text).from_uniforms(u[:0]).shape == (0,)
+        # unless they are the output
+        assert measure(text).from_uniforms(u, out=u) is u
+        assert np.array_equal(u, xs)
 
     @pytest.mark.parametrize("text", SAMPLED)
     def test_each_component_draws_one_ascending_block(self, text):
+        # one ascending run per component within each block of BLOCK draws
         mu = measure(text)
         components = len(mu.atoms) + len(mu.parts)
         for seed in (0, 9):
             xs = mu.sample(10**5, seed)
-            assert np.count_nonzero(np.diff(xs) < 0) <= components - 1
+            for s in range(0, 10**5, BLOCK):
+                assert np.count_nonzero(np.diff(xs[s:s + BLOCK]) < 0) <= components - 1
 
     def test_blocks_come_atoms_first_then_parts(self):
         xs = measure("mix(0.5*normal(0,1), 0.3*atom(2), 0.2*atom(-1))").sample(10**4, 4)
