@@ -2,18 +2,21 @@
 then superposition of the scaled triangle wave to reach M-sensitivity
 with certified total L^p error below eps.
 
-Two routes produce the step function. When the target is detectably
-piecewise constant, its cells are taken literally (exact). Otherwise the
-grid route refines dyadic cells greedily, splitting only the cells of
-largest estimated error, gives each cell a short dyadic value, and
-certifies the result by quadrature. Either way, an atom of mu where the
+One route produces the step function. It refines dyadic cells greedily,
+splitting only the cells of largest estimated error, gives each cell a
+short dyadic value, and certifies the result by quadrature. The first
+cells also end at every threshold c of an if() test ``x cmp c`` of the
+target, so a jump or kink there is a cell end and is never bisected
+toward; a row that ends at a threshold that is no float ends at the
+exact rational. Touching cells of one value are one row, so a piecewise
+constant target gets one row per constant piece. An atom of mu where the
 step function misses the target gets the target's exact value as one
 exception of the step function, a multiple of the indicator of a
 singleton. The open-set machinery
 (approximate_borel_set, truncate_union) is the paper's measure-theoretic
-route for indicator data. The pipeline does not use it: the literal cells
-and the atom pins already give indicators exactly, with less code. It
-stays a library function, exercised on its own.
+route for indicator data. The pipeline does not use it: the threshold
+ends and the atom pins already give indicators exactly, with less code.
+It stays a library function, exercised on its own.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .norms import NonIntegrableError, NormEstimate
 from .parsing import (
     TargetFunction,
     eval_target,
-    piecewise_constant_thresholds,
     target_evaluator,
+    thresholds,
 )
 
 
@@ -197,21 +200,6 @@ def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEsti
     return norms.lp_distance(f, phi0.eval_arr, req.mu, req.p, tol, knots=knots)
 
 
-def _piecewise_constant_candidate(req: ApproxRequest):
-    thresholds = piecewise_constant_thresholds(req.target)
-    if thresholds is None:
-        return None
-    if not thresholds:  # constant target
-        return StepFunction() if eval_target(req.target, 0) == 0 else None
-    lo_val = eval_target(req.target, thresholds[0] - 1)
-    hi_val = eval_target(req.target, thresholds[-1] + 1)
-    if lo_val != 0 or hi_val != 0:
-        return None  # unbounded support; grid route handles it
-    # StepFunction drops the zero values
-    return StepFunction(terms=[(eval_target(req.target, (a + b) / 2), a, b)
-                               for a, b in zip(thresholds, thresholds[1:])])
-
-
 # Refinement budget of the grid route. A refinement run ends when the float
 # estimate of ||target - phi0||_p^p falls to a share of target_err^p, at
 # first (3/4)^p, which leaves the certified quadrature its tolerance of
@@ -224,7 +212,9 @@ _MAX_CHECKS = 8
 def _dyadic_cells(span_lo, span_hi, n):
     """Ends of the cells that cover [span_lo, span_hi], all of the least
     power-of-two width at least (span_hi - span_lo) / n; every end is a
-    multiple of the width, so every later midpoint is exact."""
+    multiple of the width, so every later midpoint of these cells is
+    exact. A cell that the grid route ends at a threshold has no exact
+    midpoint in general; halving rounds it to a float."""
     width = 2.0 ** math.ceil(math.log2(max(span_hi - span_lo, 2.0**-40) / n))
     return np.arange(math.floor(span_lo / width), math.ceil(span_hi / width) + 1) * width
 
@@ -248,9 +238,10 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
 
     The cells tile the dyadic hull of the spans that ``norms`` integrates
     over (every part's spans(1e-12): its window less the pwd cells of
-    density 0), starting from about 16 cells of one power-of-two width.
-    The spans merge into disjoint pieces, and a first cell that reaches
-    into two pieces is halved until it meets one. A cell's value is the
+    density 0), starting from about 16 cells of one power-of-two width,
+    each cut at the target's if() thresholds inside it. The spans merge
+    into disjoint pieces, and a first cell that reaches into two pieces
+    is halved until it meets one. A cell's value is the
     target at the midpoint of the cell's part inside its piece, rounded to
     a multiple of a power of two that costs at most target_err / 128 in
     L^p; the target is never evaluated outside the
@@ -258,7 +249,8 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     round estimates the error of the new cells by Simpson's rule on floats,
     then halves the fewest worst cells that hold the error to be removed.
     A deviation large enough for one Monte Carlo draw to fail a check
-    weighs 10^6 times more in the estimate.
+    weighs 10^6 times more in the estimate. Each run of touching cells of
+    one value is one row of phi0.
     """
     f = target_evaluator(req.target)
     p = req.p
@@ -274,6 +266,12 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     highs = np.array([b for _, b in pieces])
     hull = (pieces[0][0], pieces[-1][1]) if pieces else (0.0, 0.0)
     ends = _dyadic_cells(*hull, 16)
+    # every if() threshold inside the cells is a cell end, so that a jump or
+    # kink of the target there is one; a row that ends at a threshold ends
+    # at the threshold itself, which may be no float
+    exact = {float(t): t for t in thresholds(req.target) if ends[0] < t < ends[-1]}
+    if exact:
+        ends = np.union1d(ends, list(exact))
     root = float(req.mu.total_mass) ** (1.0 / p)
     quantum = 2.0 ** -math.ceil(math.log2(64.0 * root / target_err))
     # one draw where |target - v|^p exceeds 1000 target_err^p can fail a
@@ -337,8 +335,14 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
             keep = ~fresh | inside(lo, hi)
             lo, hi, v, err, fresh = lo[keep], hi[keep], v[keep], err[keep], fresh[keep]
             v[fresh], err[fresh] = evaluate(lo[fresh], hi[fresh])
-        # StepFunction takes each float as its exact binary value
-        terms = [(x, a, b) for a, b, x in zip(lo.tolist(), hi.tolist(), v.tolist()) if x]
+        # each run of touching cells of one value is one row: cut[k] says
+        # that a row ends before cell k; StepFunction takes each float as
+        # its exact binary value
+        cut = np.ones(len(lo) + 1, dtype=bool)
+        cut[1:-1] = (lo[1:] != hi[:-1]) | (v[1:] != v[:-1])
+        starts = cut[:-1]
+        terms = [(x, exact.get(a, a), exact.get(b, b)) for a, b, x in
+                 zip(lo[starts].tolist(), hi[cut[1:]].tolist(), v[starts].tolist()) if x]
         phi0 = _pin_atoms(StepFunction(terms=terms), req)
         est = _certified_distance(phi0, req, cert_tol)
         achieved = est.value + est.absolute_error_bound
@@ -365,13 +369,6 @@ def build_step_approximation(req: ApproxRequest, error_target=None):
     target_err = eps_f / 2.0 if error_target is None else float(error_target)
     target_err = min(target_err, eps_f / 2.0)
     cert_tol = min(eps_f / 100.0, target_err / 4.0)
-
-    candidate = _piecewise_constant_candidate(req)
-    if candidate is not None:
-        candidate = _pin_atoms(candidate, req)
-        est = _certified_distance(candidate, req, cert_tol)
-        if est.value + est.absolute_error_bound < target_err:
-            return candidate, est
     return _grid_route(req, target_err, cert_tol)
 
 

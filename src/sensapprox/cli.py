@@ -46,10 +46,12 @@ EXIT_HYPOTHESIS = 4
 
 # most rows, and most non-differentiability points, that plot writes
 MAX_PLOT_POINTS = 10**5
-# most Monte Carlo draws that verify takes; at this many a verify peaks
-# near 190 MB resident and needs 265 000-270 000 KiB of address space
-# (2 vCPU, Python 3.11, numpy 2.4): the draws, which |f|^p overwrites,
-# and one temporary of the variance
+# most Monte Carlo draws that verify takes. The draws go through one
+# reused block, so this bounds the time of a verify, not its memory: at
+# 10^7 draws, a verify of x^2 | normal(0,1) (p=2, eps=1/10, M=5) takes
+# 0.6-0.7 s and peaks at 112 968 KiB of address space (VmPeak) and 40 MB
+# resident, 1 204 KiB and 2 MB over its peaks at 10^3 draws (2 vCPU,
+# Python 3.11, numpy 2.4)
 MAX_VERIFY_SAMPLES = 10**7
 
 

@@ -492,63 +492,37 @@ def target_evaluator(f: TargetFunction):
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-constant structure detection
-#
-# Returns the sorted threshold list when every occurrence of x is the bare
-# variable on one side of a comparison against an x-free expression, so the
-# target is constant on each open cell between thresholds; returns None
-# otherwise.
+# Thresholds of if() tests
 
 
-def _collect_thresholds(node, out):
-    if isinstance(node, (Num,)):
-        return True
-    if isinstance(node, Var):
-        return False
-    if isinstance(node, Neg):
-        return _collect_thresholds(node.operand, out)
-    if isinstance(node, BinOp):
-        return _collect_thresholds(node.left, out) and _collect_thresholds(
-            node.right, out
-        )
-    if isinstance(node, Call):
-        return all(_collect_thresholds(a, out) for a in node.args)
-    if isinstance(node, Conditional):
-        ok = _threshold_from_compare(node.test, out)
-        return (
-            ok
-            and _collect_thresholds(node.if_true, out)
-            and _collect_thresholds(node.if_false, out)
-        )
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _x_free(node):
-    """No x in the subtree: the walk accepts it and collects no threshold."""
-    found = []
-    return _collect_thresholds(node, found) and not found
-
-
-def _threshold_from_compare(test, out):
-    left_free, right_free = _x_free(test.left), _x_free(test.right)
-    if isinstance(test.left, Var) and right_free:
-        out.append(eval_const(test.right))
-    elif isinstance(test.right, Var) and left_free:
-        out.append(eval_const(test.left))
-    else:
-        return left_free and right_free
-    return True
-
-
-def piecewise_constant_thresholds(f: TargetFunction):
-    """Sorted thresholds if f is detectably piecewise constant, else None."""
-    out = []
-    try:
-        if not _collect_thresholds(f.root, out):
-            return None
-    except EvaluationError:
-        return None
-    return sorted(set(map(as_rational, out)))
+def thresholds(f: TargetFunction):
+    """Sorted distinct exact c of every if() test ``x cmp c`` or ``c cmp x``
+    in f whose c is free of x, defined and within the float range: the
+    points where a test of the bare variable can change its outcome,
+    wherever the test sits. A c that evaluates to a float, such as sqrt(2),
+    is its exact binary value."""
+    out = set()
+    stack = [f.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Conditional):
+            test = node.test
+            for var, c in ((test.left, test.right), (test.right, test.left)):
+                if isinstance(var, Var):
+                    # eval_const raises on x in c and where c is undefined;
+                    # a c past the float range lies past every cell end
+                    try:
+                        out.add(as_rational(eval_const(c)))
+                    except (EvaluationError, OverflowError):
+                        pass
+            stack += (test.left, test.right, node.if_true, node.if_false)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, BinOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, Call):
+            stack += node.args
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

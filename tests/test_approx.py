@@ -155,7 +155,7 @@ class TestBuildStepApproximation:
         # the pin's value is 0, at a point inside a nonzero cell
         ("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", (Fraction(3, 10), 0)),
         ("x^2", "mix(0.3*atom(0.5), 0.7*normal(0,1))", (Fraction(1, 2), Fraction(1, 4))),
-        # literal route: the atom sits on a threshold, where the cells are 0
+        # the atom sits on a threshold, the end of two rows, where phi0 is 0
         ("if(x < 1/2, if(x > 0, 1, if(x > -1, 2, 0)), 0)",
          "mix(0.5*atom(0), 0.5*uniform(-1,1))", (Fraction(0), 2)),
     ])
@@ -173,6 +173,28 @@ class TestBuildStepApproximation:
         assert unpinned[-1].exceptions == ()
         assert unpinned[-1].eval(pin[0]) != pin[1]
         assert phi0.terms == unpinned[-1].terms
+
+    @pytest.mark.parametrize("target, mu, p, eps, rows, row, floor", [
+        # one row per constant piece that meets the spans, its ends the
+        # exact thresholds; the indicator's exact ||X - Y||_1 is scale / 2
+        ("if(x<0.3,1,0)", "uniform(0,1)", 1, "1/10",
+         1, (1, 0, Fraction(3, 10)), Fraction(1, 40)),
+        ("if(x<0.3,1,if(x<2/3,-2,0))", "normal(0,1)", 2, "1/100",
+         2, (-2, Fraction(3, 10), Fraction(2, 3)), 0),
+        ("if(x>1/3, if(x<0.7,1,0), 0)", "normal(0,1)", 2, "1/100",
+         1, (1, Fraction(1, 3), Fraction(7, 10)), 0),
+        # a kinked target: its constant middle piece is one row
+        ("if(x <= 0.25, x, if(x >= 0.75, 1 - x, 0.5))", "uniform(0,1)", 2, "1/10",
+         9, (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)), 0),
+        # a threshold past the float range is no cell end
+        ("if(x < sqrt(2)^1000000, 1, 0)", "uniform(0,1)", 1, "1/10",
+         1, (1, 0, 1), 0),
+    ], ids=["indicator", "nested", "window", "kinked", "overflowing"])
+    def test_if_thresholds_are_exact_row_ends(self, target, mu, p, eps, rows, row, floor):
+        _, cert = sensitize(request(target, mu, p=p, eps=eps, M=0))
+        assert len(cert.phi0.terms) == rows
+        assert row in cert.phi0.terms
+        assert cert.error_bound >= floor
 
     @pytest.mark.parametrize("mu", [
         "uniform(0,1)",

@@ -15,7 +15,7 @@ from sensapprox.intervals import (
     point,
 )
 from sensapprox.measures import BorelMeasure, Uniform
-from sensapprox.parsing import parse_target, piecewise_constant_thresholds
+from sensapprox.parsing import parse_target, thresholds
 
 
 class TestAsRational:
@@ -54,7 +54,7 @@ class TestAsRational:
     def test_thresholds_keep_the_exact_binary_value(self):
         # eval_target compares points with the float sqrt(2) itself
         target = parse_target("if(x < sqrt(2), 1, 0)")
-        assert piecewise_constant_thresholds(target) == [Fraction(math.sqrt(2))]
+        assert thresholds(target) == [Fraction(math.sqrt(2))]
 
 
 @settings(deadline=None)

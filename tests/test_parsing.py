@@ -17,7 +17,7 @@ from sensapprox.parsing import (
     eval_target_array,
     parse_measure,
     parse_target,
-    piecewise_constant_thresholds,
+    thresholds,
 )
 from sensapprox.approx import Certificate
 from sensapprox.cli import read_certificate, write_certificate
@@ -151,22 +151,27 @@ class TestEvalTarget:
         assert eval_target(parse_target("abs(x)"), x) >= 0
 
 
-class TestPiecewiseConstantDetection:
-    def test_indicator(self):
+class TestThresholds:
+    def test_every_test_of_the_bare_variable(self):
         for text, want in (
             ("if(x<0.5, if(x>0, 1, 0), 0)", [0, Fraction(1, 2)]),
             ("if(x < if(1 < 2, 1, 2), 1, 0)", [1]),
             ("if(1 < 2, if(x > 3, 1, 0), 0)", [3]),
+            # a kinked target, which is not piecewise constant
+            ("if(x <= 0.25, x, if(x >= 0.75, 1 - x, 0.5))",
+             [Fraction(1, 4), Fraction(3, 4)]),
+            # a test inside a test, and one inside a call
+            ("if(x < if(x < 1, 2, 3), 1, 0)", [1]),
+            ("sin(if(2/3 >= x, x, 0)) + x^2", [Fraction(2, 3)]),
         ):
-            assert piecewise_constant_thresholds(parse_target(text)) == want, text
+            assert thresholds(parse_target(text)) == want, text
 
-    def test_not_piecewise(self):
-        for text in ("x^2", "if(x < if(x < 1, 2, 3), 1, 0)",
-                     "if(x < log(0-1), 1, 0)", "if(x < x, 1, 0)"):
-            assert piecewise_constant_thresholds(parse_target(text)) is None, text
-
-    def test_constant(self):
-        assert piecewise_constant_thresholds(parse_target("3")) == []
+    def test_undefined_or_x_dependent_c_gives_nothing(self):
+        for text in ("x^2", "3", "if(x < log(0-1), 1, 0)", "if(x < x, 1, 0)",
+                     "if(x < 2*x, 1, 0)", "if(x^2 < 1, 1, 0)",
+                     # c past the float range
+                     "if(x < sqrt(2)^1000000, 1, 0)", "if(x < 2^(1/2)*10^400, 1, 0)"):
+            assert thresholds(parse_target(text)) == [], text
 
 
 class TestParseMeasure:
