@@ -37,6 +37,7 @@ from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
 from .measures import BorelMeasure
 from .norms import NonIntegrableError, NormEstimate
 from .parsing import (
+    EvaluationError,
     TargetFunction,
     eval_target,
     target_evaluator,
@@ -409,7 +410,13 @@ def sensitize(req: ApproxRequest):
     # scale * wave_ub <= eps / 2, as the wave bound is capped at mass^(1/p)
     error_target = min(float(eps) / 2.0, headroom) * (1.0 - 1e-9)
 
-    phi0, est = build_step_approximation(req, error_target=error_target)
+    try:
+        phi0, est = build_step_approximation(req, error_target=error_target)
+    except (EvaluationError, NonIntegrableError) as exc:
+        # the moment check's points can miss a pole that the grid route hits
+        raise NonFiniteMomentError(
+            f"target cannot be evaluated or integrated where the measure has mass: {exc}"
+        ) from exc
     phi0_err = est.value + est.absolute_error_bound
     error_bound = certify_error(phi0_err, scale, wave_ub)
 

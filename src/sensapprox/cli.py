@@ -3,7 +3,8 @@
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 input error (p out
 of range, or a wave frequency b >= 2^1024 - 2^970, which has no float),
 3 pipeline budget exhausted, 4 hypothesis violation (a numerically
-diverging moment).
+diverging moment, or a target that sensitize or norm cannot evaluate
+where the measure has mass).
 
 Certificate files are JSON, schema_version "1". Quantities that must be
 exact (scale, min_abs_slope, sup_bound, breakpoints) are "num/den"
@@ -315,12 +316,9 @@ def cmd_norm(args) -> int:
             target_evaluator(target), mu, p, tol,
             knots=[float(k) for k in mu.density_breakpoints()],
         )
-    except norms.NonIntegrableError as exc:
+    except norms.NonIntegrableError as exc:  # also a target it cannot evaluate
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     print(f"value={est.value!r} bound={est.absolute_error_bound!r}")
     return EXIT_OK
 
@@ -328,7 +326,7 @@ def cmd_norm(args) -> int:
 def _target_or_nan(target, x) -> float:
     try:
         return float(eval_target(target, x))
-    except EvaluationError:
+    except (EvaluationError, OverflowError):  # or an exact value past the float range
         return math.nan
 
 

@@ -2,14 +2,18 @@
 
 A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
-Each density kind has one distribution function, the float ``cdf_arr``;
+Each kind checks its own parameters when it is built, with the
+``MeasureSpecError`` that the measure grammar prints. Each density
+kind has one distribution function, the float ``cdf_arr``;
 interval masses go through it, while atoms are counted exactly. The
 normal CDF is libm's ``math.erf``, taken point by point: it only ever
 sees a few interval ends. Each kind also states its ``variation``:
 the jumps of its density and a bound on the variation between them, from
 which ``norms.wave_norm_bound`` bounds the wave term in closed form, and
-its ``spans``: the window less the pwd cells where the density is
-identically 0, the only places where quadrature evaluates a target.
+its ``spans``, its one support method: sorted disjoint float (a, b)
+with mass at most ``tail`` on each side, less the pwd cells where the
+density is identically 0, the only places where quadrature evaluates a
+target; their hull bounds the tail rings and ``essential_window``.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. 2). The uniforms come one cache-sized block at a
@@ -153,6 +157,10 @@ def _ndtri(p):
     return out
 
 
+class MeasureSpecError(ValueError):
+    """Invalid component parameters or mass mismatch."""
+
+
 def _slices(lowers, u):
     """Split ascending u among pieces, where lowers[i] is the float
     cumulative weight before piece i (lowers[0] = 0): yield (i, start, stop)
@@ -189,6 +197,8 @@ class Uniform:
     def __post_init__(self):
         object.__setattr__(self, "a", as_rational(self.a))
         object.__setattr__(self, "b", as_rational(self.b))
+        if not self.a < self.b:
+            raise MeasureSpecError(f"uniform requires a < b, got ({self.a}, {self.b})")
 
     def cdf_arr(self, xs):
         a, b = float(self.a), float(self.b)
@@ -207,11 +217,8 @@ class Uniform:
         h = 1 / (self.b - self.a)
         return [(self.a, h), (self.b, -h)], 0
 
-    def window(self, tail):
-        return float(self.a), float(self.b)
-
     def spans(self, tail):
-        return [self.window(tail)]
+        return [(float(self.a), float(self.b))]
 
 
 @dataclass(frozen=True)
@@ -222,6 +229,8 @@ class Normal:
     def __post_init__(self):
         object.__setattr__(self, "mean", as_rational(self.mean))
         object.__setattr__(self, "std", as_rational(self.std))
+        if not self.std > 0:
+            raise MeasureSpecError(f"normal requires stddev > 0, got {self.std}")
 
     def cdf_arr(self, xs):
         z = np.asarray((xs - float(self.mean)) / float(self.std) / _SQRT2)
@@ -240,12 +249,9 @@ class Normal:
         """No jumps; the density rises to pdf(mean) and falls back."""
         return [], 2.0 / (float(self.std) * math.sqrt(2.0 * math.pi))
 
-    def window(self, tail):
-        d = NormalDist(float(self.mean), float(self.std))
-        return d.inv_cdf(tail), d.inv_cdf(1.0 - tail)
-
     def spans(self, tail):
-        return [self.window(tail)]
+        d = NormalDist(float(self.mean), float(self.std))
+        return [(d.inv_cdf(tail), d.inv_cdf(1.0 - tail))]
 
 
 @dataclass(frozen=True)
@@ -254,6 +260,8 @@ class Exponential:
 
     def __post_init__(self):
         object.__setattr__(self, "rate", as_rational(self.rate))
+        if not self.rate > 0:
+            raise MeasureSpecError(f"exponential requires rate > 0, got {self.rate}")
 
     def cdf_arr(self, xs):
         return np.where(xs <= 0.0, 0.0, -np.expm1(-float(self.rate) * xs))
@@ -269,11 +277,8 @@ class Exponential:
         """A jump of rate at 0, then a fall from rate to 0."""
         return [(Fraction(0), self.rate)], self.rate
 
-    def window(self, tail):
-        return 0.0, -math.log(tail) / float(self.rate)
-
     def spans(self, tail):
-        return [self.window(tail)]
+        return [(0.0, -math.log(tail) / float(self.rate))]
 
 
 # most halvings of one pwd cell in its nonnegativity check: enough for a
@@ -323,8 +328,9 @@ class PiecewisePoly:
     """Density that is polynomial on each cell of a breakpoint grid.
 
     coeffs[i] are ascending-power coefficients of the density on
-    (breaks[i], breaks[i+1]); the total integral must be exactly 1, and
-    each piece is shown nonnegative on its cell in exact arithmetic
+    (breaks[i], breaks[i+1]). The breaks must strictly increase, there is
+    one piece per cell, the total integral must be exactly 1, and each
+    piece is shown nonnegative on its cell in exact arithmetic
     (``_negative_point``), or rejected.
     """
 
@@ -336,6 +342,11 @@ class PiecewisePoly:
         object.__setattr__(
             self, "coeffs", tuple(tuple(as_rational(c) for c in piece) for piece in self.coeffs)
         )
+        n = len(self.breaks) - 1
+        if n < 1 or any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
+            raise MeasureSpecError("pwd breakpoints must be strictly increasing")
+        if len(self.coeffs) != n:
+            raise MeasureSpecError(f"pwd needs {n} poly pieces, got {len(self.coeffs)}")
         # per cell: float ends, the float mass before it, the float
         # antiderivative in t = x - a (descending powers, zero at t = 0, so
         # cdf_arr adds small terms to the mass before the cell instead of
@@ -346,17 +357,6 @@ class PiecewisePoly:
         cells, before = [], Fraction(0)
         for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
             d = self._shifted(piece, a)
-            anti = [float(c / (k + 1)) for k, c in reversed(list(enumerate(d)))] + [0.0]
-            cells.append((float(a), float(b), float(before), anti, d))
-            before += sum(c * (b - a) ** (k + 1) / (k + 1) for k, c in enumerate(d))
-        object.__setattr__(self, "_cells", tuple(cells))
-        self._validate(before)
-
-    def _validate(self, total):
-        from .parsing import MeasureSpecError
-
-        for (a, b), cell in zip(zip(self.breaks, self.breaks[1:]), self._cells):
-            d = cell[4]
             x = _negative_point(self._bernstein(d, b - a), a, b) if d else None
             if x is _UNDECIDED:
                 raise MeasureSpecError(
@@ -366,8 +366,12 @@ class PiecewisePoly:
                 )
             if x is not None:
                 raise MeasureSpecError(f"pwd piece negative at x={float(x):g}")
-        if total != 1:
-            raise MeasureSpecError(f"pwd density integrates to {total}, expected 1")
+            anti = [float(c / (k + 1)) for k, c in reversed(list(enumerate(d)))] + [0.0]
+            cells.append((float(a), float(b), float(before), anti, d))
+            before += sum(c * (b - a) ** (k + 1) / (k + 1) for k, c in enumerate(d))
+        object.__setattr__(self, "_cells", tuple(cells))
+        if before != 1:
+            raise MeasureSpecError(f"pwd density integrates to {before}, expected 1")
 
     @staticmethod
     def _shifted(piece, a):
@@ -452,13 +456,10 @@ class PiecewisePoly:
         jumps.append((self.breaks[-1], -left))
         return jumps, rest
 
-    def window(self, tail):
-        return float(self.breaks[0]), float(self.breaks[-1])
-
     def spans(self, tail):
         """The runs of adjacent cells whose polynomial is not identically 0,
-        as float (a, b): the window less the cells where the density, and
-        so mu, is 0."""
+        as float (a, b): the breakpoint range less the cells where the
+        density, and so mu, is 0. There is no tail."""
         out = []
         for af, bf, _, _, d in self._cells:
             if not any(d):
@@ -620,16 +621,18 @@ class BorelMeasure:
 
     def essential_window(self, delta):
         """Finite (a, b) with mass outside at most delta: the hull of the
-        atoms and of each part's window(t), t = min(delta / (2 W), 1/4),
+        atoms and of each part's spans(t), t = min(delta / (2 W), 1/4),
         where W is the parts' weight. A unit part has mass at most t on
-        each side of its window, so the mass outside is at most
-        2 t W <= delta."""
+        each side of the hull of its spans, so the mass outside is at most
+        2 t W <= delta. A pwd's spans leave out its cells of density 0, so
+        its hull ends at its outermost cells of nonzero density."""
         if not 0 < delta < float(self.total_mass):
             raise ValueError("delta must lie in (0, total_mass)")
         ends = [float(loc) for loc, _ in self.atoms]
         weight = float(sum(w for w, _ in self.parts))
         for _, kind in self.parts:
-            ends.extend(kind.window(min(delta / (2.0 * weight), 0.25)))
+            spans = kind.spans(min(delta / (2.0 * weight), 0.25))
+            ends += (spans[0][0], spans[-1][1])
         a, b = min(ends), max(ends)
         pad = max(1e-9, 1e-9 * (abs(a) + abs(b)))
         return a - pad, b + pad

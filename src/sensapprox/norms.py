@@ -126,10 +126,11 @@ def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
             except EvaluationError as exc:
                 raise NonIntegrableError(f"integrand evaluation failed: {exc}") from exc
 
-        windows = [kind.window(t) for t in (1e-6, 1e-9, 1e-12)]
-        (a1, b1), (a2, b2), (a3, b3) = windows
-        # the spans of the window: a pwd cell of density 0 is no piece
-        pieces = [_part_knots(a, b, knots) for a, b in kind.spans(1e-6)]
+        spans = [kind.spans(t) for t in (1e-6, 1e-9, 1e-12)]
+        # the ring ends are the hulls of the spans, and the core is the
+        # spans at 1e-6: a pwd cell of density 0 is no piece
+        (a1, b1), (a2, b2), (a3, b3) = [(s[0][0], s[-1][1]) for s in spans]
+        pieces = [_part_knots(a, b, knots) for a, b in spans[0]]
         core, core_err = _adaptive(g, pieces, part_budget / 2.0)
         # tail rings; for compactly supported kinds these are empty
         d_lo1, e_lo1 = _ring(g, a2, a1)

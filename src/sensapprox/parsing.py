@@ -6,7 +6,9 @@ Two small recursive-descent parsers share one tokenizer:
   arithmetic operators, a closed set of named functions, and 3-argument
   conditionals ``if(cmp, then, else)``;
 * measure specifications: a single distribution component or a weighted
-  mixture ``mix(w1*K1, w2*K2, ...)``.
+  mixture ``mix(w1*K1, w2*K2, ...)``. The grammar checks only the
+  syntax and the arity of a component; each kind in ``measures`` checks
+  its own parameters, and its ``MeasureSpecError`` is re-exported here.
 
 Numeric literals are exact decimals and are kept as ``Fraction`` values
 throughout; nothing is widened to floating point at parse time.
@@ -22,6 +24,15 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import as_rational
+from .measures import (
+    AtomKind,
+    Exponential,
+    MeasureSpec,
+    MeasureSpecError,
+    Normal,
+    PiecewisePoly,
+    Uniform,
+)
 
 
 class ParseError(ValueError):
@@ -284,7 +295,8 @@ def parse_target(text: str) -> TargetFunction:
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation (Fraction-preserving where the operation is exact)
+# Scalar evaluation (Fraction-preserving where the operation is exact; as
+# in the array path, a float past the float range is ±inf)
 
 _EXP_LIMIT = 10**6
 
@@ -318,7 +330,20 @@ def _ev(node, x):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _to_float(v):
+    """v as a float; a rational past the float range is ±inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _apply_binop(op, a, b):
+    if op == "^":
+        return _apply_pow(a, b)
+    if isinstance(a, float) or isinstance(b, float):
+        # what Fraction does with a float, but a huge rational is ±inf
+        a, b = _to_float(a), _to_float(b)
     if op == "+":
         return a + b
     if op == "-":
@@ -329,8 +354,6 @@ def _apply_binop(op, a, b):
         if b == 0:
             raise DomainError("division by zero")
         return a / b
-    if op == "^":
-        return _apply_pow(a, b)
     raise ValueError(op)
 
 
@@ -341,22 +364,16 @@ def _apply_pow(a, b):
             raise DomainError("zero raised to a negative power")
         if isinstance(a, Fraction):
             return a**e
-        return _finite(math.pow(a, e))
-    af, bf = float(a), float(b)
-    if af < 0 and bf != int(bf):
+        b = e
+    a, b = _to_float(a), _to_float(b)
+    if a < 0 and b != np.floor(b):
         raise DomainError("negative base with non-integer exponent")
-    if af == 0 and bf < 0:
+    if a == 0 and b < 0:
         raise DomainError("zero raised to a negative power")
     try:
-        return _finite(math.pow(af, bf))
-    except (OverflowError, ValueError) as exc:
-        raise EvaluationError(f"pow failed: {exc}") from exc
-
-
-def _finite(v):
-    if not math.isfinite(v):
-        raise EvaluationError("overflow to non-finite value")
-    return v
+        return math.pow(a, b)
+    except OverflowError:  # ±inf past the float range, as numpy's power
+        return -math.inf if a < 0 and b % 2 == 1 else math.inf
 
 
 def _apply_call(name, args):
@@ -366,19 +383,21 @@ def _apply_call(name, args):
         return min(args)
     if name == "max":
         return max(args)
-    v = float(args[0])
+    v = _to_float(args[0])
     if name == "log":
         if v <= 0:
             raise DomainError(f"log of non-positive value {v}")
-        return _finite(math.log(v))
+        return math.log(v)
     if name == "sqrt":
         if v < 0:
             raise DomainError(f"sqrt of negative value {v}")
-        return _finite(math.sqrt(v))
+        return math.sqrt(v)
     try:
-        return _finite(getattr(math, name)(v))
-    except OverflowError as exc:
-        raise EvaluationError(f"{name} overflow") from exc
+        return getattr(math, name)(v)
+    except OverflowError:  # exp past the float range
+        return math.inf
+    except ValueError:  # sin or cos of ±inf, which numpy makes NaN
+        return math.nan
 
 
 def _ev_test(test, x):
@@ -388,8 +407,8 @@ def _ev_test(test, x):
 def eval_target(f: TargetFunction, x):
     """Value of the expression at x; exact Fraction where possible."""
     v = _ev(f.root, _as_number(x))
-    if isinstance(v, float):
-        return _finite(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise EvaluationError("overflow to non-finite value")
     return v
 
 
@@ -406,7 +425,7 @@ def eval_const(node):
 
 def _eva(node, xs):
     if isinstance(node, Num):
-        return float(node.value)
+        return _to_float(node.value)
     if isinstance(node, Var):
         return xs
     if isinstance(node, Neg):
@@ -445,8 +464,7 @@ def _apply_binop_vec(op, a, b):
             raise DomainError("negative base with non-integer exponent")
         if np.any((a == 0) & (b < 0)):
             raise DomainError("zero raised to a negative power")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.power(a, b)
+        return np.power(a, b)
     raise ValueError(op)
 
 
@@ -466,8 +484,7 @@ def _apply_call_vec(name, args):
         if np.any(v < 0):
             raise DomainError("sqrt of negative value")
         return np.sqrt(v)
-    with np.errstate(over="ignore"):
-        return getattr(np, name)(v)
+    return getattr(np, name)(v)
 
 
 def _eva_test(test, xs):
@@ -475,9 +492,11 @@ def _eva_test(test, xs):
 
 
 def eval_target_array(f: TargetFunction, xs) -> np.ndarray:
-    """Evaluate at a float array of points; raises on non-finite results."""
+    """Evaluate at a float array of points; raises on non-finite results.
+    A value past the float range is ±inf, and inf - inf or sin(inf) is NaN,
+    without a warning: only the result is checked."""
     xs = np.asarray(xs, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = _eva(f.root, xs)
     if np.shape(out) != xs.shape:  # an x-free target
         out = np.full(xs.shape, out)
@@ -509,11 +528,12 @@ def thresholds(f: TargetFunction):
             test = node.test
             for var, c in ((test.left, test.right), (test.right, test.left)):
                 if isinstance(var, Var):
-                    # eval_const raises on x in c and where c is undefined;
-                    # a c past the float range lies past every cell end
+                    # eval_const raises on x in c and where c is undefined,
+                    # and as_rational on a c past the float range (±inf),
+                    # which lies past every cell end
                     try:
                         out.add(as_rational(eval_const(c)))
-                    except (EvaluationError, OverflowError):
+                    except ValueError:
                         pass
             stack += (test.left, test.right, node.if_true, node.if_false)
         elif isinstance(node, Neg):
@@ -532,10 +552,11 @@ def thresholds(f: TargetFunction):
 #   weighted := number '*' component
 #   component:= 'atom(c)' | 'uniform(a,b)' | 'normal(m,s)' | 'exponential(r)'
 #              | 'pwd(breaks(b0,...,bn), poly(c0,...), ...)'
-
-
-class MeasureSpecError(ValueError):
-    """Invalid component parameters or mass mismatch."""
+#
+# Each kind checks its own parameters. The kinds whose arguments are one
+# list of numbers, as name -> (kind, arity); pwd is parsed on its own:
+_KINDS = {"atom": (AtomKind, 1), "uniform": (Uniform, 2), "normal": (Normal, 2),
+          "exponential": (Exponential, 1)}
 
 
 def _parse_signed_number(stream) -> Fraction:
@@ -562,57 +583,28 @@ def _parse_number_list(stream):
 
 
 def _parse_component(stream):
-    from . import measures
-
     kind, name, off = stream.peek()
     if kind != "ident":
         raise ParseError("expected distribution name", off)
     stream.next()
-    if name == "atom":
-        args = _parse_number_list(stream)
-        if len(args) != 1:
-            raise ParseError("atom expects 1 argument", off)
-        return measures.AtomKind(args[0])
-    if name == "uniform":
-        args = _parse_number_list(stream)
-        if len(args) != 2:
-            raise ParseError("uniform expects 2 arguments", off)
-        a, b = args
-        if not a < b:
-            raise MeasureSpecError(f"uniform requires a < b, got ({a}, {b})")
-        return measures.Uniform(a, b)
-    if name == "normal":
-        args = _parse_number_list(stream)
-        if len(args) != 2:
-            raise ParseError("normal expects 2 arguments", off)
-        mean, std = args
-        if not std > 0:
-            raise MeasureSpecError(f"normal requires stddev > 0, got {std}")
-        return measures.Normal(mean, std)
-    if name == "exponential":
-        args = _parse_number_list(stream)
-        if len(args) != 1:
-            raise ParseError("exponential expects 1 argument", off)
-        (rate,) = args
-        if not rate > 0:
-            raise MeasureSpecError(f"exponential requires rate > 0, got {rate}")
-        return measures.Exponential(rate)
     if name == "pwd":
-        return _parse_pwd(stream, off)
-    raise ParseError(f"unknown distribution {name!r}", off)
+        return _parse_pwd(stream)
+    if name not in _KINDS:
+        raise ParseError(f"unknown distribution {name!r}", off)
+    cls, arity = _KINDS[name]
+    args = _parse_number_list(stream)
+    if len(args) != arity:
+        raise ParseError(f"{name} expects {arity} argument{'s' * (arity > 1)}", off)
+    return cls(*args)
 
 
-def _parse_pwd(stream, off):
-    from . import measures
-
+def _parse_pwd(stream):
     stream.expect("(")
     kind, name, boff = stream.peek()
     if name != "breaks":
         raise ParseError("pwd expects breaks(...) first", boff)
     stream.next()
     breaks = _parse_number_list(stream)
-    if len(breaks) < 2 or any(a >= b for a, b in zip(breaks, breaks[1:])):
-        raise MeasureSpecError("pwd breakpoints must be strictly increasing")
     pieces = []
     while stream.peek()[1] == ",":
         stream.next()
@@ -622,17 +614,11 @@ def _parse_pwd(stream, off):
         stream.next()
         pieces.append(tuple(_parse_number_list(stream)))
     stream.expect(")")
-    if len(pieces) != len(breaks) - 1:
-        raise MeasureSpecError(
-            f"pwd needs {len(breaks) - 1} poly pieces, got {len(pieces)}"
-        )
-    return measures.PiecewisePoly(tuple(breaks), tuple(pieces))
+    return PiecewisePoly(tuple(breaks), tuple(pieces))
 
 
 def parse_measure(text: str):
     """Parse a measure specification into a validated MeasureSpec."""
-    from . import measures
-
     if not text.strip():
         raise ParseError("empty measure specification", 0)
     stream = _TokenStream(text)
@@ -675,7 +661,7 @@ def parse_measure(text: str):
             )
     if total <= 0:
         raise MeasureSpecError("total mass must be positive")
-    return measures.MeasureSpec(
+    return MeasureSpec(
         components=tuple(components),
         declared_total_mass=declared_mass if declared_mass is not None else total,
         source_text=text,

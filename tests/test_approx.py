@@ -174,6 +174,26 @@ class TestBuildStepApproximation:
         assert unpinned[-1].eval(pin[0]) != pin[1]
         assert phi0.terms == unpinned[-1].terms
 
+    def test_failed_certification_refines_again(self, monkeypatch):
+        # the first refinement run meets its float estimate, but the
+        # certified distance of its phi0 is not below target_err <= eps / 2,
+        # so the grid route halves its share and refines again
+        distances = []
+        certified_distance = approx._certified_distance
+
+        def spy(phi0, req, tol):
+            est = certified_distance(phi0, req, tol)
+            distances.append(est.value + est.absolute_error_bound)
+            return est
+        monkeypatch.setattr(approx, "_certified_distance", spy)
+        req = request("if(2*x<0.6,1,-1)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
+                      p=1, eps="1/50", M=0)
+        _, cert = sensitize(req)
+        assert len(distances) >= 2
+        assert distances[0] >= float(req.eps) / 2
+        assert distances[-1] < float(req.eps) / 2
+        assert cert.error_bound < float(req.eps)
+
     @pytest.mark.parametrize("target, mu, p, eps, rows, row, floor", [
         # one row per constant piece that meets the spans, its ends the
         # exact thresholds; the indicator's exact ||X - Y||_1 is scale / 2
@@ -223,7 +243,7 @@ class TestBuildStepApproximation:
             assert v.denominator * target_err < 128 * root
         # next to no mass lies where one draw could fail a Monte Carlo check
         # of 1000 draws on its own: |target - phi0|^p > 1000 target_err^p
-        ends = [e for _, kind in req.mu.parts for e in kind.window(1e-12)]
+        ends = [e for _, kind in req.mu.parts for span in kind.spans(1e-12) for e in span]
         xs, dx = np.linspace(min(ends), max(ends), 200_001, retstep=True)
         xs = xs[:-1] + dx / math.pi  # off the cell ends, where phi0 is 0
         z = np.abs(target_evaluator(req.target)(xs) - phi0.eval_arr(xs)) ** p

@@ -377,6 +377,35 @@ class TestSensitizeCommand:
         assert run.stderr.startswith("hypothesis violation: ")
         assert "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("target, measure", [
+        ("1/(x-0.5)", "atom(0.5)"),
+        ("log(x)", "normal(0,1)"),
+        # the moment check's quadrature points miss float(0.3), which the
+        # grid route bisects toward
+        ("1/sqrt(abs(x-0.3))", "uniform(0,1)"),
+    ], ids=["atom", "moment-check", "grid-route"])
+    def test_target_that_cannot_be_evaluated_is_hypothesis_error(self, tmp_path, target,
+                                                                  measure):
+        out = tmp_path / "c.json"
+        run = run_cli("sensitize", "--target", target, "--measure", measure, "--p", "1",
+                      "--eps", "1/10", "--M", "0", "--out", str(out))
+        assert run.returncode == 4, run.stderr
+        assert run.stderr.startswith("hypothesis violation: ")
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["if(x < sqrt(2)^1000000, 1, 0)",
+                                        "if(x < 2^(1/2)*10^400, 1, 0)"])
+    def test_threshold_past_the_float_range_at_an_atom(self, tmp_path, capsys, target):
+        # the atom pin evaluates the threshold as inf, as the array path does
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", target,
+                     "--measure", "mix(0.5*atom(0.5), 0.5*uniform(0,1))",
+                     "--p", "1", "--eps", "1/10", "--M", "0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_atom_pin_of_value_zero(self, tmp_path, capsys):
         # x - 0.3 is 0 at the atom, inside a cell of nonzero value
         out = tmp_path / "cert.json"
@@ -678,6 +707,19 @@ class TestPlotCommand:
             assert y == pytest.approx(float(Y.eval(xq)), rel=1e-15, abs=1e-15)
         nondiff = (tmp_path / "c.csv.nondiff").read_text().split()
         assert nondiff == [repr(float(p)) for p in Y.nondiff_points(0, 1)]
+
+    def test_exact_value_past_the_float_range_is_nan(self, tmp_path, capsys):
+        # 10^400 is exact in the row-by-row fallback, and no float
+        cert_path = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "if(x < 0.5, x, 10^400)",
+                     "--measure", "uniform(0,0.5)", "--p", "1", "--eps", "1/10", "--M", "0",
+                     "--out", str(cert_path)]) == 0
+        out = tmp_path / "c.csv"
+        assert main(["plot", "--cert", str(cert_path), "--window=0:1", "--points", "5",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        targets = [float(ln.split(",")[1]) for ln in out.read_text().splitlines()[1:]]
+        assert targets[:2] == [0.0, 0.25] and all(map(math.isnan, targets[2:]))
 
     def test_bad_window_is_input_error(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"

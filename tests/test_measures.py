@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.intervals import Interval, IntervalUnion, closed_interval, open_interval, point
 from sensapprox.measures import (_BELOW_ONE, _UNDECIDED, BLOCK, AtomKind, BorelMeasure,
-                                 Normal, PiecewisePoly, Uniform, _ndtri, _negative_point)
+                                 Exponential, MeasureSpecError, Normal, PiecewisePoly, Uniform,
+                                 _ndtri, _negative_point)
 from sensapprox.parsing import parse_measure
 
 
@@ -41,6 +42,32 @@ SAMPLED = [
 
 def union(*ivs):
     return IntervalUnion(ivs)
+
+
+class TestKindParameters:
+    @pytest.mark.parametrize("build, spec, message", [
+        (lambda: Uniform(1, 0), "uniform(1,0)", "uniform requires a < b, got (1, 0)"),
+        (lambda: Normal(0, 0), "normal(0,0)", "normal requires stddev > 0, got 0"),
+        (lambda: Exponential(0), "exponential(0)", "exponential requires rate > 0, got 0"),
+        (lambda: PiecewisePoly((1, 0), ((1,),)), "pwd(breaks(1,0), poly(1))",
+         "pwd breakpoints must be strictly increasing"),
+        (lambda: PiecewisePoly((0, 1), ((1,), (1,))), "pwd(breaks(0,1), poly(1), poly(1))",
+         "pwd needs 1 poly pieces, got 2"),
+    ], ids=["uniform", "normal", "exponential", "pwd-breaks", "pwd-pieces"])
+    def test_each_kind_checks_its_own_parameters(self, build, spec, message):
+        # a library caller gets the error that the grammar gives
+        with pytest.raises(MeasureSpecError) as built:
+            build()
+        with pytest.raises(MeasureSpecError) as parsed:
+            parse_measure(spec)
+        assert str(built.value) == str(parsed.value) == message
+
+    @pytest.mark.parametrize("text", SAMPLED)
+    def test_spans_are_sorted_and_disjoint(self, text):
+        for _, kind in measure(text).parts:
+            for tail in (1e-6, 1e-12):
+                ends = [e for span in kind.spans(tail) for e in span]
+                assert ends and all(a < b for a, b in zip(ends, ends[1:]))
 
 
 class TestMeasureOf:
@@ -406,6 +433,12 @@ class TestEssentialWindow:
         expect = float(_mp_ndtri(1 - 5e-7))
         assert a == pytest.approx(-expect, abs=1e-3)
         assert b == pytest.approx(expect, abs=1e-3)
+
+    def test_pwd_window_leaves_out_cells_of_density_zero(self):
+        mu = measure("pwd(breaks(-1,0,1,2,3), poly(0), poly(1), poly(0), poly(0,0))")
+        a, b = mu.essential_window(0.1)
+        assert a == pytest.approx(0, abs=1e-8) and b == pytest.approx(1, abs=1e-8)
+        assert a < 0 and b > 1
 
     def test_atom_window_contains_location(self):
         mu = measure("atom(5)")

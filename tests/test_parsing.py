@@ -9,6 +9,7 @@ from sensapprox.parsing import (
     Compare,
     Conditional,
     DomainError,
+    EvaluationError,
     MeasureSpecError,
     Num,
     ParseError,
@@ -145,6 +146,28 @@ class TestEvalTarget:
         assert out.shape == (len(xs),)
         for x, v in zip(xs, out):
             assert float(eval_target(t, x)) == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("text, want", [
+        # a value past the float range is ±inf, which an if() test compares
+        ("if(x < sqrt(2)^1000000, 1, 0)", 1),
+        ("if(x < 2^(1/2)*10^400, 1, 0)", 1),
+        ("if(x > -(2^(1/2)*10^400), 1, 0)", 1),
+        ("if(x < (0-1.5)^(10^7+1), 1, 0)", 0),
+        ("1/exp(1000)", 0),
+        ("if(sin(exp(1000)) < 0, 1, 2)", 2),
+    ])
+    def test_overflow_is_infinite_as_in_the_array_path(self, text, want):
+        t = parse_target(text)
+        assert eval_target(t, Fraction(1, 2)) == want
+        assert eval_target_array(t, [0.5]).tolist() == [want]
+
+    @pytest.mark.parametrize("text", ["exp(1000)", "exp(x)", "sqrt(2)^1000000",
+                                      "2^(1/2)*10^400", "2^(1/2)*10^400 - 2^(1/2)*10^400"])
+    def test_non_finite_result_raises(self, text):
+        with pytest.raises(EvaluationError):
+            eval_target(parse_target(text), 1000)
+        with pytest.raises(EvaluationError):
+            eval_target_array(parse_target(text), [1000.0])
 
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
     def test_abs_nonnegative(self, x):
