@@ -179,21 +179,6 @@ def check_finite_moment(req: ApproxRequest):
 # Step-function approximation
 
 
-def _pin_atoms(phi0: StepFunction, req: ApproxRequest) -> StepFunction:
-    """phi0, which has no exceptions, with the exception (loc, X(loc)) at
-    each atom of mu where phi0(loc) != X(loc); the atoms are sorted, and a
-    location listed twice is pinned once. X(loc) is compared and pinned as
-    it is, a float as its exact binary value."""
-    pins = []
-    for loc, _m in req.mu.atoms:
-        if pins and pins[-1][0] == loc:
-            continue
-        want = eval_target(req.target, loc)
-        if phi0.eval(loc) != want:
-            pins.append((loc, want))
-    return phi0.with_exceptions(pins) if pins else phi0
-
-
 def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEstimate:
     f = target_evaluator(req.target)
     knots = phi0.endpoint_floats().tolist()
@@ -311,6 +296,11 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
             break
         lo, hi, _ = _split(lo, hi, straddle)
     v, err = evaluate(lo, hi)
+    # each atom of mu, listed once, with the target's exact value there, a
+    # float as its exact binary value; StepFunction keeps a pin only where
+    # phi0 misses that value
+    pins = [(loc, eval_target(req.target, loc))
+            for loc in dict.fromkeys(loc for loc, _ in req.mu.atoms)]
     share = 0.75**p
     best = math.inf
     rounds = 0
@@ -344,7 +334,7 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
         starts = cut[:-1]
         terms = [(x, exact.get(a, a), exact.get(b, b)) for a, b, x in
                  zip(lo[starts].tolist(), hi[cut[1:]].tolist(), v[starts].tolist()) if x]
-        phi0 = _pin_atoms(StepFunction(terms=terms), req)
+        phi0 = StepFunction(terms=terms, exceptions=pins)
         est = _certified_distance(phi0, req, cert_tol)
         achieved = est.value + est.absolute_error_bound
         best = min(best, achieved)

@@ -146,11 +146,16 @@ class CorruptCertificate(ValueError):
 
 
 def read_certificate(path) -> dict:
+    """The certificate's JSON object, with its required fields present, a
+    request object with string target and measure, and an integer b; any
+    other content raises CorruptCertificate."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptCertificate(f"cannot read certificate: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CorruptCertificate("a certificate must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise CorruptCertificate(
             f"unsupported schema_version {data.get('schema_version')!r}"
@@ -162,6 +167,12 @@ def read_certificate(path) -> dict:
     for key in required:
         if key not in data:
             raise CorruptCertificate(f"missing field {key!r}")
+    request = data["request"]
+    if not (isinstance(request, dict)
+            and all(isinstance(request.get(k), str) for k in ("target", "measure"))):
+        raise CorruptCertificate("field 'request' must be an object with string target and measure")
+    if type(data["b"]) is not int:  # a bool is an int, and int() would truncate a float
+        raise CorruptCertificate(f"field 'b' must be an integer, got {data['b']!r}")
     return data
 
 
@@ -176,7 +187,7 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
             exceptions=[(str(e["point"]), str(e["value"])) for e in data["exceptions"]],
         )
         scale = _parse_fraction(str(data["scale"]), "scale")
-        wave = TriangleWave(b=int(data["b"]))
+        wave = TriangleWave(b=data["b"])
         eps = _parse_fraction(str(data["request"]["eps"]), "eps")
         M = _parse_fraction(str(data["request"]["M"]), "M")
         p = _parse_p(str(data["request"]["p"]))

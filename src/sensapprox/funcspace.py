@@ -2,14 +2,16 @@
 
 Every breakpoint, value, scale and slope is exact; a float input is its
 exact binary value, as ``as_rational`` reads it. A step function holds
-its numbers as integer pairs (n, d): a float enters as its
-``as_integer_ratio()``, a certificate's "n/d" string as its two integers.
-It checks and orders its terms, finds its sup norm and its endpoints off
-the wave lattice by cross-multiplication, and builds its Fractions only
-when asked for them; a certificate's rows are written from the pairs.
-Floats appear only in the vectorized evaluators for quadrature, Monte
-Carlo and plots. A step function is zero outside its intervals and at
-their endpoints, except at its (point, value) exceptions. It is built in
+its numbers as integer pairs (n, d) and nothing else: a float enters as
+its ``as_integer_ratio()``, a certificate's "n/d" string as its two
+integers, and a Fraction as its numerator and denominator. It checks and
+orders its terms, finds its sup norm and its endpoints off the wave
+lattice by cross-multiplication, and builds its Fractions only when
+asked for them; a certificate's rows are written from the pairs. Floats
+appear only in the vectorized evaluators for quadrature, Monte Carlo and
+plots. A step function is zero outside its intervals and at their
+endpoints, except at its (point, value) exceptions, of which it keeps
+only those that change the function. It has one constructor, built in
 one walk over its terms, which must arrive sorted and disjoint, in
 linear time.
 """
@@ -90,24 +92,22 @@ def build_zigzag(eps, M) -> TriangleWave:
 # Step functions
 
 # the infinite ends of the line, and zero, as numbers (see _number)
-_NEG_INF = (-1, 0, NEG_INF)
-_POS_INF = (1, 0, POS_INF)
-_ZERO = (0, 1, None)
+_NEG_INF = (-1, 0)
+_POS_INF = (1, 0)
+_ZERO = (0, 1)
 
 
 def _number(x, seen):
-    """x as (n, d, exact), with d > 0, and exact the Fraction n / d when it
-    is at hand, else None: the number that as_rational reads. A finite
-    float gives the pair of ``as_integer_ratio()`` and no Fraction. A
+    """x as an integer pair (n, d), d > 0: the number that as_rational
+    reads. A finite float gives the pair of ``as_integer_ratio()``. A
     string "n/d" of decimal digits, as a certificate writes it, gives its
-    two integers and no Fraction, and is looked up in and added to seen,
-    as a certificate's rows repeat their shared ends and many values. Any
-    other input goes through as_rational, which keeps a Fraction as it is
-    and raises on NaN and the infinities."""
+    two integers, and is looked up in and added to seen, as a
+    certificate's rows repeat their shared ends and many values. Any
+    other input goes through as_rational, which raises on NaN and the
+    infinities; no input Fraction is kept."""
     if isinstance(x, float):
         try:
-            n, d = x.as_integer_ratio()
-            return n, d, None
+            return x.as_integer_ratio()
         except (OverflowError, ValueError):
             pass  # NaN or ±inf, which as_rational rejects
     if type(x) is str:
@@ -117,13 +117,13 @@ def _number(x, seen):
             # int() reads the decimal digits that Fraction(str) reads; any
             # other form, "0.5" or "4 / 8", and "1/0" go through Fraction
             if d.isdecimal() and (n[1:] if n[:1] == "-" else n).isdecimal() and int(d):
-                num = int(n), int(d), None
+                num = int(n), int(d)
             else:
                 num = _number(as_rational(x), seen)
             seen[x] = num
         return num
     q = as_rational(x)
-    return q.numerator, q.denominator, q
+    return q.numerator, q.denominator
 
 
 def _end(x, seen):
@@ -134,9 +134,9 @@ def _end(x, seen):
 
 
 def _exact(num):
-    """The exact value of a number: its Fraction, or a float infinity."""
-    n, d, q = num
-    return Fraction(n, d) if q is None else q
+    """The exact value of a number: a Fraction, or a float infinity."""
+    n, d = num
+    return Fraction(n, d) if d else (POS_INF if n > 0 else NEG_INF)
 
 
 def _cmp(a, b):
@@ -154,9 +154,10 @@ class StepFunction:
 
     terms: tuple of (value, lo, hi) with lo < hi, sorted, disjoint, value != 0.
     exceptions: tuple of (point, value) pairs overriding the pointwise value
-    at finitely many points; a value of 0 is kept where it changes the
-    function, inside a term, and dropped elsewhere, so that equal
-    functions have equal terms and exceptions.
+    at finitely many points. An exception is kept only where it changes
+    the function: where its value differs from that of the terms, 0 at a
+    breakpoint and the region's value elsewhere. So the same terms with
+    exceptions that change nothing give an equal step function.
 
     Every input number is held as an integer pair (n, d), d > 0, with ±inf
     as (±1, 0) at an open end of the line; a float, as the grid route's
@@ -168,9 +169,9 @@ class StepFunction:
     and raises. The float arrays behind ``eval_arr`` are built in the same
     pass, each entry n / d, which Python rounds correctly, as
     float(Fraction) does. The exact data, ``terms``, ``exceptions`` and
-    ``endpoints()`` as Fractions, is built on the first request and kept;
-    an input Fraction is reused. Neither ``sensitize``, which reads the
-    pair and float views, nor Monte Carlo evaluation requests it.
+    ``endpoints()`` as Fractions, is built from the pairs on the first
+    request and kept. Neither ``sensitize``, which reads the pair and
+    float views, nor Monte Carlo evaluation requests it.
 
     Region k is the open cell left of breakpoint k (the last one runs to
     +inf); the value at a breakpoint is 0 unless an exception overrides it.
@@ -194,22 +195,9 @@ class StepFunction:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
             if v[0]:
                 rows.append((v, lo_n, hi_n))
-        self._build(rows, [(_number(pt, seen), _number(value, seen))
-                           for pt, value in exceptions])
-
-    def with_exceptions(self, exceptions):
-        """The step function of these terms, as they are held, and the
-        given (point, value) exceptions in place of its own."""
-        out = object.__new__(StepFunction)
-        seen = {}
-        out._build(self._terms, [(_number(pt, seen), _number(value, seen))
-                                 for pt, value in exceptions])
-        return out
-
-    def _build(self, rows, exceptions):
-        """The lookup data of terms and exceptions given as numbers."""
         pts, region = _walk_terms(rows)
-        exc = sorted(exceptions, key=lambda e: _key(e[0]))
+        exc = sorted(((_number(pt, seen), _number(value, seen)) for pt, value in exceptions),
+                     key=lambda e: _key(e[0]))
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
             if not _cmp(p1, p2):
                 raise ValueError(f"duplicate exception point {_exact(p1)}")
@@ -219,8 +207,8 @@ class StepFunction:
         for p, v in exc:
             i = bisect.bisect_left(pts, _key(p), key=_key)
             at_end = i < len(pts) and not _cmp(pts[i], p)
-            if not v[0] and (at_end or not region[i][0]):
-                continue  # the function is 0 there already
+            if not _cmp(v, _ZERO if at_end else region[i]):
+                continue  # the function has this value there already
             if not at_end:
                 # p splits region i into two cells of the same value
                 pts.insert(i, p)
@@ -238,8 +226,8 @@ class StepFunction:
         self._exc = kept
         self._pts = pts
         self._fractions = None
-        self._pts_f = np.array([n / d for n, d, _ in pts] + [math.nan])
-        self._region = np.array([n / d for n, d, _ in region])
+        self._pts_f = np.array([n / d for n, d in pts] + [math.nan])
+        self._region = np.array([n / d for n, d in region])
         self._point = np.array(point)
         # region 0, point 0, region 1, ..., region k: the values of the runs
         # of an ascending input
@@ -301,21 +289,22 @@ class StepFunction:
         return self._fraction_data()[2]
 
     def endpoint_pairs(self):
-        """endpoints() as integer pairs (n, d), d > 0, not reduced."""
-        return [(n, d) for n, d, _ in self._pts]
+        """endpoints() as the held integer pairs (n, d), d > 0, not reduced."""
+        return list(self._pts)
 
     def endpoint_floats(self):
         """float(x) of each of endpoints(), as an array."""
         return self._pts_f[:-1]
 
     def term_pairs(self):
-        """terms as ((n, d) value, (n, d) lo, (n, d) hi) integer pairs, not
-        reduced; an infinite end is (-1, 0) or (1, 0)."""
-        return [((v[0], v[1]), (lo[0], lo[1]), (hi[0], hi[1])) for v, lo, hi in self._terms]
+        """terms as the held ((n, d) value, (n, d) lo, (n, d) hi) integer
+        pairs, not reduced; an infinite end is (-1, 0) or (1, 0)."""
+        return list(self._terms)
 
     def exception_pairs(self):
-        """exceptions as ((n, d) point, (n, d) value) integer pairs, not reduced."""
-        return [((p[0], p[1]), (v[0], v[1])) for p, v in self._exc]
+        """exceptions as the held ((n, d) point, (n, d) value) integer
+        pairs, not reduced."""
+        return list(self._exc)
 
     def sup_norm(self) -> Fraction:
         """The largest |value| of a term or an exception, compared by

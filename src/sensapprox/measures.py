@@ -473,10 +473,11 @@ class PiecewisePoly:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Validated parse result: weighted components plus declared mass."""
+    """Parse result: weighted components, and the total mass that the text
+    declares, or None; BorelMeasure checks the weights against it."""
 
     components: tuple
-    declared_total_mass: Fraction
+    declared_total_mass: Fraction | None
     source_text: str = ""
 
 
@@ -485,20 +486,32 @@ class MeasureSpec:
 
 
 class BorelMeasure:
-    """Immutable finite Borel measure: atoms + absolutely continuous parts."""
+    """Immutable finite Borel measure: atoms + absolutely continuous parts.
+
+    It checks its weights and its mass with the ``MeasureSpecError`` that
+    the measure grammar prints, in this order: no weight is negative, a
+    declared mass is positive and equals the weights' sum, and the total
+    mass is positive.
+    """
 
     def __init__(self, atoms=(), parts=(), total_mass=None, source_text=""):
         self.source_text = source_text
         self.atoms = tuple(sorted(((as_rational(l), as_rational(m)) for l, m in atoms)))
         self.parts = tuple((as_rational(w), kind) for w, kind in parts)
-        computed = sum(m for _, m in self.atoms) + sum(w for w, _ in self.parts)
-        self.total_mass = as_rational(total_mass) if total_mass is not None else computed
-        if computed != self.total_mass:
-            raise ValueError(
-                f"component masses sum to {computed}, declared {self.total_mass}"
-            )
+        weights = [m for _, m in self.atoms] + [w for w, _ in self.parts]
+        for w in weights:
+            if w < 0:
+                raise MeasureSpecError(f"negative weight {w}")
+        self.total_mass = computed = sum(weights)
+        if total_mass is not None:
+            self.total_mass = as_rational(total_mass)
+            if self.total_mass <= 0:
+                raise MeasureSpecError(f"declared mass must be positive, got {self.total_mass}")
+            if computed != self.total_mass:
+                raise MeasureSpecError(
+                    f"weights sum to {computed}, declared mass is {self.total_mass}")
         if self.total_mass <= 0:
-            raise ValueError("total mass must be positive")
+            raise MeasureSpecError("total mass must be positive")
         # the composition table of from_uniforms: per component (atoms
         # first, then parts, in stored order), its float weight w / mass,
         # the float cumulative weight before it and its kind
@@ -511,14 +524,11 @@ class BorelMeasure:
 
     @classmethod
     def from_spec(cls, spec: MeasureSpec):
-        atoms = []
-        parts = []
-        for w, kind in spec.components:
-            if isinstance(kind, AtomKind):
-                if w > 0:
-                    atoms.append((kind.location, w))
-            elif w > 0:
-                parts.append((w, kind))
+        """The measure of a parsed spec; every component of nonzero weight,
+        a negative one included, is passed on to be checked."""
+        comps = [(w, kind) for w, kind in spec.components if w]
+        atoms = [(kind.location, w) for w, kind in comps if isinstance(kind, AtomKind)]
+        parts = [(w, kind) for w, kind in comps if not isinstance(kind, AtomKind)]
         return cls(atoms=atoms, parts=parts, total_mass=spec.declared_total_mass,
                    source_text=spec.source_text)
 

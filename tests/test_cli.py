@@ -593,6 +593,30 @@ class TestVerifyCommand:
             assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("break_it", [
+    lambda raw: [1],
+    lambda raw: {**raw, "request": "x"},
+    lambda raw: {**raw, "request": {**raw["request"], "target": 5}},
+    lambda raw: {**raw, "request": {**raw["request"], "measure": None}},
+    lambda raw: {**raw, "request": {k: v for k, v in raw["request"].items() if k != "target"}},
+    lambda raw: {**raw, "b": raw["b"] + 0.5},
+    # with the stored slope kept at scale * b, for b read as 1
+    lambda raw: {**raw, "b": True, "min_abs_slope": raw["scale"]},
+], ids=["list", "request-string", "target-number", "measure-null", "no-target",
+        "b-float", "b-bool"])
+def test_malformed_certificate_is_input_error(tmp_path, capsys, break_it):
+    _, cert = make_certificate()
+    out = tmp_path / "cert.json"
+    write_certificate(cert, out)
+    out.write_text(json.dumps(break_it(json.loads(out.read_text()))))
+    for argv in (["verify", "--cert", str(out), "--samples", "1000"],
+                 ["plot", "--cert", str(out), "--window=0:1", "--points", "5",
+                  "--out", str(tmp_path / "p.csv")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 # negative on about (0.0018, 0.0082), between the points of the grid that
 # used to check pwd densities
 NEGATIVE_PWD = "pwd(breaks(0,1,2), poly(0.0000375, -0.03, 3), poly(0.0149625))"

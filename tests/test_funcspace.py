@@ -142,10 +142,14 @@ class TestStepFunction:
         assert s.eval_arr(0.5) == 0.0
         assert s != StepFunction(terms=[(1, 0, 1)])
 
-    @pytest.mark.parametrize("point", [0, 1, -1, 2])
-    def test_zero_exception_where_the_terms_are_zero_is_dropped(self, point):
+    @pytest.mark.parametrize("pin", [
+        (0, 0), (1, 0), (-1, 0), (2, 0),
+        # a nonzero value that the terms already take there
+        (Fraction(1, 2), 1), (Fraction(3, 2), 2), (0.25, 1.0), ("7/4", "2/1"),
+    ], ids=lambda pin: str(pin[0]) if pin[1] == 0 else f"{pin[0]}-{pin[1]}")
+    def test_zero_exception_where_the_terms_are_zero_is_dropped(self, pin):
         plain = StepFunction(terms=[(1, 0, 1), (2, 1, 2)])
-        s = StepFunction(terms=[(1, 0, 1), (2, 1, 2)], exceptions=[(point, 0)])
+        s = StepFunction(terms=[(1, 0, 1), (2, 1, 2)], exceptions=[pin])
         assert s.exceptions == ()
         assert s == plain and hash(s) == hash(plain)
         assert s.endpoints() == plain.endpoints()

@@ -93,7 +93,7 @@ def test_float_inputs_differ_from_their_decimals():
     assert build_zigzag(0.7, 6).b == 21
     assert build_zigzag("0.7", 6).b == build_zigzag(Fraction(7, 10), 6).b == 20
     # the float masses 0.3 and 0.7 sum to 1 - 2^-54, not 1
-    with pytest.raises(ValueError, match="component masses sum to"):
+    with pytest.raises(ValueError, match="weights sum to"):
         BorelMeasure(atoms=[(0, 0.3)], parts=[(0.7, Uniform(0, 1))], total_mass=1)
     for m, w in (("0.3", "0.7"), (Fraction(3, 10), Fraction(7, 10))):
         mu = BorelMeasure(atoms=[(0, m)], parts=[(w, Uniform(0, 1))], total_mass=1)

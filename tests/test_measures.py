@@ -62,6 +62,28 @@ class TestKindParameters:
             parse_measure(spec)
         assert str(built.value) == str(parsed.value) == message
 
+    @pytest.mark.parametrize("build, spec, message", [
+        (lambda: BorelMeasure(parts=[(-1, Uniform(0, 2)), (2, Uniform(0, 1))]),
+         "mix(-1*uniform(0,2), 2*uniform(0,1))", "negative weight -1"),
+        (lambda: BorelMeasure(atoms=[(0, Fraction(-1, 2))], parts=[(Fraction(3, 2), Uniform(0, 1))]),
+         "mix(-0.5*atom(0), 1.5*uniform(0,1))", "negative weight -1/2"),
+        (lambda: BorelMeasure(parts=[(1, Uniform(0, 1))], total_mass=0),
+         "mix(1*uniform(0,1), mass=0)", "declared mass must be positive, got 0"),
+        (lambda: BorelMeasure(atoms=[(0, Fraction(1, 2))], parts=[(Fraction(1, 4), Uniform(0, 1))],
+                              total_mass=1),
+         "mix(0.5*atom(0), 0.25*uniform(0,1), mass=1)", "weights sum to 3/4, declared mass is 1"),
+        (lambda: BorelMeasure(parts=[(0, Uniform(0, 1))]),
+         "mix(0*uniform(0,1))", "total mass must be positive"),
+    ], ids=["negative-part", "negative-atom", "declared-mass", "mass-mismatch", "total-mass"])
+    def test_the_mixture_checks_its_weights_and_mass(self, build, spec, message):
+        # a library caller gets the error that the grammar gives; a negative
+        # part used to build, with a density negative on (1, 2)
+        with pytest.raises(MeasureSpecError) as built:
+            build()
+        with pytest.raises(MeasureSpecError) as parsed:
+            BorelMeasure.from_spec(parse_measure(spec))
+        assert str(built.value) == str(parsed.value) == message
+
     @pytest.mark.parametrize("text", SAMPLED)
     def test_spans_are_sorted_and_disjoint(self, text):
         for _, kind in measure(text).parts:

@@ -23,6 +23,7 @@ from sensapprox.parsing import (
 from sensapprox.approx import Certificate
 from sensapprox.cli import read_certificate, write_certificate
 from sensapprox.funcspace import StepFunction
+from sensapprox.measures import BorelMeasure
 
 
 CORPUS = [
@@ -202,12 +203,12 @@ class TestParseMeasure:
         spec = parse_measure("normal(0,1)")
         assert len(spec.components) == 1
         assert spec.components[0][0] == 1
-        assert spec.declared_total_mass == 1
+        assert spec.declared_total_mass is None
 
     def test_mixture(self):
         spec = parse_measure("mix(0.5*atom(0), 0.5*uniform(0,1))")
         assert len(spec.components) == 2
-        assert spec.declared_total_mass == 1
+        assert spec.declared_total_mass is None
 
     def test_invalid_uniform(self):
         with pytest.raises(MeasureSpecError, match="a < b"):
@@ -215,11 +216,11 @@ class TestParseMeasure:
 
     def test_negative_weight(self):
         with pytest.raises(MeasureSpecError, match="negative weight"):
-            parse_measure("mix(-0.5*atom(0), 1.5*uniform(0,1))")
+            BorelMeasure.from_spec(parse_measure("mix(-0.5*atom(0), 1.5*uniform(0,1))"))
 
     def test_mass_mismatch(self):
         with pytest.raises(MeasureSpecError, match="declared mass"):
-            parse_measure("mix(0.5*atom(0), 0.25*uniform(0,1), mass=1)")
+            BorelMeasure.from_spec(parse_measure("mix(0.5*atom(0), 0.25*uniform(0,1), mass=1)"))
 
     def test_declared_mass_ok(self):
         spec = parse_measure("mix(1*atom(0), 3*uniform(0,1), mass=4)")
