@@ -171,8 +171,6 @@ def check_finite_moment(req: ApproxRequest):
         raise NonFiniteMomentError(
             f"target appears to have non-finite {req.p}-th moment: {exc}"
         ) from exc
-    except (OverflowError, FloatingPointError) as exc:
-        raise NonFiniteMomentError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

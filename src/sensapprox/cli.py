@@ -1,10 +1,12 @@
 """Command-line surface: sensitize, verify, norm, plot.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 input error (p out
-of range, or a wave frequency b >= 2^1024 - 2^970, which has no float),
+of range, a number with no float, such as a wave frequency
+b >= 2^1024 - 2^970, an unwritable --out, or a target nested too deep),
 3 pipeline budget exhausted, 4 hypothesis violation (a numerically
 diverging moment, or a target that sensitize or norm cannot evaluate
-where the measure has mass).
+where the measure has mass). main maps a command's failure to its code
+through one table, FAILURES.
 
 Certificate files are JSON, schema_version "1". Quantities that must be
 exact (scale, min_abs_slope, sup_bound, breakpoints) are "num/den"
@@ -28,9 +30,6 @@ from .intervals import uniform_grid_floats
 from .measures import BorelMeasure
 from .parsing import (
     EvaluationError,
-    MeasureSpecError,
-    ParseError,
-    eval_target,
     eval_target_array,
     parse_measure,
     parse_target,
@@ -45,6 +44,19 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_HYPOTHESIS = 4
 
+# the exit code and stderr prefix of a command's failure: the first row
+# whose types match it. The hypothesis errors are ValueErrors, so their
+# row comes first; any other exception is a bug and propagates.
+FAILURES = (
+    ((approx.NonFiniteMomentError, norms.NonIntegrableError),
+     EXIT_HYPOTHESIS, "hypothesis violation"),
+    ((approx.RefinementCapError,), EXIT_BUDGET, "pipeline budget exhausted"),
+    # ParseError, MeasureSpecError, CorruptCertificate and EvaluationError
+    # are ValueErrors
+    ((ValueError, ArithmeticError, OSError, MemoryError, RecursionError),
+     EXIT_INPUT, "error"),
+)
+
 # most rows, and most non-differentiability points, that plot writes
 MAX_PLOT_POINTS = 10**5
 # most Monte Carlo draws that verify takes. The draws go through one
@@ -56,13 +68,10 @@ MAX_PLOT_POINTS = 10**5
 MAX_VERIFY_SAMPLES = 10**7
 
 
-def _rat(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def _pair(num) -> str:
-    """An integer pair (n, d), d > 0, as "n/d" in lowest terms, as _rat
-    writes its Fraction; a certificate holds no infinite end (d = 0)."""
+    """An integer pair (n, d), d > 0, as "n/d" in lowest terms; a
+    Fraction is written from its as_integer_ratio(). A certificate holds
+    no infinite end (d = 0)."""
     n, d = num
     if not d:
         raise ValueError("a certificate row cannot hold an infinite end")
@@ -86,17 +95,18 @@ def _fields(cert: approx.Certificate) -> dict:
             "target": cert.target_text,
             "measure": cert.measure_text,
             "p": repr(cert.p),
-            "eps": _rat(cert.eps),
-            "M": _rat(cert.M),
+            "eps": _pair(cert.eps.as_integer_ratio()),
+            "M": _pair(cert.M.as_integer_ratio()),
         },
         "b": cert.b,
-        "scale": _rat(cert.scale),
+        "scale": _pair(cert.scale.as_integer_ratio()),
         "error_bound": repr(cert.error_bound),
         "error_method": cert.error_method,
-        "min_abs_slope": _rat(cert.min_abs_slope),
-        "sup_bound": _rat(cert.sup_bound),
+        "min_abs_slope": _pair(cert.min_abs_slope.as_integer_ratio()),
+        "sup_bound": _pair(cert.sup_bound.as_integer_ratio()),
         "nondiff_count_in_window": cert.nondiff_count_in_window,
-        "window": {"lower": _rat(cert.window[0]), "upper": _rat(cert.window[1])},
+        "window": {"lower": _pair(cert.window[0].as_integer_ratio()),
+                   "upper": _pair(cert.window[1].as_integer_ratio())},
         "quadrature_tolerance": repr(cert.quadrature_tolerance),
     }
 
@@ -227,54 +237,36 @@ def _parse_fraction(text, name):
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each raises on a failure, and main maps the failure to an
+# exit code through FAILURES
 
 
 def cmd_sensitize(args) -> int:
-    try:
-        target = parse_target(args.target)
-        spec = parse_measure(args.measure)
-        mu = BorelMeasure.from_spec(spec)
-        p = _parse_p(args.p)
-        eps = _parse_fraction(args.eps, "eps")
-        M = _parse_fraction(args.M, "M")
-        req = approx.ApproxRequest(target=target, mu=mu, p=p, eps=eps, M=M)
-    except (ParseError, MeasureSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        _y, cert = approx.sensitize(req)
-    except approx.NonFiniteMomentError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except approx.RefinementCapError as exc:
-        print(f"pipeline budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except OverflowError as exc:  # a number of the request past the float range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    req = approx.ApproxRequest(
+        target=parse_target(args.target),
+        mu=BorelMeasure.from_spec(parse_measure(args.measure)),
+        p=_parse_p(args.p),
+        eps=_parse_fraction(args.eps, "eps"),
+        M=_parse_fraction(args.M, "M"),
+    )
+    _y, cert = approx.sensitize(req)
     write_certificate(cert, args.out)
     print(
         f"b={cert.b} error_bound={cert.error_bound:.6g} "
-        f"min_abs_slope={_rat(cert.min_abs_slope)}"
+        f"min_abs_slope={_pair(cert.min_abs_slope.as_integer_ratio())}"
     )
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        data = read_certificate(args.cert)
-        Y = reconstruct_approximant(data)
-        target = parse_target(data["request"]["target"])
-        spec = parse_measure(data["request"]["measure"])
-        mu = BorelMeasure.from_spec(spec)
-        if not 1000 <= args.samples <= MAX_VERIFY_SAMPLES:
-            raise ValueError(f"samples must be between 1000 and {MAX_VERIFY_SAMPLES}")
-        if args.seed < 0:
-            raise ValueError("seed must be nonnegative")
-    except (CorruptCertificate, ParseError, MeasureSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    data = read_certificate(args.cert)
+    Y = reconstruct_approximant(data)
+    target = parse_target(data["request"]["target"])
+    mu = BorelMeasure.from_spec(parse_measure(data["request"]["measure"]))
+    if not 1000 <= args.samples <= MAX_VERIFY_SAMPLES:
+        raise ValueError(f"samples must be between 1000 and {MAX_VERIFY_SAMPLES}")
+    if args.seed < 0:
+        raise ValueError("seed must be nonnegative")
 
     p, eps, M = Y.p, Y.eps, Y.M
     slope = Y.min_abs_slope()
@@ -284,19 +276,15 @@ def cmd_verify(args) -> int:
         est = norms.mc_norm(
             lambda xs: Y.eval_arr(xs) - f(xs), mu, p, n=args.samples, seed=args.seed
         )
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except MemoryError:
-        print("error: not enough memory to verify: the draws take a few MB "
-              "whatever --samples is", file=sys.stderr)
-        return EXIT_INPUT
+        raise MemoryError("not enough memory to verify: the draws take a few MB "
+                          "whatever --samples is")
     distance, radius = est.value, est.absolute_error_bound
     mc_total = distance + radius
     error_ok = mc_total < float(eps)
     print(
         f"mc_distance={distance:.6g} radius={radius:.6g} "
-        f"eps={float(eps):.6g} min_abs_slope={_rat(slope)} M={float(M):.6g}"
+        f"eps={float(eps):.6g} min_abs_slope={_pair(slope.as_integer_ratio())} M={float(M):.6g}"
     )
     if slope_ok and error_ok:
         print("PASS")
@@ -311,58 +299,42 @@ def cmd_verify(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    try:
-        target = parse_target(args.target)
-        spec = parse_measure(args.measure)
-        mu = BorelMeasure.from_spec(spec)
-        p = _parse_p(args.p)
-        tol = float(args.tol)
-        if not 0 < tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-    except (ParseError, MeasureSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        est = norms.lp_norm(
-            target_evaluator(target), mu, p, tol,
-            knots=[float(k) for k in mu.density_breakpoints()],
-        )
-    except norms.NonIntegrableError as exc:  # also a target it cannot evaluate
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    target = parse_target(args.target)
+    mu = BorelMeasure.from_spec(parse_measure(args.measure))
+    # lp_norm rejects a tol that is no positive finite number
+    est = norms.lp_norm(
+        target_evaluator(target), mu, _parse_p(args.p), float(args.tol),
+        knots=[float(k) for k in mu.density_breakpoints()],
+    )
     print(f"value={est.value!r} bound={est.absolute_error_bound!r}")
     return EXIT_OK
 
 
 def _target_or_nan(target, x) -> float:
     try:
-        return float(eval_target(target, x))
-    except (EvaluationError, OverflowError):  # or an exact value past the float range
+        return eval_target_array(target, [x])[0]
+    except EvaluationError:
         return math.nan
 
 
 def cmd_plot(args) -> int:
-    try:
-        data = read_certificate(args.cert)
-        Y = reconstruct_approximant(data)
-        target = parse_target(data["request"]["target"])
-        lo_text, sep, hi_text = args.window.partition(":")
-        if not sep:
-            raise ValueError("window must be given as a:b")
-        lo = _parse_fraction(lo_text, "window start")
-        hi = _parse_fraction(hi_text, "window end")
-        if not lo < hi:
-            raise ValueError("window requires a < b")
-        n = int(args.points)
-        if not 2 <= n <= MAX_PLOT_POINTS:
-            raise ValueError(f"points must be between 2 and {MAX_PLOT_POINTS}")
-        kinks = Y.nondiff_count(lo, hi)
-        if kinks > MAX_PLOT_POINTS:
-            raise ValueError(f"window holds {kinks} non-differentiability "
-                             f"points, more than {MAX_PLOT_POINTS}")
-    except (CorruptCertificate, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    data = read_certificate(args.cert)
+    Y = reconstruct_approximant(data)
+    target = parse_target(data["request"]["target"])
+    lo_text, sep, hi_text = args.window.partition(":")
+    if not sep:
+        raise ValueError("window must be given as a:b")
+    lo = _parse_fraction(lo_text, "window start")
+    hi = _parse_fraction(hi_text, "window end")
+    if not lo < hi:
+        raise ValueError("window requires a < b")
+    n = int(args.points)
+    if not 2 <= n <= MAX_PLOT_POINTS:
+        raise ValueError(f"points must be between 2 and {MAX_PLOT_POINTS}")
+    kinks = Y.nondiff_count(lo, hi)
+    if kinks > MAX_PLOT_POINTS:
+        raise ValueError(f"window holds {kinks} non-differentiability "
+                         f"points, more than {MAX_PLOT_POINTS}")
 
     # the float abscissae ascend, so Y looks phi0 up by a merge
     xs = np.array(uniform_grid_floats(lo, hi, n - 1))
@@ -370,9 +342,9 @@ def cmd_plot(args) -> int:
     try:
         ts = eval_target_array(target, xs)
     except EvaluationError:
-        # some row cannot be evaluated: the same float abscissae row by
-        # row, NaN there
-        ts = np.array([_target_or_nan(target, x) for x in xs.tolist()])
+        # some row cannot be evaluated: the same evaluator row by row,
+        # NaN there
+        ts = np.array([_target_or_nan(target, x) for x in xs])
     cols = (map(repr, col.tolist()) for col in (xs, ts, ys))
     with open(args.out, "w") as fh:
         fh.write("x,target,approximant\n" + "\n".join(map(",".join, zip(*cols))) + "\n")
@@ -433,7 +405,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, code, prefix in FAILURES:
+            if isinstance(exc, types):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from sensapprox.cli import (
 )
 from sensapprox.funcspace import StepFunction
 from sensapprox.measures import BorelMeasure
-from sensapprox.parsing import eval_target, parse_measure, parse_target
+from sensapprox.parsing import eval_target, eval_target_array, parse_measure, parse_target
 
 
 def run_python(*args):
@@ -745,6 +745,24 @@ class TestPlotCommand:
         targets = [float(ln.split(",")[1]) for ln in out.read_text().splitlines()[1:]]
         assert targets[:2] == [0.0, 0.25] and all(map(math.isnan, targets[2:]))
 
+    def test_fallback_rows_are_the_array_values(self, tmp_path, capsys):
+        # log(x) fails at x = 0 only; every other row's target is the
+        # float evaluator's exp(x), which the exact evaluator does not
+        # always match in the last bits
+        target = "if(x > 0, exp(x), log(x))"
+        cert_path = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", target, "--measure", "uniform(0,1)",
+                     "--p", "1", "--eps", "1/10", "--M", "0", "--out", str(cert_path)]) == 0
+        out = tmp_path / "c.csv"
+        assert main(["plot", "--cert", str(cert_path), "--window=0:1", "--points", "1000",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        f = parse_target(target)
+        rows = [[float(v) for v in ln.split(",")] for ln in out.read_text().splitlines()[1:]]
+        assert math.isnan(rows[0][1])
+        for x, t, _ in rows[1:]:
+            assert t == eval_target_array(f, np.array([x]))[0]
+
     def test_bad_window_is_input_error(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         assert main([
@@ -772,6 +790,44 @@ class TestPlotCommand:
         assert run.returncode == 2
         assert run.stderr.startswith("error: ")
         assert "Traceback" not in run.stderr
+
+
+ZEROS = "0" * 400
+NESTED = "(" * 5000 + "x" + ")" * 5000
+SENSITIZE = ["sensitize", "--target", "x", "--measure", "uniform(0,1)", "--p", "1",
+             "--eps", "1/10", "--M", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    SENSITIZE + ["--out", "/nonexistent/c.json"],
+    SENSITIZE + ["--out", ""],
+    SENSITIZE + ["--out", "{tmp}"],
+    ["plot", "--cert", "{cert}", "--window=0:1", "--points", "5",
+     "--out", "/nonexistent/p.csv"],
+    ["verify", "--cert", "{eps}", "--samples", "1000"],
+    ["verify", "--cert", "{M}", "--samples", "1000"],
+    ["norm", "--target", "x", "--measure", f"uniform(0,1{ZEROS})", "--p", "1"],
+    ["sensitize", "--target", "x", "--measure", f"exponential(0.{ZEROS}1)", "--p", "1",
+     "--eps", "1/10", "--M", "1", "--out", "unused.json"],
+    ["sensitize", "--target", NESTED, "--measure", "uniform(0,1)", "--p", "1",
+     "--eps", "1/10", "--M", "1", "--out", "unused.json"],
+    ["norm", "--target", NESTED, "--measure", "uniform(0,1)", "--p", "1"],
+], ids=["out-missing-dir", "out-empty", "out-directory", "plot-out-missing-dir",
+        "verify-eps-1e400", "verify-M-1e400", "norm-no-float", "sensitize-no-float",
+        "sensitize-nested", "norm-nested"])
+def test_input_that_no_command_handles_is_input_error(tmp_path, argv):
+    _, cert = make_certificate()
+    files = {"tmp": tmp_path, "cert": tmp_path / "cert.json"}
+    write_certificate(cert, files["cert"])
+    for key in ("eps", "M"):
+        raw = json.loads(files["cert"].read_text())
+        raw["request"][key] = "1e400"
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(raw))
+    run = run_cli(*[arg.format(**files) for arg in argv])
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
 
 
 def test_cli_import_leaves_scipy_out():
