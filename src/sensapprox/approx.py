@@ -179,9 +179,8 @@ def check_finite_moment(req: ApproxRequest):
 
 def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEstimate:
     f = target_evaluator(req.target)
-    knots = phi0.endpoint_floats().tolist()
-    knots += [float(pt) for pt in req.mu.density_breakpoints()]
-    return norms.lp_distance(f, phi0.eval_arr, req.mu, req.p, tol, knots=knots)
+    return norms.lp_distance(f, phi0.eval_arr, req.mu, req.p, tol,
+                             knots=phi0.endpoint_floats())
 
 
 # Refinement budget of the grid route. A refinement run ends when the float
@@ -220,10 +219,10 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     approximation: DeVore, *Acta Numerica* 1998, sec. 3; Binev & DeVore,
     *Numer. Math.* 2004).
 
-    The cells tile the dyadic hull of the spans that ``norms`` integrates
-    over (every part's spans(1e-12): its window less the pwd cells of
-    density 0), starting from about 16 cells of one power-of-two width,
-    each cut at the target's if() thresholds inside it. The spans merge
+    The cells tile the dyadic hull of every part's spans at the outer
+    tail of the quadrature, ``norms.TAILS[-1]`` (its window less the pwd
+    cells of density 0), starting from about 16 cells of one power-of-two
+    width, each cut at the target's if() thresholds inside it. The spans merge
     into disjoint pieces, and a first cell that reaches into two pieces
     is halved until it meets one. A cell's value is the
     target at the midpoint of the cell's part inside its piece, rounded to
@@ -240,7 +239,7 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
     pieces = []  # the spans, merged into sorted disjoint pieces
-    for a, b in sorted(span for _, kind in parts for span in kind.spans(1e-12)):
+    for a, b in sorted(span for _, kind in parts for span in kind.spans(norms.TAILS[-1])):
         if pieces and a <= pieces[-1][1]:
             pieces[-1][1] = max(pieces[-1][1], b)
         else:

@@ -227,6 +227,14 @@ def _parse_p(text):
     return p
 
 
+def _float_field(x, name):
+    """The float of an exact certificate field, or an error naming it."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"certificate field {name} has no float") from None
+
+
 def _parse_fraction(text, name):
     """Exact rational of a flag or a certificate field; the sign is
     checked where it is used."""
@@ -268,44 +276,31 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError("seed must be nonnegative")
 
-    p, eps, M = Y.p, Y.eps, Y.M
+    eps, M = (_float_field(x, f"request.{key}") for key, x in (("eps", Y.eps), ("M", Y.M)))
     slope = Y.min_abs_slope()
-    slope_ok = slope > M
     f = target_evaluator(target)
     try:
-        est = norms.mc_norm(
-            lambda xs: Y.eval_arr(xs) - f(xs), mu, p, n=args.samples, seed=args.seed
-        )
+        est = norms.mc_norm(lambda xs: Y.eval_arr(xs) - f(xs), mu, Y.p, n=args.samples,
+                            seed=args.seed)
     except MemoryError:
         raise MemoryError("not enough memory to verify: the draws take a few MB "
                           "whatever --samples is")
     distance, radius = est.value, est.absolute_error_bound
     mc_total = distance + radius
-    error_ok = mc_total < float(eps)
-    print(
-        f"mc_distance={distance:.6g} radius={radius:.6g} "
-        f"eps={float(eps):.6g} min_abs_slope={_pair(slope.as_integer_ratio())} M={float(M):.6g}"
-    )
-    if slope_ok and error_ok:
-        print("PASS")
-        return EXIT_OK
-    reasons = []
-    if not error_ok:
-        reasons.append(f"MC distance + 4-sigma radius {mc_total:.6g} >= eps")
-    if not slope_ok:
-        reasons.append(f"min |slope| {float(slope):.6g} <= M {float(M):.6g}")
-    print("FAIL: " + "; ".join(reasons))
-    return EXIT_FAIL
+    print(f"mc_distance={distance:.6g} radius={radius:.6g} eps={eps:.6g} "
+          f"min_abs_slope={_pair(slope.as_integer_ratio())} M={M:.6g}")
+    reasons = [reason for ok, reason in (
+        (mc_total < eps, f"MC distance + 4-sigma radius {mc_total:.6g} >= eps"),
+        (slope > Y.M, f"min |slope| {float(slope):.6g} <= M {M:.6g}")) if not ok]
+    print("FAIL: " + "; ".join(reasons) if reasons else "PASS")
+    return EXIT_FAIL if reasons else EXIT_OK
 
 
 def cmd_norm(args) -> int:
     target = parse_target(args.target)
     mu = BorelMeasure.from_spec(parse_measure(args.measure))
     # lp_norm rejects a tol that is no positive finite number
-    est = norms.lp_norm(
-        target_evaluator(target), mu, _parse_p(args.p), float(args.tol),
-        knots=[float(k) for k in mu.density_breakpoints()],
-    )
+    est = norms.lp_norm(target_evaluator(target), mu, _parse_p(args.p), float(args.tol))
     print(f"value={est.value!r} bound={est.absolute_error_bound!r}")
     return EXIT_OK
 

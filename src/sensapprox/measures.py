@@ -2,9 +2,9 @@
 
 A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
-Each kind checks its own parameters when it is built, with the
-``MeasureSpecError`` that the measure grammar prints. Each density
-kind has one distribution function, the float ``cdf_arr``;
+Each kind checks its own parameters, and that their floats are finite,
+when it is built, with the ``MeasureSpecError`` that the measure grammar
+prints. Each density kind has one distribution function, ``cdf_arr``;
 interval masses go through it, while atoms are counted exactly. The
 normal CDF is libm's ``math.erf``, taken point by point: it only ever
 sees a few interval ends. Each kind also states its ``variation``:
@@ -139,7 +139,7 @@ def _ndtri(p):
     NaN outside [0, 1].
 
     Each p is mapped on its own, so the result does not depend on the
-    order or the blocking of the input; ``from_uniforms`` passes at most
+    order or the blocking of the input; ``sample_blocks`` passes at most
     ``BLOCK`` points at a time. Masks split p into the lower tail, the
     central band [0.075, 0.925] and the upper tail; NaN falls in the upper
     tail, which maps it to NaN.
@@ -159,6 +159,18 @@ def _ndtri(p):
 
 class MeasureSpecError(ValueError):
     """Invalid component parameters or mass mismatch."""
+
+
+def _check_floats(kind, name, *xs, positive=False):
+    """Refuse values xs of a kind's parameter whose float is not finite or,
+    for a width, stddev or rate, not above 0: its float methods need both."""
+    for x in xs:
+        try:
+            if math.isfinite(f := float(x)) and (f > 0 or not positive):
+                continue
+        except OverflowError:
+            pass
+        raise MeasureSpecError(f"{kind} {name} has no {'positive ' * positive}finite float")
 
 
 def _slices(lowers, u):
@@ -184,6 +196,7 @@ class AtomKind:
 
     def __post_init__(self):
         object.__setattr__(self, "location", as_rational(self.location))
+        _check_floats("atom", "location", self.location)
 
     def inv_cdf_arr(self, v):
         return np.full_like(v, float(self.location))
@@ -199,6 +212,8 @@ class Uniform:
         object.__setattr__(self, "b", as_rational(self.b))
         if not self.a < self.b:
             raise MeasureSpecError(f"uniform requires a < b, got ({self.a}, {self.b})")
+        _check_floats("uniform", "bound", self.a, self.b)
+        _check_floats("uniform", "width b - a", float(self.b) - float(self.a), positive=True)
 
     def cdf_arr(self, xs):
         a, b = float(self.a), float(self.b)
@@ -231,6 +246,8 @@ class Normal:
         object.__setattr__(self, "std", as_rational(self.std))
         if not self.std > 0:
             raise MeasureSpecError(f"normal requires stddev > 0, got {self.std}")
+        _check_floats("normal", "mean", self.mean)
+        _check_floats("normal", "stddev", self.std, positive=True)
 
     def cdf_arr(self, xs):
         z = np.asarray((xs - float(self.mean)) / float(self.std) / _SQRT2)
@@ -262,6 +279,7 @@ class Exponential:
         object.__setattr__(self, "rate", as_rational(self.rate))
         if not self.rate > 0:
             raise MeasureSpecError(f"exponential requires rate > 0, got {self.rate}")
+        _check_floats("exponential", "rate", self.rate, positive=True)
 
     def cdf_arr(self, xs):
         return np.where(xs <= 0.0, 0.0, -np.expm1(-float(self.rate) * xs))
@@ -347,6 +365,8 @@ class PiecewisePoly:
             raise MeasureSpecError("pwd breakpoints must be strictly increasing")
         if len(self.coeffs) != n:
             raise MeasureSpecError(f"pwd needs {n} poly pieces, got {len(self.coeffs)}")
+        _check_floats("pwd", "breakpoint", *self.breaks)
+        _check_floats("pwd", "coefficient", *sum(self.coeffs, ()))
         # per cell: float ends, the float mass before it, the float
         # antiderivative in t = x - a (descending powers, zero at t = 0, so
         # cdf_arr adds small terms to the mass before the cell instead of
@@ -606,11 +626,12 @@ class BorelMeasure:
         w / total_mass (atoms first, then parts, in stored order), so on
         ascending u each component's draws are one slice of u. Within it,
         u is rescaled to v in (0, 1) and goes through the component's
-        inverse CDF, ``BLOCK`` points at a time, so that the temporaries
-        stay in cache. Each u is mapped on its own: the result does not
-        depend on the blocking. The draws go to ``out``, an array of u's
-        shape, which may be u itself, or to a new array; u that is not
-        ascending, or holds NaN, raises ValueError.
+        inverse CDF in one call. Each u is mapped on its own, so the draws
+        do not depend on how u is cut into blocks; ``sample_blocks`` passes
+        at most ``BLOCK`` at a time, so that the temporaries stay in cache.
+        The draws go to ``out``, an array of u's shape, which may be u
+        itself, or to a new array; u that is not ascending, or holds NaN,
+        raises ValueError.
         """
         u = np.asarray(u, dtype=float)
         if not np.all(u[1:] >= u[:-1]) or np.isnan(u[:1]).any():
@@ -619,12 +640,9 @@ class BorelMeasure:
             out = np.empty_like(u)
         # the slice bounds are all found before the first draw is written
         for i, start, stop in _slices(self._lowers, u):
-            low, w, kind = self._lowers[i], self._weights[i], self._kinds[i]
-            for s in range(start, stop, BLOCK):
-                blk = slice(s, min(s + BLOCK, stop))
-                v = np.subtract(u[blk], low, out=out[blk])
-                v /= w
-                out[blk] = kind.inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
+            v = np.subtract(u[start:stop], self._lowers[i], out=out[start:stop])
+            v /= self._weights[i]
+            out[start:stop] = self._kinds[i].inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
         return out
 
     # -- support window ------------------------------------------------------

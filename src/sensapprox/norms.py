@@ -1,14 +1,14 @@
 """Certified L^p norms and distances against a BorelMeasure.
 
 The quadrature path is adaptive bisection with a Simpson coarse/fine
-pair per segment; kinks of the integrand (step-function endpoints,
-density breakpoints) are inserted as mandatory knots so each segment is
-smooth. The Monte Carlo path is an independent oracle used for
-cross-validation and certificate verification; it draws, evaluates and
-folds its sample one cache-sized block at a time, so that its memory does
-not grow with the number of draws. The wave term has a
-closed-form bound that costs the same at every frequency; the wave
-lattice is never a knot source.
+pair per segment; kinks are mandatory knots, so that each segment is
+smooth: a caller passes the integrand's own, and the quadrature adds the
+measure's atoms and density jumps. The Monte Carlo path is an
+independent oracle used for cross-validation and certificate
+verification; it draws, evaluates and folds its sample one cache-sized
+block at a time, so that its memory does not grow with the number of
+draws. The wave term has a closed-form bound that costs the same at
+every frequency; the wave lattice is never a knot source.
 """
 
 from __future__ import annotations
@@ -95,20 +95,22 @@ def _adaptive(g, pieces, budget):
     return float(seg[2].sum()), float(seg[3].sum())
 
 
-def _part_knots(wa, wb, knots):
-    """Sorted distinct knots: the window ends plus the knots inside them."""
-    k = np.asarray(knots, dtype=float)
-    return np.unique(np.concatenate(([wa, wb], k[(wa < k) & (k < wb)])))
+# a part's core is its spans at the first tail, and its tail rings, of 64
+# Simpson segments each, lie between the hulls of its spans at the next two
+TAILS = (1e-6, 1e-9, 1e-12)
 
 
 def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
-    """(integral of |f|^p d mu, error bound); raises NonIntegrableError."""
+    """(integral of |f|^p d mu, error bound); raises NonIntegrableError.
+    The knots are f's own kinks: mu's atoms and density jumps are added
+    here, so that every caller integrates mu on the same knots."""
 
     def power(xs):
         return np.abs(f(xs)) ** p
 
-    total = 0.0
-    err = 0.0
+    knots = np.concatenate((np.asarray(knots, dtype=float),
+                            [float(x) for x in mu.density_breakpoints()]))
+    total = err = 0.0
     for loc, m in mu.atoms:
         try:
             total += float(m) * float(power(np.array([float(loc)]))[0])
@@ -126,19 +128,20 @@ def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
             except EvaluationError as exc:
                 raise NonIntegrableError(f"integrand evaluation failed: {exc}") from exc
 
-        spans = [kind.spans(t) for t in (1e-6, 1e-9, 1e-12)]
+        spans = [kind.spans(t) for t in TAILS]
         # the ring ends are the hulls of the spans, and the core is the
-        # spans at 1e-6: a pwd cell of density 0 is no piece
+        # spans at the first tail, each cut at the knots inside it: a pwd
+        # cell of density 0 is no piece
         (a1, b1), (a2, b2), (a3, b3) = [(s[0][0], s[-1][1]) for s in spans]
-        pieces = [_part_knots(a, b, knots) for a, b in spans[0]]
+        pieces = [np.unique(np.concatenate(([a, b], knots[(a < knots) & (knots < b)])))
+                  for a, b in spans[0]]
         core, core_err = _adaptive(g, pieces, part_budget / 2.0)
-        # tail rings; for compactly supported kinds these are empty
-        d_lo1, e_lo1 = _ring(g, a2, a1)
-        d_hi1, e_hi1 = _ring(g, b1, b2)
-        d_lo2, e_lo2 = _ring(g, a3, a2)
-        d_hi2, e_hi2 = _ring(g, b2, b3)
-        d1 = d_lo1 + d_hi1
-        d2 = d_lo2 + d_hi2
+        # the tail rings below and above the core, then below and above the
+        # first rings; for compactly supported kinds they are empty
+        rings = [_adaptive(g, [np.linspace(a, b, 65)], math.inf)
+                 for a, b in ((a2, a1), (b1, b2), (a3, a2), (b2, b3))]
+        d1 = rings[0][0] + rings[1][0]
+        d2 = rings[2][0] + rings[3][0]
         if not all(map(math.isfinite, (core, d1, d2))):
             raise NonIntegrableError("integral diverges (non-finite)")
         if d2 > d1 and d2 > max(part_budget, 1e-300):
@@ -147,25 +150,8 @@ def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
                 f"(increments {d1:.3e} -> {d2:.3e})"
             )
         total += core + d1 + d2
-        err += core_err + e_lo1 + e_hi1 + e_lo2 + e_hi2 + d2
+        err += sum((e for _, e in rings), core_err) + d2
     return total, err
-
-
-def _ring(g, a, b):
-    if b <= a:
-        return 0.0, 0.0
-    knots = list(np.linspace(a, b, 65))
-    lo = np.array(knots[:-1])
-    hi = np.array(knots[1:])
-    vals, errs = _simpson_pair(g, lo, hi)
-    return float(vals.sum()), float(errs.sum())
-
-
-def _norm_from_integral(total, err, p):
-    total = max(total, 0.0)
-    value = total ** (1.0 / p)
-    bound = (total + err) ** (1.0 / p) - value + 1e-15
-    return value, bound
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +161,19 @@ def _norm_from_integral(total, err, p):
 def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
     """(integral |f|^p d mu)^(1/p) with an a posteriori error bound.
 
-    f is an array-callable; knots are mandatory subdivision points
-    (kinks of f). The internal integral budget is tol^p, which by
-    subadditivity of t -> t^(1/p) caps the norm error at tol when the
-    quadrature meets its budget; the reported bound is always honest.
+    f is an array-callable; knots are mandatory subdivision points, the
+    kinks of f (the quadrature adds mu's own). The internal integral
+    budget is tol^p, which by subadditivity of t -> t^(1/p) caps the norm
+    error at tol when the quadrature meets its budget; the reported bound
+    is the quadrature's a posteriori estimate, not an enclosure.
     """
     if p < 1 or not math.isfinite(p):
         raise ValueError("p must satisfy 1 <= p < infinity")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     total, err = _integral_abs_p(f, mu, p, budget=tol**p, knots=knots)
-    value, bound = _norm_from_integral(total, err, p)
+    value = max(total, 0.0) ** (1.0 / p)
+    bound = (max(total, 0.0) + err) ** (1.0 / p) - value + 1e-15
     return NormEstimate(value=value, absolute_error_bound=bound)
 
 

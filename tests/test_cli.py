@@ -271,6 +271,16 @@ class TestSensitizeCommand:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_a_pole_at_a_density_kink_with_a_finite_moment(self, tmp_path, capsys):
+        # log|x - 1/2| has a finite first moment against the tent; the
+        # moment check takes the tent's kink at 1/2 as a knot, as norm does
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "log(abs(x-0.5))", "--measure",
+                     "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))", "--p", "1",
+                     "--eps", "1/10", "--M", "0", "--out", str(out)]) == 0
+        assert main(["verify", "--cert", str(out), "--samples", "100000"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
     def test_verify_on_measure_of_mass_two(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
         rc = main([
@@ -828,6 +838,37 @@ def test_input_that_no_command_handles_is_input_error(tmp_path, argv):
     assert run.returncode == 2, run.stderr
     assert run.stderr.startswith("error: ")
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["norm", "--target", "x", "--measure", f"uniform(0,1{ZEROS})", "--p", "1"],
+     "uniform bound has no finite float"),
+    (SENSITIZE[:4] + [f"atom(1{ZEROS})"] + SENSITIZE[5:] + ["--out", "unused.json"],
+     "atom location has no finite float"),
+    (SENSITIZE[:4] + [f"exponential(0.{ZEROS}1)"] + SENSITIZE[5:] + ["--out", "unused.json"],
+     "exponential rate has no positive finite float"),
+    (SENSITIZE[:4] + [f"normal(0,0.{ZEROS}1)"] + SENSITIZE[5:] + ["--out", "unused.json"],
+     "normal stddev has no positive finite float"),
+    (["verify", "--cert", "{eps}", "--samples", "1000"], "certificate field request.eps"),
+    (["verify", "--cert", "{M}", "--samples", "1000"], "certificate field request.M"),
+], ids=["uniform-bound", "atom-location", "exponential-rate", "normal-stddev",
+        "verify-eps", "verify-M"])
+def test_a_number_with_no_float_is_named_in_its_error(tmp_path, capsys, argv, name):
+    _, cert = make_certificate()
+    write_certificate(cert, tmp_path / "cert.json")
+    files = {}
+    for key in ("eps", "M"):
+        raw = json.loads((tmp_path / "cert.json").read_text())
+        raw["request"][key] = "1e400"
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(raw))
+        # plot needs no float of eps or M
+        assert main(["plot", "--cert", str(files[key]), "--window=0:1", "--points", "5",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+    capsys.readouterr()
+    assert main([arg.format(**files) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 def test_cli_import_leaves_scipy_out():

@@ -53,7 +53,16 @@ class TestKindParameters:
          "pwd breakpoints must be strictly increasing"),
         (lambda: PiecewisePoly((0, 1), ((1,), (1,))), "pwd(breaks(0,1), poly(1), poly(1))",
          "pwd needs 1 poly pieces, got 2"),
-    ], ids=["uniform", "normal", "exponential", "pwd-breaks", "pwd-pieces"])
+        # a parameter whose float is not finite, or not positive where
+        # the float methods divide by it
+        (lambda: Uniform(1, 1 + Fraction(1, 10**20)), "uniform(1,1.00000000000000000001)",
+         "uniform width b - a has no positive finite float"),
+        (lambda: Normal(10**400, 1), f"normal(1{'0' * 400},1)",
+         "normal mean has no finite float"),
+        (lambda: PiecewisePoly((0, 10**400), ((Fraction(1, 10**400),),)),
+         f"pwd(breaks(0,1{'0' * 400}), poly(0.{'0' * 399}1))", "pwd breakpoint has no finite float"),
+    ], ids=["uniform", "normal", "exponential", "pwd-breaks", "pwd-pieces", "uniform-width",
+            "normal-mean", "pwd-breakpoint"])
     def test_each_kind_checks_its_own_parameters(self, build, spec, message):
         # a library caller gets the error that the grammar gives
         with pytest.raises(MeasureSpecError) as built:

@@ -27,6 +27,7 @@ def measure(text):
 UNIFORM = measure("uniform(0,1)")
 NORMAL = measure("normal(0,1)")
 MIX = measure("mix(0.5*atom(0), 0.5*uniform(0,1))")
+TENT = "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))"
 
 
 def const(c):
@@ -69,6 +70,27 @@ class TestLpNorm:
         est = lp_norm(f, MIX, p=1, tol=1e-9)
         # 0.5*|0+2| + 0.5*int_0^1 (x+2) dx = 1 + 1.25
         assert est.value == pytest.approx(2.25, abs=1e-8)
+
+    @pytest.mark.parametrize("text, target, p", [
+        (TENT, "x^2", 2),
+        (TENT, "log(abs(x-0.5))", 1),
+        ("mix(0.3*atom(0.5), 0.7*normal(0,1))", "x^2", 2),
+        ("mix(0.3*atom(0.5), 0.7*normal(0,1))", "abs(x-0.5)", 1),
+    ])
+    def test_the_quadrature_adds_the_measure_kinks_itself(self, text, target, p):
+        # a caller that passes the measure's atoms and density jumps gets
+        # the estimate of one that passes no knot, bit for bit
+        mu, f = measure(text), target_evaluator(parse_target(target))
+        kinks = [float(x) for x in mu.density_breakpoints()]
+        for tol in (1e-3, 1e-6):
+            assert lp_norm(f, mu, p, tol) == lp_norm(f, mu, p, tol, knots=kinks)
+
+    def test_a_pole_at_a_density_jump_is_a_knot(self):
+        # log|x - 1/2| is integrable against the tent, and 1/2, a jump of
+        # its derivative, is a knot, so the pole is never evaluated:
+        # 2 int_0^(1/2) 4t |log(1/2 - t)| dt = 3/2 + ln 2
+        est = lp_norm(target_evaluator(parse_target("log(abs(x-0.5))")), measure(TENT), 1, 1e-6)
+        assert est.value == pytest.approx(1.5 + math.log(2), abs=1e-4)
 
 
 class TestLpDistance:
