@@ -34,7 +34,7 @@ from .funcspace import (
     build_zigzag,
 )
 from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
-from .measures import BorelMeasure
+from .measures import BorelMeasure, _check_floats
 from .norms import NonIntegrableError, NormEstimate
 from .parsing import (
     EvaluationError,
@@ -80,6 +80,7 @@ class ApproxRequest:
             raise ValueError("p must satisfy 1 <= p < infinity")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
+        _check_floats("request", "eps", self.eps)
         if self.M < 0:
             raise ValueError("M must be nonnegative")
 

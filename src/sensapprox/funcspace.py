@@ -5,9 +5,10 @@ exact binary value, as ``as_rational`` reads it. A step function holds
 its numbers as integer pairs (n, d) and nothing else: a float enters as
 its ``as_integer_ratio()``, a certificate's "n/d" string as its two
 integers, and a Fraction as its numerator and denominator. It checks and
-orders its terms, finds its sup norm and its endpoints off the wave
-lattice by cross-multiplication, and builds its Fractions only when
-asked for them; a certificate's rows are written from the pairs. Floats
+orders its terms into one table of breakpoints and values, reads its
+exact values, its sup norm and its endpoints off the wave lattice from
+that table by cross-multiplication, and builds Fractions only on each
+request for them; a certificate's rows are written from the pairs. Floats
 appear only in the vectorized evaluators for quadrature, Monte Carlo and
 plots. A step function is zero outside its intervals and at their
 endpoints, except at its (point, value) exceptions, of which it keeps
@@ -166,15 +167,18 @@ class StepFunction:
     breakpoints found on these pairs, by exact cross-multiplication, in
     one walk that compares each term only with the end of the one before
     it: a term that starts before that end is out of order or overlaps,
-    and raises. The float arrays behind ``eval_arr`` are built in the same
-    pass, each entry n / d, which Python rounds correctly, as
-    float(Fraction) does. The exact data, ``terms``, ``exceptions`` and
-    ``endpoints()`` as Fractions, is built from the pairs on the first
-    request and kept. Neither ``sensitize``, which reads the pair and
-    float views, nor Monte Carlo evaluation requests it.
+    and raises. The walk gives the breakpoint table: the breakpoints, and
+    the values of region 0, breakpoint 0, region 1, ..., the last region,
+    where region k is the open cell left of breakpoint k (the last one
+    runs to +inf) and the value at a breakpoint is 0 unless an exception
+    overrides it. An exception is kept, and written into the table, where
+    the table's value at its point differs; ``eval`` reads the same table.
+    Its float copy behind ``eval_arr`` is each entry n / d, which Python
+    rounds correctly, as float(Fraction) does. ``terms``, ``exceptions``
+    and ``endpoints()`` build their Fractions from the pairs on each call;
+    neither ``sensitize``, which reads the pairs and floats, nor Monte
+    Carlo evaluation calls them.
 
-    Region k is the open cell left of breakpoint k (the last one runs to
-    +inf); the value at a breakpoint is 0 unless an exception overrides it.
     The float breakpoints end in a NaN, which sorts after every float and
     equals none, so the index that ``searchsorted`` returns always selects
     a region and the breakpoint to test for equality. An ascending input,
@@ -183,7 +187,7 @@ class StepFunction:
     and the output repeats the value of each run between them.
     """
 
-    __slots__ = ("_terms", "_exc", "_pts", "_fractions", "_pts_f", "_region", "_point", "_runs")
+    __slots__ = ("_terms", "_exc", "_pts", "_vals", "_pts_f", "_runs", "_region", "_point")
 
     def __init__(self, terms=(), exceptions=()):
         rows, seen = [], {}
@@ -195,63 +199,45 @@ class StepFunction:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
             if v[0]:
                 rows.append((v, lo_n, hi_n))
-        pts, region = _walk_terms(rows)
+        pts, vals = _walk_terms(rows)
         exc = sorted(((_number(pt, seen), _number(value, seen)) for pt, value in exceptions),
                      key=lambda e: _key(e[0]))
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
             if not _cmp(p1, p2):
                 raise ValueError(f"duplicate exception point {_exact(p1)}")
 
-        point = [0.0] * len(pts)
         kept = []
         for p, v in exc:
-            i = bisect.bisect_left(pts, _key(p), key=_key)
-            at_end = i < len(pts) and not _cmp(pts[i], p)
-            if not _cmp(v, _ZERO if at_end else region[i]):
+            k = _slot(pts, p)
+            if not _cmp(v, vals[k]):
                 continue  # the function has this value there already
-            if not at_end:
-                # p splits region i into two cells of the same value
-                pts.insert(i, p)
-                region.insert(i, region[i])
-                point.insert(i, 0.0)
-            point[i] = v[0] / v[1]
-            # both float lookups read the first breakpoint of a float, and
-            # one before p can round to p's float: it takes p's value
-            pf, j = p[0] / p[1], i
-            while j and pts[j - 1][0] / pts[j - 1][1] == pf:
-                j -= 1
-            point[j] = point[i]
+            if k % 2:
+                vals[k] = v
+            else:  # p splits region k // 2 into two cells of the same value
+                pts.insert(k // 2, p)
+                vals[k + 1:k + 1] = [v, vals[k]]
             kept.append((p, v))
         self._terms = rows
         self._exc = kept
         self._pts = pts
-        self._fractions = None
+        self._vals = vals
         self._pts_f = np.array([n / d for n, d in pts] + [math.nan])
-        self._region = np.array([n / d for n, d in region])
-        self._point = np.array(point)
-        # region 0, point 0, region 1, ..., region k: the values of the runs
-        # of an ascending input
-        self._runs = np.empty(len(region) + len(point))
-        self._runs[0::2] = self._region
-        self._runs[1::2] = point
-
-    def _fraction_data(self):
-        """terms, exceptions and endpoints as Fractions, built once."""
-        if self._fractions is None:
-            self._fractions = (
-                tuple((_exact(v), _exact(lo), _exact(hi)) for v, lo, hi in self._terms),
-                tuple((_exact(p), _exact(v)) for p, v in self._exc),
-                tuple(_exact(p) for p in self._pts),
-            )
-        return self._fractions
+        self._runs = np.array([n / d for n, d in vals])
+        # both float lookups read the first breakpoint of a float, and one
+        # before an exception point can round to its float: it takes the
+        # exception's value
+        for p, v in kept:
+            self._runs[2 * np.searchsorted(self._pts_f, p[0] / p[1]) + 1] = v[0] / v[1]
+        self._region = self._runs[0::2]
+        self._point = self._runs[1::2]
 
     @property
     def terms(self):
-        return self._fraction_data()[0]
+        return tuple((_exact(v), _exact(lo), _exact(hi)) for v, lo, hi in self._terms)
 
     @property
     def exceptions(self):
-        return self._fraction_data()[1]
+        return tuple((_exact(p), _exact(v)) for p, v in self._exc)
 
     def __eq__(self, other):
         return (
@@ -270,23 +256,12 @@ class StepFunction:
 
     def eval(self, x) -> Fraction:
         """The exact value at x, a float taken as its exact binary value,
-        found among the exceptions and the terms by cross-multiplication:
-        one Fraction, or none if x is one."""
-        xn = _number(x, {})
-        exc = self._exc
-        i = bisect.bisect_left(exc, _key(xn), key=lambda e: _key(e[0]))
-        if i < len(exc) and not _cmp(exc[i][0], xn):
-            return _exact(exc[i][1])
-        # the first term that ends past x holds it, if it starts before x
-        terms = self._terms
-        i = bisect.bisect_right(terms, _key(xn), key=lambda t: _key(t[2]))
-        if i < len(terms) and _cmp(terms[i][1], xn) < 0:
-            return _exact(terms[i][0])
-        return Fraction(0)
+        read from the breakpoint table by cross-multiplication."""
+        return _exact(self._vals[_slot(self._pts, _number(x, {}))])
 
     def endpoints(self):
         """Finite interval endpoints plus exception points, sorted."""
-        return self._fraction_data()[2]
+        return tuple(_exact(p) for p in self._pts)
 
     def endpoint_pairs(self):
         """endpoints() as the held integer pairs (n, d), d > 0, not reduced."""
@@ -307,12 +282,12 @@ class StepFunction:
         return list(self._exc)
 
     def sup_norm(self) -> Fraction:
-        """The largest |value| of a term or an exception, compared by
+        """The largest |value| in the table, compared by
         cross-multiplication: one Fraction."""
         n, d = 0, 1
-        for v in [t[0] for t in self._terms] + [e[1] for e in self._exc]:
-            if abs(v[0]) * d > n * v[1]:
-                n, d = abs(v[0]), v[1]
+        for vn, vd in self._vals:
+            if abs(vn) * d > n * vd:
+                n, d = abs(vn), vd
         return Fraction(n, d)
 
     # -- vectorized evaluation ------------------------------------------------
@@ -352,25 +327,36 @@ class StepFunction:
 
 
 def _walk_terms(terms):
-    """Breakpoints and region values (numbers, _ZERO off the terms) of
-    sorted disjoint terms; a term that starts before the previous one ends
-    is out of order or overlaps, and raises ValueError."""
-    pts, region, prev = [], [], _NEG_INF
+    """Breakpoints and value table (see _slot; _ZERO off the terms and at
+    every breakpoint) of sorted disjoint terms; a term that starts before
+    the previous one ends is out of order or overlaps, and raises
+    ValueError."""
+    pts, vals, prev = [], [], _NEG_INF
     for v, lo, hi in terms:
         c = _cmp(lo, prev)
         if c < 0:
             raise ValueError("step-function intervals must be sorted and disjoint")
         if c:
             pts.append(lo)
-            region.append(_ZERO)
+            vals += [_ZERO, _ZERO]
         pts.append(hi)
-        region.append(v)
+        vals += [v, _ZERO]
         prev = hi
     if prev == _POS_INF:
         pts.pop()
+        vals.pop()
     else:
-        region.append(_ZERO)
-    return pts, region
+        vals.append(_ZERO)
+    return pts, vals
+
+
+def _slot(pts, x):
+    """The index of the value at the number x in a step function's value
+    table, which lists region 0, breakpoint 0, region 1, ..., the last
+    region: 2 i + 1 if x is breakpoint i, else 2 i for the region i that
+    holds it."""
+    i = bisect.bisect_left(pts, _key(x), key=_key)
+    return 2 * i + (i < len(pts) and not _cmp(pts[i], x))
 
 
 # ---------------------------------------------------------------------------

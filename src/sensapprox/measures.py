@@ -25,11 +25,11 @@ Wichura's AS241 PPND16 (*Applied Statistics* 37, 1988), run in numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import NormalDist
 
 import numpy as np
 
@@ -162,8 +162,9 @@ class MeasureSpecError(ValueError):
 
 
 def _check_floats(kind, name, *xs, positive=False):
-    """Refuse values xs of a kind's parameter whose float is not finite or,
-    for a width, stddev or rate, not above 0: its float methods need both."""
+    """Refuse values xs of a kind's parameter, a mixture's weight or mass,
+    or a request's eps, whose float is not finite or, for a width, stddev
+    or rate, not above 0: the float methods that read them need both."""
     for x in xs:
         try:
             if math.isfinite(f := float(x)) and (f > 0 or not positive):
@@ -266,9 +267,11 @@ class Normal:
         """No jumps; the density rises to pdf(mean) and falls back."""
         return [], 2.0 / (float(self.std) * math.sqrt(2.0 * math.pi))
 
+    # every integral asks again for the same few tails, and numpy's fixed
+    # costs make one _ndtri call on two points take about 0.1 ms
+    @functools.lru_cache(maxsize=64)
     def spans(self, tail):
-        d = NormalDist(float(self.mean), float(self.std))
-        return [(d.inv_cdf(tail), d.inv_cdf(1.0 - tail))]
+        return [tuple(self.inv_cdf_arr(np.array([tail, 1.0 - tail])).tolist())]
 
 
 @dataclass(frozen=True)
@@ -509,9 +512,9 @@ class BorelMeasure:
     """Immutable finite Borel measure: atoms + absolutely continuous parts.
 
     It checks its weights and its mass with the ``MeasureSpecError`` that
-    the measure grammar prints, in this order: no weight is negative, a
-    declared mass is positive and equals the weights' sum, and the total
-    mass is positive.
+    the measure grammar prints, in this order: no weight is negative and
+    each has a finite float, a declared mass is positive and equals the
+    weights' sum, and the total mass is positive and has a finite float.
     """
 
     def __init__(self, atoms=(), parts=(), total_mass=None, source_text=""):
@@ -522,6 +525,7 @@ class BorelMeasure:
         for w in weights:
             if w < 0:
                 raise MeasureSpecError(f"negative weight {w}")
+        _check_floats("mix", "weight", *weights)
         self.total_mass = computed = sum(weights)
         if total_mass is not None:
             self.total_mass = as_rational(total_mass)
@@ -532,6 +536,7 @@ class BorelMeasure:
                     f"weights sum to {computed}, declared mass is {self.total_mass}")
         if self.total_mass <= 0:
             raise MeasureSpecError("total mass must be positive")
+        _check_floats("mix", "total mass", self.total_mass)
         # the composition table of from_uniforms: per component (atoms
         # first, then parts, in stored order), its float weight w / mass,
         # the float cumulative weight before it and its kind

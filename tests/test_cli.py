@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sensapprox
-from sensapprox import norms
+from sensapprox import funcspace, norms
 from sensapprox.approx import ApproxRequest, Certificate, sensitize
 from sensapprox.cli import (
     CorruptCertificate,
@@ -159,13 +159,21 @@ class TestCertificateDecoding:
         assert np.array_equal(phi0._runs, canonical._runs)
         assert np.array_equal(phi0._pts_f, canonical._pts_f, equal_nan=True)
 
-    def test_verify_builds_no_fractions_of_phi0(self):
+    def test_verify_builds_no_fractions_of_phi0(self, tmp_path, monkeypatch):
         Y, cert = make_certificate(target="x^2", mu="normal(0,1)")
-        Y2 = reconstruct_approximant(certificate_to_dict(cert))
-        xs = np.linspace(-3, 3, 1001)
-        assert np.array_equal(Y2.eval_arr(xs), Y.eval_arr(xs))
-        assert Y2.phi0._fractions is None
+        write_certificate(cert, tmp_path / "cert.json")
+        with monkeypatch.context() as m:
+            m.setattr(funcspace, "_exact", _no_fractions)
+            Y2 = reconstruct_approximant(certificate_to_dict(cert))
+            xs = np.linspace(-3, 3, 1001)
+            assert np.array_equal(Y2.eval_arr(xs), Y.eval_arr(xs))
+            assert main(["verify", "--cert", str(tmp_path / "cert.json"),
+                         "--samples", "1000"]) == 0
         assert Y2.phi0.endpoints() == Y.phi0.endpoints()
+
+
+def _no_fractions(num):
+    raise AssertionError(f"a Fraction of {num} was built")
 
 
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=60)
@@ -185,6 +193,32 @@ def finite_step_functions(draw):
                             + draw(st.lists(_point, max_size=3))))
     exc = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
     return StepFunction(terms=terms, exceptions=[(p, draw(_exc_value)) for p in exc])
+
+
+def _value_by_terms(phi0, x):
+    """The value at x by the exceptions, then the terms, then 0."""
+    for p, v in phi0.exceptions:
+        if p == x:
+            return v
+    for v, lo, hi in phi0.terms:
+        if lo < x < hi:
+            return v
+    return Fraction(0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(finite_step_functions())
+def test_eval_and_sup_norm_read_the_terms_and_exceptions(phi0):
+    """eval reads the breakpoint table; it gives the value of the first
+    exception at x, else of the term that holds x, else 0."""
+    ends = list(phi0.endpoints())
+    xs = ends + [p for p, _ in phi0.exceptions] + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    xs += [ends[0] - 1, ends[-1] + Fraction(1, 3)] if ends else [Fraction(0), Fraction(-7, 3)]
+    for x in xs:
+        assert phi0.eval(x) == _value_by_terms(phi0, x)
+        assert type(phi0.eval(x)) is Fraction
+    values = [v for v, _, _ in phi0.terms] + [v for _, v in phi0.exceptions]
+    assert phi0.sup_norm() == max(map(abs, values), default=Fraction(0))
 
 
 def _certificate_of(phi0, target_text="x"):
@@ -249,12 +283,15 @@ class TestCertificateWriter:
         assert data["exceptions"] == [{"point": "1/3", "value": "0/1"},
                                       {"point": "5/2", "value": "-2/1"}]
 
-    def test_sensitize_builds_no_fractions_of_phi0(self, tmp_path):
+    def test_sensitize_builds_no_fractions_of_phi0(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(funcspace, "_exact", _no_fractions)
         _, cert = make_certificate(target="x^2", mu="mix(0.3*atom(0.5), 0.7*normal(0,1))",
                                    p=2, eps="1/25", M=0)
         write_certificate(cert, tmp_path / "cert.json")
+        assert main(["sensitize", "--target", "x^2", "--measure",
+                     "mix(0.3*atom(0.5), 0.7*normal(0,1))", "--p", "2", "--eps", "1/25",
+                     "--M", "0", "--out", str(tmp_path / "cli.json")]) == 0
         assert cert.phi0.exception_pairs() == [((1, 2), (1, 4))]
-        assert cert.phi0._fractions is None
 
 
 class TestSensitizeCommand:
@@ -849,10 +886,14 @@ def test_input_that_no_command_handles_is_input_error(tmp_path, argv):
      "exponential rate has no positive finite float"),
     (SENSITIZE[:4] + [f"normal(0,0.{ZEROS}1)"] + SENSITIZE[5:] + ["--out", "unused.json"],
      "normal stddev has no positive finite float"),
+    (SENSITIZE[:4] + [f"mix(1{ZEROS}*uniform(0,1), mass=1{ZEROS})"] + SENSITIZE[5:]
+     + ["--out", "unused.json"], "mix weight has no finite float"),
+    (SENSITIZE[:8] + ["1e400"] + SENSITIZE[9:] + ["--out", "unused.json"],
+     "request eps has no finite float"),
     (["verify", "--cert", "{eps}", "--samples", "1000"], "certificate field request.eps"),
     (["verify", "--cert", "{M}", "--samples", "1000"], "certificate field request.M"),
 ], ids=["uniform-bound", "atom-location", "exponential-rate", "normal-stddev",
-        "verify-eps", "verify-M"])
+        "mix-weight", "sensitize-eps", "verify-eps", "verify-M"])
 def test_a_number_with_no_float_is_named_in_its_error(tmp_path, capsys, argv, name):
     _, cert = make_certificate()
     write_certificate(cert, tmp_path / "cert.json")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sensapprox import norms
 from sensapprox.intervals import Interval, IntervalUnion, closed_interval, open_interval, point
 from sensapprox.measures import (_BELOW_ONE, _UNDECIDED, BLOCK, AtomKind, BorelMeasure,
                                  Exponential, MeasureSpecError, Normal, PiecewisePoly, Uniform,
@@ -83,7 +84,13 @@ class TestKindParameters:
          "mix(0.5*atom(0), 0.25*uniform(0,1), mass=1)", "weights sum to 3/4, declared mass is 1"),
         (lambda: BorelMeasure(parts=[(0, Uniform(0, 1))]),
          "mix(0*uniform(0,1))", "total mass must be positive"),
-    ], ids=["negative-part", "negative-atom", "declared-mass", "mass-mismatch", "total-mass"])
+        (lambda: BorelMeasure(parts=[(10**400, Uniform(0, 1))], total_mass=10**400),
+         f"mix(1{'0' * 400}*uniform(0,1), mass=1{'0' * 400})", "mix weight has no finite float"),
+        (lambda: BorelMeasure(atoms=[(0, 10**308)], parts=[(10**308, Uniform(0, 1))]),
+         f"mix(1{'0' * 308}*atom(0), 1{'0' * 308}*uniform(0,1))",
+         "mix total mass has no finite float"),
+    ], ids=["negative-part", "negative-atom", "declared-mass", "mass-mismatch", "total-mass",
+            "weight-float", "total-mass-float"])
     def test_the_mixture_checks_its_weights_and_mass(self, build, spec, message):
         # a library caller gets the error that the grammar gives; a negative
         # part used to build, with a density negative on (1, 2)
@@ -434,6 +441,15 @@ class TestNdtri:
         shuffle = rng.permutation(ps.size)
         assert np.array_equal(_ndtri(ps[shuffle]), one_point[shuffle])
         assert np.array_equal(_ndtri(ps.reshape(1, -1)), one_point.reshape(1, -1))
+
+
+class TestNormalSpans:
+    @pytest.mark.parametrize("mean,std", [(0, 1), (Fraction(1, 3), Fraction(5, 2)),
+                                          (-40, Fraction(1, 1000)), (10**6, 10**-3)])
+    @pytest.mark.parametrize("tail", norms.TAILS)
+    def test_ends_are_the_stdlib_quantile_bit_for_bit(self, mean, std, tail):
+        d = NormalDist(float(mean), float(std))
+        assert Normal(mean, std).spans(tail) == [(d.inv_cdf(tail), d.inv_cdf(1.0 - tail))]
 
 
 class TestNormalCdf:
