@@ -80,7 +80,7 @@ class ApproxRequest:
             raise ValueError("p must satisfy 1 <= p < infinity")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        _check_floats("request", "eps", self.eps)
+        _check_floats("request", "eps", self.eps, error=ValueError)
         if self.M < 0:
             raise ValueError("M must be nonnegative")
 

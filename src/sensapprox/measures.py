@@ -161,17 +161,18 @@ class MeasureSpecError(ValueError):
     """Invalid component parameters or mass mismatch."""
 
 
-def _check_floats(kind, name, *xs, positive=False):
+def _check_floats(kind, name, *xs, positive=False, error=MeasureSpecError):
     """Refuse values xs of a kind's parameter, a mixture's weight or mass,
     or a request's eps, whose float is not finite or, for a width, stddev
-    or rate, not above 0: the float methods that read them need both."""
+    or rate, not above 0: the float methods that read them need both. A
+    request field, which is no measure parameter, passes error=ValueError."""
     for x in xs:
         try:
             if math.isfinite(f := float(x)) and (f > 0 or not positive):
                 continue
         except OverflowError:
             pass
-        raise MeasureSpecError(f"{kind} {name} has no {'positive ' * positive}finite float")
+        raise error(f"{kind} {name} has no {'positive ' * positive}finite float")
 
 
 def _slices(lowers, u):

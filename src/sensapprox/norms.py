@@ -3,7 +3,9 @@
 The quadrature path is adaptive bisection with a Simpson coarse/fine
 pair per segment; kinks are mandatory knots, so that each segment is
 smooth: a caller passes the integrand's own, and the quadrature adds the
-measure's atoms and density jumps. The Monte Carlo path is an
+measure's atoms and density jumps. Each bisection round costs one
+Simpson call, so one integrand call, whatever the number of segments it
+splits. The Monte Carlo path is an
 independent oracle used for cross-validation and certificate
 verification; it draws, evaluates and folds its sample one cache-sized
 block at a time, so that its memory does not grow with the number of
@@ -51,15 +53,15 @@ def _simpson_pair(g, a, b):
     non-finite segment value raises NonIntegrableError.
     """
     h = b - a
-    x_lo = a + 1e-9 * h
-    x_lo = np.where(x_lo > a, x_lo, np.nextafter(a, b))
-    x_hi = b - 1e-9 * h
-    x_hi = np.where(x_hi < b, x_hi, np.nextafter(b, a))
-    x = np.stack([x_lo, a + 0.25 * h, a + 0.5 * h, a + 0.75 * h, x_hi])
+    x = np.empty((5, len(a)))
+    np.maximum(a + 1e-9 * h, np.nextafter(a, b), out=x[0])
+    np.multiply(h, [[0.25], [0.5], [0.75]], out=x[1:4])
+    x[1:4] += a
+    np.minimum(b - 1e-9 * h, np.nextafter(b, a), out=x[4])
     y = g(x.ravel()).reshape(x.shape)
     coarse = h / 6.0 * (y[0] + 4.0 * y[2] + y[4])
     fine = h / 12.0 * (y[0] + 4.0 * y[1] + 2.0 * y[2] + 4.0 * y[3] + y[4])
-    if not np.all(np.isfinite(fine)):
+    if not np.isfinite(fine).all():
         raise NonIntegrableError("non-finite quadrature contribution")
     return fine, np.abs(fine - coarse) / 15.0
 
@@ -89,9 +91,10 @@ def _adaptive(g, pieces, budget):
             break
         lo, hi = seg[0, split], seg[1, split]
         mid = 0.5 * (lo + hi)
+        # the left halves, then the right halves
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         seg = np.concatenate((np.delete(seg, split, axis=1),
-                              [lo, mid, *_simpson_pair(g, lo, mid)],
-                              [mid, hi, *_simpson_pair(g, mid, hi)]), axis=1)
+                              [lo, hi, *_simpson_pair(g, lo, hi)]), axis=1)
     return float(seg[2].sum()), float(seg[3].sum())
 
 

@@ -11,15 +11,15 @@ Two small recursive-descent parsers share one tokenizer:
   its own parameters, and ``BorelMeasure`` the weights and the mass,
   with the ``MeasureSpecError`` that is re-exported here.
 
-Numeric literals are exact decimals and are kept as ``Fraction`` values
-throughout; nothing is widened to floating point at parse time.
+Numeric literals are exact decimals, kept as ``Fraction`` values in the
+tree; a target compiles it once into the float plan of eval_target_array.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +102,11 @@ class Conditional:
 class TargetFunction:
     root: object
     source_text: str
+    plan: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the float function of the points that eval_target_array runs
+        object.__setattr__(self, "plan", _compile(self.root))
 
 
 FUNCTIONS = {
@@ -419,77 +424,82 @@ def eval_const(node):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation (float arrays; branch masking keeps untaken
-# conditional branches unevaluated, as in scalar semantics). A literal
-# stays a float and numpy broadcasts it, so an x-free subtree is a scalar.
+# Vectorized evaluation: nested closures over a float array of points, in
+# which branch masking keeps untaken if() branches unevaluated and a literal
+# is a float once, which numpy broadcasts.
+
+# name -> (operation, its domain checks); a check is (test of the operands
+# that the value is undefined, message, test of a literal last operand that
+# proves the first test idle, so that the check is dropped). log and sqrt
+# keep theirs
+_OPS = {"neg": (operator.neg, ()), "+": (operator.add, ()), "-": (operator.sub, ()),
+        "*": (operator.mul, ()), "min": (np.minimum, ()), "max": (np.maximum, ()),
+        "abs": (np.abs, ()), "sin": (np.sin, ()), "cos": (np.cos, ()), "exp": (np.exp, ()),
+        "/": (operator.truediv, [(lambda a, b: b == 0, "division by zero", lambda c: c != 0)]),
+        "^": (np.power, [(lambda a, b: (a < 0) & (b != np.floor(b)),
+                          "negative base with non-integer exponent", lambda c: c == np.floor(c)),
+                         (lambda a, b: (a == 0) & (b < 0), "zero raised to a negative power",
+                          lambda c: c >= 0)]),
+        "log": (np.log, [(lambda a: a <= 0, "log of non-positive value", lambda c: False)]),
+        "sqrt": (np.sqrt, [(lambda a: a < 0, "sqrt of negative value", lambda c: False)])}
 
 
-def _eva(node, xs):
+def _literal(node):
+    """The float of a literal or of its negation, else None."""
     if isinstance(node, Num):
         return _to_float(node.value)
+    if isinstance(node, Neg) and isinstance(node.operand, Num):
+        return -_to_float(node.operand.value)
+    return None
+
+
+def _compile(node):
+    """The node's value as a function of the array of points, run under the
+    errstate that eval_target_array sets."""
+    if isinstance(node, Num):
+        c = _to_float(node.value)
+        return lambda xs: c
     if isinstance(node, Var):
-        return xs
-    if isinstance(node, Neg):
-        return -_eva(node.operand, xs)
-    if isinstance(node, BinOp):
-        a = _eva(node.left, xs)
-        b = _eva(node.right, xs)
-        return _apply_binop_vec(node.op, a, b)
+        return lambda xs: xs
     if isinstance(node, Conditional):
-        mask = np.broadcast_to(_eva_test(node.test, xs), xs.shape)
+        return _compile_if(node)
+    if isinstance(node, Neg):
+        name, args = "neg", (node.operand,)
+    elif isinstance(node, BinOp):
+        name, args = node.op, (node.left, node.right)
+    elif isinstance(node, Call):
+        name, args = node.name, node.args
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    fs = [_compile(a) for a in args]
+    c = _literal(args[-1])
+    op, checks = _OPS[name]
+    checks = [(bad, message) for bad, message, idle in checks if c is None or not idle(c)]
+
+    def fn(xs):
+        vals = [f(xs) for f in fs]
+        for bad, message in checks:
+            if np.any(bad(*vals)):
+                raise DomainError(message)
+        return op(*vals)
+    return fn
+
+
+def _compile_if(node):
+    cmp = CMP_OPS[node.test.op]
+    left, right, if_true, if_false = (
+        _compile(n) for n in (node.test.left, node.test.right, node.if_true, node.if_false))
+
+    def masked(xs):
+        mask = np.broadcast_to(cmp(left(xs), right(xs)), xs.shape)
         out = np.empty(xs.shape)
         if mask.any():
-            out[mask] = _eva(node.if_true, xs[mask])
+            out[mask] = if_true(xs[mask])
         inv = ~mask
         if inv.any():
-            out[inv] = _eva(node.if_false, xs[inv])
+            out[inv] = if_false(xs[inv])
         return out
-    if isinstance(node, Call):
-        return _apply_call_vec(node.name, [_eva(a, xs) for a in node.args])
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _apply_binop_vec(op, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if np.any(b == 0):
-            raise DomainError("division by zero")
-        return a / b
-    if op == "^":
-        if np.any((a < 0) & (b != np.floor(b))):
-            raise DomainError("negative base with non-integer exponent")
-        if np.any((a == 0) & (b < 0)):
-            raise DomainError("zero raised to a negative power")
-        return np.power(a, b)
-    raise ValueError(op)
-
-
-def _apply_call_vec(name, args):
-    if name == "abs":
-        return np.abs(args[0])
-    if name == "min":
-        return np.minimum(args[0], args[1])
-    if name == "max":
-        return np.maximum(args[0], args[1])
-    v = args[0]
-    if name == "log":
-        if np.any(v <= 0):
-            raise DomainError("log of non-positive value")
-        return np.log(v)
-    if name == "sqrt":
-        if np.any(v < 0):
-            raise DomainError("sqrt of negative value")
-        return np.sqrt(v)
-    return getattr(np, name)(v)
-
-
-def _eva_test(test, xs):
-    return CMP_OPS[test.op](_eva(test.left, xs), _eva(test.right, xs))
+    return masked
 
 
 def eval_target_array(f: TargetFunction, xs) -> np.ndarray:
@@ -498,10 +508,10 @@ def eval_target_array(f: TargetFunction, xs) -> np.ndarray:
     without a warning: only the result is checked."""
     xs = np.asarray(xs, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _eva(f.root, xs)
+        out = f.plan(xs)
     if np.shape(out) != xs.shape:  # an x-free target
         out = np.full(xs.shape, out)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise EvaluationError("overflow to non-finite value")
     return out
 

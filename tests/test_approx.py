@@ -20,7 +20,7 @@ from sensapprox.approx import (
 )
 from sensapprox.funcspace import StepFunction
 from sensapprox.intervals import Interval, IntervalUnion, closed_interval, open_interval, point
-from sensapprox.measures import BorelMeasure
+from sensapprox.measures import BorelMeasure, MeasureSpecError
 from sensapprox.norms import mc_norm
 from sensapprox.parsing import parse_measure, parse_target, target_evaluator
 
@@ -338,6 +338,12 @@ class TestSensitize:
             request("x", "uniform(0,1)", p=0.5)
         with pytest.raises(ValueError):
             request("x", "uniform(0,1)", p=math.inf)
+
+    def test_eps_with_no_float_is_a_plain_value_error(self):
+        # eps is a request field, no measure parameter
+        with pytest.raises(ValueError, match="request eps has no finite float") as info:
+            request("x", "uniform(0,1)", eps=10**400)
+        assert not isinstance(info.value, MeasureSpecError)
 
     @pytest.mark.parametrize("eps,b", [("2/5", 10), ("1/5", 20),
                                        ("1/10", 40), ("1/20", 80)])

@@ -26,6 +26,10 @@ CASES = {
                         "mix(0.5*uniform(0,2), 0.5*atom(1.4142135623730951))",
                         "1", "1/10", "1"),
     "identity_mass_two": ("x", "mix(2*uniform(0,1), mass=2)", "2", "1/10", "3"),
+    # the only case with two continuous parts, whose knots and tail rings
+    # must not mix
+    "square_two_parts": ("x^2", "mix(0.5*uniform(0,1), 0.5*pwd(breaks(1,2), poly(-2,2)))",
+                         "2", "1/10", "1"),
 }
 
 

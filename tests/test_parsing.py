@@ -1,19 +1,23 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sensapprox.parsing import (
+    CMP_OPS,
     BinOp,
     Compare,
     Conditional,
     DomainError,
     EvaluationError,
     MeasureSpecError,
+    Neg,
     Num,
     ParseError,
     Var,
+    _to_float,
     eval_target,
     eval_target_array,
     parse_measure,
@@ -173,6 +177,119 @@ class TestEvalTarget:
     @given(st.floats(min_value=-100, max_value=100, allow_nan=False))
     def test_abs_nonnegative(self, x):
         assert eval_target(parse_target("abs(x)"), x) >= 0
+
+
+# ---------------------------------------------------------------------------
+# The plan that parse_target compiles against the tree walk it replaced,
+# kept here as the oracle: the same bits, or the same error
+
+
+def _walk(node, xs):
+    if isinstance(node, Num):
+        return _to_float(node.value)
+    if isinstance(node, Var):
+        return xs
+    if isinstance(node, Neg):
+        return -_walk(node.operand, xs)
+    if isinstance(node, BinOp):
+        a, b = _walk(node.left, xs), _walk(node.right, xs)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if np.any(b == 0):
+                raise DomainError("division by zero")
+            return a / b
+        if np.any((a < 0) & (b != np.floor(b))):
+            raise DomainError("negative base with non-integer exponent")
+        if np.any((a == 0) & (b < 0)):
+            raise DomainError("zero raised to a negative power")
+        return np.power(a, b)
+    if isinstance(node, Conditional):
+        test = node.test
+        mask = CMP_OPS[test.op](_walk(test.left, xs), _walk(test.right, xs))
+        mask = np.broadcast_to(mask, xs.shape)
+        out = np.empty(xs.shape)
+        if mask.any():
+            out[mask] = _walk(node.if_true, xs[mask])
+        if (~mask).any():
+            out[~mask] = _walk(node.if_false, xs[~mask])
+        return out
+    v = [_walk(a, xs) for a in node.args]
+    if node.name in ("min", "max"):
+        return (np.minimum if node.name == "min" else np.maximum)(*v)
+    if node.name == "log" and np.any(v[0] <= 0):
+        raise DomainError("log of non-positive value")
+    if node.name == "sqrt" and np.any(v[0] < 0):
+        raise DomainError("sqrt of negative value")
+    return getattr(np, node.name)(v[0])
+
+
+def _walk_target(f, xs):
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _walk(f.root, xs)
+    if np.shape(out) != xs.shape:
+        out = np.full(xs.shape, out)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("overflow to non-finite value")
+    return out
+
+
+def _outcome(evaluate, f, xs):
+    try:
+        return evaluate(f, xs).tobytes()
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+# literal and x-free compound constants: integral, negative, fractional and
+# zero; only a literal or its negation drops a check
+_CONSTANTS = ["0", "1", "2", "3", "0.5", "2.5", "-1", "-2", "-0.5", "(1-1)", "(2-1)",
+              "(0-2)", "(1/2)", "(0-1/2)", "(4/2)", "(3-0.5)", "sqrt(4)", "log(1)", "0^0"]
+_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, 1e-300]),
+                    st.floats(-4, 4), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _extend(e):
+    c = st.sampled_from(_CONSTANTS)
+    return st.one_of(
+        st.builds("({}) {} ({})".format, e, st.sampled_from("+-*"), e),
+        st.builds("-({})".format, e),
+        st.builds("({})^{}".format, e, c),
+        st.builds("({})^({})".format, e, e),
+        st.builds("({})/{}".format, e, c),
+        st.builds("({})/({})".format, e, e),
+        st.builds("{}({})".format, st.sampled_from(["log", "sqrt", "sin", "exp", "abs"]), e),
+        st.builds("{}({}, {})".format, st.sampled_from(["min", "max"]), e, e),
+        st.builds("if({} {} {}, {}, {})".format, e, st.sampled_from(sorted(CMP_OPS)), e, e, e),
+    )
+
+
+_TARGETS = st.recursive(st.one_of(st.just("x"), st.sampled_from(_CONSTANTS)), _extend,
+                        max_leaves=8)
+
+
+class TestCompiledPlan:
+    @settings(max_examples=400, deadline=None)
+    @given(_TARGETS, st.lists(_POINTS, max_size=6))
+    def test_plan_gives_the_bits_and_errors_of_the_tree_walk(self, text, xs):
+        f = parse_target(text)
+        assert _outcome(eval_target_array, f, xs) == _outcome(_walk_target, f, xs)
+
+    @pytest.mark.parametrize("text", ["(x-1)^0.5", "x^-0.5", "x/(1-1)", "0^(0-1)+x",
+                                      "x^(1-1/2)", "if(x < 2, 1/(2-2), 0)", "log(0)+x",
+                                      "sqrt(-1)+x"])
+    def test_a_constant_operand_keeps_the_checks_it_can_fire(self, text):
+        with pytest.raises(DomainError):
+            eval_target_array(parse_target(text), [-0.5])
+
+    def test_an_undefined_branch_that_is_not_taken_does_not_raise(self):
+        f = parse_target("if(x < 2, x, 0^(0-1))")
+        assert eval_target_array(f, [0.5, 1.0]).tolist() == [0.5, 1.0]
 
 
 class TestThresholds:
