@@ -35,7 +35,7 @@ from .funcspace import (
 )
 from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
 from .measures import BorelMeasure, _check_floats
-from .norms import NonIntegrableError, NormEstimate
+from .norms import NonIntegrableError
 from .parsing import (
     EvaluationError,
     TargetFunction,
@@ -151,8 +151,6 @@ def truncate_union(intervals, union_mass, mu: BorelMeasure, p, tol, cap):
         tail = float(union_mass) - mu.measure_of(IntervalUnion(prefix))
         if tail < threshold:
             return prefix
-    if tail < threshold:
-        return prefix
     raise TruncationCapError(
         f"enumeration exhausted with tail mass {tail:.6g} >= {threshold:.6g}",
         achieved_tail=tail,
@@ -176,12 +174,6 @@ def check_finite_moment(req: ApproxRequest):
 
 # ---------------------------------------------------------------------------
 # Step-function approximation
-
-
-def _certified_distance(phi0: StepFunction, req: ApproxRequest, tol) -> NormEstimate:
-    f = target_evaluator(req.target)
-    return norms.lp_distance(f, phi0.eval_arr, req.mu, req.p, tol,
-                             knots=phi0.endpoint_floats())
 
 
 # Refinement budget of the grid route. A refinement run ends when the float
@@ -215,10 +207,16 @@ def _split(lo, hi, marked):
     return lo, hi, counts
 
 
-def _grid_route(req: ApproxRequest, target_err, cert_tol):
-    """Greedy refinement on dyadic cells with short values (adaptive tree
+def build_step_approximation(req: ApproxRequest, error_target=None):
+    """Step function phi0 with certified ||phi0 - target||_p < eps/2, by
+    greedy refinement on dyadic cells with short values (adaptive tree
     approximation: DeVore, *Acta Numerica* 1998, sec. 3; Binev & DeVore,
     *Numer. Math.* 2004).
+
+    error_target (default eps/2) may be tightened by sensitize to leave
+    room for the wave term in the total budget; the result is certified
+    below target_err = min(error_target, eps/2) by quadrature of
+    tolerance min(eps/100, target_err/4).
 
     The cells tile the dyadic hull of every part's spans at the outer
     tail of the quadrature, ``norms.TAILS[-1]`` (its window less the pwd
@@ -236,6 +234,10 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
     weighs 10^6 times more in the estimate. Each run of touching cells of
     one value is one row of phi0.
     """
+    eps_f = float(req.eps)
+    target_err = eps_f / 2.0 if error_target is None else float(error_target)
+    target_err = min(target_err, eps_f / 2.0)
+    cert_tol = min(eps_f / 100.0, target_err / 4.0)
     f = target_evaluator(req.target)
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
@@ -333,7 +335,8 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
         terms = [(x, exact.get(a, a), exact.get(b, b)) for a, b, x in
                  zip(lo[starts].tolist(), hi[cut[1:]].tolist(), v[starts].tolist()) if x]
         phi0 = StepFunction(terms=terms, exceptions=pins)
-        est = _certified_distance(phi0, req, cert_tol)
+        est = norms.lp_distance(f, phi0.eval_arr, req.mu, p, cert_tol,
+                                knots=phi0.endpoint_floats())
         achieved = est.value + est.absolute_error_bound
         best = min(best, achieved)
         if achieved < target_err:
@@ -346,19 +349,6 @@ def _grid_route(req: ApproxRequest, target_err, cert_tol):
         f">= target {target_err:.6g}",
         achieved_error=best,
     )
-
-
-def build_step_approximation(req: ApproxRequest, error_target=None):
-    """Step function phi0 with certified ||phi0 - target||_p < eps/2.
-
-    error_target (default eps/2) may be tightened by sensitize to leave
-    room for the wave term in the total budget.
-    """
-    eps_f = float(req.eps)
-    target_err = eps_f / 2.0 if error_target is None else float(error_target)
-    target_err = min(target_err, eps_f / 2.0)
-    cert_tol = min(eps_f / 100.0, target_err / 4.0)
-    return _grid_route(req, target_err, cert_tol)
 
 
 # ---------------------------------------------------------------------------

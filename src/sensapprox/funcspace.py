@@ -22,6 +22,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,8 +43,9 @@ class TriangleWave:
     b: int
 
     def __post_init__(self):
-        if self.b < 1:
+        if not isinstance(self.b, numbers.Integral) or self.b < 1:
             raise ValueError("frequency parameter must be a positive integer")
+        object.__setattr__(self, "b", operator.index(self.b))  # numpy int -> int
         if self.b >= 2**1024 - 2**970:  # float(b) overflows, and eval_arr with it
             raise OverflowError(f"frequency parameter of {self.b.bit_length()} bits has no float")
 

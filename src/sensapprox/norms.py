@@ -98,15 +98,29 @@ def _adaptive(g, pieces, budget):
     return float(seg[2].sum()), float(seg[3].sum())
 
 
+# ---------------------------------------------------------------------------
+# Public operations
+
 # a part's core is its spans at the first tail, and its tail rings, of 64
 # Simpson segments each, lie between the hulls of its spans at the next two
 TAILS = (1e-6, 1e-9, 1e-12)
 
 
-def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
-    """(integral of |f|^p d mu, error bound); raises NonIntegrableError.
-    The knots are f's own kinks: mu's atoms and density jumps are added
-    here, so that every caller integrates mu on the same knots."""
+def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
+    """(integral |f|^p d mu)^(1/p) with an a posteriori error bound.
+
+    f is an array-callable; knots are mandatory subdivision points, the
+    kinks of f (the quadrature adds mu's own). The internal integral
+    budget is tol^p, which by subadditivity of t -> t^(1/p) caps the norm
+    error at tol when the quadrature meets its budget; the reported bound
+    is the quadrature's a posteriori estimate, not an enclosure. Raises
+    NonIntegrableError where the integral looks infinite.
+    """
+    if p < 1 or not math.isfinite(p):
+        raise ValueError("p must satisfy 1 <= p < infinity")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    budget = tol**p
 
     def power(xs):
         return np.abs(f(xs)) ** p
@@ -154,27 +168,6 @@ def _integral_abs_p(f, mu: BorelMeasure, p, budget, knots=()):
             )
         total += core + d1 + d2
         err += sum((e for _, e in rings), core_err) + d2
-    return total, err
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-
-
-def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
-    """(integral |f|^p d mu)^(1/p) with an a posteriori error bound.
-
-    f is an array-callable; knots are mandatory subdivision points, the
-    kinks of f (the quadrature adds mu's own). The internal integral
-    budget is tol^p, which by subadditivity of t -> t^(1/p) caps the norm
-    error at tol when the quadrature meets its budget; the reported bound
-    is the quadrature's a posteriori estimate, not an enclosure.
-    """
-    if p < 1 or not math.isfinite(p):
-        raise ValueError("p must satisfy 1 <= p < infinity")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    total, err = _integral_abs_p(f, mu, p, budget=tol**p, knots=knots)
     value = max(total, 0.0) ** (1.0 / p)
     bound = (max(total, 0.0) + err) ** (1.0 / p) - value + 1e-15
     return NormEstimate(value=value, absolute_error_bound=bound)

@@ -128,7 +128,7 @@ CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = ("<=", ">=", "==", "+", "-", "*", "/", "^", "(", ")", ",", "<", ">", "=", ";")
+_PUNCT = ("<=", ">=", "==", "+", "-", "*", "/", "^", "(", ")", ",", "<", ">", "=")
 
 
 def _tokenize(text):
@@ -418,11 +418,6 @@ def eval_target(f: TargetFunction, x):
     return v
 
 
-def eval_const(node):
-    """Evaluate an x-free subtree; raises if the subtree mentions x."""
-    return _ev(node, None)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized evaluation: nested closures over a float array of points, in
 # which branch masking keeps untaken if() branches unevaluated and a literal
@@ -539,11 +534,11 @@ def thresholds(f: TargetFunction):
             test = node.test
             for var, c in ((test.left, test.right), (test.right, test.left)):
                 if isinstance(var, Var):
-                    # eval_const raises on x in c and where c is undefined,
-                    # and as_rational on a c past the float range (±inf),
-                    # which lies past every cell end
+                    # _ev at x=None raises on x in c and where c is
+                    # undefined, and as_rational on a c past the float range
+                    # (±inf), which lies past every cell end
                     try:
-                        out.add(as_rational(eval_const(c)))
+                        out.add(as_rational(_ev(c, None)))
                     except ValueError:
                         pass
             stack += (test.left, test.right, node.if_true, node.if_false)

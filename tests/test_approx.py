@@ -172,13 +172,13 @@ class TestBuildStepApproximation:
         # certified distance of its phi0 is not below target_err <= eps / 2,
         # so the grid route halves its share and refines again
         distances = []
-        certified_distance = approx._certified_distance
+        lp_distance = approx.norms.lp_distance
 
-        def spy(phi0, req, tol):
-            est = certified_distance(phi0, req, tol)
+        def spy(*args, **kwargs):
+            est = lp_distance(*args, **kwargs)
             distances.append(est.value + est.absolute_error_bound)
             return est
-        monkeypatch.setattr(approx, "_certified_distance", spy)
+        monkeypatch.setattr(approx.norms, "lp_distance", spy)
         req = request("if(2*x<0.6,1,-1)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
                       p=1, eps="1/50", M=0)
         _, cert = sensitize(req)

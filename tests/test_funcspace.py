@@ -93,6 +93,15 @@ class TestTriangleWave:
         v = TriangleWave(b).eval(x)
         assert 0 <= v <= 1
 
+    @pytest.mark.parametrize("b", [2.0, 2.5, Fraction(5, 2)])
+    def test_non_integer_frequency_raises(self, b):
+        with pytest.raises(ValueError, match="positive integer"):
+            TriangleWave(b)
+
+    def test_numpy_integer_frequency_is_an_int(self):
+        w = TriangleWave(np.int64(3))
+        assert type(w.b) is int and w.eval(Fraction(1, 3)) == 1
+
     def test_lattice_points_open_window(self):
         w = TriangleWave(2)
         assert w.lattice_points(-1, 1) == [Fraction(-1, 2), 0, Fraction(1, 2)]

@@ -67,6 +67,10 @@ class TestParseTarget:
             parse_target("x +")
         assert e.value.offset == 3
 
+    def test_semicolon_is_no_token(self):
+        with pytest.raises(ParseError, match=r"unexpected character ';' \(offset 1\)"):
+            parse_target("x;1")
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_target("foo(x)")
