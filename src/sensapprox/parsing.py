@@ -12,7 +12,10 @@ Two small recursive-descent parsers share one tokenizer:
   with the ``MeasureSpecError`` that is re-exported here.
 
 Numeric literals are exact decimals, kept as ``Fraction`` values in the
-tree; a target compiles it once into the float plan of eval_target_array.
+tree. One compiler makes of a target two plans over two arithmetic tables
+that share one table of domain rules: the float plan of eval_target_array
+over an array of points, and the exact plan of eval_target over one point,
+which keeps ``Fraction`` values of at most 4096 bits and floats past that.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,10 +107,13 @@ class TargetFunction:
     root: object
     source_text: str
     plan: object = field(init=False, repr=False, compare=False)
+    exact: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the float function of the points that eval_target_array runs
-        object.__setattr__(self, "plan", _compile(self.root))
+        # the float function of an array of points that eval_target_array
+        # runs, and the exact function of one point that eval_target runs
+        object.__setattr__(self, "plan", _compile(self.root, _FLOAT))
+        object.__setattr__(self, "exact", _compile(self.root, _EXACT))
 
 
 FUNCTIONS = {
@@ -301,39 +308,29 @@ def parse_target(text: str) -> TargetFunction:
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation (Fraction-preserving where the operation is exact; as
-# in the array path, a float past the float range is ±inf)
+# The target compiler: one walk of the tree into nested closures over an
+# arithmetic table. The float table's closures run a float array of points,
+# in which branch masking keeps untaken if() branches unevaluated and a
+# literal is a float once, which numpy broadcasts; the exact table's run one
+# point. In both, a float past the float range is ±inf.
 
-_EXP_LIMIT = 10**6
+# the most bits of an exact value's numerator or denominator; an exact
+# result past it is its float, which bounds each exact operation's cost and
+# keeps each exact value within the 4300 digits that Python prints
+_BITS = 4096
 
-
-def _as_number(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return float(x)
-
-
-def _ev(node, x):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if x is None:
-            raise EvaluationError("free variable in constant context")
-        return x
-    if isinstance(node, Neg):
-        return -_ev(node.operand, x)
-    if isinstance(node, BinOp):
-        a = _ev(node.left, x)
-        b = _ev(node.right, x)
-        return _apply_binop(node.op, a, b)
-    if isinstance(node, Conditional):
-        return _ev(node.if_true if _ev_test(node.test, x) else node.if_false, x)
-    if isinstance(node, Call):
-        args = [_ev(a, x) for a in node.args]
-        return _apply_call(node.name, args)
-    raise TypeError(f"not an expression node: {node!r}")
+# name -> the operation's domain checks, which both tables run on its
+# operands: (test that the value is undefined, message, test of a literal
+# last operand that proves the first test idle, so that the check is dropped)
+_CHECKS = {
+    "/": [(lambda a, b: b == 0, "division by zero", lambda c: c != 0)],
+    "^": [(lambda a, b: (a < 0) & (b != np.floor(b)),
+           "negative base with non-integer exponent", lambda c: c == np.floor(c)),
+          (lambda a, b: (a == 0) & (b < 0), "zero raised to a negative power",
+           lambda c: c >= 0)],
+    "log": [(lambda a: a <= 0, "log of non-positive value", lambda c: False)],
+    "sqrt": [(lambda a: a < 0, "sqrt of negative value", lambda c: False)],
+}
 
 
 def _to_float(v):
@@ -344,99 +341,113 @@ def _to_float(v):
         return math.inf if v > 0 else -math.inf
 
 
-def _apply_binop(op, a, b):
-    if op == "^":
-        return _apply_pow(a, b)
-    if isinstance(a, float) or isinstance(b, float):
-        # what Fraction does with a float, but a huge rational is ±inf
-        a, b = _to_float(a), _to_float(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise DomainError("division by zero")
-        return a / b
-    raise ValueError(op)
+def _float_node(op, fs, checks):
+    def fn(xs):
+        vals = [f(xs) for f in fs]
+        for bad, message in checks:
+            if np.any(bad(*vals)):
+                raise DomainError(message)
+        return op(*vals)
+    return fn
 
 
-def _apply_pow(a, b):
-    if isinstance(b, Fraction) and b.denominator == 1 and abs(b) <= _EXP_LIMIT:
-        e = int(b)
-        if a == 0 and e < 0:
-            raise DomainError("zero raised to a negative power")
-        if isinstance(a, Fraction):
-            return a**e
-        b = e
-    a, b = _to_float(a), _to_float(b)
-    if a < 0 and b != np.floor(b):
-        raise DomainError("negative base with non-integer exponent")
-    if a == 0 and b < 0:
-        raise DomainError("zero raised to a negative power")
+def _masked_if(cmp, left, right, if_true, if_false):
+    def masked(xs):
+        mask = np.broadcast_to(cmp(left(xs), right(xs)), xs.shape)
+        out = np.empty(xs.shape)
+        if mask.any():
+            out[mask] = if_true(xs[mask])
+        inv = ~mask
+        if inv.any():
+            out[inv] = if_false(xs[inv])
+        return out
+    return masked
+
+
+def _bits(v):
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
+def _exact_node(entry, fs, checks):
+    # the checks see the operands as the operation takes them; where math
+    # raises, the value is numpy's
+    operands, op = entry
+
+    def fn(x):
+        vals = [f(x) for f in fs]
+        if operands:
+            vals = operands(*vals)
+        for bad, message in checks:
+            if bad(*vals):
+                raise DomainError(message)
+        try:
+            v = op(*vals)
+        except OverflowError:  # exp past the float range
+            return math.inf
+        except ValueError:  # sin or cos of ±inf
+            return math.nan
+        return _to_float(v) if isinstance(v, Fraction) and _bits(v) > _BITS else v
+    return fn
+
+
+def _picked_if(cmp, left, right, if_true, if_false):
+    return lambda x: (if_true if cmp(left(x), right(x)) else if_false)(x)
+
+
+def _point(x):
+    if x is None:
+        raise EvaluationError("free variable in constant context")
+    return x
+
+
+def _floats(*vals):
+    return [_to_float(v) for v in vals]
+
+
+def _mixed(*vals):
+    """Floats where one operand is a float, as Fraction makes them but with a
+    huge rational ±inf, else the operands as they are."""
+    return _floats(*vals) if any(isinstance(v, float) for v in vals) else vals
+
+
+def _pow_operands(a, b):
+    """Fractions where a^b is an exact rational within _BITS, else floats."""
+    if (isinstance(a, Fraction) and isinstance(b, Fraction) and b.denominator == 1
+            and abs(b.numerator) * _bits(a) <= _BITS):
+        return a, b
+    return _floats(a, b)
+
+
+def _pow(a, b):
     try:
-        return math.pow(a, b)
+        return a**b
     except OverflowError:  # ±inf past the float range, as numpy's power
         return -math.inf if a < 0 and b % 2 == 1 else math.inf
 
 
-def _apply_call(name, args):
-    if name == "abs":
-        return abs(args[0])
-    if name == "min":
-        return min(args)
-    if name == "max":
-        return max(args)
-    v = _to_float(args[0])
-    if name == "log":
-        if v <= 0:
-            raise DomainError(f"log of non-positive value {v}")
-        return math.log(v)
-    if name == "sqrt":
-        if v < 0:
-            raise DomainError(f"sqrt of negative value {v}")
-        return math.sqrt(v)
-    try:
-        return getattr(math, name)(v)
-    except OverflowError:  # exp past the float range
-        return math.inf
-    except ValueError:  # sin or cos of ±inf, which numpy makes NaN
-        return math.nan
+class _Arithmetic(NamedTuple):
+    literal: object  # the value of a literal's Fraction
+    var: object  # the closure of x
+    ops: dict  # operation name -> what node takes of it
+    node: object  # (operation, operand closures, live checks) -> closure
+    cond: object  # (comparison, test operand closures, branch closures) -> closure
 
 
-def _ev_test(test, x):
-    return CMP_OPS[test.op](_ev(test.left, x), _ev(test.right, x))
+_FLOAT = _Arithmetic(
+    _to_float, lambda xs: xs,
+    {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+     "/": operator.truediv, "^": np.power, "min": np.minimum, "max": np.maximum,
+     "abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+     "sqrt": np.sqrt},
+    _float_node, _masked_if)
 
-
-def eval_target(f: TargetFunction, x):
-    """Value of the expression at x; exact Fraction where possible."""
-    v = _ev(f.root, _as_number(x))
-    if isinstance(v, float) and not math.isfinite(v):
-        raise EvaluationError("overflow to non-finite value")
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation: nested closures over a float array of points, in
-# which branch masking keeps untaken if() branches unevaluated and a literal
-# is a float once, which numpy broadcasts.
-
-# name -> (operation, its domain checks); a check is (test of the operands
-# that the value is undefined, message, test of a literal last operand that
-# proves the first test idle, so that the check is dropped). log and sqrt
-# keep theirs
-_OPS = {"neg": (operator.neg, ()), "+": (operator.add, ()), "-": (operator.sub, ()),
-        "*": (operator.mul, ()), "min": (np.minimum, ()), "max": (np.maximum, ()),
-        "abs": (np.abs, ()), "sin": (np.sin, ()), "cos": (np.cos, ()), "exp": (np.exp, ()),
-        "/": (operator.truediv, [(lambda a, b: b == 0, "division by zero", lambda c: c != 0)]),
-        "^": (np.power, [(lambda a, b: (a < 0) & (b != np.floor(b)),
-                          "negative base with non-integer exponent", lambda c: c == np.floor(c)),
-                         (lambda a, b: (a == 0) & (b < 0), "zero raised to a negative power",
-                          lambda c: c >= 0)]),
-        "log": (np.log, [(lambda a: a <= 0, "log of non-positive value", lambda c: False)]),
-        "sqrt": (np.sqrt, [(lambda a: a < 0, "sqrt of negative value", lambda c: False)])}
+_EXACT = _Arithmetic(
+    lambda v: v, _point,
+    {"neg": (None, operator.neg), "+": (_mixed, operator.add), "-": (_mixed, operator.sub),
+     "*": (_mixed, operator.mul), "/": (_mixed, operator.truediv), "^": (_pow_operands, _pow),
+     "min": (None, min), "max": (None, max), "abs": (None, abs),
+     **{name: (_floats, getattr(math, name)) for name in ("sin", "cos", "exp", "log", "sqrt")}},
+    _exact_node, _picked_if)
 
 
 def _literal(node):
@@ -448,53 +459,45 @@ def _literal(node):
     return None
 
 
-def _compile(node):
-    """The node's value as a function of the array of points, run under the
-    errstate that eval_target_array sets."""
+def _operation(node):
+    """An operation node's name in the tables and its operands."""
+    if isinstance(node, Neg):
+        return "neg", (node.operand,)
+    if isinstance(node, BinOp):
+        return node.op, (node.left, node.right)
+    if isinstance(node, Call):
+        return node.name, node.args
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile(node, arith):
+    """The node's value over the arithmetic table arith, as a function of the
+    points: _FLOAT's of a float array, run under the errstate that
+    eval_target_array sets, and _EXACT's of one point."""
     if isinstance(node, Num):
-        c = _to_float(node.value)
+        c = arith.literal(node.value)
         return lambda xs: c
     if isinstance(node, Var):
-        return lambda xs: xs
+        return arith.var
     if isinstance(node, Conditional):
-        return _compile_if(node)
-    if isinstance(node, Neg):
-        name, args = "neg", (node.operand,)
-    elif isinstance(node, BinOp):
-        name, args = node.op, (node.left, node.right)
-    elif isinstance(node, Call):
-        name, args = node.name, node.args
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    fs = [_compile(a) for a in args]
+        test = node.test
+        return arith.cond(CMP_OPS[test.op], *(
+            _compile(n, arith) for n in (test.left, test.right, node.if_true, node.if_false)))
+    name, args = _operation(node)
+    fs = [_compile(a, arith) for a in args]
     c = _literal(args[-1])
-    op, checks = _OPS[name]
-    checks = [(bad, message) for bad, message, idle in checks if c is None or not idle(c)]
-
-    def fn(xs):
-        vals = [f(xs) for f in fs]
-        for bad, message in checks:
-            if np.any(bad(*vals)):
-                raise DomainError(message)
-        return op(*vals)
-    return fn
+    checks = [(bad, message) for bad, message, idle in _CHECKS.get(name, ())
+              if c is None or not idle(c)]
+    return arith.node(arith.ops[name], fs, checks)
 
 
-def _compile_if(node):
-    cmp = CMP_OPS[node.test.op]
-    left, right, if_true, if_false = (
-        _compile(n) for n in (node.test.left, node.test.right, node.if_true, node.if_false))
-
-    def masked(xs):
-        mask = np.broadcast_to(cmp(left(xs), right(xs)), xs.shape)
-        out = np.empty(xs.shape)
-        if mask.any():
-            out[mask] = if_true(xs[mask])
-        inv = ~mask
-        if inv.any():
-            out[inv] = if_false(xs[inv])
-        return out
-    return masked
+def eval_target(f: TargetFunction, x):
+    """Value of the expression at x; a Fraction where the operations are exact
+    and each value has at most _BITS bits, else a float."""
+    v = f.exact(x if isinstance(x, Fraction) else Fraction(x) if isinstance(x, int) else float(x))
+    if isinstance(v, float) and not math.isfinite(v):
+        raise EvaluationError("overflow to non-finite value")
+    return v
 
 
 def eval_target_array(f: TargetFunction, xs) -> np.ndarray:
@@ -534,20 +537,16 @@ def thresholds(f: TargetFunction):
             test = node.test
             for var, c in ((test.left, test.right), (test.right, test.left)):
                 if isinstance(var, Var):
-                    # _ev at x=None raises on x in c and where c is
-                    # undefined, and as_rational on a c past the float range
-                    # (±inf), which lies past every cell end
+                    # the exact plan raises at x=None on x in c and where c
+                    # is undefined, and as_rational on a c past the float
+                    # range (±inf), which lies past every cell end
                     try:
-                        out.add(as_rational(_ev(c, None)))
+                        out.add(as_rational(_compile(c, _EXACT)(None)))
                     except ValueError:
                         pass
             stack += (test.left, test.right, node.if_true, node.if_false)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, BinOp):
-            stack += (node.left, node.right)
-        elif isinstance(node, Call):
-            stack += node.args
+        elif not isinstance(node, (Num, Var)):
+            stack += _operation(node)[1]
     return sorted(out)
 
 

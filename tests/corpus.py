@@ -17,8 +17,9 @@ hard cases: a spike narrower than the first cells, an indicator, a
 target undefined between the two parts of a mixture, a fast
 oscillation, poles with infinite and with finite moments, a moment that
 is infinite in the tails, atom pins, a certification that fails once,
-an M far past the float range's integers, and an if() threshold past
-the float range.
+an M far past the float range's integers, an if() threshold past the
+float range, a float pin, and an exact pin and a threshold whose exact
+values would pass the exact plan's size limit.
 """
 
 import contextlib
@@ -56,6 +57,9 @@ HARD = [
     ("x", "normal(0,1)", "1", "1/10", str(10**20)),
     ("if(x < sqrt(2)^1000000, 1, 0)", "mix(0.5*atom(0.5), 0.5*uniform(0,1))",
      "1", "1/10", "0"),
+    ("sin(x)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", "1", "1/10", "1"),
+    ("x^20000", "mix(0.5*atom(0.5), 0.5*atom(0.3), 0.5*uniform(0,1))", "1", "1/10", "0"),
+    ("if(x < (3^10000)^10000, 1, 0)", "uniform(0,1)", "1", "1/10", "0"),
 ]
 
 

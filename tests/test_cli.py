@@ -386,6 +386,18 @@ class TestSensitizeCommand:
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_an_exact_pin_past_the_size_limit_is_its_float(self, tmp_path, capsys):
+        # (1/2)^20000 exactly has a denominator of 6021 digits, more than
+        # Python prints; as a float it is 0, which phi0 takes there
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "x^20000",
+                     "--measure", "mix(0.5*atom(0.5), 0.5*atom(0.3), 0.5*uniform(0,1))",
+                     "--p", "1", "--eps", "1/10", "--M", "0", "--out", str(out)]) == 0
+        assert read_certificate(out)["exceptions"] == []
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_bad_target_is_input_error(self, tmp_path, capsys):
         rc = main([
             "sensitize", "--target", "x +", "--measure", "uniform(0,1)",

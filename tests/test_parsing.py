@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from time import perf_counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sensapprox.parsing import (
     CMP_OPS,
@@ -17,6 +18,7 @@ from sensapprox.parsing import (
     Num,
     ParseError,
     Var,
+    _BITS,
     _to_float,
     eval_target,
     eval_target_array,
@@ -182,6 +184,19 @@ class TestEvalTarget:
     def test_abs_nonnegative(self, x):
         assert eval_target(parse_target("abs(x)"), x) >= 0
 
+    def test_an_exact_power_past_the_size_limit_is_its_float(self):
+        # a power is sized before it is computed, as |e| times the larger bit
+        # length of the base's numerator and denominator: 2048 * 2 is the limit
+        assert eval_target(parse_target("x^2048"), Fraction(1, 2)) == Fraction(1, 2**2048)
+        v = eval_target(parse_target("x^2049"), Fraction(1, 2))
+        assert type(v) is float and v == 0.0
+        assert type(eval_target(parse_target("1^5000"), 0)) is float
+
+    def test_an_exact_product_past_the_size_limit_is_its_float(self):
+        # each factor is within the limit, their product is not
+        v = eval_target(parse_target("x^1000*x^1000*x^1000*x^1000*x^1000"), Fraction(3, 10))
+        assert type(v) is float and math.isfinite(v)
+
 
 # ---------------------------------------------------------------------------
 # The plan that parse_target compiles against the tree walk it replaced,
@@ -296,6 +311,150 @@ class TestCompiledPlan:
         assert eval_target_array(f, [0.5, 1.0]).tolist() == [0.5, 1.0]
 
 
+# ---------------------------------------------------------------------------
+# The exact plan against the Fraction-keeping tree walk it replaced, kept here
+# as the oracle: the same type and value, or the same error class. The walk
+# has no size rule: a draw in which it makes an exact value past the plan's
+# size limit, where the plan takes the float, is not compared
+
+_EXP_LIMIT = 10**6
+
+
+class _Unbounded(Exception):
+    pass
+
+
+def _bits(v):
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
+def _as_number(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    return float(x)
+
+
+def _ev(node, x):
+    v = _ev_unbounded(node, x)
+    if isinstance(v, Fraction) and _bits(v) > _BITS:
+        raise _Unbounded
+    return v
+
+
+def _ev_unbounded(node, x):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        if x is None:
+            raise EvaluationError("free variable in constant context")
+        return x
+    if isinstance(node, Neg):
+        return -_ev(node.operand, x)
+    if isinstance(node, BinOp):
+        a = _ev(node.left, x)
+        b = _ev(node.right, x)
+        return _apply_binop(node.op, a, b)
+    if isinstance(node, Conditional):
+        return _ev(node.if_true if _ev_test(node.test, x) else node.if_false, x)
+    args = [_ev(a, x) for a in node.args]
+    return _apply_call(node.name, args)
+
+
+def _apply_binop(op, a, b):
+    if op == "^":
+        return _apply_pow(a, b)
+    if isinstance(a, float) or isinstance(b, float):
+        a, b = _to_float(a), _to_float(b)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _apply_pow(a, b):
+    if isinstance(b, Fraction) and b.denominator == 1 and abs(b) <= _EXP_LIMIT:
+        e = int(b)
+        if a == 0 and e < 0:
+            raise DomainError("zero raised to a negative power")
+        if isinstance(a, Fraction):
+            if abs(e) * _bits(a) > _BITS:
+                raise _Unbounded
+            return a**e
+        b = e
+    a, b = _to_float(a), _to_float(b)
+    if a < 0 and b != np.floor(b):
+        raise DomainError("negative base with non-integer exponent")
+    if a == 0 and b < 0:
+        raise DomainError("zero raised to a negative power")
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return -math.inf if a < 0 and b % 2 == 1 else math.inf
+
+
+def _apply_call(name, args):
+    if name == "abs":
+        return abs(args[0])
+    if name == "min":
+        return min(args)
+    if name == "max":
+        return max(args)
+    v = _to_float(args[0])
+    if name == "log":
+        if v <= 0:
+            raise DomainError(f"log of non-positive value {v}")
+        return math.log(v)
+    if name == "sqrt":
+        if v < 0:
+            raise DomainError(f"sqrt of negative value {v}")
+        return math.sqrt(v)
+    try:
+        return getattr(math, name)(v)
+    except OverflowError:
+        return math.inf
+    except ValueError:
+        return math.nan
+
+
+def _ev_test(test, x):
+    return CMP_OPS[test.op](_ev(test.left, x), _ev(test.right, x))
+
+
+def _walk_eval(f, x):
+    v = _ev(f.root, _as_number(x))
+    if isinstance(v, float) and not math.isfinite(v):
+        raise EvaluationError("overflow to non-finite value")
+    return v
+
+
+def _exact_outcome(evaluate, f, x):
+    try:
+        v = evaluate(f, x)
+    except EvaluationError as exc:
+        return type(exc)
+    return type(v), repr(v)
+
+
+class TestExactPlan:
+    @settings(max_examples=400, deadline=None)
+    @given(_TARGETS, st.one_of(_POINTS, _POINTS.map(Fraction),
+                               st.fractions(-4, 4, max_denominator=64)))
+    def test_plan_gives_the_type_and_value_or_error_of_the_tree_walk(self, text, x):
+        f = parse_target(text)
+        try:
+            want = _exact_outcome(_walk_eval, f, x)
+        except _Unbounded:
+            assume(False)
+        assert _exact_outcome(eval_target, f, x) == want
+
+
 class TestThresholds:
     def test_every_test_of_the_bare_variable(self):
         for text, want in (
@@ -317,6 +476,12 @@ class TestThresholds:
                      # c past the float range
                      "if(x < sqrt(2)^1000000, 1, 0)", "if(x < 2^(1/2)*10^400, 1, 0)"):
             assert thresholds(parse_target(text)) == [], text
+
+    def test_a_c_past_the_size_limit_takes_bounded_time(self):
+        # 3^(10^8) is the float inf, not an exact integer of 10^8 digits
+        start = perf_counter()
+        assert thresholds(parse_target("if(x < (3^10000)^10000, 1, 0)")) == []
+        assert perf_counter() - start < 1
 
 
 class TestParseMeasure:
