@@ -1,6 +1,6 @@
-"""The construction pipeline: step-function approximation within eps/2,
-then superposition of the scaled triangle wave to reach M-sensitivity
-with certified total L^p error below eps.
+"""The construction pipeline: a step-function approximation phi0 within the
+share of eps that sensitize gives it, then superposition of the scaled
+triangle wave to reach M-sensitivity with certified total L^p error below eps.
 
 One route produces the step function. It refines dyadic cells greedily,
 splitting only the cells of largest estimated error, gives each cell a
@@ -48,10 +48,6 @@ from .parsing import (
 class RefinementCapError(RuntimeError):
     """Grid refinement budget exhausted before the error target was met."""
 
-    def __init__(self, message, achieved_error):
-        super().__init__(message)
-        self.achieved_error = achieved_error
-
 
 class NonFiniteMomentError(ValueError):
     """Numerical evidence that the target is not in L^p of the measure."""
@@ -83,6 +79,12 @@ class ApproxRequest:
         _check_floats("request", "eps", self.eps, error=ValueError)
         if self.M < 0:
             raise ValueError("M must be nonnegative")
+
+    @property
+    def quadrature_tolerance(self) -> float:
+        """The certifying quadrature's tolerance; sensitize keeps the total
+        bound at least this far below eps."""
+        return float(self.eps) / 100.0
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,9 @@ def check_finite_moment(req: ApproxRequest):
 
 # Refinement budget of the grid route. A refinement run ends when the float
 # estimate of ||target - phi0||_p^p falls to a share of target_err^p, at
-# first (3/4)^p, which leaves the certified quadrature its tolerance of
-# target_err / 4; a failed certification halves the share for the next run.
+# first (3/4)^p, or after _MAX_ROUNDS rounds or at _MAX_CELLS cells. The
+# quadrature then certifies phi0, at most _MAX_CHECKS times; a failed
+# certification halves the share for the next run.
 _MAX_CELLS = 1 << 17
 _MAX_ROUNDS = 200
 _MAX_CHECKS = 8
@@ -207,16 +210,12 @@ def _split(lo, hi, marked):
     return lo, hi, counts
 
 
-def build_step_approximation(req: ApproxRequest, error_target=None):
-    """Step function phi0 with certified ||phi0 - target||_p < eps/2, by
-    greedy refinement on dyadic cells with short values (adaptive tree
+def build_step_approximation(req: ApproxRequest, target_err):
+    """Step function phi0 with certified ||phi0 - target||_p < target_err,
+    by greedy refinement on dyadic cells with short values (adaptive tree
     approximation: DeVore, *Acta Numerica* 1998, sec. 3; Binev & DeVore,
-    *Numer. Math.* 2004).
-
-    error_target (default eps/2) may be tightened by sensitize to leave
-    room for the wave term in the total budget; the result is certified
-    below target_err = min(error_target, eps/2) by quadrature of
-    tolerance min(eps/100, target_err/4).
+    *Numer. Math.* 2004). The certificate is a quadrature of tolerance
+    ``req.quadrature_tolerance``; sensitize sets target_err.
 
     The cells tile the dyadic hull of every part's spans at the outer
     tail of the quadrature, ``norms.TAILS[-1]`` (its window less the pwd
@@ -234,10 +233,6 @@ def build_step_approximation(req: ApproxRequest, error_target=None):
     weighs 10^6 times more in the estimate. Each run of touching cells of
     one value is one row of phi0.
     """
-    eps_f = float(req.eps)
-    target_err = eps_f / 2.0 if error_target is None else float(error_target)
-    target_err = min(target_err, eps_f / 2.0)
-    cert_tol = min(eps_f / 100.0, target_err / 4.0)
     f = target_evaluator(req.target)
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
@@ -282,7 +277,8 @@ def build_step_approximation(req: ApproxRequest, error_target=None):
 
         def g(xs):
             step = v[np.searchsorted(a, xs, side="right") - 1]
-            d = np.abs(f(xs) - step) ** p
+            with np.errstate(over="ignore"):  # an inf fails _simpson_pair's check
+                d = np.abs(f(xs) - step) ** p
             d[d > outlier] *= 1e6
             return d * sum(w * kind.pdf_arr(xs) for w, kind in parts)
         return v, norms._simpson_pair(g, a, b)[0]
@@ -335,7 +331,7 @@ def build_step_approximation(req: ApproxRequest, error_target=None):
         terms = [(x, exact.get(a, a), exact.get(b, b)) for a, b, x in
                  zip(lo[starts].tolist(), hi[cut[1:]].tolist(), v[starts].tolist()) if x]
         phi0 = StepFunction(terms=terms, exceptions=pins)
-        est = norms.lp_distance(f, phi0.eval_arr, req.mu, p, cert_tol,
+        est = norms.lp_distance(f, phi0.eval_arr, req.mu, p, req.quadrature_tolerance,
                                 knots=phi0.endpoint_floats())
         achieved = est.value + est.absolute_error_bound
         best = min(best, achieved)
@@ -346,8 +342,7 @@ def build_step_approximation(req: ApproxRequest, error_target=None):
         share = min(share, err.sum() / target_err**p) / 2.0
     raise RefinementCapError(
         f"refinement cap reached; best certified error {best:.6g} "
-        f">= target {target_err:.6g}",
-        achieved_error=best,
+        f">= target {target_err:.6g}"
     )
 
 
@@ -383,13 +378,14 @@ def sensitize(req: ApproxRequest):
     wave = build_zigzag(eps / R, M)
 
     wave_ub = norms.wave_norm_bound(wave, req.mu, req.p)
-    quad_tol = float(eps) / 100.0
+    quad_tol = req.quadrature_tolerance
     headroom = float(eps) - quad_tol - float(scale) * wave_ub
-    # scale * wave_ub <= eps / 2, as the wave bound is capped at mass^(1/p)
-    error_target = min(float(eps) / 2.0, headroom) * (1.0 - 1e-9)
+    # the one split of eps: phi0 gets what the wave and the quadrature leave,
+    # at most eps / 2; scale * wave_ub <= eps / 2, as wave_ub <= mass^(1/p)
+    target_err = min(float(eps) / 2.0, headroom) * (1.0 - 1e-9)
 
     try:
-        phi0, est = build_step_approximation(req, error_target=error_target)
+        phi0, est = build_step_approximation(req, target_err)
     except (EvaluationError, NonIntegrableError) as exc:
         # the moment check's points can miss a pole that the grid route hits
         raise NonFiniteMomentError(
@@ -423,12 +419,10 @@ def sensitize(req: ApproxRequest):
         window=(w_lo, w_hi),
         quadrature_tolerance=quad_tol,
     )
-    assert cert.min_abs_slope == scale * wave.b
     assert cert.min_abs_slope >= M + 1
     if error_bound + quad_tol >= float(eps):
         raise RefinementCapError(
             f"total certified bound {error_bound:.6g} + quadrature tolerance "
-            f"{quad_tol:.6g} does not clear eps={float(eps):.6g}",
-            achieved_error=error_bound,
+            f"{quad_tol:.6g} does not clear eps={float(eps):.6g}"
         )
     return Y, cert

@@ -123,7 +123,8 @@ def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
     budget = tol**p
 
     def power(xs):
-        return np.abs(f(xs)) ** p
+        with np.errstate(over="ignore"):  # an inf fails _simpson_pair's check
+            return np.abs(f(xs)) ** p
 
     knots = np.concatenate((np.asarray(knots, dtype=float),
                             [float(x) for x in mu.density_breakpoints()]))
@@ -195,18 +196,20 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
     count, mean, m2 = 0, 0.0, 0.0
-    for z in mu.sample_blocks(n, seed):
-        np.abs(f(z), out=z)
-        z **= p  # the same power as |f|^p: square at p = 2
-        k = z.size
-        z_mean = float(z.mean())
-        z -= z_mean
-        z *= z
-        delta = z_mean - mean
-        count += k
-        # k / count is 1 for the first block, which so sets mean and m2
-        mean += delta * (k / count)
-        m2 += float(z.sum()) + delta * delta * ((count - k) * k / count)
+    # an overflow leaves the estimate inf or nan, which passes no check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in mu.sample_blocks(n, seed):
+            np.abs(f(z), out=z)
+            z **= p  # the same power as |f|^p: square at p = 2
+            k = z.size
+            z_mean = float(z.mean())
+            z -= z_mean
+            z *= z
+            delta = z_mean - mean
+            count += k
+            # k / count is 1 for the first block, which so sets mean and m2
+            mean += delta * (k / count)
+            m2 += float(z.sum()) + delta * delta * ((count - k) * k / count)
     sd = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
     root = float(mu.total_mass) ** (1.0 / p)
     if mean <= 0.0:

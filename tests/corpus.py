@@ -18,8 +18,9 @@ target undefined between the two parts of a mixture, a fast
 oscillation, poles with infinite and with finite moments, a moment that
 is infinite in the tails, atom pins, a certification that fails once,
 an M far past the float range's integers, an if() threshold past the
-float range, a float pin, and an exact pin and a threshold whose exact
-values would pass the exact plan's size limit.
+float range, a float pin, an exact pin and a threshold whose exact
+values would pass the exact plan's size limit, and a first cell that
+reaches across a gap between two parts where the target is undefined.
 """
 
 import contextlib
@@ -60,6 +61,8 @@ HARD = [
     ("sin(x)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", "1", "1/10", "1"),
     ("x^20000", "mix(0.5*atom(0.5), 0.5*atom(0.3), 0.5*uniform(0,1))", "1", "1/10", "0"),
     ("if(x < (3^10000)^10000, 1, 0)", "uniform(0,1)", "1", "1/10", "0"),
+    ("sqrt((x-0.3)*(x-0.31))", "mix(0.5*uniform(0,0.3), 0.5*uniform(0.31,1))",
+     "1", "1/10", "0"),
 ]
 
 

@@ -125,13 +125,13 @@ class TestBuildStepApproximation:
     def test_indicator_exact(self):
         req = request("if(x<0.5, if(x>0, 1, 0), 0)", "uniform(0,1)",
                       p=1, eps="1/2", M=3)
-        phi0, est = build_step_approximation(req)
+        phi0, est = build_step_approximation(req, float(req.eps) / 2)
         assert phi0.terms == ((1, 0, Fraction(1, 2)),)
         assert est.value + est.absolute_error_bound < 0.25
 
     def test_identity_staircase(self):
         req = request("x", "uniform(0,1)", p=2, eps="1/5", M=1)
-        phi0, est = build_step_approximation(req)
+        phi0, est = build_step_approximation(req, float(req.eps) / 2)
         assert est.value + est.absolute_error_bound < 0.1
         # staircase values track the target at cell midpoints
         assert phi0.eval(Fraction(1, 64)) == pytest.approx(
@@ -139,7 +139,7 @@ class TestBuildStepApproximation:
 
     def test_quadratic_normal_mc_agreement(self):
         req = request("x^2", "normal(0,1)", p=2, eps="1/10", M=10)
-        phi0, est = build_step_approximation(req)
+        phi0, est = build_step_approximation(req, float(req.eps) / 2)
         f = target_evaluator(req.target)
         mc = mc_norm(lambda xs: f(xs) - phi0.eval_arr(xs), req.mu,
                      p=2, n=10**6, seed=9)
@@ -149,7 +149,7 @@ class TestBuildStepApproximation:
     def test_atom_pinned_exactly(self):
         req = request("x^2 + 1", "mix(0.5*atom(0), 0.5*uniform(0,1))",
                       p=1, eps="1/4", M=2)
-        phi0, _ = build_step_approximation(req)
+        phi0, _ = build_step_approximation(req, float(req.eps) / 2)
         assert phi0.eval(0) == 1
 
     @pytest.mark.parametrize("target, mu, pin, rows", [
@@ -161,7 +161,8 @@ class TestBuildStepApproximation:
          "mix(0.5*atom(0), 0.5*uniform(-1,1))", (Fraction(0), 2), 2),
     ])
     def test_atom_pin_is_one_exception_and_no_row(self, target, mu, pin, rows):
-        phi0, _ = build_step_approximation(request(target, mu, p=1, eps="1/10", M=1))
+        req = request(target, mu, p=1, eps="1/10", M=1)
+        phi0, _ = build_step_approximation(req, float(req.eps) / 2)
         assert phi0.exceptions == (pin,)
         assert phi0.eval(pin[0]) == pin[1]
         assert StepFunction(terms=phi0.terms).eval(pin[0]) != pin[1]
@@ -221,7 +222,7 @@ class TestBuildStepApproximation:
     @pytest.mark.parametrize("p", [1, 2])
     def test_grid_route_cells_are_dyadic_with_short_values(self, mu, p):
         req = request("sin(3*x) + x^2", mu, p=p, eps="1/20")
-        phi0, est = build_step_approximation(req)
+        phi0, est = build_step_approximation(req, float(req.eps) / 2)
         target_err = 1 / 40
         assert est.value + est.absolute_error_bound < target_err
         # an atom pin is an exception, and leaves every cell dyadic
@@ -243,6 +244,16 @@ class TestBuildStepApproximation:
         density = sum(float(w) * kind.pdf_arr(xs) for w, kind in req.mu.parts)
         outlying = np.sum(density * z * (z > 1000 * target_err**p)) * dx
         assert outlying < 1e-3 * target_err**p
+
+    def test_a_first_cell_that_reaches_into_two_pieces_is_halved(self):
+        # the target is undefined in the gap (0.3, 0.31) between the parts,
+        # inside the first cell (0.25, 0.3125): the halves of that cell that
+        # meet one piece each are rows, and no row spans the gap
+        _, cert = sensitize(request("sqrt((x-0.3)*(x-0.31))",
+                                    "mix(0.5*uniform(0,0.3), 0.5*uniform(0.31,1))",
+                                    p=1, eps="1/10", M=0))
+        assert not [(lo, hi) for _, lo, hi in cert.phi0.terms
+                    if lo < Fraction(3, 10) and hi > Fraction(31, 100)]
 
     @pytest.mark.parametrize("n", [1, 3, 16, 4096])
     @pytest.mark.parametrize("lo, hi", [

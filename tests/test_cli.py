@@ -691,6 +691,37 @@ def test_negative_pwd_density_is_input_error(capsys, argv):
     assert capsys.readouterr().err.startswith("error: pwd piece negative at x=")
 
 
+class TestOverflowingPower:
+    """|X|^p or |X - Y|^p past the float range is inf: the quadrature and
+    verify's check reject it, and numpy prints no warning on stderr."""
+
+    @pytest.mark.parametrize("args", [
+        ["norm", "--target", "x^400", "--measure", "normal(0,1)", "--p", "2"],
+        ["sensitize", "--target", "exp(x)", "--measure", "normal(0,1)", "--p", "200",
+         "--eps", "1/10", "--M", "0"],
+    ], ids=["norm", "sensitize"])
+    def test_is_a_hypothesis_violation(self, tmp_path, args):
+        if args[0] == "sensitize":
+            args = [*args, "--out", str(tmp_path / "c.json")]
+        run = run_cli(*args)
+        assert run.returncode == 4
+        assert run.stderr.startswith("hypothesis violation: ")
+        assert "Warning" not in run.stderr
+
+    def test_verify_fails(self, tmp_path):
+        _, cert = make_certificate(p=2, eps="1/10", M=0)
+        out = tmp_path / "cert.json"
+        write_certificate(cert, out)
+        raw = json.loads(out.read_text())
+        raw["request"]["target"] = "10*x"
+        raw["request"]["p"] = "1000"
+        out.write_text(json.dumps(raw))
+        run = run_cli("verify", "--cert", str(out))
+        assert run.returncode == 1
+        assert "FAIL" in run.stdout
+        assert "Warning" not in run.stderr
+
+
 class TestNormCommand:
     def test_uniform_identity(self, capsys):
         rc = main(["norm", "--target", "x", "--measure", "uniform(0,1)",
