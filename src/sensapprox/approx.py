@@ -396,10 +396,10 @@ def sensitize(req: ApproxRequest):
 
     Y = SensitiveApproximant(phi0=phi0, scale=scale, wave=wave,
                              eps=eps, M=M, p=req.p)
-    endpoints = phi0.endpoint_pairs()
+    endpoints = phi0.held_endpoints()
     if endpoints:
-        w_lo = Fraction(*endpoints[0]) - 1
-        w_hi = Fraction(*endpoints[-1]) + 1
+        w_lo = as_rational(endpoints[0]) - 1
+        w_hi = as_rational(endpoints[-1]) + 1
     else:
         w_lo, w_hi = Fraction(-1), Fraction(1)
     cert = Certificate(

@@ -68,23 +68,19 @@ MAX_PLOT_POINTS = 10**5
 MAX_VERIFY_SAMPLES = 10**7
 
 
-def _pair(num) -> str:
-    """An integer pair (n, d), d > 0, as "n/d" in lowest terms; a
-    Fraction is written from its as_integer_ratio(). A certificate holds
-    no infinite end (d = 0)."""
-    n, d = num
-    if not d:
-        raise ValueError("a certificate row cannot hold an infinite end")
-    g = math.gcd(n, d)
-    return f"{n // g}/{d // g}"
+def _pair(x) -> str:
+    """An exact number, a float, a Fraction or an int, as "n/d" in lowest
+    terms, from its as_integer_ratio(). A certificate holds no infinite
+    end, whose as_integer_ratio() raises OverflowError."""
+    return "%d/%d" % x.as_integer_ratio()
 
 
 def _rows(phi0: StepFunction):
-    """The certificate rows of phi0, written from its integer pairs: the
+    """The certificate rows of phi0, written from its held numbers: the
     terms as (lower, upper, value) and the exceptions as (point, value)
     strings, each tuple in the sorted order of its keys."""
-    return ([(_pair(lo), _pair(hi), _pair(v)) for v, lo, hi in phi0.term_pairs()],
-            [(_pair(p), _pair(v)) for p, v in phi0.exception_pairs()])
+    return ([(_pair(lo), _pair(hi), _pair(v)) for v, lo, hi in phi0.held_terms()],
+            [(_pair(p), _pair(v)) for p, v in phi0.held_exceptions()])
 
 
 def _fields(cert: approx.Certificate) -> dict:
@@ -95,18 +91,17 @@ def _fields(cert: approx.Certificate) -> dict:
             "target": cert.target_text,
             "measure": cert.measure_text,
             "p": repr(cert.p),
-            "eps": _pair(cert.eps.as_integer_ratio()),
-            "M": _pair(cert.M.as_integer_ratio()),
+            "eps": _pair(cert.eps),
+            "M": _pair(cert.M),
         },
         "b": cert.b,
-        "scale": _pair(cert.scale.as_integer_ratio()),
+        "scale": _pair(cert.scale),
         "error_bound": repr(cert.error_bound),
         "error_method": cert.error_method,
-        "min_abs_slope": _pair(cert.min_abs_slope.as_integer_ratio()),
-        "sup_bound": _pair(cert.sup_bound.as_integer_ratio()),
+        "min_abs_slope": _pair(cert.min_abs_slope),
+        "sup_bound": _pair(cert.sup_bound),
         "nondiff_count_in_window": cert.nondiff_count_in_window,
-        "window": {"lower": _pair(cert.window[0].as_integer_ratio()),
-                   "upper": _pair(cert.window[1].as_integer_ratio())},
+        "window": {"lower": _pair(cert.window[0]), "upper": _pair(cert.window[1])},
         "quadrature_tolerance": repr(cert.quadrature_tolerance),
     }
 
@@ -261,7 +256,7 @@ def cmd_sensitize(args) -> int:
     write_certificate(cert, args.out)
     print(
         f"b={cert.b} error_bound={cert.error_bound:.6g} "
-        f"min_abs_slope={_pair(cert.min_abs_slope.as_integer_ratio())}"
+        f"min_abs_slope={_pair(cert.min_abs_slope)}"
     )
     return EXIT_OK
 
@@ -288,7 +283,7 @@ def cmd_verify(args) -> int:
     distance, radius = est.value, est.absolute_error_bound
     mc_total = distance + radius
     print(f"mc_distance={distance:.6g} radius={radius:.6g} eps={eps:.6g} "
-          f"min_abs_slope={_pair(slope.as_integer_ratio())} M={M:.6g}")
+          f"min_abs_slope={_pair(slope)} M={M:.6g}")
     reasons = [reason for ok, reason in (
         (mc_total < eps, f"MC distance + 4-sigma radius {mc_total:.6g} >= eps"),
         (slope > Y.M, f"min |slope| {float(slope):.6g} <= M {M:.6g}")) if not ok]

@@ -2,25 +2,27 @@
 
 Every breakpoint, value, scale and slope is exact; a float input is its
 exact binary value, as ``as_rational`` reads it. A step function holds
-its numbers as integer pairs (n, d) and nothing else: a float enters as
-its ``as_integer_ratio()``, a certificate's "n/d" string as its two
-integers, and a Fraction as its numerator and denominator. It checks and
-orders its terms into one table of breakpoints and values, reads its
-exact values, its sup norm and its endpoints off the wave lattice from
-that table by cross-multiplication, and builds Fractions only on each
-request for them; a certificate's rows are written from the pairs. Floats
-appear only in the vectorized evaluators for quadrature, Monte Carlo and
-plots. A step function is zero outside its intervals and at their
-endpoints, except at its (point, value) exceptions, of which it keeps
-only those that change the function. It has one constructor, built in
-one walk over its terms, which must arrive sorted and disjoint, in
-linear time.
+each of its numbers as the Python number that holds it exactly: a finite
+float stays a float (-0.0 as 0.0), a certificate's "n/d" string is the
+float n / d where that is exact and a Fraction otherwise, and any other
+input is as_rational's Fraction; the open ends of the line are the
+floats ±inf and the zero value is 0. Python compares a float, an int and
+a Fraction exactly, so the step function checks and orders its terms
+into one table of breakpoints and values, and reads its exact values,
+its sup norm and its endpoints off the wave lattice from that table, by
+plain comparisons; it builds a Fraction of a held float only on a
+request for one, and a certificate's rows are written from the held
+numbers. Rounded floats of its numbers appear only in the vectorized
+evaluators for quadrature, Monte Carlo and plots. A step function is
+zero outside its intervals and at their endpoints, except at its
+(point, value) exceptions, of which it keeps only those that change the
+function. It has one constructor, built in one walk over its terms,
+which must arrive sorted and disjoint, in linear time.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import numbers
 import operator
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import NEG_INF, POS_INF, as_rational
+from .intervals import as_rational
 
 
 # ---------------------------------------------------------------------------
@@ -95,62 +97,51 @@ def build_zigzag(eps, M) -> TriangleWave:
 # ---------------------------------------------------------------------------
 # Step functions
 
-# the infinite ends of the line, and zero, as numbers (see _number)
-_NEG_INF = (-1, 0)
-_POS_INF = (1, 0)
-_ZERO = (0, 1)
-
 
 def _number(x, seen):
-    """x as an integer pair (n, d), d > 0: the number that as_rational
-    reads. A finite float gives the pair of ``as_integer_ratio()``. A
-    string "n/d" of decimal digits, as a certificate writes it, gives its
-    two integers, and is looked up in and added to seen, as a
-    certificate's rows repeat their shared ends and many values. Any
-    other input goes through as_rational, which raises on NaN and the
-    infinities; no input Fraction is kept."""
-    if isinstance(x, float):
-        try:
-            return x.as_integer_ratio()
-        except (OverflowError, ValueError):
-            pass  # NaN or ±inf, which as_rational rejects
-    if type(x) is str:
-        num = seen.get(x)
-        if num is None:
-            n, _, d = x.partition("/")
-            # int() reads the decimal digits that Fraction(str) reads; any
-            # other form, "0.5" or "4 / 8", and "1/0" go through Fraction
-            if d.isdecimal() and (n[1:] if n[:1] == "-" else n).isdecimal() and int(d):
-                num = int(n), int(d)
-            else:
-                num = _number(as_rational(x), seen)
-            seen[x] = num
-        return num
-    q = as_rational(x)
-    return q.numerator, q.denominator
+    """x as the Python number that holds it exactly: the number that
+    as_rational reads. A finite float stays itself, with -0.0 held as 0.0.
+    A string "n/d" of decimal digits, as a certificate writes it, is the
+    float n / d where that float is exact, and Fraction(n, d) otherwise,
+    such as "3/10"; it is looked up in and added to seen, as a
+    certificate's rows repeat their shared ends and many values, so each
+    distinct string is read, and its Fraction built, once. Any other input
+    is as_rational's Fraction, which raises on NaN and the infinities."""
+    if isinstance(x, float) and math.isfinite(x):
+        return x + 0.0
+    if type(x) is not str:
+        return as_rational(x)
+    num = seen.get(x)
+    if num is None:
+        n, _, d = x.partition("/")
+        # int() reads the decimal digits that Fraction(str) reads; any
+        # other form, "0.5" or "4 / 8", and "1/0" go through as_rational
+        if d.isdecimal() and (n[1:] if n[:1] == "-" else n).isdecimal() and int(d):
+            n, d = int(n), int(d)
+            try:
+                num = n / d
+                a, c = num.as_integer_ratio()
+                exact = a * d == n * c
+            except OverflowError:  # n / d is past the float range
+                exact = False
+            if not exact:
+                num = Fraction(n, d)
+        else:
+            num = as_rational(x)
+        seen[x] = num
+    return num
 
 
 def _end(x, seen):
-    """_number, letting the infinite ends of the line through as (±1, 0)."""
+    """_number, letting the infinite ends of the line through as ±inf."""
     if isinstance(x, float) and math.isinf(x):
-        return _POS_INF if x > 0 else _NEG_INF
+        return x
     return _number(x, seen)
 
 
-def _exact(num):
-    """The exact value of a number: a Fraction, or a float infinity."""
-    n, d = num
-    return Fraction(n, d) if d else (POS_INF if n > 0 else NEG_INF)
-
-
-def _cmp(a, b):
-    """An int with the sign of a - b, by exact cross-multiplication."""
-    c = a[0] * b[1] - b[0] * a[1]
-    # only two infinities leave c = 0 with a zero denominator
-    return c if c or a[1] or b[1] else a[0] - b[0]
-
-
-_key = functools.cmp_to_key(_cmp)
+def _exact(x):
+    """The exact value of a held number: a Fraction, or a float infinity."""
+    return as_rational(x, ends=True)
 
 
 class StepFunction:
@@ -163,24 +154,27 @@ class StepFunction:
     breakpoint and the region's value elsewhere. So the same terms with
     exceptions that change nothing give an equal step function.
 
-    Every input number is held as an integer pair (n, d), d > 0, with ±inf
-    as (±1, 0) at an open end of the line; a float, as the grid route's
-    cells arrive, and a canonical "n/d" string, as a certificate stores
-    it, become one without a Fraction. The terms are checked and the
-    breakpoints found on these pairs, by exact cross-multiplication, in
-    one walk that compares each term only with the end of the one before
-    it: a term that starts before that end is out of order or overlaps,
-    and raises. The walk gives the breakpoint table: the breakpoints, and
-    the values of region 0, breakpoint 0, region 1, ..., the last region,
-    where region k is the open cell left of breakpoint k (the last one
-    runs to +inf) and the value at a breakpoint is 0 unless an exception
-    overrides it. An exception is kept, and written into the table, where
-    the table's value at its point differs; ``eval`` reads the same table.
-    Its float copy behind ``eval_arr`` is each entry n / d, which Python
-    rounds correctly, as float(Fraction) does. ``terms``, ``exceptions``
-    and ``endpoints()`` build their Fractions from the pairs on each call;
-    neither ``sensitize``, which reads the pairs and floats, nor Monte
-    Carlo evaluation calls them.
+    Every input number is held as the Python number that holds it
+    exactly (see _number): a float, as the grid route's cells arrive, stays
+    a float, and a canonical "n/d" string, as a certificate stores it, is
+    the float n / d where that is exact, so most rows build no Fraction; a
+    number with no float, such as "3/10", is one Fraction per distinct
+    string. An open end of the line is a float infinity. The terms are
+    checked and the breakpoints found on the held numbers, which Python
+    compares exactly, in one walk that compares each term only with the
+    end of the one before it: a term that starts before that end is out
+    of order or overlaps, and raises. The walk gives the breakpoint table:
+    the breakpoints, and the values of region 0, breakpoint 0, region 1,
+    ..., the last region, where region k is the open cell left of
+    breakpoint k (the last one runs to +inf) and the value at a breakpoint
+    is 0 unless an exception overrides it. An exception is kept, and
+    written into the table, where the table's value at its point differs;
+    ``eval`` reads the same table. Its float copy behind ``eval_arr`` is
+    each entry's float, n / d of a Fraction, which Python rounds
+    correctly. ``terms``, ``exceptions`` and ``endpoints()`` build their
+    Fractions from the held numbers on each call, through _exact; neither
+    ``sensitize``, which reads the held numbers and floats, nor Monte Carlo
+    evaluation calls them.
 
     The float breakpoints end in a NaN, which sorts after every float and
     equals none, so the index that ``searchsorted`` returns always selects
@@ -198,21 +192,21 @@ class StepFunction:
             v = _number(value, seen)
             lo_n = _end(lo, seen)
             hi_n = _end(hi, seen)
-            if _cmp(lo_n, hi_n) >= 0:
+            if not lo_n < hi_n:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
-            if v[0]:
+            if v:
                 rows.append((v, lo_n, hi_n))
         pts, vals = _walk_terms(rows)
         exc = sorted(((_number(pt, seen), _number(value, seen)) for pt, value in exceptions),
-                     key=lambda e: _key(e[0]))
+                     key=lambda e: e[0])
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
-            if not _cmp(p1, p2):
+            if p1 == p2:
                 raise ValueError(f"duplicate exception point {_exact(p1)}")
 
         kept = []
         for p, v in exc:
             k = _slot(pts, p)
-            if not _cmp(v, vals[k]):
+            if v == vals[k]:
                 continue  # the function has this value there already
             if k % 2:
                 vals[k] = v
@@ -224,13 +218,14 @@ class StepFunction:
         self._exc = kept
         self._pts = pts
         self._vals = vals
-        self._pts_f = np.array([n / d for n, d in pts] + [math.nan])
-        self._runs = np.array([n / d for n, d in vals])
+        # float() of a Fraction is n / d, which Python rounds correctly
+        self._pts_f = np.array(pts + [math.nan], dtype=float)
+        self._runs = np.array(vals, dtype=float)
         # both float lookups read the first breakpoint of a float, and one
         # before an exception point can round to its float: it takes the
         # exception's value
         for p, v in kept:
-            self._runs[2 * np.searchsorted(self._pts_f, p[0] / p[1]) + 1] = v[0] / v[1]
+            self._runs[2 * np.searchsorted(self._pts_f, float(p)) + 1] = float(v)
         self._region = self._runs[0::2]
         self._point = self._runs[1::2]
 
@@ -259,39 +254,33 @@ class StepFunction:
 
     def eval(self, x) -> Fraction:
         """The exact value at x, a float taken as its exact binary value,
-        read from the breakpoint table by cross-multiplication."""
+        read from the breakpoint table."""
         return _exact(self._vals[_slot(self._pts, _number(x, {}))])
 
     def endpoints(self):
         """Finite interval endpoints plus exception points, sorted."""
         return tuple(_exact(p) for p in self._pts)
 
-    def endpoint_pairs(self):
-        """endpoints() as the held integer pairs (n, d), d > 0, not reduced."""
+    def held_endpoints(self):
+        """endpoints() as the held numbers: floats and Fractions."""
         return list(self._pts)
 
     def endpoint_floats(self):
         """float(x) of each of endpoints(), as an array."""
         return self._pts_f[:-1]
 
-    def term_pairs(self):
-        """terms as the held ((n, d) value, (n, d) lo, (n, d) hi) integer
-        pairs, not reduced; an infinite end is (-1, 0) or (1, 0)."""
+    def held_terms(self):
+        """terms as the held (value, lo, hi) numbers; an infinite end is a
+        float infinity."""
         return list(self._terms)
 
-    def exception_pairs(self):
-        """exceptions as the held ((n, d) point, (n, d) value) integer
-        pairs, not reduced."""
+    def held_exceptions(self):
+        """exceptions as the held (point, value) numbers."""
         return list(self._exc)
 
     def sup_norm(self) -> Fraction:
-        """The largest |value| in the table, compared by
-        cross-multiplication: one Fraction."""
-        n, d = 0, 1
-        for vn, vd in self._vals:
-            if abs(vn) * d > n * vd:
-                n, d = abs(vn), vd
-        return Fraction(n, d)
+        """The largest |value| in the table: one Fraction."""
+        return as_rational(max(map(abs, self._vals)))
 
     # -- vectorized evaluation ------------------------------------------------
 
@@ -330,26 +319,25 @@ class StepFunction:
 
 
 def _walk_terms(terms):
-    """Breakpoints and value table (see _slot; _ZERO off the terms and at
+    """Breakpoints and value table (see _slot; 0 off the terms and at
     every breakpoint) of sorted disjoint terms; a term that starts before
     the previous one ends is out of order or overlaps, and raises
     ValueError."""
-    pts, vals, prev = [], [], _NEG_INF
+    pts, vals, prev = [], [], -math.inf
     for v, lo, hi in terms:
-        c = _cmp(lo, prev)
-        if c < 0:
+        if lo < prev:
             raise ValueError("step-function intervals must be sorted and disjoint")
-        if c:
+        if lo != prev:
             pts.append(lo)
-            vals += [_ZERO, _ZERO]
+            vals += [0, 0]
         pts.append(hi)
-        vals += [v, _ZERO]
+        vals += [v, 0]
         prev = hi
-    if prev == _POS_INF:
+    if prev == math.inf:
         pts.pop()
         vals.pop()
     else:
-        vals.append(_ZERO)
+        vals.append(0)
     return pts, vals
 
 
@@ -358,8 +346,8 @@ def _slot(pts, x):
     table, which lists region 0, breakpoint 0, region 1, ..., the last
     region: 2 i + 1 if x is breakpoint i, else 2 i for the region i that
     holds it."""
-    i = bisect.bisect_left(pts, _key(x), key=_key)
-    return 2 * i + (i < len(pts) and not _cmp(pts[i], x))
+    i = bisect.bisect_left(pts, x)
+    return 2 * i + (i < len(pts) and pts[i] == x)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +390,17 @@ class SensitiveApproximant:
 
     def _endpoints_off_lattice(self, lo, hi):
         """phi0 endpoints inside the open window that are not j/b, sorted,
-        as integer pairs (n, d): n b is no multiple of d."""
-        pts = self.phi0.endpoint_pairs()
-        lo, hi = as_rational(lo), as_rational(hi)
-        inside = pts[bisect.bisect_right(pts, _key((lo.numerator, lo.denominator)), key=_key):
-                     bisect.bisect_left(pts, _key((hi.numerator, hi.denominator)), key=_key)]
+        as the held numbers n/d: n b is no multiple of d."""
+        pts = self.phi0.held_endpoints()
+        inside = pts[bisect.bisect_right(pts, as_rational(lo)):
+                     bisect.bisect_left(pts, as_rational(hi))]
         b = self.wave.b
-        return [(n, d) for n, d in inside if n * b % d]
+        off = []
+        for x in inside:
+            n, d = x.as_integer_ratio()
+            if n * b % d:
+                off.append(x)
+        return off
 
     def nondiff_count(self, lo, hi) -> int:
         """len(nondiff_points(lo, hi)), without listing the lattice; the
@@ -422,15 +414,15 @@ class SensitiveApproximant:
         """phi0 endpoints plus wave lattice inside the open window, sorted."""
         # two disjoint sorted runs: the sort only merges them
         return sorted(self.wave.lattice_points(lo, hi)
-                      + [Fraction(n, d) for n, d in self._endpoints_off_lattice(lo, hi)])
+                      + [_exact(x) for x in self._endpoints_off_lattice(lo, hi)])
 
     def nondiff_floats(self, lo, hi):
         """float(x) of each of nondiff_points(lo, hi), in order, with each
-        point taken as the integer quotient n / d, which rounds correctly,
-        as float(Fraction(n, d)) does; rounding keeps the order."""
+        lattice point taken as the integer quotient j / b, which rounds
+        correctly, as float(Fraction(j, b)) does; rounding keeps the order."""
         b = self.wave.b
         return sorted([j / b for j in self.wave.lattice_range(lo, hi)]
-                      + [n / d for n, d in self._endpoints_off_lattice(lo, hi)])
+                      + [float(x) for x in self._endpoints_off_lattice(lo, hi)])
 
     def slope_profile(self, lo, hi):
         """Maximal affine cells of the window with their exact slopes."""

@@ -613,8 +613,12 @@ class BorelMeasure:
         written to, and the next block overwrites it. A statistic that is
         symmetric in the draws, such as the mean and variance in
         ``norms.mc_norm``, sees the blocking only in the rounding of its
-        sums; the sorting makes the component split of a block a pair of
-        slice bounds and a later step-function lookup of it a merge.
+        sums. The sorting makes the component split of a block a pair of
+        slice bounds, and each component's draws one ascending run; a
+        later step-function lookup of the block is a merge only where it
+        ascends overall, and a binary search per draw where parts overlap
+        or are listed out of order, as in mix(0.5*normal(0,1),
+        0.5*uniform(0,1)).
         """
         rng = np.random.default_rng(seed)
         buf = np.empty(min(n, BLOCK))

@@ -7,9 +7,13 @@ runs ``cli.main(["sensitize", ...])`` in process on each case and writes,
 for case number NNN, the certificate ``OUT/NNN.json`` (none where the run
 fails) and ``OUT/NNN.rc``: the case, the exit code, stdout and stderr.
 Comparing two checkouts is ``diff -r`` of two such directories, each
-written with the other checkout's ``src`` on ``PYTHONPATH``. The script
-exits 1 if a case raises or ends in an exit code outside {0, 2, 3, 4},
-the codes that the CLI documents for ``sensitize``.
+written with the other checkout's ``src`` on ``PYTHONPATH``. Each
+certificate written is read back as ``verify`` reads it, through
+``cli.read_certificate`` and ``cli.reconstruct_approximant``, and the
+rows that ``cli`` writes from that phi0 must be the file's ``phi0`` and
+``exceptions`` rows. The script exits 1 if a case raises, ends in an exit
+code outside {0, 2, 3, 4}, the codes that the CLI documents for
+``sensitize``, or writes a certificate whose rows do not read back.
 
 The cases are the 96 of the acceptance grid, the certificates of the
 three benchmark workloads at fixed parameters, the golden cases, and
@@ -33,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(1, str(ROOT))
 
 from bench.cases import FINE_EPS, STEEP_B, VERIFY_MC  # noqa: E402
-from sensapprox.cli import main  # noqa: E402
+from sensapprox import cli  # noqa: E402
 from test_acceptance import GRID  # noqa: E402
 from test_golden import CASES as GOLDEN  # noqa: E402
 
@@ -77,8 +81,19 @@ def cases():
     return out + HARD
 
 
+def rows_read_back(path):
+    """Whether the phi0 that verify reads from the certificate at path is
+    written as the file's phi0 and exceptions rows."""
+    data = cli.read_certificate(path)
+    terms, exceptions = cli._rows(cli.reconstruct_approximant(data).phi0)
+    return ([dict(zip(cli._TERM_KEYS, row)) for row in terms] == data["phi0"]
+            and [dict(zip(cli._EXCEPTION_KEYS, row)) for row in exceptions]
+            == data["exceptions"])
+
+
 def run(out_dir):
-    """Write every case's outputs into out_dir; returns the failed cases."""
+    """Write every case's outputs into out_dir; returns the failed cases
+    with what went wrong."""
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = []
     for i, case in enumerate(cases()):
@@ -86,15 +101,17 @@ def run(out_dir):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                rc = main(["sensitize", "--target", t, "--measure", m, "--p", p,
-                           "--eps", eps, "--M", M, "--out", str(out_dir / f"{i:03d}.json")])
+                rc = cli.main(["sensitize", "--target", t, "--measure", m, "--p", p,
+                               "--eps", eps, "--M", M, "--out", str(out_dir / f"{i:03d}.json")])
             except Exception as exc:  # a bug: the CLI maps every failure to a code
                 rc = f"raised {type(exc).__name__}: {exc}"
         record = {"case": case, "exit": rc, "stdout": stdout.getvalue(),
                   "stderr": stderr.getvalue()}
         (out_dir / f"{i:03d}.rc").write_text(json.dumps(record, indent=1) + "\n")
         if rc not in OK_CODES:
-            failed.append((i, case, rc))
+            failed.append((i, case, f"exit {rc}"))
+        elif rc == 0 and not rows_read_back(out_dir / f"{i:03d}.json"):
+            failed.append((i, case, "certificate rows do not read back"))
     return failed
 
 
@@ -102,7 +119,8 @@ if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} OUT")
     failed = run(Path(sys.argv[1]))
-    for i, case, rc in failed:
-        print(f"case {i:03d} {case}: exit {rc}", file=sys.stderr)
-    print(f"{len(cases())} cases, {len(failed)} outside the exit codes {sorted(OK_CODES)}")
+    for i, case, why in failed:
+        print(f"case {i:03d} {case}: {why}", file=sys.stderr)
+    print(f"{len(cases())} cases, {len(failed)} failed: outside the exit codes "
+          f"{sorted(OK_CODES)} or rows that do not read back")
     sys.exit(1 if failed else 0)

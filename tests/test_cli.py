@@ -245,6 +245,64 @@ def test_certificate_round_trip_of_phi0(phi0):
     assert back.endpoints() == phi0.endpoints()
 
 
+# numerators and denominators of every size: small, past 2^53, and past
+# the float range, as powers of two too
+_numerator = st.one_of(st.integers(-1000, 1000), st.integers(-2**70, 2**70),
+                       st.integers(-2**1100, 2**1100))
+_denominator = st.one_of(st.integers(1, 1000), st.integers(0, 1100).map(lambda e: 2**e),
+                         st.integers(1, 2**1200))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_numerator, _denominator, st.integers(1, 12))
+def test_a_certificate_string_is_held_as_its_exact_number(n, d, k):
+    """"n/d", unreduced by k, is held as the float n / d where that is
+    exact and as Fraction(n, d) otherwise, once per distinct string; the
+    float arrays hold the correctly rounded quotient n / d."""
+    q = Fraction(n, d)
+    text = f"{n * k}/{d * k}"
+    seen = {}
+    held = funcspace._number(text, seen)
+    assert held == q and funcspace._number(text, seen) is held
+    try:
+        is_float = float(q) == q
+    except OverflowError:
+        is_float = False
+    assert (type(held) is float) == is_float
+
+    def phi0():
+        return StepFunction(terms=[(text, text, f"{(n + d) * k}/{d * k}")],
+                            exceptions=[(text, text)])
+    try:
+        f, f1 = n / d, (n + d) / d
+    except OverflowError:  # no float array can hold it
+        with pytest.raises(OverflowError):
+            phi0()
+        return
+    if n:
+        s = phi0()
+        assert s._pts_f.tobytes() == np.array([f, f1, math.nan]).tobytes()
+        assert s._runs.tobytes() == np.array([0.0, f, f, 0.0, 0.0]).tobytes()
+
+
+def test_a_negative_zero_is_held_as_zero():
+    """A -0.0 end, value or exception point gives the float arrays of 0.0,
+    with no sign bit, and is written as "0/1"."""
+    def phi0(z):
+        return StepFunction(terms=[(1.0, -1.0, z), (z, z, 0.5), (2.0, 0.5, 1.0)],
+                            exceptions=[(z, 3.0), (0.75, z)])
+    neg, pos = phi0(-0.0), phi0(0.0)
+    for name in ("_pts_f", "_runs"):
+        arr = getattr(neg, name)
+        assert arr.tobytes() == getattr(pos, name).tobytes()
+        assert not np.signbit(arr[arr == 0]).any()
+    assert neg.eval(-0.0) == 3 and neg.eval_arr(0.75) == 0.0
+    data = certificate_to_dict(_certificate_of(neg))
+    assert data["phi0"] == _rows(("1/1", "-1/1", "0/1"), ("2/1", "1/2", "1/1"))
+    assert data["exceptions"] == [{"point": "0/1", "value": "3/1"},
+                                  {"point": "3/4", "value": "0/1"}]
+
+
 def _unreduced_phi0():
     """A phi0 read back from rows whose strings are not in lowest terms."""
     raw = certificate_to_dict(make_certificate()[1])
@@ -291,7 +349,7 @@ class TestCertificateWriter:
         assert main(["sensitize", "--target", "x^2", "--measure",
                      "mix(0.3*atom(0.5), 0.7*normal(0,1))", "--p", "2", "--eps", "1/25",
                      "--M", "0", "--out", str(tmp_path / "cli.json")]) == 0
-        assert cert.phi0.exception_pairs() == [((1, 2), (1, 4))]
+        assert cert.phi0.held_exceptions() == [(Fraction(1, 2), Fraction(1, 4))]
 
 
 class TestSensitizeCommand:
