@@ -12,12 +12,9 @@ from .approx import (
     Certificate,
     NonFiniteMomentError,
     RefinementCapError,
-    TruncationCapError,
-    approximate_borel_set,
     build_step_approximation,
     certify_error,
     sensitize,
-    truncate_union,
 )
 from .funcspace import (
     SensitiveApproximant,
@@ -25,7 +22,6 @@ from .funcspace import (
     TriangleWave,
     build_zigzag,
 )
-from .intervals import Interval, IntervalUnion, closed_interval, open_interval, point
 from .measures import BorelMeasure, MeasureSpec
 from .norms import NonIntegrableError, NormEstimate, lp_distance, lp_norm, mc_norm, wave_norm_bound
 from .parsing import (
@@ -46,8 +42,6 @@ __all__ = [
     "Certificate",
     "DomainError",
     "EvaluationError",
-    "Interval",
-    "IntervalUnion",
     "MeasureSpec",
     "MeasureSpecError",
     "NonFiniteMomentError",
@@ -59,23 +53,17 @@ __all__ = [
     "StepFunction",
     "TargetFunction",
     "TriangleWave",
-    "TruncationCapError",
-    "approximate_borel_set",
     "build_step_approximation",
     "build_zigzag",
     "certify_error",
-    "closed_interval",
     "eval_target",
     "eval_target_array",
     "lp_distance",
     "lp_norm",
     "mc_norm",
-    "open_interval",
     "parse_measure",
     "parse_target",
-    "point",
     "sensitize",
-    "truncate_union",
     "wave_norm_bound",
 ]
 

@@ -12,11 +12,11 @@ exact rational. Touching cells of one value are one row, so a piecewise
 constant target gets one row per constant piece. An atom of mu where the
 step function misses the target gets the target's exact value as one
 exception of the step function, a multiple of the indicator of a
-singleton. The open-set machinery
-(approximate_borel_set, truncate_union) is the paper's measure-theoretic
-route for indicator data. The pipeline does not use it: the threshold
-ends and the atom pins already give indicators exactly, with less code.
-It stays a library function, exercised on its own.
+singleton. So the pipeline takes neither step of the paper's route for
+indicator data, an open superset of a Borel set and a finite prefix of a
+union of intervals: the threshold ends and the atom pins give indicators
+exactly. That route is no part of the package; the tests keep it as the
+reference of acceptance criteria 4 and 5.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .funcspace import (
     StepFunction,
     build_zigzag,
 )
-from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF, as_rational
+from .intervals import as_rational
 from .measures import BorelMeasure, _check_floats
 from .norms import NonIntegrableError
 from .parsing import (
@@ -51,14 +51,6 @@ class RefinementCapError(RuntimeError):
 
 class NonFiniteMomentError(ValueError):
     """Numerical evidence that the target is not in L^p of the measure."""
-
-
-class TruncationCapError(RuntimeError):
-    """Enumeration cap reached before the tail bound was met."""
-
-    def __init__(self, message, achieved_tail):
-        super().__init__(message)
-        self.achieved_tail = achieved_tail
 
 
 @dataclass(frozen=True)
@@ -104,59 +96,6 @@ class Certificate:
     nondiff_count_in_window: int
     window: tuple
     quadrature_tolerance: float
-
-
-# ---------------------------------------------------------------------------
-# Outer-regularity machinery
-
-
-def approximate_borel_set(B: IntervalUnion, mu: BorelMeasure, p, tol) -> IntervalUnion:
-    """Open finite-union superset V of B with mu(V \\ B) < tol^p.
-
-    Non-open endpoints are enlarged outward by delta, halving delta
-    until the added mass drops below tol^p (continuity from above).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    threshold = float(tol) ** p
-    delta = Fraction(1)
-    for _ in range(2000):
-        out = []
-        for iv in B.intervals:
-            lo = iv.lo if (iv.lo == NEG_INF or not iv.lo_closed) else iv.lo - delta
-            hi = iv.hi if (iv.hi == POS_INF or not iv.hi_closed) else iv.hi + delta
-            out.append(Interval(lo, False, hi, False))
-        V = IntervalUnion(out)
-        added = V.difference(B)
-        if mu.measure_of(added) < threshold:
-            return V
-        delta /= 2
-    raise RuntimeError("endpoint enlargement failed to converge")
-
-
-def truncate_union(intervals, union_mass, mu: BorelMeasure, p, tol, cap):
-    """Smallest prefix V_1..V_N whose tail mass is below tol^p."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    threshold = float(tol) ** p
-    tail = float(union_mass)
-    prefix = []
-    if tail < threshold:
-        return prefix
-    for iv in intervals:
-        if len(prefix) >= cap:
-            raise TruncationCapError(
-                f"cap {cap} reached with tail mass {tail:.6g} >= {threshold:.6g}",
-                achieved_tail=tail,
-            )
-        prefix.append(iv)
-        tail = float(union_mass) - mu.measure_of(IntervalUnion(prefix))
-        if tail < threshold:
-            return prefix
-    raise TruncationCapError(
-        f"enumeration exhausted with tail mass {tail:.6g} >= {threshold:.6g}",
-        achieved_tail=tail,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +343,7 @@ def sensitize(req: ApproxRequest):
         w_lo, w_hi = Fraction(-1), Fraction(1)
     cert = Certificate(
         target_text=req.target.source_text,
-        measure_text=getattr(req.mu, "source_text", ""),
+        measure_text=req.mu.source_text,
         p=req.p,
         eps=eps,
         M=M,

@@ -4,10 +4,11 @@ A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
 Each kind checks its own parameters, and that their floats are finite,
 when it is built, with the ``MeasureSpecError`` that the measure grammar
-prints. Each density kind has one distribution function, ``cdf_arr``;
-interval masses go through it, while atoms are counted exactly. The
-normal CDF is libm's ``math.erf``, taken point by point: it only ever
-sees a few interval ends. Each kind also states its ``variation``:
+prints. Each density kind has one distribution function, ``cdf_arr``,
+and ``BorelMeasure.cdf_arr`` adds the atoms' steps to their weighted sum.
+No step of the pipeline reads a distribution function; the tests take
+interval masses and sampling oracles from them. The normal CDF is libm's
+``math.erf``, taken point by point. Each kind also states its ``variation``:
 the jumps of its density and a bound on the variation between them, from
 which ``norms.wave_norm_bound`` bounds the wave term in closed form, and
 its ``spans``, its one support method: sorted disjoint float (a, b)
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import IntervalUnion, as_rational
+from .intervals import as_rational
 
 _SQRT2 = math.sqrt(2.0)
 # largest float below 1: keeps ndtri and log1p finite at the top end
@@ -568,23 +569,6 @@ class BorelMeasure:
         for w, kind in self.parts:
             acc += float(w) * kind.cdf_arr(xs)
         return acc
-
-    # -- interval masses ----------------------------------------------------
-
-    def measure_of(self, s: IntervalUnion):
-        """Mass of a normal-form interval union (float).
-
-        Atoms are counted exactly; each part takes its cdf_arr at all
-        interval ends at once.
-        """
-        ivs = s.intervals
-        mass = float(sum(m for loc, m in self.atoms
-                         if any(iv.contains(loc) for iv in ivs)))
-        ends = np.array([float(e) for iv in ivs for e in (iv.lo, iv.hi)])
-        for w, kind in self.parts:
-            c = kind.cdf_arr(ends)
-            mass += float(w) * math.fsum(c[1::2] - c[0::2])
-        return mass
 
     # -- sampling -----------------------------------------------------------
 

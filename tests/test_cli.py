@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -1017,6 +1018,14 @@ def test_cli_import_leaves_scipy_out():
     run = run_python("-c", "import sys, sensapprox.cli; print('scipy' in sys.modules)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_public_api_is_all():
+    # a stale or duplicate __all__ entry, or a public name left out of it
+    public = {name for name, value in vars(sensapprox).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(sensapprox.__all__)) == len(sensapprox.__all__)
+    assert public == set(sensapprox.__all__)
 
 
 def test_main_builds_the_parser_once():

@@ -6,16 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from sensapprox.approx import ApproxRequest
 from sensapprox.funcspace import SensitiveApproximant, StepFunction, TriangleWave, build_zigzag
-from sensapprox.intervals import (
-    Interval,
-    IntervalUnion,
-    as_rational,
-    closed_interval,
-    open_interval,
-    point,
-)
+from sensapprox.intervals import as_rational
 from sensapprox.measures import BorelMeasure, Uniform
 from sensapprox.parsing import parse_target, thresholds
+
+from paper_route import Interval, IntervalUnion, closed_interval, open_interval, point
 
 
 class TestAsRational:
