@@ -156,11 +156,12 @@ def build_step_approximation(req: ApproxRequest, target_err):
     *Numer. Math.* 2004). The certificate is a quadrature of tolerance
     ``req.quadrature_tolerance``; sensitize sets target_err.
 
-    The cells tile the dyadic hull of every part's spans at the outer
-    tail of the quadrature, ``norms.TAILS[-1]`` (its window less the pwd
-    cells of density 0), starting from about 16 cells of one power-of-two
-    width, each cut at the target's if() thresholds inside it. The spans merge
-    into disjoint pieces, and a first cell that reaches into two pieces
+    The pieces are ``BorelMeasure.spans`` at the outer tail of the
+    quadrature, ``norms.TAILS[-1]``: every part's spans there (its window
+    less the pwd cells of density 0), merged into sorted disjoint pieces.
+    The cells tile the dyadic hull of the pieces, starting from about 16
+    cells of one power-of-two width, each cut at the target's if()
+    thresholds inside it, and a first cell that reaches into two pieces
     is halved until it meets one. A cell's value is the
     target at the midpoint of the cell's part inside its piece, rounded to
     a multiple of a power of two that costs at most target_err / 128 in
@@ -175,12 +176,7 @@ def build_step_approximation(req: ApproxRequest, target_err):
     f = target_evaluator(req.target)
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
-    pieces = []  # the spans, merged into sorted disjoint pieces
-    for a, b in sorted(span for _, kind in parts for span in kind.spans(norms.TAILS[-1])):
-        if pieces and a <= pieces[-1][1]:
-            pieces[-1][1] = max(pieces[-1][1], b)
-        else:
-            pieces.append([a, b])
+    pieces = req.mu.spans(norms.TAILS[-1])
     # piece lower ends, padded so that "the piece after k" always exists
     lows = np.array([a for a, _ in pieces] + [math.inf, math.inf])
     highs = np.array([b for _, b in pieces])
@@ -216,8 +212,7 @@ def build_step_approximation(req: ApproxRequest, target_err):
 
         def g(xs):
             step = v[np.searchsorted(a, xs, side="right") - 1]
-            with np.errstate(over="ignore"):  # an inf fails _simpson_pair's check
-                d = np.abs(f(xs) - step) ** p
+            d = norms.abs_pow(f(xs) - step, p)
             d[d > outlier] *= 1e6
             return d * sum(w * kind.pdf_arr(xs) for w, kind in parts)
         return v, norms._simpson_pair(g, a, b)[0]

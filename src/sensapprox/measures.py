@@ -14,7 +14,9 @@ which ``norms.wave_norm_bound`` bounds the wave term in closed form, and
 its ``spans``, its one support method: sorted disjoint float (a, b)
 with mass at most ``tail`` on each side, less the pwd cells where the
 density is identically 0, the only places where quadrature evaluates a
-target; their hull bounds the tail rings and ``essential_window``.
+target; their hull bounds the tail rings. ``BorelMeasure.spans`` merges
+the parts' spans into sorted disjoint pieces: the grid route's pieces,
+and the hull from which ``essential_window`` is taken.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. 2). The uniforms come one cache-sized block at a
@@ -641,19 +643,32 @@ class BorelMeasure:
 
     # -- support window ------------------------------------------------------
 
+    def spans(self, tail):
+        """The parts' spans at tail, merged into sorted disjoint float
+        (a, b): each part has mass at most its weight times tail on each
+        side of their hull, and the pwd cells of density 0 are left out.
+        An atoms-only measure has none."""
+        out = []
+        for a, b in sorted(span for _, kind in self.parts for span in kind.spans(tail)):
+            if out and a <= out[-1][1]:  # (a, b) meets the last piece: they join
+                a, b = out[-1][0], max(out.pop()[1], b)
+            out.append((a, b))
+        return out
+
     def essential_window(self, delta):
         """Finite (a, b) with mass outside at most delta: the hull of the
-        atoms and of each part's spans(t), t = min(delta / (2 W), 1/4),
-        where W is the parts' weight. A unit part has mass at most t on
-        each side of the hull of its spans, so the mass outside is at most
-        2 t W <= delta. A pwd's spans leave out its cells of density 0, so
-        its hull ends at its outermost cells of nonzero density."""
+        atoms and of ``spans(t)``, t = min(delta / (2 W), 1/4), where W is
+        the parts' weight, or of the atoms alone where W is 0. A unit part
+        has mass at most t on each side of the hull of its spans, so the
+        mass outside is at most 2 t W <= delta. A pwd's spans leave out
+        its cells of density 0, so its hull ends at its outermost cells of
+        nonzero density."""
         if not 0 < delta < float(self.total_mass):
             raise ValueError("delta must lie in (0, total_mass)")
         ends = [float(loc) for loc, _ in self.atoms]
         weight = float(sum(w for w, _ in self.parts))
-        for _, kind in self.parts:
-            spans = kind.spans(min(delta / (2.0 * weight), 0.25))
+        if weight > 0:
+            spans = self.spans(min(delta / (2.0 * weight), 0.25))
             ends += (spans[0][0], spans[-1][1])
         a, b = min(ends), max(ends)
         pad = max(1e-9, 1e-9 * (abs(a) + abs(b)))

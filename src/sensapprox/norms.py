@@ -105,6 +105,19 @@ def _adaptive(g, pieces, budget):
 TAILS = (1e-6, 1e-9, 1e-12)
 
 
+def abs_pow(d, p, out=None):
+    """|d|^p, inf past the float range, with no warning: the one p-th power
+    of the quadrature, the grid route's estimate and the Monte Carlo fold.
+    It is np.abs, then the in-place ``**=``, so that at p = 2 it is numpy's
+    square. It writes into ``out``, which may be d itself, or else into a
+    new array. Pass ``out`` only for an array of one's own: the float plan
+    of the target x returns the very points it is given."""
+    out = np.abs(d, out=out)
+    with np.errstate(over="ignore"):  # an inf fails every check downstream
+        out **= p
+    return out
+
+
 def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
     """(integral |f|^p d mu)^(1/p) with an a posteriori error bound.
 
@@ -120,17 +133,12 @@ def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     budget = tol**p
-
-    def power(xs):
-        with np.errstate(over="ignore"):  # an inf fails _simpson_pair's check
-            return np.abs(f(xs)) ** p
-
     knots = np.concatenate((np.asarray(knots, dtype=float),
                             [float(x) for x in mu.density_breakpoints()]))
     total = err = 0.0
     for loc, m in mu.atoms:
         try:
-            total += float(m) * float(power(np.array([float(loc)]))[0])
+            total += float(m) * float(abs_pow(f(np.array([float(loc)])), p)[0])
         except EvaluationError as exc:
             raise NonIntegrableError(f"integrand evaluation failed at atom {loc}: {exc}") from exc
 
@@ -141,7 +149,7 @@ def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
 
         def g(xs, _k=kind, _w=wf):
             try:
-                return power(xs) * _w * _k.pdf_arr(xs)
+                return abs_pow(f(xs), p) * _w * _k.pdf_arr(xs)
             except EvaluationError as exc:
                 raise NonIntegrableError(f"integrand evaluation failed: {exc}") from exc
 
@@ -198,8 +206,7 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     # an overflow leaves the estimate inf or nan, which passes no check
     with np.errstate(over="ignore", invalid="ignore"):
         for z in mu.sample_blocks(n, seed):
-            np.abs(f(z), out=z)
-            z **= p  # the same power as |f|^p: square at p = 2
+            abs_pow(f(z), p, out=z)
             k = z.size
             z_mean = float(z.mean())
             z -= z_mean

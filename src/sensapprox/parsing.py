@@ -147,15 +147,15 @@ def _tokenize(text):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or not text[j].isdecimal():
                     raise ParseError("malformed number", i)
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             tokens.append(("num", text[i:j], i))
             i = j

@@ -4,8 +4,6 @@ Each criterion prints a single PASS/FAIL line on the real stdout so the
 gate is readable straight from the pytest log.
 """
 
-import math
-import sys
 from fractions import Fraction
 
 import numpy as np

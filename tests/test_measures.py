@@ -493,6 +493,31 @@ class TestEssentialWindow:
         a, b = mu.essential_window(0.1)
         assert a < 5 < b
 
+    def test_weightless_parts_give_the_atoms_hull(self):
+        mu = BorelMeasure(atoms=[(0, 1)], parts=[(0, Uniform(0, 1))])
+        assert mu.essential_window(0.5) == (-1e-09, 1e-09)
+
+
+class TestMeasureSpans:
+    @pytest.mark.parametrize("text, want", [
+        ("mix(0.5*normal(0,1), 0.5*uniform(0,1))", "normal"),
+        ("mix(0.5*uniform(0,1), 0.5*uniform(2,3))", [(0.0, 1.0), (2.0, 3.0)]),
+        ("mix(0.5*uniform(1,2), 0.5*uniform(0,1))", [(0.0, 2.0)]),
+        ("pwd(breaks(0,1,2,3), poly(0.5), poly(0), poly(0.5))", [(0.0, 1.0), (2.0, 3.0)]),
+        ("mix(0.5*atom(5), 0.5*pwd(breaks(-1,0,1), poly(0), poly(1)))", [(0.0, 1.0)]),
+        ("mix(0.5*atom(0), 0.25*atom(3))", []),
+    ])
+    @pytest.mark.parametrize("tail", norms.TAILS)
+    def test_pieces_merge_the_parts_spans(self, text, want, tail):
+        """Sorted disjoint pieces: overlapping or touching spans join, a
+        pwd cell of density 0 is a gap, and atoms have no spans."""
+        mu = measure(text)
+        got = mu.spans(tail)
+        if want == "normal":
+            want = Normal(0, 1).spans(tail)
+        assert got == want
+        assert all(a < b < c for (a, b), (c, _) in zip(got, got[1:]))
+
 
 class TestInvariants:
     @settings(deadline=None, max_examples=50)

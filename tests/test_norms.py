@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +33,35 @@ TENT = "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))"
 
 def const(c):
     return lambda xs: np.full(np.shape(xs), float(c))
+
+
+class TestAbsPow:
+    VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 0.3, -1.0, 1.5, -7.25, 1e-200,
+                       1e308, -1e308])
+
+    @pytest.mark.parametrize("p", [1, 2, 2.0, 0.5, 2.5, 1000])
+    def test_is_numpy_power_of_abs_bit_for_bit(self, p):
+        with np.errstate(over="ignore"):
+            want = np.abs(self.VALUES) ** p
+        assert norms.abs_pow(self.VALUES, p).tobytes() == want.tobytes()
+
+    def test_overflow_is_inf_with_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norms.abs_pow(np.array([1e200, -1e308, -10.0]), 2)
+        assert got.tolist() == [math.inf, math.inf, 100.0]
+
+    def test_writes_into_out_and_returns_it(self):
+        d = np.array([-3.0, 2.0])
+        out = np.empty(2)
+        assert norms.abs_pow(d, 2, out=out) is out
+        assert out.tolist() == [9.0, 4.0] and d.tolist() == [-3.0, 2.0]
+        assert norms.abs_pow(d, 3, out=d) is d and d.tolist() == [27.0, 8.0]
+
+    def test_without_out_the_input_is_unchanged(self):
+        d = np.array([-3.0, 2.0])
+        got = norms.abs_pow(d, 2)
+        assert got is not d and got.tolist() == [9.0, 4.0] and d.tolist() == [-3.0, 2.0]
 
 
 class TestLpNorm:

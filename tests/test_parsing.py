@@ -77,6 +77,18 @@ class TestParseTarget:
         with pytest.raises(ParseError, match="unknown identifier"):
             parse_target("foo(x)")
 
+    @pytest.mark.parametrize("parse, text, message, offset", [
+        (parse_target, "\u00b2", "unexpected character '\u00b2'", 0),
+        (parse_target, "x+1.\u00b2", "malformed number", 2),
+        (parse_measure, "uniform(0,\u00b2)", "unexpected character '\u00b2'", 10),
+    ])
+    def test_a_digit_that_is_not_decimal_is_a_parse_error(self, parse, text, message, offset):
+        """str.isdigit() takes a superscript two, which Fraction does not
+        read; the tokenizer reads the decimal digits only, in both grammars."""
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == f"{message} (offset {offset})" and e.value.offset == offset
+
     def test_arity_mismatch(self):
         with pytest.raises(ParseError, match="argument"):
             parse_target("sin(x, 1)")
