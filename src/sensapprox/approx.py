@@ -102,11 +102,17 @@ class Certificate:
 # Moment hypothesis check
 
 
+def target_norm(target: TargetFunction, mu: BorelMeasure, p, tol):
+    """lp_norm of target over mu, with its if() thresholds among the knots,
+    so a jump there is a cell end, as in the grid route's first cells."""
+    return norms.lp_norm(target_evaluator(target), mu, p, tol,
+                         knots=[float(t) for t in thresholds(target)])
+
+
 def check_finite_moment(req: ApproxRequest):
     """Flag targets whose p-th moment estimate diverges; cannot prove it."""
-    f = target_evaluator(req.target)
     try:
-        norms.lp_norm(f, req.mu, req.p, tol=1e-3)
+        target_norm(req.target, req.mu, req.p, 1e-3)
     except NonIntegrableError as exc:
         raise NonFiniteMomentError(
             f"target appears to have non-finite {req.p}-th moment: {exc}"
@@ -330,7 +336,7 @@ def sensitize(req: ApproxRequest):
 
     Y = SensitiveApproximant(phi0=phi0, scale=scale, wave=wave,
                              eps=eps, M=M, p=req.p)
-    endpoints = phi0.held_endpoints()
+    endpoints = phi0.endpoints()
     if endpoints:
         w_lo = as_rational(endpoints[0]) - 1
         w_hi = as_rational(endpoints[-1]) + 1

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import approx, norms
 from .funcspace import SensitiveApproximant, StepFunction, TriangleWave
-from .intervals import uniform_grid_floats
+from .intervals import as_rational, uniform_grid_floats
 from .measures import BorelMeasure
 from .parsing import (
     EvaluationError,
@@ -75,12 +75,39 @@ def _pair(x) -> str:
     return "%d/%d" % x.as_integer_ratio()
 
 
+def _unpair(text, seen):
+    """The number of a certificate's row string, the inverse of _pair:
+    "n/d" of decimal digits is the float n / d where that float is exact,
+    and Fraction(n, d) otherwise, such as "3/10"; any other form, "0.5" or
+    "4 / 8", and "1/0" go through as_rational. A certificate's rows repeat
+    their shared ends and many values, so each distinct string is looked
+    up in and added to seen, and read, and its Fraction built, once."""
+    num = seen.get(text)
+    if num is None:
+        n, _, d = text.partition("/")
+        # int() reads the decimal digits that Fraction(str) reads
+        if d.isdecimal() and (n[1:] if n[:1] == "-" else n).isdecimal() and int(d):
+            n, d = int(n), int(d)
+            try:
+                num = n / d
+                a, c = num.as_integer_ratio()
+                exact = a * d == n * c
+            except OverflowError:  # n / d is past the float range
+                exact = False
+            if not exact:
+                num = Fraction(n, d)
+        else:
+            num = as_rational(text)
+        seen[text] = num
+    return num
+
+
 def _rows(phi0: StepFunction):
     """The certificate rows of phi0, written from its held numbers: the
     terms as (lower, upper, value) and the exceptions as (point, value)
     strings, each tuple in the sorted order of its keys."""
-    return ([(_pair(lo), _pair(hi), _pair(v)) for v, lo, hi in phi0.held_terms()],
-            [(_pair(p), _pair(v)) for p, v in phi0.held_exceptions()])
+    return ([(_pair(lo), _pair(hi), _pair(v)) for v, lo, hi in phi0.terms],
+            [(_pair(p), _pair(v)) for p, v in phi0.exceptions])
 
 
 def _fields(cert: approx.Certificate) -> dict:
@@ -186,10 +213,12 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
         # str() of each field: a JSON number reads as its decimal, while
         # true, null or a list is no rational; write_certificate emits the
         # rows in order, so one out of order is an error
+        seen = {}
         phi0 = StepFunction(
-            terms=[(str(t["value"]), str(t["lower"]), str(t["upper"]))
-                   for t in data["phi0"]],
-            exceptions=[(str(e["point"]), str(e["value"])) for e in data["exceptions"]],
+            terms=[(_unpair(str(t["value"]), seen), _unpair(str(t["lower"]), seen),
+                    _unpair(str(t["upper"]), seen)) for t in data["phi0"]],
+            exceptions=[(_unpair(str(e["point"]), seen), _unpair(str(e["value"]), seen))
+                        for e in data["exceptions"]],
         )
         scale = _parse_fraction(str(data["scale"]), "scale")
         wave = TriangleWave(b=data["b"])
@@ -295,7 +324,7 @@ def cmd_norm(args) -> int:
     target = parse_target(args.target)
     mu = BorelMeasure.from_spec(parse_measure(args.measure))
     # lp_norm rejects a tol that is no positive finite number
-    est = norms.lp_norm(target_evaluator(target), mu, _parse_p(args.p), float(args.tol))
+    est = approx.target_norm(target, mu, _parse_p(args.p), float(args.tol))
     print(f"value={est.value!r} bound={est.absolute_error_bound!r}")
     return EXIT_OK
 

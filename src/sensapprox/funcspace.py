@@ -1,23 +1,23 @@
 """Step functions, the triangle wave, and the approximant phi0 + s * wave.
 
 Every breakpoint, value, scale and slope is exact; a float input is its
-exact binary value, as ``as_rational`` reads it. A step function holds
-each of its numbers as the Python number that holds it exactly: a finite
-float stays a float (-0.0 as 0.0), a certificate's "n/d" string is the
-float n / d where that is exact and a Fraction otherwise, and any other
-input is as_rational's Fraction; the open ends of the line are the
-floats ±inf and the zero value is 0. Python compares a float, an int and
-a Fraction exactly, so the step function checks and orders its terms
+exact binary value, as ``as_rational`` reads it. A step function takes
+numbers and holds each as the Python number that holds it exactly: a
+finite float stays a float (-0.0 as 0.0), and any other input is
+as_rational's Fraction; the open ends of the line are the floats ±inf
+and the zero value is 0. It reads no certificate text: the CLI decodes
+a certificate's "n/d" rows into numbers. Python compares a float, an int
+and a Fraction exactly, so the step function checks and orders its terms
 into one table of breakpoints and values, and reads its exact values,
 its sup norm and its endpoints off the wave lattice from that table, by
-plain comparisons; it builds a Fraction of a held float only on a
-request for one, and a certificate's rows are written from the held
-numbers. Rounded floats of its numbers appear only in the vectorized
-evaluators for quadrature, Monte Carlo and plots. A step function is
-zero outside its intervals and at their endpoints, except at its
-(point, value) exceptions, of which it keeps only those that change the
-function. It has one constructor, built in one walk over its terms,
-which must arrive sorted and disjoint, in linear time.
+plain comparisons. Its accessors hand back the numbers it holds; it
+builds a Fraction of a held float only where a query returns one: eval,
+sup_norm and nondiff_points. Rounded floats of its numbers appear only
+in the vectorized evaluators for quadrature, Monte Carlo and plots. A
+step function is zero outside its intervals and at their endpoints,
+except at its (point, value) exceptions, of which it keeps only those
+that change the function. It has one constructor, built in one walk over
+its terms, which must arrive sorted and disjoint, in linear time.
 """
 
 from __future__ import annotations
@@ -98,50 +98,15 @@ def build_zigzag(eps, M) -> TriangleWave:
 # Step functions
 
 
-def _number(x, seen):
+def _number(x, ends=False):
     """x as the Python number that holds it exactly: the number that
-    as_rational reads. A finite float stays itself, with -0.0 held as 0.0.
-    A string "n/d" of decimal digits, as a certificate writes it, is the
-    float n / d where that float is exact, and Fraction(n, d) otherwise,
-    such as "3/10"; it is looked up in and added to seen, as a
-    certificate's rows repeat their shared ends and many values, so each
-    distinct string is read, and its Fraction built, once. Any other input
-    is as_rational's Fraction, which raises on NaN and the infinities."""
-    if isinstance(x, float) and math.isfinite(x):
+    as_rational reads. A finite float stays itself, with -0.0 held as 0.0,
+    and with ends, so does a float infinity, an open end of the line. Any
+    other input is as_rational's Fraction, which raises on NaN and, but
+    for ends, on the infinities."""
+    if isinstance(x, float) and (math.isfinite(x) or ends and math.isinf(x)):
         return x + 0.0
-    if type(x) is not str:
-        return as_rational(x)
-    num = seen.get(x)
-    if num is None:
-        n, _, d = x.partition("/")
-        # int() reads the decimal digits that Fraction(str) reads; any
-        # other form, "0.5" or "4 / 8", and "1/0" go through as_rational
-        if d.isdecimal() and (n[1:] if n[:1] == "-" else n).isdecimal() and int(d):
-            n, d = int(n), int(d)
-            try:
-                num = n / d
-                a, c = num.as_integer_ratio()
-                exact = a * d == n * c
-            except OverflowError:  # n / d is past the float range
-                exact = False
-            if not exact:
-                num = Fraction(n, d)
-        else:
-            num = as_rational(x)
-        seen[x] = num
-    return num
-
-
-def _end(x, seen):
-    """_number, letting the infinite ends of the line through as ±inf."""
-    if isinstance(x, float) and math.isinf(x):
-        return x
-    return _number(x, seen)
-
-
-def _exact(x):
-    """The exact value of a held number: a Fraction, or a float infinity."""
-    return as_rational(x, ends=True)
+    return as_rational(x)
 
 
 class StepFunction:
@@ -155,26 +120,24 @@ class StepFunction:
     exceptions that change nothing give an equal step function.
 
     Every input number is held as the Python number that holds it
-    exactly (see _number): a float, as the grid route's cells arrive, stays
-    a float, and a canonical "n/d" string, as a certificate stores it, is
-    the float n / d where that is exact, so most rows build no Fraction; a
-    number with no float, such as "3/10", is one Fraction per distinct
-    string. An open end of the line is a float infinity. The terms are
-    checked and the breakpoints found on the held numbers, which Python
-    compares exactly, in one walk that compares each term only with the
-    end of the one before it: a term that starts before that end is out
-    of order or overlaps, and raises. The walk gives the breakpoint table:
-    the breakpoints, and the values of region 0, breakpoint 0, region 1,
-    ..., the last region, where region k is the open cell left of
-    breakpoint k (the last one runs to +inf) and the value at a breakpoint
-    is 0 unless an exception overrides it. An exception is kept, and
-    written into the table, where the table's value at its point differs;
-    ``eval`` reads the same table. Its float copy behind ``eval_arr`` is
-    each entry's float, n / d of a Fraction, which Python rounds
-    correctly. ``terms``, ``exceptions`` and ``endpoints()`` build their
-    Fractions from the held numbers on each call, through _exact; neither
-    ``sensitize``, which reads the held numbers and floats, nor Monte Carlo
-    evaluation calls them.
+    exactly (see _number): a float, as the grid route's cells and a
+    certificate's dyadic rows arrive, stays a float, and any other number
+    is one Fraction. An open end of the line is a float infinity. The
+    terms are checked and the breakpoints found on the held numbers, which
+    Python compares exactly, in one walk that compares each term only with
+    the end of the one before it: a term that starts before that end is
+    out of order or overlaps, and raises. The walk gives the breakpoint
+    table: the breakpoints, and the values of region 0, breakpoint 0,
+    region 1, ..., the last region, where region k is the open cell left
+    of breakpoint k (the last one runs to +inf) and the value at a
+    breakpoint is 0 unless an exception overrides it. An exception is
+    kept, and written into the table, where the table's value at its
+    point differs; ``eval`` reads the same table. Its float copy behind
+    ``eval_arr`` is each entry's float, n / d of a Fraction, which Python
+    rounds correctly. ``terms``, ``exceptions`` and ``endpoints()`` hand
+    back the held numbers and convert nothing; equality and the hash read
+    them too, as Python's == and hash agree across a float and an equal
+    Fraction.
 
     The float breakpoints end in a NaN, which sorts after every float and
     equals none, so the index that ``searchsorted`` returns always selects
@@ -187,21 +150,21 @@ class StepFunction:
     __slots__ = ("_terms", "_exc", "_pts", "_vals", "_pts_f", "_runs", "_region", "_point")
 
     def __init__(self, terms=(), exceptions=()):
-        rows, seen = [], {}
+        rows = []
         for value, lo, hi in terms:
-            v = _number(value, seen)
-            lo_n = _end(lo, seen)
-            hi_n = _end(hi, seen)
+            v = _number(value)
+            lo_n = _number(lo, ends=True)
+            hi_n = _number(hi, ends=True)
             if not lo_n < hi_n:
                 raise ValueError(f"interval requires lo < hi, got ({lo}, {hi})")
             if v:
                 rows.append((v, lo_n, hi_n))
         pts, vals = _walk_terms(rows)
-        exc = sorted(((_number(pt, seen), _number(value, seen)) for pt, value in exceptions),
+        exc = sorted(((_number(pt), _number(value)) for pt, value in exceptions),
                      key=lambda e: e[0])
         for (p1, _), (p2, _) in zip(exc, exc[1:]):
             if p1 == p2:
-                raise ValueError(f"duplicate exception point {_exact(p1)}")
+                raise ValueError(f"duplicate exception point {as_rational(p1)}")
 
         kept = []
         for p, v in exc:
@@ -214,9 +177,9 @@ class StepFunction:
                 pts.insert(k // 2, p)
                 vals[k + 1:k + 1] = [v, vals[k]]
             kept.append((p, v))
-        self._terms = rows
-        self._exc = kept
-        self._pts = pts
+        self._terms = tuple(rows)
+        self._exc = tuple(kept)
+        self._pts = tuple(pts)
         self._vals = vals
         # float() of a Fraction is n / d, which Python rounds correctly
         self._pts_f = np.array(pts + [math.nan], dtype=float)
@@ -231,52 +194,40 @@ class StepFunction:
 
     @property
     def terms(self):
-        return tuple((_exact(v), _exact(lo), _exact(hi)) for v, lo, hi in self._terms)
+        """The held (value, lo, hi) numbers; an infinite end is a float
+        infinity."""
+        return self._terms
 
     @property
     def exceptions(self):
-        return tuple((_exact(p), _exact(v)) for p, v in self._exc)
+        """The held (point, value) numbers."""
+        return self._exc
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StepFunction)
-            and self.terms == other.terms
-            and self.exceptions == other.exceptions
-        )
+        return (isinstance(other, StepFunction)
+                and (self._terms, self._exc) == (other._terms, other._exc))
 
     def __hash__(self):
-        return hash((self.terms, self.exceptions))
+        return hash((self._terms, self._exc))
 
     def __repr__(self):
-        return f"StepFunction(terms={self.terms!r}, exceptions={self.exceptions!r})"
+        return f"StepFunction(terms={self._terms!r}, exceptions={self._exc!r})"
 
     # -- queries -------------------------------------------------------------
 
     def eval(self, x) -> Fraction:
         """The exact value at x, a float taken as its exact binary value,
         read from the breakpoint table."""
-        return _exact(self._vals[_slot(self._pts, _number(x, {}))])
+        return as_rational(self._vals[_slot(self._pts, _number(x))])
 
     def endpoints(self):
-        """Finite interval endpoints plus exception points, sorted."""
-        return tuple(_exact(p) for p in self._pts)
-
-    def held_endpoints(self):
-        """endpoints() as the held numbers: floats and Fractions."""
-        return list(self._pts)
+        """Finite interval endpoints plus exception points, sorted, as the
+        held numbers."""
+        return self._pts
 
     def endpoint_floats(self):
         """float(x) of each of endpoints(), as an array."""
         return self._pts_f[:-1]
-
-    def held_terms(self):
-        """terms as the held (value, lo, hi) numbers; an infinite end is a
-        float infinity."""
-        return list(self._terms)
-
-    def held_exceptions(self):
-        """exceptions as the held (point, value) numbers."""
-        return list(self._exc)
 
     def sup_norm(self) -> Fraction:
         """The largest |value| in the table: one Fraction."""
@@ -391,7 +342,7 @@ class SensitiveApproximant:
     def _endpoints_off_lattice(self, lo, hi):
         """phi0 endpoints inside the open window that are not j/b, sorted,
         as the held numbers n/d: n b is no multiple of d."""
-        pts = self.phi0.held_endpoints()
+        pts = self.phi0.endpoints()
         inside = pts[bisect.bisect_right(pts, as_rational(lo)):
                      bisect.bisect_left(pts, as_rational(hi))]
         b = self.wave.b
@@ -414,7 +365,7 @@ class SensitiveApproximant:
         """phi0 endpoints plus wave lattice inside the open window, sorted."""
         # two disjoint sorted runs: the sort only merges them
         return sorted(self.wave.lattice_points(lo, hi)
-                      + [_exact(x) for x in self._endpoints_off_lattice(lo, hi)])
+                      + [as_rational(x) for x in self._endpoints_off_lattice(lo, hi)])
 
     def nondiff_floats(self, lo, hi):
         """float(x) of each of nondiff_points(lo, hi), in order, with each

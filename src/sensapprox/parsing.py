@@ -538,12 +538,15 @@ def thresholds(f: TargetFunction):
             for var, c in ((test.left, test.right), (test.right, test.left)):
                 if isinstance(var, Var):
                     # the exact plan raises at x=None on x in c and where c
-                    # is undefined, and as_rational on a c past the float
-                    # range (±inf), which lies past every cell end
+                    # is undefined, and as_rational on a float ±inf; a c
+                    # whose float is ±inf, such as 2^1024 held as a
+                    # Fraction, lies past every cell end and has no knot
                     try:
-                        out.add(as_rational(_compile(c, _EXACT)(None)))
+                        t = as_rational(_compile(c, _EXACT)(None))
                     except ValueError:
-                        pass
+                        continue
+                    if math.isfinite(_to_float(t)):
+                        out.add(t)
             stack += (test.left, test.right, node.if_true, node.if_false)
         elif not isinstance(node, (Num, Var)):
             stack += _operation(node)[1]

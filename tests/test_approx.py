@@ -238,10 +238,10 @@ class TestBuildStepApproximation:
         for (v, lo, hi), nxt in zip(phi0.terms, phi0.terms[1:] + ((0, math.inf, 0),)):
             assert lo < hi <= nxt[1]  # sorted and disjoint
             for q in {v, lo, hi}:
-                d = q.denominator
+                d = Fraction(q).denominator
                 assert d & (d - 1) == 0, (q, lo, hi)
             # a multiple of 2^-k, k the least with 2^-k mass^(1/p) <= target_err / 64
-            assert v.denominator * target_err < 128 * root
+            assert Fraction(v).denominator * target_err < 128 * root
         # next to no mass lies where one draw could fail a Monte Carlo check
         # of 1000 draws on its own: |target - phi0|^p > 1000 target_err^p
         ends = [e for _, kind in req.mu.parts for span in kind.spans(1e-12) for e in span]

@@ -15,6 +15,7 @@ from sensapprox import funcspace, norms
 from sensapprox.approx import ApproxRequest, Certificate, sensitize
 from sensapprox.cli import (
     CorruptCertificate,
+    _unpair,
     build_parser,
     certificate_to_dict,
     main,
@@ -23,6 +24,7 @@ from sensapprox.cli import (
     write_certificate,
 )
 from sensapprox.funcspace import StepFunction
+from sensapprox.intervals import as_rational
 from sensapprox.measures import BorelMeasure
 from sensapprox.parsing import eval_target, eval_target_array, parse_measure, parse_target
 
@@ -163,18 +165,28 @@ class TestCertificateDecoding:
     def test_verify_builds_no_fractions_of_phi0(self, tmp_path, monkeypatch):
         Y, cert = make_certificate(target="x^2", mu="normal(0,1)")
         write_certificate(cert, tmp_path / "cert.json")
-        with monkeypatch.context() as m:
-            m.setattr(funcspace, "_exact", _no_fractions)
-            Y2 = reconstruct_approximant(certificate_to_dict(cert))
-            xs = np.linspace(-3, 3, 1001)
-            assert np.array_equal(Y2.eval_arr(xs), Y.eval_arr(xs))
-            assert main(["verify", "--cert", str(tmp_path / "cert.json"),
-                         "--samples", "1000"]) == 0
+        fractions = _count_float_fractions(monkeypatch)
+        Y2 = reconstruct_approximant(certificate_to_dict(cert))
+        xs = np.linspace(-3, 3, 1001)
+        assert np.array_equal(Y2.eval_arr(xs), Y.eval_arr(xs))
+        assert main(["verify", "--cert", str(tmp_path / "cert.json"),
+                     "--samples", "1000"]) == 0
+        assert Y2.phi0.terms == Y.phi0.terms
         assert Y2.phi0.endpoints() == Y.phi0.endpoints()
+        assert fractions == []
 
 
-def _no_fractions(num):
-    raise AssertionError(f"a Fraction of {num} was built")
+def _count_float_fractions(monkeypatch):
+    """A list that collects every float argument of funcspace's calls to
+    as_rational, each of which builds a Fraction of a float."""
+    floats = []
+
+    def counting(x, ends=False):
+        if isinstance(x, float):
+            floats.append(x)
+        return as_rational(x, ends)
+    monkeypatch.setattr(funcspace, "as_rational", counting)
+    return floats
 
 
 _point = st.fractions(min_value=-5, max_value=5, max_denominator=60)
@@ -263,8 +275,8 @@ def test_a_certificate_string_is_held_as_its_exact_number(n, d, k):
     q = Fraction(n, d)
     text = f"{n * k}/{d * k}"
     seen = {}
-    held = funcspace._number(text, seen)
-    assert held == q and funcspace._number(text, seen) is held
+    held = _unpair(text, seen)
+    assert held == q and _unpair(text, seen) is held
     try:
         is_float = float(q) == q
     except OverflowError:
@@ -272,8 +284,8 @@ def test_a_certificate_string_is_held_as_its_exact_number(n, d, k):
     assert (type(held) is float) == is_float
 
     def phi0():
-        return StepFunction(terms=[(text, text, f"{(n + d) * k}/{d * k}")],
-                            exceptions=[(text, text)])
+        return StepFunction(terms=[(held, held, _unpair(f"{(n + d) * k}/{d * k}", seen))],
+                            exceptions=[(held, held)])
     try:
         f, f1 = n / d, (n + d) / d
     except OverflowError:  # no float array can hold it
@@ -284,6 +296,22 @@ def test_a_certificate_string_is_held_as_its_exact_number(n, d, k):
         s = phi0()
         assert s._pts_f.tobytes() == np.array([f, f1, math.nan]).tobytes()
         assert s._runs.tobytes() == np.array([0.0, f, f, 0.0, 0.0]).tobytes()
+
+
+def test_the_accessors_hand_back_the_held_numbers():
+    """A float goes in and the same float comes out of terms, exceptions
+    and endpoints(); a certificate's "3/10", which no float holds, comes
+    back as a Fraction."""
+    s = StepFunction(terms=[(1.5, 0.25, 0.5)], exceptions=[(0.375, -2.0)])
+    held = s.terms[0] + s.exceptions[0] + s.endpoints()
+    assert held == (1.5, 0.25, 0.5, 0.375, -2.0, 0.25, 0.375, 0.5)
+    assert all(type(x) is float for x in held)
+    raw = certificate_to_dict(_certificate_of(StepFunction()))
+    raw["phi0"] = _rows(("1/1", "0/1", "3/10"))
+    phi0 = reconstruct_approximant(raw).phi0
+    assert phi0.terms == ((1.0, 0.0, Fraction(3, 10)),)
+    assert [type(x) for x in phi0.terms[0]] == [float, float, Fraction]
+    assert phi0.endpoints() == (0.0, Fraction(3, 10))
 
 
 def test_a_negative_zero_is_held_as_zero():
@@ -343,14 +371,18 @@ class TestCertificateWriter:
                                       {"point": "5/2", "value": "-2/1"}]
 
     def test_sensitize_builds_no_fractions_of_phi0(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(funcspace, "_exact", _no_fractions)
+        # the one Fraction of a held float is sup_norm's, for sup_bound
+        fractions = _count_float_fractions(monkeypatch)
         _, cert = make_certificate(target="x^2", mu="mix(0.3*atom(0.5), 0.7*normal(0,1))",
                                    p=2, eps="1/25", M=0)
         write_certificate(cert, tmp_path / "cert.json")
+        assert len(fractions) <= 1
+        fractions.clear()
         assert main(["sensitize", "--target", "x^2", "--measure",
                      "mix(0.3*atom(0.5), 0.7*normal(0,1))", "--p", "2", "--eps", "1/25",
                      "--M", "0", "--out", str(tmp_path / "cli.json")]) == 0
-        assert cert.phi0.held_exceptions() == [(Fraction(1, 2), Fraction(1, 4))]
+        assert len(fractions) <= 1
+        assert cert.phi0.exceptions == ((Fraction(1, 2), Fraction(1, 4)),)
 
 
 class TestSensitizeCommand:
@@ -375,6 +407,16 @@ class TestSensitizeCommand:
                      "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))", "--p", "1",
                      "--eps", "1/10", "--M", "0", "--out", str(out)]) == 0
         assert main(["verify", "--cert", str(out), "--samples", "100000"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
+    def test_a_threshold_past_the_float_range(self, tmp_path, capsys):
+        # the moment check and the grid route take no knot or cell end at
+        # 2^1024, which is past every float
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "if(x<2^1024,1,0)", "--measure",
+                     "uniform(0,1)", "--p", "1", "--eps", "1/10", "--M", "0",
+                     "--out", str(out)]) == 0
+        assert main(["verify", "--cert", str(out), "--samples", "10000"]) == 0
         assert capsys.readouterr().out.endswith("PASS\n")
 
     def test_verify_on_measure_of_mass_two(self, tmp_path, capsys):
@@ -815,6 +857,30 @@ class TestNormCommand:
             # at the default tolerance the Simpson pair of a quadratic reads
             # error 0, and the endpoint nudge leaves the value 1.4e-12 off
             assert abs(value - exact) <= bound
+
+    @pytest.mark.parametrize("target, measure, exact", [
+        ("if(x<0.3,1,0)", "uniform(0,1)", 0.3),
+        ("if(x<0.3,x,2)", "exponential(1)", 1 + 0.7 * math.exp(-0.3)),
+        ("if(x<1/3,1,0)", "uniform(0,1)", 1 / 3),
+    ])
+    def test_a_jump_at_an_if_threshold_is_a_knot(self, capsys, target, measure, exact):
+        # the quadrature cuts its segments at the threshold, so no Simpson
+        # segment straddles the jump there
+        assert main(["norm", "--target", target, "--measure", measure, "--p", "1"]) == 0
+        out = capsys.readouterr().out
+        value = float(out.split("value=")[1].split()[0])
+        bound = float(out.split("bound=")[1].split()[0])
+        assert abs(value - exact) <= bound
+
+    def test_a_threshold_past_the_float_range_is_no_knot(self, capsys):
+        # 2^1024 is an exact threshold that no float holds; x < 2^1024 is
+        # true on every float, so the indicator's norm is uniform's mass
+        assert main(["norm", "--target", "if(x<2^1024,1,0)", "--measure",
+                     "uniform(0,1)", "--p", "1"]) == 0
+        out = capsys.readouterr().out
+        value = float(out.split("value=")[1].split()[0])
+        bound = float(out.split("bound=")[1].split()[0])
+        assert abs(value - 1) <= bound
 
     def test_divergent_is_hypothesis_error(self, capsys):
         rc = main(["norm", "--target", "exp(x^2)", "--measure", "normal(0,1)",

@@ -489,6 +489,14 @@ class TestThresholds:
                      "if(x < sqrt(2)^1000000, 1, 0)", "if(x < 2^(1/2)*10^400, 1, 0)"):
             assert thresholds(parse_target(text)) == [], text
 
+    def test_an_exact_c_past_the_float_range_gives_nothing(self):
+        # 2^1024 and 10^400 are exact Fractions whose float would overflow;
+        # they lie past every float, so no knot or cell end is at them
+        for text in ("if(x < 2^1024, 1, 0)", "if(x > 0-10^400, 1, 0)",
+                     "if(10^400 <= x, 1, 0)"):
+            assert thresholds(parse_target(text)) == [], text
+        assert thresholds(parse_target("if(x < 2^1023, if(x < 1, 1, 0), 0)")) == [1, 2**1023]
+
     def test_a_c_past_the_size_limit_takes_bounded_time(self):
         # 3^(10^8) is the float inf, not an exact integer of 10^8 digits
         start = perf_counter()
