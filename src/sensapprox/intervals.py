@@ -12,16 +12,14 @@ import math
 from fractions import Fraction
 
 
-def as_rational(x, ends=False) -> Fraction:
+def as_rational(x) -> Fraction:
     """The one exact rational of an input number: a Fraction as is, an int
     exactly, a float as its exact binary value Fraction(x) (0.1 ->
     3602879701896397/2^55), a string, such as a decimal "0.1", as Fraction
-    reads it. NaN raises ValueError, and so does ±inf unless ends."""
+    reads it. NaN and ±inf raise ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float) and not math.isfinite(x):
-        if ends and math.isinf(x):
-            return x
         raise ValueError(f"expected a finite number, got {x!r}")
     return Fraction(x)
 

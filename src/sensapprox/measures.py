@@ -2,13 +2,20 @@
 
 A measure is a finite mixture of point atoms and absolutely continuous
 components (uniform, normal, exponential, piecewise-polynomial density).
-Each kind checks its own parameters, and that their floats are finite,
-when it is built, with the ``MeasureSpecError`` that the measure grammar
-prints. Each density kind has one distribution function, ``cdf_arr``,
-and ``BorelMeasure.cdf_arr`` adds the atoms' steps to their weighted sum.
-No step of the pipeline reads a distribution function; the tests take
-interval masses and sampling oracles from them. The normal CDF is libm's
-``math.erf``, taken point by point. Each kind also states its ``variation``:
+Each kind checks its own parameters, that their floats are finite, and
+that a uniform, a normal's mean +- stddev and each pwd cell have a
+positive float width, when it is built, with the ``MeasureSpecError``
+that the measure grammar prints. Each density kind has one distribution
+function, ``cdf_arr``, and ``BorelMeasure.cdf_arr`` adds the atoms'
+steps to their weighted sum. No step of the pipeline reads a
+distribution function; the tests take interval masses and sampling
+oracles from them. The normal CDF is libm's ``math.erf``, taken point by
+point. A pwd reads its coefficients once, into one table per cell: the
+exact Taylor coefficients at the cell's left end a, from which its mass,
+its nonnegativity proof and its spans follow, and their floats, the
+density and its antiderivative in t = x - a, from which ``pdf_arr``,
+``cdf_arr`` and the inverse are evaluated, so that a density far from 0
+does not cancel. Each kind also states its ``variation``:
 the jumps of its density and a bound on the variation between them, from
 which ``norms.wave_norm_bound`` bounds the wave term in closed form, and
 its ``spans``, its one support method: sorted disjoint float (a, b)
@@ -253,6 +260,8 @@ class Normal:
             raise MeasureSpecError(f"normal requires stddev > 0, got {self.std}")
         _check_floats("normal", "mean", self.mean)
         _check_floats("normal", "stddev", self.std, positive=True)
+        _check_floats("normal", "stddev at its mean",
+                      float(self.mean + self.std) - float(self.mean - self.std), positive=True)
 
     def cdf_arr(self, xs):
         z = np.asarray((xs - float(self.mean)) / float(self.std) / _SQRT2)
@@ -261,8 +270,9 @@ class Normal:
 
     def pdf_arr(self, xs):
         m, s = float(self.mean), float(self.std)
-        z = (xs - m) / s
-        return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
+        with np.errstate(over="ignore"):  # z or z * z past the float range: a density of 0
+            z = (xs - m) / s
+            return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
 
     def inv_cdf_arr(self, v):
         return float(self.mean) + float(self.std) * _ndtri(v)
@@ -353,7 +363,8 @@ class PiecewisePoly:
     """Density that is polynomial on each cell of a breakpoint grid.
 
     coeffs[i] are ascending-power coefficients of the density on
-    (breaks[i], breaks[i+1]). The breaks must strictly increase, there is
+    (breaks[i], breaks[i+1]); only ``__post_init__`` reads them, into the
+    cell table. The breaks must strictly increase, there is
     one piece per cell, the total integral must be exactly 1, and each
     piece is shown nonnegative on its cell in exact arithmetic
     (``_negative_point``), or rejected.
@@ -374,15 +385,19 @@ class PiecewisePoly:
             raise MeasureSpecError(f"pwd needs {n} poly pieces, got {len(self.coeffs)}")
         _check_floats("pwd", "breakpoint", *self.breaks)
         _check_floats("pwd", "coefficient", *sum(self.coeffs, ()))
-        # per cell: float ends, the float mass before it, the float
-        # antiderivative in t = x - a (descending powers, zero at t = 0, so
-        # cdf_arr adds small terms to the mass before the cell instead of
-        # cancelling large ones), and the exact Taylor coefficients d_k of
-        # the density at a + t, from which every exact fact of the cell
-        # follows: its mass sum_k d_k h^(k+1) / (k+1), with h = b - a, its
-        # Bernstein coefficients and its value sum_k d_k h^k at b
+        # the one polynomial table, per cell: float ends, the float mass
+        # before it, and in t = x - a, in descending powers, the float
+        # antiderivative (zero at t = 0, so cdf_arr adds small terms to the
+        # mass before the cell instead of cancelling large ones) and the
+        # float density, which pdf_arr and _cell_inv read (far from 0 it
+        # does not cancel, as the powers of x do); then the exact Taylor
+        # coefficients d_k of the density at a + t, from which every exact
+        # fact of the cell follows: its mass sum_k d_k h^(k+1) / (k+1), with
+        # h = b - a, its Bernstein coefficients and its value
+        # sum_k d_k h^k at b
         cells, before = [], Fraction(0)
         for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
+            _check_floats("pwd", "cell width", float(b) - float(a), positive=True)
             d = self._shifted(piece, a)
             x = _negative_point(self._bernstein(d, b - a), a, b) if d else None
             if x is _UNDECIDED:
@@ -393,8 +408,9 @@ class PiecewisePoly:
                 )
             if x is not None:
                 raise MeasureSpecError(f"pwd piece negative at x={float(x):g}")
+            dens = [float(c) for c in reversed(d)]
             anti = [float(c / (k + 1)) for k, c in reversed(list(enumerate(d)))] + [0.0]
-            cells.append((float(a), float(b), float(before), anti, d))
+            cells.append((float(a), float(b), float(before), anti, dens, d))
             before += sum(c * (b - a) ** (k + 1) / (k + 1) for k, c in enumerate(d))
         object.__setattr__(self, "_cells", tuple(cells))
         if before != 1:
@@ -420,7 +436,7 @@ class PiecewisePoly:
     def cdf_arr(self, xs):
         xs = np.asarray(xs, dtype=float)
         out = np.zeros_like(xs)
-        for af, bf, before, anti, _ in self._cells:
+        for af, bf, before, anti, _, _ in self._cells:
             out[xs >= af] = before
             inside = (xs > af) & (xs < bf)
             if inside.any():
@@ -430,11 +446,10 @@ class PiecewisePoly:
 
     def pdf_arr(self, xs):
         out = np.zeros_like(xs, dtype=float)
-        for (a, b), piece in zip(zip(self.breaks, self.breaks[1:]), self.coeffs):
-            mask = (xs > float(a)) & (xs <= float(b))
+        for af, bf, _, _, dens, _ in self._cells:
+            mask = (xs > af) & (xs <= bf)
             if mask.any():
-                cs = [float(c) for c in reversed(piece)]
-                out[mask] = np.polyval(cs, xs[mask])
+                out[mask] = np.polyval(dens, xs[mask] - af)
         return out
 
     def inv_cdf_arr(self, v):
@@ -448,13 +463,13 @@ class PiecewisePoly:
 
     def _cell_inv(self, i, t):
         """x in cell i whose mass from the cell's left end is t."""
-        af, bf, _, anti, d = self._cells[i]
-        if len(d) <= 2:
+        af, bf, _, anti, dens, _ = self._cells[i]
+        if len(dens) <= 2:
             # density d0 + c1*(x - a): a quadratic CDF, solved in the root
             # form that does not cancel, also where d0 = 0; in place,
             # because at 10^6 draws each temporary array is 8 MB
-            d0 = float(d[0])
-            c1 = float(d[1]) if len(d) == 2 else 0.0
+            d0 = dens[-1]
+            c1 = dens[0] if len(dens) == 2 else 0.0
             disc = 2.0 * c1 * t
             disc += d0 * d0
             np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
@@ -475,8 +490,7 @@ class PiecewisePoly:
         """The jump at every break; per cell, sum_{k>=1} |d_k| h^k bounds
         the integral of |density'|, with d_k the shifted coefficients."""
         jumps, rest, left = [], Fraction(0), Fraction(0)
-        for (a, b), cell in zip(zip(self.breaks, self.breaks[1:]), self._cells):
-            d = cell[4]
+        for (a, b), (*_, d) in zip(zip(self.breaks, self.breaks[1:]), self._cells):
             jumps.append((a, d[0] - left))
             rest += sum(abs(c) * (b - a) ** k for k, c in enumerate(d) if k)
             left = sum(c * (b - a) ** k for k, c in enumerate(d))
@@ -488,7 +502,7 @@ class PiecewisePoly:
         as float (a, b): the breakpoint range less the cells where the
         density, and so mu, is 0. There is no tail."""
         out = []
-        for af, bf, _, _, d in self._cells:
+        for af, bf, _, _, _, d in self._cells:
             if not any(d):
                 continue
             if out and out[-1][1] == af:

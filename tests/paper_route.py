@@ -29,6 +29,11 @@ import numpy as np
 from sensapprox.intervals import as_rational
 
 
+def _end(x):
+    """An interval end: ±inf as itself, any other number as_rational's."""
+    return x if x in (-math.inf, math.inf) else as_rational(x)
+
+
 @dataclass(frozen=True)
 class Interval:
     lo: object
@@ -37,8 +42,8 @@ class Interval:
     hi_closed: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_rational(self.lo, ends=True))
-        object.__setattr__(self, "hi", as_rational(self.hi, ends=True))
+        object.__setattr__(self, "lo", _end(self.lo))
+        object.__setattr__(self, "hi", _end(self.hi))
         if self.lo == -math.inf and self.lo_closed:
             raise ValueError("infinite endpoint must be open")
         if self.hi == math.inf and self.hi_closed:

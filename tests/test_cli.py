@@ -25,7 +25,7 @@ from sensapprox.cli import (
 )
 from sensapprox.funcspace import StepFunction
 from sensapprox.intervals import as_rational
-from sensapprox.measures import BorelMeasure
+from sensapprox.measures import BorelMeasure, MeasureSpecError, Normal, PiecewisePoly
 from sensapprox.parsing import eval_target, eval_target_array, parse_measure, parse_target
 
 
@@ -181,10 +181,10 @@ def _count_float_fractions(monkeypatch):
     as_rational, each of which builds a Fraction of a float."""
     floats = []
 
-    def counting(x, ends=False):
+    def counting(x):
         if isinstance(x, float):
             floats.append(x)
-        return as_rational(x, ends)
+        return as_rational(x)
     monkeypatch.setattr(funcspace, "as_rational", counting)
     return floats
 
@@ -790,6 +790,46 @@ NEGATIVE_PWD = "pwd(breaks(0,1,2), poly(0.0000375, -0.03, 3), poly(0.0149625))"
 def test_negative_pwd_density_is_input_error(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: pwd piece negative at x=")
+
+
+@pytest.mark.parametrize("build, spec, kind", [
+    (lambda: Normal(10**8, Fraction(1, 10**9)), "normal(100000000, 0.000000001)", "normal"),
+    (lambda: PiecewisePoly((10**8, 10**8 + Fraction(1, 10**9)), ((10**9,),)),
+     "pwd(breaks(100000000, 100000000.000000001), poly(1000000000))", "pwd"),
+], ids=["normal", "pwd"])
+def test_a_part_of_zero_float_width_is_input_error(tmp_path, capsys, build, spec, kind):
+    # the part's spans round to one float, on whose zero-width hull the
+    # grid route's dyadic cells used to pass the int64 range
+    with pytest.raises(MeasureSpecError, match=f"^{kind} .* has no positive finite float$"):
+        build()
+    assert main(["sensitize", "--target", "x", "--measure", spec, "--p", "1", "--eps", "1/10",
+                 "--M", "0", "--out", str(tmp_path / "cert.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} ") and "Traceback" not in err
+
+
+# the density 3(x - 10^8)^2 on (10^8, 10^8 + 1), whose floats in powers of x
+# cancel to 0 and +-4
+FAR_PWD = "pwd(breaks(100000000,100000001), poly(30000000000000000,-600000000,3))"
+
+
+class TestPwdFarFromTheOrigin:
+    def test_norm_of_one_is_the_mass(self, capsys):
+        assert main(["norm", "--target", "1", "--measure", FAR_PWD, "--p", "1"]) == 0
+        fields = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert abs(float(fields["value"]) - 1.0) <= 1e-6
+
+    def test_the_certificate_passes_verify(self, tmp_path, capsys):
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", "sin(200*(x-100000000))", "--measure", FAR_PWD,
+                     "--p", "1", "--eps", "1/10", "--M", "0", "--out", str(out)]) == 0
+        bound = float(json.loads(out.read_text())["error_bound"])
+        capsys.readouterr()
+        assert main(["verify", "--cert", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text.endswith("PASS\n")
+        fields = dict(kv.split("=") for kv in text.splitlines()[0].split())
+        assert bound >= float(fields["mc_distance"]) - float(fields["radius"])
 
 
 class TestOverflowingPower:

@@ -468,6 +468,22 @@ class TestNormalCdf:
             assert kind.cdf_arr(np.array(x)) == w
 
 
+class TestDensities:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normal_density_past_the_float_range_is_zero(self):
+        # z * z overflows at x = 1, where the density is 0, with no warning
+        assert Normal(0, Fraction(1, 10**200)).pdf_arr(np.array([1.0])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("a", [10**6, 10**8])
+    def test_pwd_density_far_from_the_origin_does_not_cancel(self, a):
+        # 3(x - a)^2 on (a, a + 1), whose floats in powers of x cancel: at
+        # a = 10^8 they gave 0 and +-4
+        kind = PiecewisePoly((a, a + 1), ((3 * a * a, -6 * a, 3),))
+        xs = a + np.arange(11) / 10
+        exact = [float(3 * (Fraction(x) - a) ** 2) for x in xs.tolist()]
+        assert kind.pdf_arr(xs).tolist() == pytest.approx(exact, rel=1e-12, abs=0)
+
+
 class TestEssentialWindow:
     def test_uniform_window(self):
         a, b = UNIFORM.essential_window(0.01)
