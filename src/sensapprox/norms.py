@@ -132,7 +132,7 @@ def lp_norm(f, mu: BorelMeasure, p, tol, knots=()) -> NormEstimate:
         raise ValueError("p must satisfy 1 <= p < infinity")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    budget = tol**p
+    budget = float(abs_pow(tol, p))  # inf past the float range
     knots = np.concatenate((np.asarray(knots, dtype=float),
                             [float(x) for x in mu.density_breakpoints()]))
     total = err = 0.0

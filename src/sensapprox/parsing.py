@@ -1,6 +1,7 @@
 """Text formats for target functions and measure specifications.
 
-Two small recursive-descent parsers share one tokenizer:
+Two small recursive-descent grammars, each a set of functions, read one
+token stream, whose ``accept`` takes an optional token:
 
 * target expressions over a single free variable ``x``, with the usual
   arithmetic operators, a closed set of named functions, and 3-argument
@@ -11,11 +12,15 @@ Two small recursive-descent parsers share one tokenizer:
   its own parameters, and ``BorelMeasure`` the weights and the mass,
   with the ``MeasureSpecError`` that is re-exported here.
 
-Numeric literals are exact decimals, kept as ``Fraction`` values in the
-tree. One compiler makes of a target two plans over two arithmetic tables
-that share one table of domain rules: the float plan of eval_target_array
-over an array of points, and the exact plan of eval_target over one point,
-which keeps ``Fraction`` values of at most 4096 bits and floats past that.
+A target is a tree of four node kinds: ``Num``, a literal; ``Var``, the
+variable x; ``Op``, an operation named by its key in the arithmetic tables
+(``"neg"``, + - * / ^ or a function); and ``If``, a conditional with its
+comparison. Numeric literals are exact decimals, kept as ``Fraction`` values
+in the tree. One compiler makes of a target two plans over two arithmetic
+tables that share one table of domain rules: the float plan of
+eval_target_array over an array of points, and the exact plan of eval_target
+over one point, which keeps ``Fraction`` values of at most 4096 bits and
+floats past that.
 """
 
 from __future__ import annotations
@@ -71,33 +76,16 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
+class Op:
+    name: str  # its key in the arithmetic tables: "neg", + - * / ^ or a function
     args: tuple
 
 
 @dataclass(frozen=True)
-class Compare:
-    op: str
+class If:
+    cmp: str
     left: object
     right: object
-
-
-@dataclass(frozen=True)
-class Conditional:
-    test: Compare
     if_true: object
     if_false: object
 
@@ -178,9 +166,19 @@ def _tokenize(text):
     return tokens
 
 
+def _fraction(text, off):
+    """The exact value of the decimal literal text at offset off: the one
+    reader of a number of either grammar."""
+    try:
+        return Fraction(text)
+    except ValueError:  # more digits than Python converts to an int
+        raise ParseError("number has too many digits", off) from None
+
+
 class _TokenStream:
+    """The tokens of one text, which both grammars read left to right."""
+
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -192,14 +190,24 @@ class _TokenStream:
         self.pos += 1
         return tok
 
-    def expect(self, value):
-        kind, text, off = self.peek()
-        if text != value or kind == "end":
-            raise ParseError(f"expected {value!r}", off)
-        return self.next()
+    def accept(self, *texts):
+        """The next token's text, consumed, where it is one of texts; else
+        None. A number, a name and an operator never share a text, and the
+        end's text is empty, so a text names its token."""
+        text = self.peek()[1]
+        if text in texts:
+            self.pos += 1
+            return text
+        return None
 
-    def at_end(self):
-        return self.peek()[0] == "end"
+    def expect(self, text):
+        if self.accept(text) is None:
+            raise ParseError(f"expected {text!r}", self.peek()[2])
+
+    def finish(self):
+        kind, _, off = self.peek()
+        if kind != "end":
+            raise ParseError("trailing input", off)
 
 
 # ---------------------------------------------------------------------------
@@ -217,93 +225,77 @@ class _TokenStream:
 # Comparisons are only admitted as the first argument of if(...).
 
 
-class _ExprParser:
-    def __init__(self, stream):
-        self.s = stream
+def _expr(s):
+    node = _term(s)
+    while op := s.accept("+", "-"):
+        node = Op(op, (node, _term(s)))
+    return node
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.s.peek()[1] in ("+", "-") and self.s.peek()[0] == "op":
-            op = self.s.next()[1]
-            node = BinOp(op, node, self.parse_term())
+
+def _term(s):
+    node = _factor(s)
+    while op := s.accept("*", "/"):
+        node = Op(op, (node, _factor(s)))
+    return node
+
+
+def _factor(s):
+    if s.accept("-"):
+        return Op("neg", (_factor(s),))
+    node = _atom(s)
+    if s.accept("^"):
+        node = Op("^", (node, _factor(s)))
+    return node
+
+
+def _atom(s):
+    kind, text, off = s.next()
+    if kind == "num":
+        return Num(_fraction(text, off))
+    if text == "(":
+        node = _expr(s)
+        s.expect(")")
         return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.s.peek()[1] in ("*", "/") and self.s.peek()[0] == "op":
-            op = self.s.next()[1]
-            node = BinOp(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self):
-        if self.s.peek()[1] == "-" and self.s.peek()[0] == "op":
-            self.s.next()
-            return Neg(self.parse_factor())
-        node = self.parse_atom()
-        if self.s.peek()[1] == "^":
-            self.s.next()
-            node = BinOp("^", node, self.parse_factor())
-        return node
-
-    def parse_atom(self):
-        kind, text, off = self.s.peek()
-        if kind == "num":
-            self.s.next()
-            return Num(Fraction(text))
-        if text == "(":
-            self.s.next()
-            node = self.parse_expr()
-            self.s.expect(")")
-            return node
-        if kind == "ident":
-            self.s.next()
-            if text == "x":
-                if self.s.peek()[1] == "(":
-                    raise ParseError("'x' is not callable", self.s.peek()[2])
-                return Var()
-            if text == "if":
-                return self._parse_if(off)
-            if text not in FUNCTIONS:
-                raise ParseError(f"unknown identifier {text!r}", off)
-            self.s.expect("(")
-            args = [self.parse_expr()]
-            while self.s.peek()[1] == ",":
-                self.s.next()
-                args.append(self.parse_expr())
-            self.s.expect(")")
-            if len(args) != FUNCTIONS[text]:
-                raise ParseError(
-                    f"{text} expects {FUNCTIONS[text]} argument(s), got {len(args)}",
-                    off,
-                )
-            return Call(text, tuple(args))
+    if kind != "ident":
         raise ParseError("expected expression", off)
-
-    def _parse_if(self, off):
-        self.s.expect("(")
-        left = self.parse_expr()
-        kind, text, coff = self.s.peek()
-        if text not in CMP_OPS:
-            raise ParseError("expected comparison operator in if(...)", coff)
-        self.s.next()
-        right = self.parse_expr()
-        test = Compare(text, left, right)
-        self.s.expect(",")
-        if_true = self.parse_expr()
-        self.s.expect(",")
-        if_false = self.parse_expr()
-        self.s.expect(")")
-        return Conditional(test, if_true, if_false)
+    if text == "x":
+        if s.peek()[1] == "(":
+            raise ParseError("'x' is not callable", s.peek()[2])
+        return Var()
+    if text != "if" and text not in FUNCTIONS:
+        raise ParseError(f"unknown identifier {text!r}", off)
+    s.expect("(")
+    if text == "if":
+        left = _expr(s)
+        cmp = s.accept(*CMP_OPS)
+        if cmp is None:
+            raise ParseError("expected comparison operator in if(...)", s.peek()[2])
+        right = _expr(s)
+        s.expect(",")
+        if_true = _expr(s)
+        s.expect(",")
+        if_false = _expr(s)
+        s.expect(")")
+        return If(cmp, left, right, if_true, if_false)
+    args = [_expr(s)]
+    while s.accept(","):
+        args.append(_expr(s))
+    s.expect(")")
+    if len(args) != FUNCTIONS[text]:
+        raise ParseError(
+            f"{text} expects {FUNCTIONS[text]} argument(s), got {len(args)}",
+            off,
+        )
+    return Op(text, tuple(args))
 
 
 def parse_target(text: str) -> TargetFunction:
     """Parse an expression over x into a validated tree."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    stream = _TokenStream(text)
-    root = _ExprParser(stream).parse_expr()
-    if not stream.at_end():
-        raise ParseError("trailing input", stream.peek()[2])
+    s = _TokenStream(text)
+    root = _expr(s)
+    s.finish()
     return TargetFunction(root=root, source_text=text)
 
 
@@ -454,20 +446,9 @@ def _literal(node):
     """The float of a literal or of its negation, else None."""
     if isinstance(node, Num):
         return _to_float(node.value)
-    if isinstance(node, Neg) and isinstance(node.operand, Num):
-        return -_to_float(node.operand.value)
+    if isinstance(node, Op) and node.name == "neg" and isinstance(node.args[0], Num):
+        return -_to_float(node.args[0].value)
     return None
-
-
-def _operation(node):
-    """An operation node's name in the tables and its operands."""
-    if isinstance(node, Neg):
-        return "neg", (node.operand,)
-    if isinstance(node, BinOp):
-        return node.op, (node.left, node.right)
-    if isinstance(node, Call):
-        return node.name, node.args
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _compile(node, arith):
@@ -479,16 +460,14 @@ def _compile(node, arith):
         return lambda xs: c
     if isinstance(node, Var):
         return arith.var
-    if isinstance(node, Conditional):
-        test = node.test
-        return arith.cond(CMP_OPS[test.op], *(
-            _compile(n, arith) for n in (test.left, test.right, node.if_true, node.if_false)))
-    name, args = _operation(node)
-    fs = [_compile(a, arith) for a in args]
-    c = _literal(args[-1])
-    checks = [(bad, message) for bad, message, idle in _CHECKS.get(name, ())
+    if isinstance(node, If):
+        return arith.cond(CMP_OPS[node.cmp], *(
+            _compile(n, arith) for n in (node.left, node.right, node.if_true, node.if_false)))
+    fs = [_compile(a, arith) for a in node.args]
+    c = _literal(node.args[-1])
+    checks = [(bad, message) for bad, message, idle in _CHECKS.get(node.name, ())
               if c is None or not idle(c)]
-    return arith.node(arith.ops[name], fs, checks)
+    return arith.node(arith.ops[node.name], fs, checks)
 
 
 def eval_target(f: TargetFunction, x):
@@ -533,9 +512,8 @@ def thresholds(f: TargetFunction):
     stack = [f.root]
     while stack:
         node = stack.pop()
-        if isinstance(node, Conditional):
-            test = node.test
-            for var, c in ((test.left, test.right), (test.right, test.left)):
+        if isinstance(node, If):
+            for var, c in ((node.left, node.right), (node.right, node.left)):
                 if isinstance(var, Var):
                     # the exact plan raises at x=None on x in c and where c
                     # is undefined, and as_rational on a float ±inf; a c
@@ -547,9 +525,9 @@ def thresholds(f: TargetFunction):
                         continue
                     if math.isfinite(_to_float(t)):
                         out.add(t)
-            stack += (test.left, test.right, node.if_true, node.if_false)
-        elif not isinstance(node, (Num, Var)):
-            stack += _operation(node)[1]
+            stack += (node.left, node.right, node.if_true, node.if_false)
+        elif isinstance(node, Op):
+            stack += node.args
     return sorted(out)
 
 
@@ -567,62 +545,50 @@ _KINDS = {"atom": (AtomKind, 1), "uniform": (Uniform, 2), "normal": (Normal, 2),
           "exponential": (Exponential, 1)}
 
 
-def _parse_signed_number(stream) -> Fraction:
-    negate = False
-    if stream.peek()[1] == "-":
-        stream.next()
-        negate = True
-    kind, text, off = stream.peek()
+def _signed(s):
+    negate = s.accept("-")
+    kind, text, off = s.next()
     if kind != "num":
         raise ParseError("expected number", off)
-    stream.next()
-    v = Fraction(text)
+    v = _fraction(text, off)
     return -v if negate else v
 
 
-def _parse_number_list(stream):
-    stream.expect("(")
-    vals = [_parse_signed_number(stream)]
-    while stream.peek()[1] == ",":
-        stream.next()
-        vals.append(_parse_signed_number(stream))
-    stream.expect(")")
-    return vals
+def _numbers(s):
+    s.expect("(")
+    vals = [_signed(s)]
+    while s.accept(","):
+        vals.append(_signed(s))
+    s.expect(")")
+    return tuple(vals)
 
 
-def _parse_component(stream):
-    kind, name, off = stream.peek()
+def _named_numbers(s, name, message):
+    """The numbers of name(...), or a ParseError with message."""
+    if not s.accept(name):
+        raise ParseError(message, s.peek()[2])
+    return _numbers(s)
+
+
+def _component(s):
+    kind, name, off = s.next()
     if kind != "ident":
         raise ParseError("expected distribution name", off)
-    stream.next()
     if name == "pwd":
-        return _parse_pwd(stream)
+        s.expect("(")
+        breaks = _named_numbers(s, "breaks", "pwd expects breaks(...) first")
+        pieces = []
+        while s.accept(","):
+            pieces.append(_named_numbers(s, "poly", "expected poly(...)"))
+        s.expect(")")
+        return PiecewisePoly(breaks, tuple(pieces))
     if name not in _KINDS:
         raise ParseError(f"unknown distribution {name!r}", off)
     cls, arity = _KINDS[name]
-    args = _parse_number_list(stream)
+    args = _numbers(s)
     if len(args) != arity:
         raise ParseError(f"{name} expects {arity} argument{'s' * (arity > 1)}", off)
     return cls(*args)
-
-
-def _parse_pwd(stream):
-    stream.expect("(")
-    kind, name, boff = stream.peek()
-    if name != "breaks":
-        raise ParseError("pwd expects breaks(...) first", boff)
-    stream.next()
-    breaks = _parse_number_list(stream)
-    pieces = []
-    while stream.peek()[1] == ",":
-        stream.next()
-        kind, name, poff = stream.peek()
-        if name != "poly":
-            raise ParseError("expected poly(...)", poff)
-        stream.next()
-        pieces.append(tuple(_parse_number_list(stream)))
-    stream.expect(")")
-    return PiecewisePoly(tuple(breaks), tuple(pieces))
 
 
 def parse_measure(text: str):
@@ -631,33 +597,28 @@ def parse_measure(text: str):
     BorelMeasure.from_spec checks the weights and the mass."""
     if not text.strip():
         raise ParseError("empty measure specification", 0)
-    stream = _TokenStream(text)
-    kind, name, off = stream.peek()
+    s = _TokenStream(text)
+    off = s.peek()[2]
     components = []
     declared_mass = None
-    if name == "mix" and kind == "ident":
-        stream.next()
-        stream.expect("(")
+    if s.accept("mix"):
+        s.expect("(")
         while True:
-            kind, tok, toff = stream.peek()
-            if tok == "mass":
-                stream.next()
-                stream.expect("=")
-                declared_mass = _parse_signed_number(stream)
+            if s.accept("mass"):
+                s.expect("=")
+                declared_mass = _signed(s)
                 break
-            w = _parse_signed_number(stream)
-            stream.expect("*")
-            components.append((w, _parse_component(stream)))
-            if stream.peek()[1] != ",":
+            w = _signed(s)
+            s.expect("*")
+            components.append((w, _component(s)))
+            if not s.accept(","):
                 break
-            stream.next()
-        stream.expect(")")
+        s.expect(")")
         if not components:
             raise ParseError("mix requires at least one component", off)
     else:
-        components.append((Fraction(1), _parse_component(stream)))
-    if not stream.at_end():
-        raise ParseError("trailing input", stream.peek()[2])
+        components.append((Fraction(1), _component(s)))
+    s.finish()
     return MeasureSpec(
         components=tuple(components),
         declared_total_mass=declared_mass,

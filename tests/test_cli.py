@@ -499,6 +499,16 @@ class TestSensitizeCommand:
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("target, measure", [
+        ("x+" + "1" * 4400, "uniform(0,1)"),
+        ("x", "uniform(0," + "1" * 4400 + ")"),
+    ], ids=["target", "measure"])
+    def test_a_literal_with_too_many_digits_is_input_error(self, tmp_path, capsys, target,
+                                                           measure):
+        assert main(["sensitize", "--target", target, "--measure", measure, "--p", "1",
+                     "--eps", "1/10", "--M", "0", "--out", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: number has too many digits (offset ")
+
     def test_bad_target_is_input_error(self, tmp_path, capsys):
         rc = main([
             "sensitize", "--target", "x +", "--measure", "uniform(0,1)",
@@ -921,6 +931,15 @@ class TestNormCommand:
         value = float(out.split("value=")[1].split()[0])
         bound = float(out.split("bound=")[1].split()[0])
         assert abs(value - 1) <= bound
+
+    def test_a_tolerance_whose_power_is_past_the_float_range(self):
+        # tol^p is the quadrature's budget: 1e200^2 is inf, which every
+        # segment meets, so the norm is read off the first Simpson pass
+        run = run_cli("norm", "--target", "x", "--measure", "uniform(0,1)", "--p", "2",
+                      "--tol", "1e200")
+        assert run.returncode == 0 and run.stderr == ""
+        value = float(run.stdout.split("value=")[1].split()[0])
+        assert abs(value - 3**-0.5) <= 1e-6
 
     def test_divergent_is_hypothesis_error(self, capsys):
         rc = main(["norm", "--target", "exp(x^2)", "--measure", "normal(0,1)",

@@ -8,14 +8,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sensapprox.parsing import (
     CMP_OPS,
-    BinOp,
-    Compare,
-    Conditional,
     DomainError,
     EvaluationError,
+    If,
     MeasureSpecError,
-    Neg,
     Num,
+    Op,
     ParseError,
     Var,
     _BITS,
@@ -57,12 +55,12 @@ CORPUS = [
 class TestParseTarget:
     def test_power_base_case(self):
         t = parse_target("x^2")
-        assert t.root == BinOp("^", Var(), Num(Fraction(2)))
+        assert t.root == Op("^", (Var(), Num(Fraction(2))))
 
     def test_conditional_base_case(self):
         t = parse_target("if(x < 0, -1, 1)")
-        assert isinstance(t.root, Conditional)
-        assert t.root.test == Compare("<", Var(), Num(Fraction(0)))
+        assert t.root == If("<", Var(), Num(Fraction(0)), Op("neg", (Num(Fraction(1)),)),
+                            Num(Fraction(1)))
 
     def test_incomplete_expression_offset(self):
         with pytest.raises(ParseError) as e:
@@ -131,6 +129,86 @@ class TestParseTarget:
     def test_exact_decimal_literals(self):
         t = parse_target("0.1")
         assert t.root == Num(Fraction(1, 10))
+
+
+# What each grammar says of a malformed input, and where: the exact message
+# and byte offset of the ParseError
+_MALFORMED = [
+    (parse_target, "x +", "expected expression", 3),
+    (parse_target, "x^", "expected expression", 2),
+    (parse_target, "2**x", "expected expression", 2),
+    (parse_target, ")", "expected expression", 0),
+    (parse_target, "sin()", "expected expression", 4),
+    (parse_target, "max(x)", "max expects 2 argument(s), got 1", 0),
+    (parse_target, "sin(x,1)", "sin expects 1 argument(s), got 2", 0),
+    (parse_target, "x(1)", "'x' is not callable", 1),
+    (parse_target, "sin x", "expected '('", 4),
+    (parse_target, "min(x 1)", "expected ')'", 6),
+    (parse_target, "(x", "expected ')'", 2),
+    (parse_target, "foo(x)", "unknown identifier 'foo'", 0),
+    (parse_target, "if(x<1,2)", "expected ','", 8),
+    (parse_target, "if(x=1,1,2)", "expected comparison operator in if(...)", 4),
+    (parse_target, "if(1<2<3,1,2)", "expected ','", 6),
+    (parse_target, "x < 1", "trailing input", 2),
+    (parse_target, "1e5", "trailing input", 1),
+    (parse_target, "1 2", "trailing input", 2),
+    (parse_target, "0.", "malformed number", 0),
+    (parse_target, "1.5.5", "unexpected character '.'", 3),
+    (parse_target, "", "empty expression", 0),
+    (parse_measure, "mix()", "expected number", 4),
+    (parse_measure, "mix(mass=1)", "mix requires at least one component", 0),
+    (parse_measure, "mix(0.5*uniform(0,1),)", "expected number", 21),
+    (parse_measure, "mix(1*uniform(0,1) mass=1)", "expected ')'", 19),
+    (parse_measure, "mix(0.5 uniform(0,1))", "expected '*'", 8),
+    (parse_measure, "mix(0.5*uniform(0,1), mass 1)", "expected '='", 27),
+    (parse_measure, "mix(0.5*mix(1*atom(0)))", "unknown distribution 'mix'", 8),
+    (parse_measure, "mix", "expected '('", 3),
+    (parse_measure, "pwd(poly(1))", "pwd expects breaks(...) first", 4),
+    (parse_measure, "pwd(breaks(0,1), poly())", "expected number", 22),
+    (parse_measure, "pwd(breaks(0,1), 1)", "expected poly(...)", 17),
+    (parse_measure, "pwd(breaks(0,1) poly(1))", "expected ')'", 16),
+    (parse_measure, "uniform(0,1", "expected ')'", 11),
+    (parse_measure, "uniform(0)", "uniform expects 2 arguments", 0),
+    (parse_measure, "atom(0,1)", "atom expects 1 argument", 0),
+    (parse_measure, "uniform(--1,1)", "expected number", 9),
+    (parse_measure, "foo(1)", "unknown distribution 'foo'", 0),
+    (parse_measure, "1", "expected distribution name", 0),
+    (parse_measure, "uniform(0,1) x", "trailing input", 13),
+    (parse_measure, "", "empty measure specification", 0),
+]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("parse, text, message, offset", _MALFORMED)
+    def test_a_malformed_input_is_a_parse_error_at_its_offset(self, parse, text, message,
+                                                               offset):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == f"{message} (offset {offset})" and e.value.offset == offset
+
+    @pytest.mark.parametrize("parse, text, offset", [
+        (parse_target, "x+" + "1" * 4400, 2),
+        (parse_target, "0." + "0" * 4400 + "1", 0),
+        (parse_measure, "uniform(0," + "1" * 4400 + ")", 10),
+        (parse_measure, "mix(" + "1" * 4400 + "*uniform(0,1))", 4),
+    ], ids=["target", "decimal", "measure", "weight"])
+    def test_a_literal_with_more_digits_than_python_converts(self, parse, text, offset):
+        """Fraction refuses a decimal of more than 4300 digits with a bare
+        ValueError; each grammar reads a literal through one reader, which
+        makes it a ParseError at the literal."""
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == f"number has too many digits (offset {offset})"
+        assert e.value.offset == offset
+
+    @pytest.mark.parametrize("text, want", [
+        ("1-2-3", -4), ("2/2/2", Fraction(1, 2)), ("2^3^2", 512), ("-2^2", -4),
+        ("2^-1^-1", Fraction(1, 2)),
+    ])
+    def test_precedence_and_associativity(self, text, want):
+        """+ - * / group to the left, ^ to the right, and a unary minus binds
+        looser than ^ but may start an exponent."""
+        assert eval_target(parse_target(text), 0) == want
 
 
 class TestEvalTarget:
@@ -220,17 +298,17 @@ def _walk(node, xs):
         return _to_float(node.value)
     if isinstance(node, Var):
         return xs
-    if isinstance(node, Neg):
-        return -_walk(node.operand, xs)
-    if isinstance(node, BinOp):
-        a, b = _walk(node.left, xs), _walk(node.right, xs)
-        if node.op == "+":
+    if isinstance(node, Op) and node.name == "neg":
+        return -_walk(node.args[0], xs)
+    if isinstance(node, Op) and node.name in ("+", "-", "*", "/", "^"):
+        a, b = _walk(node.args[0], xs), _walk(node.args[1], xs)
+        if node.name == "+":
             return a + b
-        if node.op == "-":
+        if node.name == "-":
             return a - b
-        if node.op == "*":
+        if node.name == "*":
             return a * b
-        if node.op == "/":
+        if node.name == "/":
             if np.any(b == 0):
                 raise DomainError("division by zero")
             return a / b
@@ -239,9 +317,8 @@ def _walk(node, xs):
         if np.any((a == 0) & (b < 0)):
             raise DomainError("zero raised to a negative power")
         return np.power(a, b)
-    if isinstance(node, Conditional):
-        test = node.test
-        mask = CMP_OPS[test.op](_walk(test.left, xs), _walk(test.right, xs))
+    if isinstance(node, If):
+        mask = CMP_OPS[node.cmp](_walk(node.left, xs), _walk(node.right, xs))
         mask = np.broadcast_to(mask, xs.shape)
         out = np.empty(xs.shape)
         if mask.any():
@@ -362,14 +439,14 @@ def _ev_unbounded(node, x):
         if x is None:
             raise EvaluationError("free variable in constant context")
         return x
-    if isinstance(node, Neg):
-        return -_ev(node.operand, x)
-    if isinstance(node, BinOp):
-        a = _ev(node.left, x)
-        b = _ev(node.right, x)
-        return _apply_binop(node.op, a, b)
-    if isinstance(node, Conditional):
-        return _ev(node.if_true if _ev_test(node.test, x) else node.if_false, x)
+    if isinstance(node, Op) and node.name == "neg":
+        return -_ev(node.args[0], x)
+    if isinstance(node, Op) and node.name in ("+", "-", "*", "/", "^"):
+        a = _ev(node.args[0], x)
+        b = _ev(node.args[1], x)
+        return _apply_binop(node.name, a, b)
+    if isinstance(node, If):
+        return _ev(node.if_true if _ev_test(node, x) else node.if_false, x)
     args = [_ev(a, x) for a in node.args]
     return _apply_call(node.name, args)
 
@@ -435,8 +512,8 @@ def _apply_call(name, args):
         return math.nan
 
 
-def _ev_test(test, x):
-    return CMP_OPS[test.op](_ev(test.left, x), _ev(test.right, x))
+def _ev_test(node, x):
+    return CMP_OPS[node.cmp](_ev(node.left, x), _ev(node.right, x))
 
 
 def _walk_eval(f, x):
