@@ -138,15 +138,6 @@ _TERM_KEYS = ("lower", "upper", "value")
 _EXCEPTION_KEYS = ("point", "value")
 
 
-def certificate_to_dict(cert: approx.Certificate) -> dict:
-    terms, exceptions = _rows(cert.phi0)
-    return {
-        **_fields(cert),
-        "phi0": [dict(zip(_TERM_KEYS, row)) for row in terms],
-        "exceptions": [dict(zip(_EXCEPTION_KEYS, row)) for row in exceptions],
-    }
-
-
 def _json_rows(keys, rows) -> str:
     """json.dumps(indent=2) of the list of dicts zip(keys, row), as the
     value of a top-level key: every row through one template. The row
@@ -158,11 +149,13 @@ def _json_rows(keys, rows) -> str:
 
 
 def write_certificate(cert: approx.Certificate, path):
-    """The bytes of json.dump(certificate_to_dict(cert), indent=2,
-    sort_keys=True) and a newline. The fields other than the rows go
-    through json, with empty row lists; each "[]" is then replaced by the
-    rows. No string value holds the text of a key line, as json escapes
-    the quotes and newlines of a string."""
+    """The bytes that json.dump(indent=2, sort_keys=True) and a newline
+    give for the certificate's fields, its "phi0" rows as objects of
+    "lower", "upper" and "value", and its "exceptions" rows as objects of
+    "point" and "value". The fields other than the rows go through json,
+    with empty row lists; each "[]" is then replaced by the rows. No
+    string value holds the text of a key line, as json escapes the quotes
+    and newlines of a string."""
     terms, exceptions = _rows(cert.phi0)
     text = json.dumps({**_fields(cert), "phi0": [], "exceptions": []},
                       indent=2, sort_keys=True)

@@ -6,14 +6,20 @@ outputs a change that keeps behaviour must leave byte for byte as they are.
 runs ``cli.main(["sensitize", ...])`` in process on each case and writes,
 for case number NNN, the certificate ``OUT/NNN.json`` (none where the run
 fails) and ``OUT/NNN.rc``: the case, the exit code, stdout and stderr.
-Comparing two checkouts is ``diff -r`` of two such directories, each
-written with the other checkout's ``src`` on ``PYTHONPATH``. Each
-certificate written is read back as ``verify`` reads it, through
-``cli.read_certificate`` and ``cli.reconstruct_approximant``, and the
-rows that ``cli`` writes from that phi0 must be the file's ``phi0`` and
-``exceptions`` rows. The script exits 1 if a case raises, ends in an exit
-code outside {0, 2, 3, 4}, the codes that the CLI documents for
-``sensitize``, or writes a certificate whose rows do not read back.
+Each certificate written is also checked by ``verify --samples 20000
+--seed 5``, whose exit code, stdout and stderr the record holds under
+"verify"; so the verify path, the reading of a certificate, its step
+lookup and ``norms.mc_norm``, is compared too. Comparing two checkouts is
+``diff -r`` of two such directories, each written with the other
+checkout's ``src`` on ``PYTHONPATH``. Each certificate written is read
+back as ``verify`` reads it, through ``cli.read_certificate`` and
+``cli.reconstruct_approximant``, and the rows of that phi0, as the
+writer's reference ``phi0_rows`` of ``test_cli`` gives them, must be the
+file's ``phi0`` and ``exceptions`` rows. The script exits 1 if a case
+raises, ends in an exit code outside {0, 2, 3, 4}, the codes that the
+CLI documents for ``sensitize``, or writes a certificate whose rows do
+not read back. A verify FAIL is recorded, and fails no case: the wide
+spike of ``HARD`` is a known false certificate.
 
 The cases are the 96 of the acceptance grid, the certificates of the
 three benchmark workloads at fixed parameters, the golden cases, and
@@ -39,6 +45,7 @@ sys.path.insert(1, str(ROOT))
 from bench.cases import FINE_EPS, STEEP_B, VERIFY_MC  # noqa: E402
 from sensapprox import cli  # noqa: E402
 from test_acceptance import GRID  # noqa: E402
+from test_cli import phi0_rows  # noqa: E402
 from test_golden import CASES as GOLDEN  # noqa: E402
 
 OK_CODES = {0, 2, 3, 4}
@@ -85,42 +92,52 @@ def rows_read_back(path):
     """Whether the phi0 that verify reads from the certificate at path is
     written as the file's phi0 and exceptions rows."""
     data = cli.read_certificate(path)
-    terms, exceptions = cli._rows(cli.reconstruct_approximant(data).phi0)
-    return ([dict(zip(cli._TERM_KEYS, row)) for row in terms] == data["phi0"]
-            and [dict(zip(cli._EXCEPTION_KEYS, row)) for row in exceptions]
-            == data["exceptions"])
+    rows = phi0_rows(cli.reconstruct_approximant(data).phi0)
+    return rows == {key: data[key] for key in rows}
+
+
+def run_cli(argv):
+    """cli.main(argv) in process: its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:  # a bug: the CLI maps every failure to a code
+            rc = f"raised {type(exc).__name__}: {exc}"
+    return {"exit": rc, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
 def run(out_dir):
     """Write every case's outputs into out_dir; returns the failed cases
-    with what went wrong."""
+    with what went wrong, and the number of verify runs that did not PASS."""
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = []
+    not_passed = 0
     for i, case in enumerate(cases()):
         t, m, p, eps, M = case
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                rc = cli.main(["sensitize", "--target", t, "--measure", m, "--p", p,
-                               "--eps", eps, "--M", M, "--out", str(out_dir / f"{i:03d}.json")])
-            except Exception as exc:  # a bug: the CLI maps every failure to a code
-                rc = f"raised {type(exc).__name__}: {exc}"
-        record = {"case": case, "exit": rc, "stdout": stdout.getvalue(),
-                  "stderr": stderr.getvalue()}
+        cert = str(out_dir / f"{i:03d}.json")
+        record = {"case": case, **run_cli(["sensitize", "--target", t, "--measure", m,
+                                           "--p", p, "--eps", eps, "--M", M, "--out", cert])}
+        rc = record["exit"]
+        if rc == 0:
+            record["verify"] = run_cli(["verify", "--cert", cert, "--samples", "20000",
+                                        "--seed", "5"])
+            not_passed += record["verify"]["exit"] != 0
         (out_dir / f"{i:03d}.rc").write_text(json.dumps(record, indent=1) + "\n")
         if rc not in OK_CODES:
             failed.append((i, case, f"exit {rc}"))
-        elif rc == 0 and not rows_read_back(out_dir / f"{i:03d}.json"):
+        elif rc == 0 and not rows_read_back(cert):
             failed.append((i, case, "certificate rows do not read back"))
-    return failed
+    return failed, not_passed
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} OUT")
-    failed = run(Path(sys.argv[1]))
+    failed, not_passed = run(Path(sys.argv[1]))
     for i, case, why in failed:
         print(f"case {i:03d} {case}: {why}", file=sys.stderr)
     print(f"{len(cases())} cases, {len(failed)} failed: outside the exit codes "
-          f"{sorted(OK_CODES)} or rows that do not read back")
+          f"{sorted(OK_CODES)} or rows that do not read back; "
+          f"{not_passed} certificates did not pass verify")
     sys.exit(1 if failed else 0)

@@ -1,4 +1,5 @@
-"""The paper's proof route for indicator data, the reference of the tests.
+"""The paper's proof route for indicator data and its slope check, the
+reference of the tests.
 
 The paper proves density in two steps that rest on the outer regularity
 of a finite Borel measure mu:
@@ -11,8 +12,12 @@ of a finite Borel measure mu:
 The pipeline in ``sensapprox`` takes neither step: the if() threshold
 ends and the atom pins of ``approx`` give indicators exactly. Acceptance
 criteria 4 and 5 check these two steps as the reference, and the tests of
-``measure_of`` and of the interval algebra check what they rest on. This
-is a helper module: pytest collects no tests from it.
+``measure_of`` and of the interval algebra check what they rest on.
+
+The theorem's steep approximant Y = phi0 + s * wave has |Y'| = s b > M
+wherever it is differentiable. ``slope_profile`` lists Y's affine cells
+with their exact slopes, which the tests check against that identity.
+This is a helper module: pytest collects no tests from it.
 
 An interval's ends are Fractions (a float becomes its exact binary
 value, see ``as_rational``) or +/-infinity, which must be open. A union
@@ -204,3 +209,20 @@ def truncate_union(intervals, union_mass, mu, p, tol, cap):
         f"enumeration exhausted with tail mass {tail:.6g} >= {threshold:.6g}",
         achieved_tail=tail,
     )
+
+
+def slope_profile(Y, lo, hi):
+    """Maximal affine cells of the window (lo, hi) of the approximant Y,
+    with their exact slopes."""
+    lo = as_rational(lo)
+    hi = as_rational(hi)
+    cuts = [lo] + Y.nondiff_points(lo, hi) + [hi]
+    out = []
+    s = Y.scale
+    b = Y.wave.b
+    for clo, chi in zip(cuts, cuts[1:]):
+        mid = (clo + chi) / 2
+        j = math.floor(mid * b)
+        sign = 1 if j % 2 == 0 else -1
+        out.append((clo, chi, sign * s * b))
+    return out

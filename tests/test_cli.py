@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import types
@@ -11,13 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sensapprox
-from sensapprox import funcspace, norms
+from sensapprox import cli, funcspace, norms
 from sensapprox.approx import ApproxRequest, Certificate, sensitize
 from sensapprox.cli import (
     CorruptCertificate,
     _unpair,
     build_parser,
-    certificate_to_dict,
     main,
     read_certificate,
     reconstruct_approximant,
@@ -49,6 +49,21 @@ def make_certificate(target="x", mu="uniform(0,1)", p=1, eps="1/4", M=2):
         p=p, eps=Fraction(eps), M=Fraction(M),
     )
     return sensitize(req)
+
+
+def phi0_rows(phi0):
+    """The "phi0" and "exceptions" rows of a certificate of phi0, as json
+    reads them back: the reference of write_certificate's row template."""
+    terms, exceptions = cli._rows(phi0)
+    return {"phi0": [dict(zip(("lower", "upper", "value"), row)) for row in terms],
+            "exceptions": [dict(zip(("point", "value"), row)) for row in exceptions]}
+
+
+def certificate_to_dict(cert):
+    """The certificate as json reads it back: the reference of
+    write_certificate, whose bytes are json.dumps(certificate_to_dict(cert),
+    indent=2, sort_keys=True) and a newline."""
+    return {**cli._fields(cert), **phi0_rows(cert.phi0)}
 
 
 class TestCertificateRoundTrip:
@@ -1151,6 +1166,16 @@ def test_public_api_is_all():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(set(sensapprox.__all__)) == len(sensapprox.__all__)
     assert public == set(sensapprox.__all__)
+
+
+def test_the_tracer_wraps_names_the_package_defines():
+    """The benchmark's Tracer.installed reads each name that it wraps as
+    vars(owner)[attr], so a name moved off its owner would fail every
+    traced benchmark run with a KeyError."""
+    tracing = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    wrapped = runpy.run_path(tracing)["WRAPPED"]
+    assert [(owner.__name__, attr) for owner, attr, _name, _count in wrapped
+            if attr not in vars(owner)] == []
 
 
 def test_main_builds_the_parser_once():
