@@ -1,6 +1,9 @@
 """The construction pipeline: a step-function approximation phi0 within the
 share of eps that sensitize gives it, then superposition of the scaled
 triangle wave to reach M-sensitivity with certified total L^p error below eps.
+This module decides Y and its bound: sensitize returns a Certificate that
+holds Y, the bound and what only the run knows. The certificate file's
+other fields are functions of Y, and cli derives them.
 
 One route produces the step function. It refines dyadic cells greedily,
 splitting only the cells of largest estimated error, gives each cell a
@@ -81,20 +84,15 @@ class ApproxRequest:
 
 @dataclass(frozen=True)
 class Certificate:
+    """What sensitize knows and its approximant Y does not: the request's
+    texts, the certified bound on ||X - Y||_p with the method that gave it,
+    and the certifying quadrature's tolerance. Every other certificate
+    field is a function of Y, which cli writes from it."""
     target_text: str
     measure_text: str
-    p: float
-    eps: Fraction
-    M: Fraction
-    b: int
-    scale: Fraction
-    phi0: StepFunction
+    approximant: SensitiveApproximant
     error_bound: float
     error_method: str
-    min_abs_slope: Fraction
-    sup_bound: Fraction
-    nondiff_count_in_window: int
-    window: tuple
     quadrature_tolerance: float
 
 
@@ -305,7 +303,8 @@ def _rational_upper_root(total_mass: Fraction, p) -> Fraction:
 
 
 def sensitize(req: ApproxRequest):
-    """Run the full pipeline; returns (SensitiveApproximant, Certificate)."""
+    """Run the full pipeline; returns the Certificate of Y = phi0 + scale * wave,
+    which is its approximant."""
     check_finite_moment(req)
 
     eps = req.eps
@@ -336,33 +335,12 @@ def sensitize(req: ApproxRequest):
 
     Y = SensitiveApproximant(phi0=phi0, scale=scale, wave=wave,
                              eps=eps, M=M, p=req.p)
-    endpoints = phi0.endpoints()
-    if endpoints:
-        w_lo = as_rational(endpoints[0]) - 1
-        w_hi = as_rational(endpoints[-1]) + 1
-    else:
-        w_lo, w_hi = Fraction(-1), Fraction(1)
-    cert = Certificate(
-        target_text=req.target.source_text,
-        measure_text=req.mu.source_text,
-        p=req.p,
-        eps=eps,
-        M=M,
-        b=wave.b,
-        scale=scale,
-        phi0=phi0,
-        error_bound=error_bound,
-        error_method="triangle-chain",
-        min_abs_slope=Y.min_abs_slope(),
-        sup_bound=Y.sup_bound(),
-        nondiff_count_in_window=Y.nondiff_count(w_lo, w_hi),
-        window=(w_lo, w_hi),
-        quadrature_tolerance=quad_tol,
-    )
-    assert cert.min_abs_slope >= M + 1
+    assert Y.min_abs_slope() >= M + 1
     if error_bound + quad_tol >= float(eps):
         raise RefinementCapError(
             f"total certified bound {error_bound:.6g} + quadrature tolerance "
             f"{quad_tol:.6g} does not clear eps={float(eps):.6g}"
         )
-    return Y, cert
+    return Certificate(target_text=req.target.source_text, measure_text=req.mu.source_text,
+                       approximant=Y, error_bound=error_bound,
+                       error_method="triangle-chain", quadrature_tolerance=quad_tol)

@@ -111,24 +111,33 @@ def _rows(phi0: StepFunction):
 
 
 def _fields(cert: approx.Certificate) -> dict:
-    """Every certificate field but the phi0 and exceptions rows."""
+    """Every certificate field but the phi0 and exceptions rows: the
+    request's texts, error_bound, error_method and quadrature_tolerance
+    as sensitize certified them, and every other field from its
+    approximant Y. The window of the non-differentiability count runs
+    from phi0's first end minus 1 to its last end plus 1, or is (-1, 1)
+    where phi0 has no end."""
+    Y = cert.approximant
+    ends = Y.phi0.endpoints()
+    lo, hi = ((as_rational(ends[0]) - 1, as_rational(ends[-1]) + 1) if ends
+              else (Fraction(-1), Fraction(1)))
     return {
         "schema_version": SCHEMA_VERSION,
         "request": {
             "target": cert.target_text,
             "measure": cert.measure_text,
-            "p": repr(cert.p),
-            "eps": _pair(cert.eps),
-            "M": _pair(cert.M),
+            "p": repr(Y.p),
+            "eps": _pair(Y.eps),
+            "M": _pair(Y.M),
         },
-        "b": cert.b,
-        "scale": _pair(cert.scale),
+        "b": Y.wave.b,
+        "scale": _pair(Y.scale),
         "error_bound": repr(cert.error_bound),
         "error_method": cert.error_method,
-        "min_abs_slope": _pair(cert.min_abs_slope),
-        "sup_bound": _pair(cert.sup_bound),
-        "nondiff_count_in_window": cert.nondiff_count_in_window,
-        "window": {"lower": _pair(cert.window[0]), "upper": _pair(cert.window[1])},
+        "min_abs_slope": _pair(Y.min_abs_slope()),
+        "sup_bound": _pair(Y.sup_bound()),
+        "nondiff_count_in_window": Y.nondiff_count(lo, hi),
+        "window": {"lower": _pair(lo), "upper": _pair(hi)},
         "quadrature_tolerance": repr(cert.quadrature_tolerance),
     }
 
@@ -156,7 +165,7 @@ def write_certificate(cert: approx.Certificate, path):
     with empty row lists; each "[]" is then replaced by the rows. No
     string value holds the text of a key line, as json escapes the quotes
     and newlines of a string."""
-    terms, exceptions = _rows(cert.phi0)
+    terms, exceptions = _rows(cert.approximant.phi0)
     text = json.dumps({**_fields(cert), "phi0": [], "exceptions": []},
                       indent=2, sort_keys=True)
     for key, keys, rows in (("phi0", _TERM_KEYS, terms),
@@ -234,11 +243,16 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
 # Flag parsing helpers
 
 
-def _parse_p(text):
+def _parse_float(text, name):
+    """The float of a flag or a certificate field, a decimal or "n/d"."""
     try:
-        p = float(Fraction(text)) if "/" in text else float(text)
+        return float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"invalid p: {text!r}")
+        raise ValueError(f"invalid {name}: {text!r}")
+
+
+def _parse_p(text):
+    p = _parse_float(text, "p")
     if not (1 <= p < math.inf):
         raise ValueError("p must satisfy 1 ≤ p < ∞")
     return p
@@ -274,11 +288,12 @@ def cmd_sensitize(args) -> int:
         eps=_parse_fraction(args.eps, "eps"),
         M=_parse_fraction(args.M, "M"),
     )
-    _y, cert = approx.sensitize(req)
+    cert = approx.sensitize(req)
     write_certificate(cert, args.out)
+    Y = cert.approximant
     print(
-        f"b={cert.b} error_bound={cert.error_bound:.6g} "
-        f"min_abs_slope={_pair(cert.min_abs_slope)}"
+        f"b={Y.wave.b} error_bound={cert.error_bound:.6g} "
+        f"min_abs_slope={_pair(Y.min_abs_slope())}"
     )
     return EXIT_OK
 
@@ -317,7 +332,8 @@ def cmd_norm(args) -> int:
     target = parse_target(args.target)
     mu = BorelMeasure.from_spec(parse_measure(args.measure))
     # lp_norm rejects a tol that is no positive finite number
-    est = approx.target_norm(target, mu, _parse_p(args.p), float(args.tol))
+    est = approx.target_norm(target, mu, _parse_p(args.p),
+                              _parse_float(args.tol, "tol"))
     print(f"value={est.value!r} bound={est.absolute_error_bound!r}")
     return EXIT_OK
 

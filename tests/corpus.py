@@ -13,13 +13,14 @@ lookup and ``norms.mc_norm``, is compared too. Comparing two checkouts is
 ``diff -r`` of two such directories, each written with the other
 checkout's ``src`` on ``PYTHONPATH``. Each certificate written is read
 back as ``verify`` reads it, through ``cli.read_certificate`` and
-``cli.reconstruct_approximant``, and the rows of that phi0, as the
-writer's reference ``phi0_rows`` of ``test_cli`` gives them, must be the
-file's ``phi0`` and ``exceptions`` rows. The script exits 1 if a case
-raises, ends in an exit code outside {0, 2, 3, 4}, the codes that the
-CLI documents for ``sensitize``, or writes a certificate whose rows do
-not read back. A verify FAIL is recorded, and fails no case: the wide
-spike of ``HARD`` is a known false certificate.
+``cli.reconstruct_approximant``, and must be, field for field and row for
+row, the certificate that the writer's reference ``certificate_to_dict``
+of ``test_cli`` gives for that approximant with the file's own texts,
+``error_bound``, ``error_method`` and ``quadrature_tolerance``. The
+script exits 1 if a case raises, ends in an exit code outside {0, 2, 3,
+4}, the codes that the CLI documents for ``sensitize``, or writes a
+certificate that does not read back. A verify FAIL is recorded, and
+fails no case: the wide spike of ``HARD`` is a known false certificate.
 
 The cases are the 96 of the acceptance grid, the certificates of the
 three benchmark workloads at fixed parameters, the golden cases, and
@@ -45,7 +46,7 @@ sys.path.insert(1, str(ROOT))
 from bench.cases import FINE_EPS, STEEP_B, VERIFY_MC  # noqa: E402
 from sensapprox import cli  # noqa: E402
 from test_acceptance import GRID  # noqa: E402
-from test_cli import phi0_rows  # noqa: E402
+from test_cli import certificate_of_file, certificate_to_dict  # noqa: E402
 from test_golden import CASES as GOLDEN  # noqa: E402
 
 OK_CODES = {0, 2, 3, 4}
@@ -88,12 +89,12 @@ def cases():
     return out + HARD
 
 
-def rows_read_back(path):
-    """Whether the phi0 that verify reads from the certificate at path is
-    written as the file's phi0 and exceptions rows."""
+def reads_back(path):
+    """Whether the certificate at path is the one written from what verify
+    reads of it: every field that is a function of the approximant Y, and
+    the rows of its phi0, are written from Y as the file holds them."""
     data = cli.read_certificate(path)
-    rows = phi0_rows(cli.reconstruct_approximant(data).phi0)
-    return rows == {key: data[key] for key in rows}
+    return data == certificate_to_dict(certificate_of_file(data))
 
 
 def run_cli(argv):
@@ -126,8 +127,8 @@ def run(out_dir):
         (out_dir / f"{i:03d}.rc").write_text(json.dumps(record, indent=1) + "\n")
         if rc not in OK_CODES:
             failed.append((i, case, f"exit {rc}"))
-        elif rc == 0 and not rows_read_back(cert):
-            failed.append((i, case, "certificate rows do not read back"))
+        elif rc == 0 and not reads_back(cert):
+            failed.append((i, case, "certificate does not read back"))
     return failed, not_passed
 
 
@@ -138,6 +139,6 @@ if __name__ == "__main__":
     for i, case, why in failed:
         print(f"case {i:03d} {case}: {why}", file=sys.stderr)
     print(f"{len(cases())} cases, {len(failed)} failed: outside the exit codes "
-          f"{sorted(OK_CODES)} or rows that do not read back; "
+          f"{sorted(OK_CODES)} or certificates that do not read back; "
           f"{not_passed} certificates did not pass verify")
     sys.exit(1 if failed else 0)

@@ -189,7 +189,7 @@ class TestBuildStepApproximation:
         monkeypatch.setattr(approx.norms, "lp_distance", spy)
         req = request("if(2*x<0.6,1,-1)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
                       p=1, eps="1/50", M=0)
-        _, cert = sensitize(req)
+        cert = sensitize(req)
         assert len(distances) >= 2
         assert distances[0] >= float(req.eps) / 2
         assert distances[-1] < float(req.eps) / 2
@@ -212,9 +212,9 @@ class TestBuildStepApproximation:
          1, (1, 0, 1), 0),
     ], ids=["indicator", "nested", "window", "kinked", "overflowing"])
     def test_if_thresholds_are_exact_row_ends(self, target, mu, p, eps, rows, row, floor):
-        _, cert = sensitize(request(target, mu, p=p, eps=eps, M=0))
-        assert len(cert.phi0.terms) == rows
-        assert row in cert.phi0.terms
+        cert = sensitize(request(target, mu, p=p, eps=eps, M=0))
+        assert len(cert.approximant.phi0.terms) == rows
+        assert row in cert.approximant.phi0.terms
         assert cert.error_bound >= floor
 
     @pytest.mark.parametrize("mu", [
@@ -256,10 +256,10 @@ class TestBuildStepApproximation:
         # the target is undefined in the gap (0.3, 0.31) between the parts,
         # inside the first cell (0.25, 0.3125): the halves of that cell that
         # meet one piece each are rows, and no row spans the gap
-        _, cert = sensitize(request("sqrt((x-0.3)*(x-0.31))",
+        cert = sensitize(request("sqrt((x-0.3)*(x-0.31))",
                                     "mix(0.5*uniform(0,0.3), 0.5*uniform(0.31,1))",
                                     p=1, eps="1/10", M=0))
-        assert not [(lo, hi) for _, lo, hi in cert.phi0.terms
+        assert not [(lo, hi) for _, lo, hi in cert.approximant.phi0.terms
                     if lo < Fraction(3, 10) and hi > Fraction(31, 100)]
 
     @pytest.mark.parametrize("n", [1, 3, 16, 4096])
@@ -309,24 +309,27 @@ class TestCertifyError:
 
 class TestSensitize:
     def test_zero_target(self):
-        Y, cert = sensitize(request("0", "uniform(0,1)", p=1, eps="1", M=0))
-        assert cert.b == 2
-        assert cert.min_abs_slope == 1
+        cert = sensitize(request("0", "uniform(0,1)", p=1, eps="1", M=0))
+        Y = cert.approximant
+        assert Y.wave.b == 2
+        assert Y.min_abs_slope() == 1
         assert cert.error_bound < 1.0
         assert Y.phi0.terms == ()
 
     def test_indicator_target(self):
-        Y, cert = sensitize(request("if(x<0.5, if(x>0, 1, 0), 0)",
-                                    "uniform(0,1)", p=1, eps="1/2", M=3))
-        assert cert.b == 16
-        assert cert.min_abs_slope == 4
+        cert = sensitize(request("if(x<0.5, if(x>0, 1, 0), 0)",
+                                 "uniform(0,1)", p=1, eps="1/2", M=3))
+        Y = cert.approximant
+        assert Y.wave.b == 16
+        assert Y.min_abs_slope() == 4
         assert Y.phi0.terms == ((1, 0, Fraction(1, 2)),)
 
     def test_quadratic_normal(self):
         req = request("x^2", "normal(0,1)", p=2, eps="1/10", M=10)
-        Y, cert = sensitize(req)
-        assert cert.b == 220
-        assert cert.min_abs_slope == 11
+        cert = sensitize(req)
+        Y = cert.approximant
+        assert Y.wave.b == 220
+        assert Y.min_abs_slope() == 11
         assert cert.error_bound < 0.1
         # independent oracle: Monte Carlo on the finished approximant
         f = target_evaluator(req.target)
@@ -335,16 +338,16 @@ class TestSensitize:
         assert mc.value + mc.absolute_error_bound < 0.1
 
     def test_sup_bound_holds(self):
-        Y, cert = sensitize(request("x", "uniform(0,1)", p=1, eps="1/5", M=2))
+        Y = sensitize(request("x", "uniform(0,1)", p=1, eps="1/5", M=2)).approximant
         xs = np.random.default_rng(0).uniform(-5, 5, 10**5)
-        assert np.all(np.abs(Y.eval_arr(xs)) <= float(cert.sup_bound) + 1e-12)
+        assert np.all(np.abs(Y.eval_arr(xs)) <= float(Y.sup_bound()) + 1e-12)
 
     def test_non_probability_measure(self):
         req = request("x", "mix(4*uniform(0,1), mass=4)", p=2, eps="1/2", M=1)
-        Y, cert = sensitize(req)
+        cert = sensitize(req)
         # mass^(1/p) = 2, so the wave is shrunk: scale <= eps/(2*2)
-        assert cert.scale <= Fraction(1, 8)
-        assert cert.min_abs_slope >= 2
+        assert cert.approximant.scale <= Fraction(1, 8)
+        assert cert.approximant.min_abs_slope() >= 2
         assert cert.error_bound < 0.5
 
     def test_moment_hypothesis_rejected(self):
@@ -366,13 +369,13 @@ class TestSensitize:
     @pytest.mark.parametrize("eps,b", [("2/5", 10), ("1/5", 20),
                                        ("1/10", 40), ("1/20", 80)])
     def test_frequency_scaling(self, eps, b):
-        _, cert = sensitize(request("x^2", "normal(0,1)", p=2, eps=eps, M=1))
-        assert cert.b == b
+        Y = sensitize(request("x^2", "normal(0,1)", p=2, eps=eps, M=1)).approximant
+        assert Y.wave.b == b
 
     def test_slope_minimality_property(self):
         # min |slope| equals scale*b exactly and clears M+1
         for M in (0, 1, 7):
-            Y, cert = sensitize(request("x", "uniform(0,1)", p=1,
-                                        eps="1/4", M=M))
-            assert cert.min_abs_slope == cert.scale * cert.b
-            assert cert.min_abs_slope >= M + 1
+            Y = sensitize(request("x", "uniform(0,1)", p=1,
+                                  eps="1/4", M=M)).approximant
+            assert Y.min_abs_slope() == Y.scale * Y.wave.b
+            assert Y.min_abs_slope() >= M + 1

@@ -23,7 +23,7 @@ from sensapprox.cli import (
     reconstruct_approximant,
     write_certificate,
 )
-from sensapprox.funcspace import StepFunction
+from sensapprox.funcspace import SensitiveApproximant, StepFunction, TriangleWave
 from sensapprox.intervals import as_rational
 from sensapprox.measures import BorelMeasure, MeasureSpecError, Normal, PiecewisePoly
 from sensapprox.parsing import eval_target, eval_target_array, parse_measure, parse_target
@@ -63,33 +63,57 @@ def certificate_to_dict(cert):
     """The certificate as json reads it back: the reference of
     write_certificate, whose bytes are json.dumps(certificate_to_dict(cert),
     indent=2, sort_keys=True) and a newline."""
-    return {**cli._fields(cert), **phi0_rows(cert.phi0)}
+    return {**cli._fields(cert), **phi0_rows(cert.approximant.phi0)}
+
+
+def certificate_of_file(data):
+    """The Certificate of a certificate file's data: the approximant that
+    verify reads back, and the file's own texts, error_bound, error_method
+    and quadrature_tolerance. A file that reads back is
+    certificate_to_dict of it."""
+    return Certificate(target_text=data["request"]["target"],
+                       measure_text=data["request"]["measure"],
+                       approximant=reconstruct_approximant(data),
+                       error_bound=float(data["error_bound"]),
+                       error_method=data["error_method"],
+                       quadrature_tolerance=float(data["quadrature_tolerance"]))
 
 
 class TestCertificateRoundTrip:
-    def test_reconstruction_matches(self, tmp_path):
-        Y, cert = make_certificate()
+    # (target, measure, p, eps, M) and what the certificate's shape shows;
+    # p is a float, as the CLI reads it, so that "p" is written as it reads
+    @pytest.mark.parametrize("case, shape", [
+        (("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", 1.0, "1/10", 1),
+         lambda c: {"point": "3/10", "value": "0/1"} in c["exceptions"]),
+        (("if(x<0.3,1,0)", "uniform(0,1)", 1.0, "1/10", 0),
+         lambda c: c["phi0"] == [{"lower": "0/1", "upper": "3/10", "value": "1/1"}]),
+        (("x", "mix(2*uniform(0,1), mass=2)", 2.0, "1/10", 3),
+         lambda c: Fraction(c["scale"]) < Fraction(1, 20)),
+        (("0", "uniform(0,1)", 1.0, "1/10", 0),
+         lambda c: c["phi0"] == c["exceptions"] == []
+         and c["window"] == {"lower": "-1/1", "upper": "1/1"}),
+        (("x", "normal(0,1)", 1.0, "1/10", 10**20),
+         lambda c: c["nondiff_count_in_window"] > 10**20),
+    ], ids=["atom-pin", "threshold-row", "mass-two", "no-rows", "huge-M"])
+    def test_reconstruction_matches(self, tmp_path, case, shape):
+        cert = make_certificate(*case)
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
         data = read_certificate(path)
-        Y2 = reconstruct_approximant(data)
-        assert Y2.phi0.terms == Y.phi0.terms
-        assert Y2.phi0.exceptions == Y.phi0.exceptions
-        assert Y2.scale == Y.scale
-        assert Y2.wave.b == Y.wave.b
-        for x in (Fraction(1, 7), Fraction(1, 2), Fraction(-3, 5)):
-            assert Y2.eval(x) == Y.eval(x)
+        assert shape(data)
+        assert reconstruct_approximant(data) == cert.approximant
+        assert data == certificate_to_dict(certificate_of_file(data))
 
     def test_slope_rederived_exactly(self, tmp_path):
-        Y, cert = make_certificate(M=5, eps="1/10")
+        cert = make_certificate(M=5, eps="1/10")
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
         Y2 = reconstruct_approximant(read_certificate(path))
-        assert Y2.min_abs_slope() == cert.min_abs_slope
+        assert Y2.min_abs_slope() == cert.approximant.min_abs_slope()
         assert Y2.min_abs_slope() >= Fraction(6)
 
     def test_exact_rationals_serialized(self, tmp_path):
-        _, cert = make_certificate()
+        cert = make_certificate()
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
         raw = json.loads(path.read_text())
@@ -98,7 +122,7 @@ class TestCertificateRoundTrip:
         assert "/" in raw["min_abs_slope"]
 
     def test_missing_field_rejected(self, tmp_path):
-        _, cert = make_certificate()
+        cert = make_certificate()
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
         raw = json.loads(path.read_text())
@@ -108,7 +132,7 @@ class TestCertificateRoundTrip:
             read_certificate(path)
 
     def test_inconsistent_slope_rejected(self, tmp_path):
-        _, cert = make_certificate()
+        cert = make_certificate()
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
         raw = json.loads(path.read_text())
@@ -142,7 +166,7 @@ class TestCertificateDecoding:
         (ROWS, [{"point": "1/2/3", "value": "1/1"}], "malformed"),
     ])
     def test_bad_phi0_is_input_error(self, tmp_path, capsys, phi0, exceptions, message):
-        _, cert = make_certificate()
+        cert = make_certificate()
         raw = certificate_to_dict(cert)
         raw["phi0"], raw["exceptions"] = phi0, exceptions
         out = tmp_path / "cert.json"
@@ -164,7 +188,7 @@ class TestCertificateDecoding:
     def test_other_rational_forms_are_read_as_before(self, text, want):
         # as a value, and where it can be, as the end shared with ROWS
         end = text if want == Fraction(1, 2) else "1/2"
-        _, cert = make_certificate()
+        cert = make_certificate()
         raw = certificate_to_dict(cert)
         raw["phi0"] = _rows((text, "0/1", "1/4"), ("3/8", "1/4", end), ("1/1", end, "1/1"))
         phi0 = reconstruct_approximant(json.loads(json.dumps(raw))).phi0
@@ -178,10 +202,12 @@ class TestCertificateDecoding:
         assert np.array_equal(phi0._pts_f, canonical._pts_f, equal_nan=True)
 
     def test_verify_builds_no_fractions_of_phi0(self, tmp_path, monkeypatch):
-        Y, cert = make_certificate(target="x^2", mu="normal(0,1)")
+        cert = make_certificate(target="x^2", mu="normal(0,1)")
+        Y = cert.approximant
         write_certificate(cert, tmp_path / "cert.json")
+        raw = certificate_to_dict(cert)  # its sup_bound is a Fraction of a float
         fractions = _count_float_fractions(monkeypatch)
-        Y2 = reconstruct_approximant(certificate_to_dict(cert))
+        Y2 = reconstruct_approximant(raw)
         xs = np.linspace(-3, 3, 1001)
         assert np.array_equal(Y2.eval_arr(xs), Y.eval_arr(xs))
         assert main(["verify", "--cert", str(tmp_path / "cert.json"),
@@ -250,13 +276,11 @@ def test_eval_and_sup_norm_read_the_terms_and_exceptions(phi0):
 
 
 def _certificate_of(phi0, target_text="x"):
-    return Certificate(
-        target_text=target_text, measure_text="uniform(0,1)", p=1.0, eps=Fraction(1, 10),
-        M=Fraction(1), b=40, scale=Fraction(1, 20), phi0=phi0, error_bound=0.05,
-        error_method="triangle-chain", min_abs_slope=Fraction(2), sup_bound=Fraction(1),
-        nondiff_count_in_window=0, window=(Fraction(-6), Fraction(6)),
-        quadrature_tolerance=0.001,
-    )
+    Y = SensitiveApproximant(phi0=phi0, scale=Fraction(1, 20), wave=TriangleWave(b=40),
+                             eps=Fraction(1, 10), M=Fraction(1), p=1.0)
+    return Certificate(target_text=target_text, measure_text="uniform(0,1)", approximant=Y,
+                       error_bound=0.05, error_method="triangle-chain",
+                       quadrature_tolerance=0.001)
 
 
 @settings(deadline=None, max_examples=150)
@@ -349,7 +373,7 @@ def test_a_negative_zero_is_held_as_zero():
 
 def _unreduced_phi0():
     """A phi0 read back from rows whose strings are not in lowest terms."""
-    raw = certificate_to_dict(make_certificate()[1])
+    raw = certificate_to_dict(make_certificate())
     raw["phi0"] = _rows(("2/4", "0/3", "2/8"), ("-6/4", "2/8", "4/6"))
     raw["exceptions"] = [{"point": "3/9", "value": "0/3"}, {"point": "10/4", "value": "-4/2"}]
     return reconstruct_approximant(raw).phi0
@@ -362,7 +386,7 @@ class TestCertificateWriter:
         lambda: StepFunction(terms=[(Fraction(-3, 2), -1, Fraction(-1, 2)),
                                     (Fraction(-1, 8), Fraction(-1, 2), 0), (2, 0, 1)],
                              exceptions=[(Fraction(-3, 4), 0), (Fraction(-1, 2), -5)]),
-        lambda: make_certificate(target="x^2", mu="normal(0,1)", p=2, eps="1/50", M=0)[1].phi0,
+        lambda: make_certificate(target="x^2", mu="normal(0,1)", p=2, eps="1/50", M=0).approximant.phi0,
         _unreduced_phi0,
     ], ids=["empty", "exceptions-only", "negative", "normal-1/50", "unreduced"])
     def test_bytes_equal_the_stdlib_encoder(self, tmp_path, make_phi0):
@@ -388,7 +412,7 @@ class TestCertificateWriter:
     def test_sensitize_builds_no_fractions_of_phi0(self, tmp_path, monkeypatch):
         # the one Fraction of a held float is sup_norm's, for sup_bound
         fractions = _count_float_fractions(monkeypatch)
-        _, cert = make_certificate(target="x^2", mu="mix(0.3*atom(0.5), 0.7*normal(0,1))",
+        cert = make_certificate(target="x^2", mu="mix(0.3*atom(0.5), 0.7*normal(0,1))",
                                    p=2, eps="1/25", M=0)
         write_certificate(cert, tmp_path / "cert.json")
         assert len(fractions) <= 1
@@ -397,7 +421,7 @@ class TestCertificateWriter:
                      "mix(0.3*atom(0.5), 0.7*normal(0,1))", "--p", "2", "--eps", "1/25",
                      "--M", "0", "--out", str(tmp_path / "cli.json")]) == 0
         assert len(fractions) <= 1
-        assert cert.phi0.exceptions == ((Fraction(1, 2), Fraction(1, 4)),)
+        assert cert.approximant.phi0.exceptions == ((Fraction(1, 2), Fraction(1, 4)),)
 
 
 class TestSensitizeCommand:
@@ -726,7 +750,7 @@ class TestVerifyCommand:
 
     def test_target_evaluation_failure_is_input_error(self, tmp_path):
         # log(x) is undefined at the atom at 0, where verify samples
-        _, cert = make_certificate(mu="mix(0.5*atom(0), 0.5*uniform(0,1))")
+        cert = make_certificate(mu="mix(0.5*atom(0), 0.5*uniform(0,1))")
         out = tmp_path / "cert.json"
         write_certificate(cert, out)
         raw = json.loads(out.read_text())
@@ -759,7 +783,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("where", ["value", "lower", "upper", "point", "scale"])
     def test_zero_denominator_in_certificate_is_input_error(self, tmp_path, where):
-        _, cert = make_certificate()
+        cert = make_certificate()
         out = tmp_path / "cert.json"
         write_certificate(cert, out)
         raw = json.loads(out.read_text())
@@ -790,7 +814,7 @@ class TestVerifyCommand:
 ], ids=["list", "request-string", "target-number", "measure-null", "no-target",
         "b-float", "b-bool"])
 def test_malformed_certificate_is_input_error(tmp_path, capsys, break_it):
-    _, cert = make_certificate()
+    cert = make_certificate()
     out = tmp_path / "cert.json"
     write_certificate(cert, out)
     out.write_text(json.dumps(break_it(json.loads(out.read_text()))))
@@ -875,7 +899,7 @@ class TestOverflowingPower:
         assert "Warning" not in run.stderr
 
     def test_verify_fails(self, tmp_path):
-        _, cert = make_certificate(p=2, eps="1/10", M=0)
+        cert = make_certificate(p=2, eps="1/10", M=0)
         out = tmp_path / "cert.json"
         write_certificate(cert, out)
         raw = json.loads(out.read_text())
@@ -973,6 +997,17 @@ class TestNormCommand:
                        "--p", "1", "--tol", tol])
             assert rc == 2
             assert capsys.readouterr().err.startswith("error: tol must be positive")
+
+    def test_tol_reads_a_fraction_as_p_does(self, capsys):
+        outs = []
+        for tol in ("1/1000", "0.001"):
+            assert main(["norm", "--target", "x^2", "--measure", "normal(0,1)",
+                         "--p", "2", "--tol", tol]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert main(["norm", "--target", "x", "--measure", "uniform(0,1)",
+                     "--p", "1", "--tol", "abc"]) == 2
+        assert capsys.readouterr().err == "error: invalid tol: 'abc'\n"
 
 
 class TestPlotCommand:
@@ -1105,7 +1140,7 @@ SENSITIZE = ["sensitize", "--target", "x", "--measure", "uniform(0,1)", "--p", "
         "verify-eps-1e400", "verify-M-1e400", "norm-no-float", "sensitize-no-float",
         "sensitize-nested", "norm-nested"])
 def test_input_that_no_command_handles_is_input_error(tmp_path, argv):
-    _, cert = make_certificate()
+    cert = make_certificate()
     files = {"tmp": tmp_path, "cert": tmp_path / "cert.json"}
     write_certificate(cert, files["cert"])
     for key in ("eps", "M"):
@@ -1137,7 +1172,7 @@ def test_input_that_no_command_handles_is_input_error(tmp_path, argv):
 ], ids=["uniform-bound", "atom-location", "exponential-rate", "normal-stddev",
         "mix-weight", "sensitize-eps", "verify-eps", "verify-M"])
 def test_a_number_with_no_float_is_named_in_its_error(tmp_path, capsys, argv, name):
-    _, cert = make_certificate()
+    cert = make_certificate()
     write_certificate(cert, tmp_path / "cert.json")
     files = {}
     for key in ("eps", "M"):

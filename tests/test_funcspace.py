@@ -439,6 +439,7 @@ class TestNondiffPoints:
             assert y.nondiff_count(-1000, 1000) == 2000 * b
 
     def test_sensitize_lists_no_lattice(self, monkeypatch):
+        from sensapprox import cli
         from sensapprox.approx import ApproxRequest, sensitize
         from sensapprox.measures import BorelMeasure
         from sensapprox.parsing import parse_measure, parse_target
@@ -453,10 +454,12 @@ class TestNondiffPoints:
             mu=BorelMeasure.from_spec(parse_measure("uniform(0,1)")),
             p=1, eps=Fraction(1, 10), M=Fraction(999),
         )
-        y, cert = sensitize(req)
+        cert = sensitize(req)
+        fields = cli._fields(cert)
         monkeypatch.undo()
-        assert cert.b == 20_000
-        assert cert.nondiff_count_in_window == len(y.nondiff_points(*cert.window))
+        assert fields["b"] == 20_000
+        window = [Fraction(fields["window"][key]) for key in ("lower", "upper")]
+        assert fields["nondiff_count_in_window"] == len(cert.approximant.nondiff_points(*window))
 
 
 @st.composite

@@ -26,7 +26,7 @@ from sensapprox.parsing import (
 )
 from sensapprox.approx import Certificate
 from sensapprox.cli import read_certificate, write_certificate
-from sensapprox.funcspace import StepFunction
+from sensapprox.funcspace import SensitiveApproximant, StepFunction, TriangleWave
 from sensapprox.measures import BorelMeasure
 
 
@@ -104,13 +104,12 @@ class TestParseTarget:
         """The target text that a certificate stores reads back as the same
         tree, and neither parentheses nor whitespace carry structure."""
         t = parse_target(text)
+        Y = SensitiveApproximant(phi0=StepFunction(terms=[]), scale=Fraction(1, 20),
+                                 wave=TriangleWave(b=40), eps=Fraction(1, 10),
+                                 M=Fraction(1), p=1.0)
         cert = Certificate(
-            target_text=t.source_text, measure_text="uniform(0,1)", p=1.0,
-            eps=Fraction(1, 10), M=Fraction(1), b=40, scale=Fraction(1, 20),
-            phi0=StepFunction(terms=[]), error_bound=0.05,
-            error_method="triangle-chain", min_abs_slope=Fraction(2),
-            sup_bound=Fraction(1), nondiff_count_in_window=0,
-            window=(Fraction(-1), Fraction(1)), quadrature_tolerance=0.001,
+            target_text=t.source_text, measure_text="uniform(0,1)", approximant=Y,
+            error_bound=0.05, error_method="triangle-chain", quadrature_tolerance=0.001,
         )
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
