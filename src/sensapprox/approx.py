@@ -1,9 +1,10 @@
 """The construction pipeline: a step-function approximation phi0 within the
 share of eps that sensitize gives it, then superposition of the scaled
 triangle wave to reach M-sensitivity with certified total L^p error below eps.
-This module decides Y and its bound: sensitize returns a Certificate that
-holds Y, the bound and what only the run knows. The certificate file's
-other fields are functions of Y, and cli derives them.
+This module decides Y and its bound: sensitize returns a Certificate of
+the request, Y, the bound and the method that gave it. The certificate
+file's other fields are functions of the request and Y, and cli derives
+them.
 
 One route produces the step function. It refines dyadic cells greedily,
 splitting only the cells of largest estimated error, gives each cell a
@@ -58,6 +59,8 @@ class NonFiniteMomentError(ValueError):
 
 @dataclass(frozen=True)
 class ApproxRequest:
+    """The inputs (X, mu, p, eps, M) that Y answers, held once: p as its
+    float, eps and M as exact rationals."""
     target: TargetFunction
     mu: BorelMeasure
     p: float
@@ -65,6 +68,10 @@ class ApproxRequest:
     M: Fraction
 
     def __post_init__(self):
+        try:  # a Fraction or a numpy float is read as its float
+            object.__setattr__(self, "p", float(self.p))
+        except OverflowError:
+            raise ValueError("request p has no finite float") from None
         object.__setattr__(self, "eps", as_rational(self.eps))
         object.__setattr__(self, "M", as_rational(self.M))
         if not (1 <= self.p < math.inf):
@@ -84,16 +91,13 @@ class ApproxRequest:
 
 @dataclass(frozen=True)
 class Certificate:
-    """What sensitize knows and its approximant Y does not: the request's
-    texts, the certified bound on ||X - Y||_p with the method that gave it,
-    and the certifying quadrature's tolerance. Every other certificate
-    field is a function of Y, which cli writes from it."""
-    target_text: str
-    measure_text: str
+    """The request, its approximant Y, and the certified bound on
+    ||X - Y||_p with the method that gave it. Every other certificate
+    field is a function of the request and Y, which cli writes from them."""
+    request: ApproxRequest
     approximant: SensitiveApproximant
     error_bound: float
     error_method: str
-    quadrature_tolerance: float
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +337,12 @@ def sensitize(req: ApproxRequest):
     phi0_err = est.value + est.absolute_error_bound
     error_bound = certify_error(phi0_err, scale, wave_ub)
 
-    Y = SensitiveApproximant(phi0=phi0, scale=scale, wave=wave,
-                             eps=eps, M=M, p=req.p)
+    Y = SensitiveApproximant(phi0=phi0, scale=scale, wave=wave)
     assert Y.min_abs_slope() >= M + 1
     if error_bound + quad_tol >= float(eps):
         raise RefinementCapError(
             f"total certified bound {error_bound:.6g} + quadrature tolerance "
             f"{quad_tol:.6g} does not clear eps={float(eps):.6g}"
         )
-    return Certificate(target_text=req.target.source_text, measure_text=req.mu.source_text,
-                       approximant=Y, error_bound=error_bound,
-                       error_method="triangle-chain", quadrature_tolerance=quad_tol)
+    return Certificate(request=req, approximant=Y, error_bound=error_bound,
+                       error_method="triangle-chain")

@@ -11,6 +11,10 @@ through one table, FAILURES.
 Certificate files are JSON, schema_version "1". Quantities that must be
 exact (scale, min_abs_slope, sup_bound, breakpoints) are "num/den"
 rational strings; measured quantities are shortest round-trip decimals.
+read_certificate is write_certificate's inverse: it reads a file back
+into the approx.Certificate that writes it, request included, so verify
+and plot parse the target and the measure there, and a certificate that
+either of them cannot read is an input error.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from . import approx, norms
 from .funcspace import SensitiveApproximant, StepFunction, TriangleWave
 from .intervals import as_rational, uniform_grid_floats
-from .measures import BorelMeasure
+from .measures import BorelMeasure, _check_floats
 from .parsing import (
     EvaluationError,
     eval_target_array,
@@ -112,23 +116,23 @@ def _rows(phi0: StepFunction):
 
 def _fields(cert: approx.Certificate) -> dict:
     """Every certificate field but the phi0 and exceptions rows: the
-    request's texts, error_bound, error_method and quadrature_tolerance
-    as sensitize certified them, and every other field from its
+    request and its quadrature_tolerance, error_bound and error_method
+    as sensitize certified them, and every other field from the
     approximant Y. The window of the non-differentiability count runs
     from phi0's first end minus 1 to its last end plus 1, or is (-1, 1)
     where phi0 has no end."""
-    Y = cert.approximant
+    req, Y = cert.request, cert.approximant
     ends = Y.phi0.endpoints()
     lo, hi = ((as_rational(ends[0]) - 1, as_rational(ends[-1]) + 1) if ends
               else (Fraction(-1), Fraction(1)))
     return {
         "schema_version": SCHEMA_VERSION,
         "request": {
-            "target": cert.target_text,
-            "measure": cert.measure_text,
-            "p": repr(Y.p),
-            "eps": _pair(Y.eps),
-            "M": _pair(Y.M),
+            "target": req.target.source_text,
+            "measure": req.mu.source_text,
+            "p": repr(req.p),
+            "eps": _pair(req.eps),
+            "M": _pair(req.M),
         },
         "b": Y.wave.b,
         "scale": _pair(Y.scale),
@@ -138,7 +142,7 @@ def _fields(cert: approx.Certificate) -> dict:
         "sup_bound": _pair(Y.sup_bound()),
         "nondiff_count_in_window": Y.nondiff_count(lo, hi),
         "window": {"lower": _pair(lo), "upper": _pair(hi)},
-        "quadrature_tolerance": repr(cert.quadrature_tolerance),
+        "quadrature_tolerance": repr(req.quadrature_tolerance),
     }
 
 
@@ -179,10 +183,14 @@ class CorruptCertificate(ValueError):
     pass
 
 
-def read_certificate(path) -> dict:
-    """The certificate's JSON object, with its required fields present, a
-    request object with string target and measure, and an integer b; any
-    other content raises CorruptCertificate."""
+def read_certificate(path) -> approx.Certificate:
+    """The Certificate that write_certificate wrote to path: the request
+    from the "request" object, Y from the rows, "scale" and "b", and
+    "error_bound" and "error_method" as they stand. The other fields are
+    functions of these; they must be present, and min_abs_slope must be
+    scale * b. A file that is no certificate raises CorruptCertificate, or
+    the error of the target or measure parser, of a request number with
+    no float, or of ApproxRequest."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -207,10 +215,6 @@ def read_certificate(path) -> dict:
         raise CorruptCertificate("field 'request' must be an object with string target and measure")
     if type(data["b"]) is not int:  # a bool is an int, and int() would truncate a float
         raise CorruptCertificate(f"field 'b' must be an integer, got {data['b']!r}")
-    return data
-
-
-def reconstruct_approximant(data: dict) -> SensitiveApproximant:
     try:
         # str() of each field: a JSON number reads as its decimal, while
         # true, null or a list is no rational; write_certificate emits the
@@ -224,18 +228,26 @@ def reconstruct_approximant(data: dict) -> SensitiveApproximant:
         )
         scale = _parse_fraction(str(data["scale"]), "scale")
         wave = TriangleWave(b=data["b"])
-        eps = _parse_fraction(str(data["request"]["eps"]), "eps")
-        M = _parse_fraction(str(data["request"]["M"]), "M")
-        p = _parse_p(str(data["request"]["p"]))
+        eps = _parse_fraction(str(request["eps"]), "eps")
+        M = _parse_fraction(str(request["M"]), "M")
+        p = _parse_float(str(request["p"]), "p")
         stored_slope = _parse_fraction(str(data["min_abs_slope"]), "min_abs_slope")
+        error_bound = _parse_float(str(data["error_bound"]), "error_bound")
     except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise CorruptCertificate(f"malformed certificate field: {exc}") from exc
     if stored_slope != scale * wave.b:
         raise CorruptCertificate(
             f"stored min_abs_slope {stored_slope} != scale*b {scale * wave.b}"
         )
-    return SensitiveApproximant(
-        phi0=phi0, scale=scale, wave=wave, eps=eps, M=M, p=p
+    target = parse_target(request["target"])
+    mu = BorelMeasure.from_spec(parse_measure(request["measure"]))
+    # verify prints both floats, and ApproxRequest would refuse eps unnamed
+    _check_floats("certificate field", "request.eps", eps, error=ValueError)
+    _check_floats("certificate field", "request.M", M, error=ValueError)
+    return approx.Certificate(
+        request=approx.ApproxRequest(target=target, mu=mu, p=p, eps=eps, M=M),
+        approximant=SensitiveApproximant(phi0=phi0, scale=scale, wave=wave),
+        error_bound=error_bound, error_method=data["error_method"],
     )
 
 
@@ -247,23 +259,8 @@ def _parse_float(text, name):
     """The float of a flag or a certificate field, a decimal or "n/d"."""
     try:
         return float(Fraction(text)) if "/" in text else float(text)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"invalid {name}: {text!r}")
-
-
-def _parse_p(text):
-    p = _parse_float(text, "p")
-    if not (1 <= p < math.inf):
-        raise ValueError("p must satisfy 1 ≤ p < ∞")
-    return p
-
-
-def _float_field(x, name):
-    """The float of an exact certificate field, or an error naming it."""
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValueError(f"certificate field {name} has no float") from None
 
 
 def _parse_fraction(text, name):
@@ -284,7 +281,7 @@ def cmd_sensitize(args) -> int:
     req = approx.ApproxRequest(
         target=parse_target(args.target),
         mu=BorelMeasure.from_spec(parse_measure(args.measure)),
-        p=_parse_p(args.p),
+        p=_parse_float(args.p, "p"),
         eps=_parse_fraction(args.eps, "eps"),
         M=_parse_fraction(args.M, "M"),
     )
@@ -299,20 +296,18 @@ def cmd_sensitize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = read_certificate(args.cert)
-    Y = reconstruct_approximant(data)
-    target = parse_target(data["request"]["target"])
-    mu = BorelMeasure.from_spec(parse_measure(data["request"]["measure"]))
+    cert = read_certificate(args.cert)
+    req, Y = cert.request, cert.approximant
     if not 1000 <= args.samples <= MAX_VERIFY_SAMPLES:
         raise ValueError(f"samples must be between 1000 and {MAX_VERIFY_SAMPLES}")
     if args.seed < 0:
         raise ValueError("seed must be nonnegative")
 
-    eps, M = (_float_field(x, f"request.{key}") for key, x in (("eps", Y.eps), ("M", Y.M)))
+    eps, M = float(req.eps), float(req.M)
     slope = Y.min_abs_slope()
-    f = target_evaluator(target)
+    f = target_evaluator(req.target)
     try:
-        est = norms.mc_norm(lambda xs: Y.eval_arr(xs) - f(xs), mu, Y.p, n=args.samples,
+        est = norms.mc_norm(lambda xs: Y.eval_arr(xs) - f(xs), req.mu, req.p, n=args.samples,
                             seed=args.seed)
     except MemoryError:
         raise MemoryError("not enough memory to verify: the draws take a few MB "
@@ -323,7 +318,7 @@ def cmd_verify(args) -> int:
           f"min_abs_slope={_pair(slope)} M={M:.6g}")
     reasons = [reason for ok, reason in (
         (mc_total < eps, f"MC distance + 4-sigma radius {mc_total:.6g} >= eps"),
-        (slope > Y.M, f"min |slope| {float(slope):.6g} <= M {M:.6g}")) if not ok]
+        (slope > req.M, f"min |slope| {float(slope):.6g} <= M {M:.6g}")) if not ok]
     print("FAIL: " + "; ".join(reasons) if reasons else "PASS")
     return EXIT_FAIL if reasons else EXIT_OK
 
@@ -331,8 +326,9 @@ def cmd_verify(args) -> int:
 def cmd_norm(args) -> int:
     target = parse_target(args.target)
     mu = BorelMeasure.from_spec(parse_measure(args.measure))
-    # lp_norm rejects a tol that is no positive finite number
-    est = approx.target_norm(target, mu, _parse_p(args.p),
+    # lp_norm rejects a p outside [1, inf) and a tol that is no positive
+    # finite number
+    est = approx.target_norm(target, mu, _parse_float(args.p, "p"),
                               _parse_float(args.tol, "tol"))
     print(f"value={est.value!r} bound={est.absolute_error_bound!r}")
     return EXIT_OK
@@ -346,9 +342,8 @@ def _target_or_nan(target, x) -> float:
 
 
 def cmd_plot(args) -> int:
-    data = read_certificate(args.cert)
-    Y = reconstruct_approximant(data)
-    target = parse_target(data["request"]["target"])
+    cert = read_certificate(args.cert)
+    Y, target = cert.approximant, cert.request.target
     lo_text, sep, hi_text = args.window.partition(":")
     if not sep:
         raise ValueError("window must be given as a:b")

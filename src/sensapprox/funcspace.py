@@ -305,19 +305,15 @@ def _slot(pts, x):
 
 @dataclass(frozen=True)
 class SensitiveApproximant:
-    """Y = phi0 + scale * wave, with request metadata for certification."""
+    """Y = phi0 + scale * wave; the request it answers is the
+    Certificate's."""
 
     phi0: StepFunction
     scale: Fraction
     wave: TriangleWave
-    eps: Fraction
-    M: Fraction
-    p: float
 
     def __post_init__(self):
         object.__setattr__(self, "scale", as_rational(self.scale))
-        object.__setattr__(self, "eps", as_rational(self.eps))
-        object.__setattr__(self, "M", as_rational(self.M))
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 

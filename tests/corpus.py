@@ -12,15 +12,13 @@ Each certificate written is also checked by ``verify --samples 20000
 lookup and ``norms.mc_norm``, is compared too. Comparing two checkouts is
 ``diff -r`` of two such directories, each written with the other
 checkout's ``src`` on ``PYTHONPATH``. Each certificate written is read
-back as ``verify`` reads it, through ``cli.read_certificate`` and
-``cli.reconstruct_approximant``, and must be, field for field and row for
-row, the certificate that the writer's reference ``certificate_to_dict``
-of ``test_cli`` gives for that approximant with the file's own texts,
-``error_bound``, ``error_method`` and ``quadrature_tolerance``. The
-script exits 1 if a case raises, ends in an exit code outside {0, 2, 3,
-4}, the codes that the CLI documents for ``sensitize``, or writes a
-certificate that does not read back. A verify FAIL is recorded, and
-fails no case: the wide spike of ``HARD`` is a known false certificate.
+back as ``verify`` reads it, through ``cli.read_certificate``, and the
+``Certificate`` read back must write the file again, byte for byte,
+through ``cli.write_certificate``. The script exits 1 if a case raises,
+ends in an exit code outside {0, 2, 3, 4}, the codes that the CLI
+documents for ``sensitize``, or writes a certificate that does not read
+back. A verify FAIL is recorded, and fails no case: the wide spike of
+``HARD`` is a known false certificate.
 
 The cases are the 96 of the acceptance grid, the certificates of the
 three benchmark workloads at fixed parameters, the golden cases, and
@@ -38,6 +36,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,7 +45,6 @@ sys.path.insert(1, str(ROOT))
 from bench.cases import FINE_EPS, STEEP_B, VERIFY_MC  # noqa: E402
 from sensapprox import cli  # noqa: E402
 from test_acceptance import GRID  # noqa: E402
-from test_cli import certificate_of_file, certificate_to_dict  # noqa: E402
 from test_golden import CASES as GOLDEN  # noqa: E402
 
 OK_CODES = {0, 2, 3, 4}
@@ -90,11 +88,12 @@ def cases():
 
 
 def reads_back(path):
-    """Whether the certificate at path is the one written from what verify
-    reads of it: every field that is a function of the approximant Y, and
-    the rows of its phi0, are written from Y as the file holds them."""
-    data = cli.read_certificate(path)
-    return data == certificate_to_dict(certificate_of_file(data))
+    """Whether the Certificate that verify reads from the file at path
+    writes that file again, byte for byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        back = Path(tmp) / "back.json"
+        cli.write_certificate(cli.read_certificate(path), back)
+        return back.read_bytes() == Path(path).read_bytes()
 
 
 def run_cli(argv):

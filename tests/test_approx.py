@@ -359,6 +359,8 @@ class TestSensitize:
             request("x", "uniform(0,1)", p=0.5)
         with pytest.raises(ValueError):
             request("x", "uniform(0,1)", p=math.inf)
+        with pytest.raises(ValueError, match="^request p has no finite float$"):
+            request("x", "uniform(0,1)", p=10**400)
 
     def test_eps_with_no_float_is_a_plain_value_error(self):
         # eps is a request field, no measure parameter

@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 import types
 from fractions import Fraction
 
@@ -20,13 +21,18 @@ from sensapprox.cli import (
     build_parser,
     main,
     read_certificate,
-    reconstruct_approximant,
     write_certificate,
 )
 from sensapprox.funcspace import SensitiveApproximant, StepFunction, TriangleWave
 from sensapprox.intervals import as_rational
 from sensapprox.measures import BorelMeasure, MeasureSpecError, Normal, PiecewisePoly
-from sensapprox.parsing import eval_target, eval_target_array, parse_measure, parse_target
+from sensapprox.parsing import (
+    TargetFunction,
+    eval_target,
+    eval_target_array,
+    parse_measure,
+    parse_target,
+)
 
 
 def run_python(*args):
@@ -66,22 +72,17 @@ def certificate_to_dict(cert):
     return {**cli._fields(cert), **phi0_rows(cert.approximant.phi0)}
 
 
-def certificate_of_file(data):
-    """The Certificate of a certificate file's data: the approximant that
-    verify reads back, and the file's own texts, error_bound, error_method
-    and quadrature_tolerance. A file that reads back is
-    certificate_to_dict of it."""
-    return Certificate(target_text=data["request"]["target"],
-                       measure_text=data["request"]["measure"],
-                       approximant=reconstruct_approximant(data),
-                       error_bound=float(data["error_bound"]),
-                       error_method=data["error_method"],
-                       quadrature_tolerance=float(data["quadrature_tolerance"]))
+def read_raw(raw):
+    """read_certificate of a file that holds raw as its JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cert.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        return read_certificate(path)
 
 
 class TestCertificateRoundTrip:
-    # (target, measure, p, eps, M) and what the certificate's shape shows;
-    # p is a float, as the CLI reads it, so that "p" is written as it reads
+    # (target, measure, p, eps, M) and what the certificate's shape shows
     @pytest.mark.parametrize("case, shape", [
         (("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", 1.0, "1/10", 1),
          lambda c: {"point": "3/10", "value": "0/1"} in c["exceptions"]),
@@ -97,18 +98,20 @@ class TestCertificateRoundTrip:
     ], ids=["atom-pin", "threshold-row", "mass-two", "no-rows", "huge-M"])
     def test_reconstruction_matches(self, tmp_path, case, shape):
         cert = make_certificate(*case)
-        path = tmp_path / "cert.json"
+        path, back = tmp_path / "cert.json", tmp_path / "back.json"
         write_certificate(cert, path)
-        data = read_certificate(path)
-        assert shape(data)
-        assert reconstruct_approximant(data) == cert.approximant
-        assert data == certificate_to_dict(certificate_of_file(data))
+        assert shape(json.loads(path.read_text()))
+        read_back = read_certificate(path)
+        assert read_back.approximant == cert.approximant
+        # the reader is the writer's inverse: the file is written again
+        write_certificate(read_back, back)
+        assert back.read_bytes() == path.read_bytes()
 
     def test_slope_rederived_exactly(self, tmp_path):
         cert = make_certificate(M=5, eps="1/10")
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
-        Y2 = reconstruct_approximant(read_certificate(path))
+        Y2 = read_certificate(path).approximant
         assert Y2.min_abs_slope() == cert.approximant.min_abs_slope()
         assert Y2.min_abs_slope() >= Fraction(6)
 
@@ -131,6 +134,15 @@ class TestCertificateRoundTrip:
         with pytest.raises(CorruptCertificate, match="scale"):
             read_certificate(path)
 
+    @pytest.mark.parametrize("p, text", [(Fraction(3, 2), "1.5"), (np.float64(2.0), "2.0")],
+                             ids=["fraction", "numpy-float"])
+    def test_a_library_p_is_held_as_its_float(self, tmp_path, capsys, p, text):
+        path = tmp_path / "cert.json"
+        write_certificate(make_certificate(p=p, eps="1/10"), path)
+        assert json.loads(path.read_text())["request"]["p"] == text
+        assert main(["verify", "--cert", str(path), "--samples", "10000"]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
     def test_inconsistent_slope_rejected(self, tmp_path):
         cert = make_certificate()
         path = tmp_path / "cert.json"
@@ -139,7 +151,7 @@ class TestCertificateRoundTrip:
         raw["min_abs_slope"] = "1/1000"
         path.write_text(json.dumps(raw))
         with pytest.raises(CorruptCertificate, match="min_abs_slope"):
-            reconstruct_approximant(read_certificate(path))
+            read_certificate(path)
 
 
 def _rows(*rows):
@@ -191,7 +203,7 @@ class TestCertificateDecoding:
         cert = make_certificate()
         raw = certificate_to_dict(cert)
         raw["phi0"] = _rows((text, "0/1", "1/4"), ("3/8", "1/4", end), ("1/1", end, "1/1"))
-        phi0 = reconstruct_approximant(json.loads(json.dumps(raw))).phi0
+        phi0 = read_raw(raw).approximant.phi0
         assert Fraction(str(text)) == want
         canonical = StepFunction(terms=[(want, 0, Fraction(1, 4)),
                                         (Fraction(3, 8), Fraction(1, 4), Fraction(1, 2)),
@@ -207,7 +219,7 @@ class TestCertificateDecoding:
         write_certificate(cert, tmp_path / "cert.json")
         raw = certificate_to_dict(cert)  # its sup_bound is a Fraction of a float
         fractions = _count_float_fractions(monkeypatch)
-        Y2 = reconstruct_approximant(raw)
+        Y2 = read_raw(raw).approximant
         xs = np.linspace(-3, 3, 1001)
         assert np.array_equal(Y2.eval_arr(xs), Y.eval_arr(xs))
         assert main(["verify", "--cert", str(tmp_path / "cert.json"),
@@ -276,11 +288,14 @@ def test_eval_and_sup_norm_read_the_terms_and_exceptions(phi0):
 
 
 def _certificate_of(phi0, target_text="x"):
-    Y = SensitiveApproximant(phi0=phi0, scale=Fraction(1, 20), wave=TriangleWave(b=40),
-                             eps=Fraction(1, 10), M=Fraction(1), p=1.0)
-    return Certificate(target_text=target_text, measure_text="uniform(0,1)", approximant=Y,
-                       error_bound=0.05, error_method="triangle-chain",
-                       quadrature_tolerance=0.001)
+    """A certificate of phi0 for the target x, whose text is target_text."""
+    req = ApproxRequest(target=TargetFunction(root=parse_target("x").root,
+                                              source_text=target_text),
+                        mu=BorelMeasure.from_spec(parse_measure("uniform(0,1)")),
+                        p=1.0, eps=Fraction(1, 10), M=Fraction(1))
+    Y = SensitiveApproximant(phi0=phi0, scale=Fraction(1, 20), wave=TriangleWave(b=40))
+    return Certificate(request=req, approximant=Y, error_bound=0.05,
+                       error_method="triangle-chain")
 
 
 @settings(deadline=None, max_examples=150)
@@ -289,7 +304,7 @@ def test_certificate_round_trip_of_phi0(phi0):
     """A certificate's phi0 reads back as the same exact data and the same
     float arrays, bit for bit."""
     cert = _certificate_of(phi0)
-    back = reconstruct_approximant(json.loads(json.dumps(certificate_to_dict(cert)))).phi0
+    back = read_raw(certificate_to_dict(cert)).approximant.phi0
     for name in ("_pts_f", "_region", "_point", "_runs"):
         assert np.array_equal(getattr(back, name), getattr(phi0, name), equal_nan=True)
     assert back.terms == phi0.terms
@@ -347,7 +362,7 @@ def test_the_accessors_hand_back_the_held_numbers():
     assert all(type(x) is float for x in held)
     raw = certificate_to_dict(_certificate_of(StepFunction()))
     raw["phi0"] = _rows(("1/1", "0/1", "3/10"))
-    phi0 = reconstruct_approximant(raw).phi0
+    phi0 = read_raw(raw).approximant.phi0
     assert phi0.terms == ((1.0, 0.0, Fraction(3, 10)),)
     assert [type(x) for x in phi0.terms[0]] == [float, float, Fraction]
     assert phi0.endpoints() == (0.0, Fraction(3, 10))
@@ -376,7 +391,7 @@ def _unreduced_phi0():
     raw = certificate_to_dict(make_certificate())
     raw["phi0"] = _rows(("2/4", "0/3", "2/8"), ("-6/4", "2/8", "4/6"))
     raw["exceptions"] = [{"point": "3/9", "value": "0/3"}, {"point": "10/4", "value": "-4/2"}]
-    return reconstruct_approximant(raw).phi0
+    return read_raw(raw).approximant.phi0
 
 
 class TestCertificateWriter:
@@ -498,7 +513,7 @@ class TestSensitizeCommand:
         out = tmp_path / "cert.json"
         assert main(["sensitize", "--target", "x", "--measure", "normal(0,1)", "--p", "1",
                      "--eps", "1/10", "--M", str(10**20), "--out", str(out)]) == 0
-        assert read_certificate(out)["nondiff_count_in_window"] > 2**63
+        assert json.loads(out.read_text())["nondiff_count_in_window"] > 2**63
         capsys.readouterr()
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -520,7 +535,7 @@ class TestSensitizeCommand:
                      "--measure", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
                      "--p", "1", "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
         value = "5323618770401843/18014398509481984"
-        assert read_certificate(out)["exceptions"] == [{"point": "3/10", "value": value}]
+        assert json.loads(out.read_text())["exceptions"] == [{"point": "3/10", "value": value}]
         assert Fraction(value) == Fraction(eval_target(parse_target("sin(x)"), Fraction(3, 10)))
         capsys.readouterr()
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
@@ -533,7 +548,7 @@ class TestSensitizeCommand:
         assert main(["sensitize", "--target", "x^20000",
                      "--measure", "mix(0.5*atom(0.5), 0.5*atom(0.3), 0.5*uniform(0,1))",
                      "--p", "1", "--eps", "1/10", "--M", "0", "--out", str(out)]) == 0
-        assert read_certificate(out)["exceptions"] == []
+        assert json.loads(out.read_text())["exceptions"] == []
         capsys.readouterr()
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -621,9 +636,9 @@ class TestSensitizeCommand:
         assert main(["sensitize", "--target", "x-0.3",
                      "--measure", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
                      "--p", "1", "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
-        data = read_certificate(out)
+        data = json.loads(out.read_text())
         assert data["exceptions"] == [{"point": "3/10", "value": "0/1"}]
-        phi0 = reconstruct_approximant(data).phi0
+        phi0 = read_certificate(out).approximant.phi0
         assert phi0.exceptions == ((Fraction(3, 10), 0),)
         assert phi0.eval(Fraction(3, 10)) == 0 and phi0.eval_arr(0.3) == 0.0
         assert StepFunction(terms=phi0.terms).eval(Fraction(3, 10)) != 0
@@ -643,7 +658,7 @@ class TestSensitizeCommand:
         out = tmp_path / "cert.json"
         assert main(["sensitize", "--target", "x", "--measure", measure, "--p", "1",
                      "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
-        assert len(read_certificate(out)["exceptions"]) == 1
+        assert len(json.loads(out.read_text())["exceptions"]) == 1
         capsys.readouterr()
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -824,6 +839,26 @@ def test_malformed_certificate_is_input_error(tmp_path, capsys, break_it):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "plot"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(error_bound="abc"),
+     "error: malformed certificate field: invalid error_bound: 'abc'\n"),
+    (lambda raw: raw["request"].update(measure="uniform(0,"),
+     "error: expected number (offset 10)\n"),
+], ids=["error-bound-text", "measure-unparsed"])
+def test_a_field_that_the_reader_reads_is_checked(tmp_path, capsys, command, edit, message):
+    # plot reads the whole Certificate, the measure included, as verify does
+    out = tmp_path / "cert.json"
+    write_certificate(make_certificate(), out)
+    raw = json.loads(out.read_text())
+    edit(raw)
+    out.write_text(json.dumps(raw))
+    flags = {"verify": ["--samples", "1000"],
+             "plot": ["--window=0:1", "--points", "5", "--out", str(tmp_path / "p.csv")]}
+    assert main([command, "--cert", str(out), *flags[command]]) == 2
+    assert capsys.readouterr().err == message
 
 
 # negative on about (0.0018, 0.0082), between the points of the grid that
@@ -1043,7 +1078,7 @@ class TestPlotCommand:
         assert main(["plot", "--cert", str(cert_path), "--window=0:1", "--points", "33",
                      "--out", str(out)]) == 0
         capsys.readouterr()
-        Y = reconstruct_approximant(read_certificate(cert_path))
+        Y = read_certificate(cert_path).approximant
         grid = [Fraction(i, 32) for i in range(33)]
         rows = [[float(v) for v in ln.split(",")] for ln in out.read_text().splitlines()[1:]]
         assert [x for x, _, _ in rows] == [float(x) for x in grid]
@@ -1169,8 +1204,13 @@ def test_input_that_no_command_handles_is_input_error(tmp_path, argv):
      "request eps has no finite float"),
     (["verify", "--cert", "{eps}", "--samples", "1000"], "certificate field request.eps"),
     (["verify", "--cert", "{M}", "--samples", "1000"], "certificate field request.M"),
+    (["norm", "--target", "x", "--measure", "uniform(0,1)", "--p", f"1{ZEROS}/1"],
+     f"invalid p: '1{ZEROS}/1'"),
+    (["norm", "--target", "x", "--measure", "uniform(0,1)", "--p", "1", "--tol", f"1{ZEROS}/1"],
+     f"invalid tol: '1{ZEROS}/1'"),
 ], ids=["uniform-bound", "atom-location", "exponential-rate", "normal-stddev",
-        "mix-weight", "sensitize-eps", "verify-eps", "verify-M"])
+        "mix-weight", "sensitize-eps", "verify-eps", "verify-M", "norm-p-fraction",
+        "norm-tol-fraction"])
 def test_a_number_with_no_float_is_named_in_its_error(tmp_path, capsys, argv, name):
     cert = make_certificate()
     write_certificate(cert, tmp_path / "cert.json")
@@ -1180,9 +1220,10 @@ def test_a_number_with_no_float_is_named_in_its_error(tmp_path, capsys, argv, na
         raw["request"][key] = "1e400"
         files[key] = tmp_path / f"{key}.json"
         files[key].write_text(json.dumps(raw))
-        # plot needs no float of eps or M
+        # plot reads the request too, and refuses the field as verify does
         assert main(["plot", "--cert", str(files[key]), "--window=0:1", "--points", "5",
-                     "--out", str(tmp_path / "p.csv")]) == 0
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert f"certificate field request.{key} has no" in capsys.readouterr().err
     capsys.readouterr()
     assert main([arg.format(**files) for arg in argv]) == 2
     err = capsys.readouterr().err

@@ -34,11 +34,8 @@ def assert_same_floats(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def approximant(phi0, scale, b, eps=1, M=0, p=1):
-    return SensitiveApproximant(
-        phi0=phi0, scale=Fraction(scale), wave=TriangleWave(b),
-        eps=Fraction(eps), M=Fraction(M), p=p,
-    )
+def approximant(phi0, scale, b):
+    return SensitiveApproximant(phi0=phi0, scale=Fraction(scale), wave=TriangleWave(b))
 
 
 class TestBuildZigzag:
@@ -382,13 +379,15 @@ class TestSlopeProfile:
         ]
 
     def test_pipeline_slope_m_plus_one(self):
-        y = approximant(StepFunction(), Fraction(1, 4), 16, eps=Fraction(1, 2), M=3)
+        # the wave of eps = 1/2, M = 3: scale eps / 2, b = 2 (M + 1) / eps
+        y = approximant(StepFunction(), Fraction(1, 4), 16)
         prof = slope_profile(y, Fraction(-1, 2), Fraction(1, 2))
         assert all(abs(s) == 4 for _, _, s in prof)
         assert y.min_abs_slope() == 4
 
     def test_pipeline_slope_eleven(self):
-        y = approximant(StepFunction(), Fraction(1, 20), 220, eps=Fraction(1, 10), M=10)
+        # the wave of eps = 1/10, M = 10
+        y = approximant(StepFunction(), Fraction(1, 20), 220)
         prof = slope_profile(y, 0, Fraction(1, 10))
         assert all(abs(s) == 11 for _, _, s in prof)
 

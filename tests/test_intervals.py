@@ -72,7 +72,7 @@ def test_every_entry_point_reads_a_float_as_its_exact_binary_value(x, b, eps, M)
     lattice = wave.lattice_range(x, x)
     assert (lattice.start, lattice.stop) == (math.floor(q * b) + 1, math.ceil(q * b))
     y = SensitiveApproximant(phi0=StepFunction(exceptions=[(q, 1)]), scale=Fraction(1, 2),
-                             wave=wave, eps=1, M=0, p=1)
+                             wave=wave)
     assert y.eval(x) == 1 + wave.eval(q) / 2
     assert build_zigzag(eps, M).b == math.ceil(2 * (Fraction(M) + 1) / Fraction(eps))
     mass = abs(x) or 1.0

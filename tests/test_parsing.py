@@ -24,7 +24,7 @@ from sensapprox.parsing import (
     parse_target,
     thresholds,
 )
-from sensapprox.approx import Certificate
+from sensapprox.approx import ApproxRequest, Certificate
 from sensapprox.cli import read_certificate, write_certificate
 from sensapprox.funcspace import SensitiveApproximant, StepFunction, TriangleWave
 from sensapprox.measures import BorelMeasure
@@ -104,16 +104,15 @@ class TestParseTarget:
         """The target text that a certificate stores reads back as the same
         tree, and neither parentheses nor whitespace carry structure."""
         t = parse_target(text)
+        req = ApproxRequest(target=t, mu=BorelMeasure.from_spec(parse_measure("uniform(0,1)")),
+                            p=1.0, eps=Fraction(1, 10), M=Fraction(1))
         Y = SensitiveApproximant(phi0=StepFunction(terms=[]), scale=Fraction(1, 20),
-                                 wave=TriangleWave(b=40), eps=Fraction(1, 10),
-                                 M=Fraction(1), p=1.0)
-        cert = Certificate(
-            target_text=t.source_text, measure_text="uniform(0,1)", approximant=Y,
-            error_bound=0.05, error_method="triangle-chain", quadrature_tolerance=0.001,
-        )
+                                 wave=TriangleWave(b=40))
+        cert = Certificate(request=req, approximant=Y, error_bound=0.05,
+                           error_method="triangle-chain")
         path = tmp_path / "cert.json"
         write_certificate(cert, path)
-        assert parse_target(read_certificate(path)["request"]["target"]).root == t.root
+        assert read_certificate(path).request.target.root == t.root
         assert parse_target(f"({text})").root == t.root
         assert parse_target("".join(text.split())).root == t.root
 
