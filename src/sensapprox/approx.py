@@ -59,8 +59,9 @@ class NonFiniteMomentError(ValueError):
 
 @dataclass(frozen=True)
 class ApproxRequest:
-    """The inputs (X, mu, p, eps, M) that Y answers, held once: p as its
-    float, eps and M as exact rationals."""
+    """The inputs (X, mu, p, eps, M) that Y answers, held once. Each number
+    is read by as_rational, as every number the library takes is: p is
+    then held as its float, eps and M as the exact rationals."""
     target: TargetFunction
     mu: BorelMeasure
     p: float
@@ -68,14 +69,15 @@ class ApproxRequest:
     M: Fraction
 
     def __post_init__(self):
-        try:  # a Fraction or a numpy float is read as its float
-            object.__setattr__(self, "p", float(self.p))
-        except OverflowError:
-            raise ValueError("request p has no finite float") from None
-        object.__setattr__(self, "eps", as_rational(self.eps))
-        object.__setattr__(self, "M", as_rational(self.M))
-        if not (1 <= self.p < math.inf):
+        for name in ("p", "eps", "M"):
+            try:
+                object.__setattr__(self, name, as_rational(getattr(self, name)))
+            except ValueError as exc:  # NaN, ±inf or a text that is no number
+                raise ValueError(f"request {name}: {exc}") from None
+        if self.p < 1:
             raise ValueError("p must satisfy 1 <= p < infinity")
+        _check_floats("request", "p", self.p, error=ValueError)
+        object.__setattr__(self, "p", float(self.p))
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         _check_floats("request", "eps", self.eps, error=ValueError)

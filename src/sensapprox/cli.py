@@ -31,7 +31,7 @@ import numpy as np
 from . import approx, norms
 from .funcspace import SensitiveApproximant, StepFunction, TriangleWave
 from .intervals import as_rational, uniform_grid_floats
-from .measures import BorelMeasure, _check_floats
+from .measures import BLOCK, BorelMeasure, _check_floats
 from .parsing import (
     EvaluationError,
     eval_target_array,
@@ -66,8 +66,8 @@ MAX_PLOT_POINTS = 10**5
 # most Monte Carlo draws that verify takes. The draws go through one
 # reused block, so this bounds the time of a verify, not its memory: at
 # 10^7 draws, a verify of x^2 | normal(0,1) (p=2, eps=1/10, M=5) takes
-# 0.6-0.7 s and peaks at 112 968 KiB of address space (VmPeak) and 40 MB
-# resident, 1 204 KiB and 2 MB over its peaks at 10^3 draws (2 vCPU,
+# 0.2-0.3 s and peaks at 112 072 KiB of address space (VmPeak) and 38 MB
+# resident, 880 KiB and 1 MB over its peaks at 10^3 draws (2 vCPU,
 # Python 3.11, numpy 2.4)
 MAX_VERIFY_SAMPLES = 10**7
 
@@ -306,9 +306,18 @@ def cmd_verify(args) -> int:
     eps, M = float(req.eps), float(req.M)
     slope = Y.min_abs_slope()
     f = target_evaluator(req.target)
+    # Y - X of each block, formed in place in two arrays made once; each
+    # is one block, as the draws are: one array of two blocks faulted its
+    # pages in afresh on every verify of 2*10^4 draws (2 vCPU, glibc 2.36)
+    y_block, x_block = np.empty(min(args.samples, BLOCK)), np.empty(min(args.samples, BLOCK))
+
+    def distance(xs):
+        y, x = y_block[:xs.size], x_block[:xs.size]
+        Y.eval_arr(xs, out=y, scratch=x)
+        return np.subtract(y, f(xs, out=x), out=y)
+
     try:
-        est = norms.mc_norm(lambda xs: Y.eval_arr(xs) - f(xs), req.mu, req.p, n=args.samples,
-                            seed=args.seed)
+        est = norms.mc_norm(distance, req.mu, req.p, n=args.samples, seed=args.seed)
     except MemoryError:
         raise MemoryError("not enough memory to verify: the draws take a few MB "
                           "whatever --samples is")

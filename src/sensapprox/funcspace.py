@@ -55,7 +55,9 @@ class TriangleWave:
         t = (as_rational(x) * self.b) % 2
         return 1 - abs(t - 1)
 
-    def eval_arr(self, xs) -> np.ndarray:
+    def eval_arr(self, xs, out=None, scratch=None) -> np.ndarray:
+        """The wave at each point, into out, with 2 floor(t/2) in scratch;
+        each is an array of xs's shape, or new where None."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 0:
             return self.eval_arr(xs.reshape(1))[0]
@@ -65,8 +67,8 @@ class TriangleWave:
         # np.mod gives 2.0, and the wave is 0 at both. No fmod, and in
         # place: on a verify block of 2^15 points this takes a third of the
         # time of a new array per step (2 vCPU, numpy 2.4).
-        t = xs * self.b
-        h = t * 0.5
+        t = np.multiply(xs, self.b, out=out)
+        h = np.multiply(t, 0.5, out=scratch)
         np.floor(h, out=h)
         h *= 2.0
         t -= h
@@ -142,13 +144,15 @@ class StepFunction:
 
     The float breakpoints end in a NaN, which sorts after every float and
     equals none, so the index that ``searchsorted`` returns always selects
-    a region and the breakpoint to test for equality. An ascending input,
-    such as a block of sorted Monte Carlo draws or a plot grid, is looked
-    up by a merge instead: the breakpoints are placed among the points,
-    and the output repeats the value of each run between them.
+    a region and the breakpoint to test for equality. An input made of a
+    few ascending runs, such as a plot grid or a block of sorted Monte
+    Carlo draws, one run per component of the measure, is looked up by a
+    merge per run instead: the breakpoints are placed among the run's
+    points, which then fall in runs of one value each.
     """
 
-    __slots__ = ("_terms", "_exc", "_pts", "_vals", "_pts_f", "_runs", "_region", "_point")
+    __slots__ = ("_terms", "_exc", "_pts", "_vals", "_pts_f", "_runs", "_region", "_point",
+                 "_ids")
 
     def __init__(self, terms=(), exceptions=()):
         rows = []
@@ -192,6 +196,12 @@ class StepFunction:
             self._runs[2 * np.searchsorted(self._pts_f, float(p)) + 1] = float(v)
         self._region = self._runs[0::2]
         self._point = self._runs[1::2]
+        # the index of each value run, in the smallest integer type that
+        # holds them: numpy's repeat, which has no out, then makes the run
+        # index of a block of 2^15 points in at most 64 KiB while a step
+        # function has fewer than 2^15 breakpoints, under malloc's mmap
+        # threshold, so that it reuses memory and faults in no page
+        self._ids = np.arange(self._runs.size, dtype=np.min_scalar_type(self._runs.size))
 
     @property
     def terms(self):
@@ -233,13 +243,22 @@ class StepFunction:
 
     # -- vectorized evaluation ------------------------------------------------
 
-    def eval_arr(self, xs) -> np.ndarray:
+    def eval_arr(self, xs, out=None) -> np.ndarray:
+        """The value at each point, into out, an array of xs's shape, or a
+        new one where None; out may be xs."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 0:
             return self.eval_arr(xs.reshape(1))[0]
-        if xs.ndim == 1 and np.all(xs[1:] >= xs[:-1]):  # a NaN fails it
-            return self._merge_lookup(xs)
-        return self._search_lookup(xs)
+        if xs.ndim == 1:
+            # an ascending run ends where the points descend or meet a NaN
+            rises = xs[1:] >= xs[:-1]
+            cuts = () if rises.all() else np.flatnonzero(np.logical_not(rises, out=rises)) + 1
+            if len(cuts) * (self._pts_f.size + _RUN_COST) < xs.size:
+                return self._merge_lookup(xs, cuts, out)
+        if out is None:
+            return self._search_lookup(xs)
+        out[...] = self._search_lookup(xs)
+        return out
 
     def _search_lookup(self, xs):
         """Binary search of each point among the breakpoints."""
@@ -250,21 +269,39 @@ class StepFunction:
             out[hit] = self._point[idx[hit]]
         return out
 
-    def _merge_lookup(self, xs):
-        """The same values for ascending xs: each breakpoint is placed among
-        the points, which then form runs of region k, breakpoint k, region
-        k + 1, ..., and the output repeats each run's value. Two exact
-        breakpoints can round to one float; the running maximum of the run
-        ends gives the points at that float to the first of them, and empty
-        runs to the rest, as the binary search does."""
+    def _merge_lookup(self, xs, cuts=(), out=None):
+        """The same values for xs made of ascending runs, each starting at
+        0 or at one of cuts. Each breakpoint is placed among a run's
+        points, which then fall in value runs of region k, breakpoint k,
+        region k + 1, ...; two exact breakpoints can round to one float,
+        and the running maximum of the value runs' ends gives the points at
+        that float to the first of them, and empty value runs to the rest,
+        as the binary search does. The value run of each point is written
+        into out's own memory, seen as integers, over which np.take reads
+        the values: it reads each index before it writes that point's
+        value in the same place, and in mode clip it writes into out
+        directly (mode raise would copy it first; every index is in
+        range)."""
+        out = np.empty(xs.shape) if out is None else out
+        idx = out.view(np.int64)
         pts = self._pts_f[:-1]
         ends = np.empty(2 * pts.size + 2, dtype=np.intp)
         ends[0] = 0
-        ends[1:-1:2] = np.searchsorted(xs, pts, side="left")
-        ends[2:-1:2] = np.searchsorted(xs, pts, side="right")
-        ends[-1] = xs.size
-        np.maximum.accumulate(ends, out=ends)
-        return np.repeat(self._runs, np.diff(ends))
+        bounds = [0, *cuts, xs.size]
+        for start, stop in zip(bounds, bounds[1:]):
+            run = xs[start:stop]
+            ends[1:-1:2] = np.searchsorted(run, pts, side="left")
+            ends[2:-1:2] = np.searchsorted(run, pts, side="right")
+            ends[-1] = run.size
+            np.maximum.accumulate(ends, out=ends)
+            idx[start:stop] = np.repeat(self._ids, np.diff(ends))
+        return np.take(self._runs, idx, out=out, mode="clip")
+
+
+# the cost of one more merge in points looked up by binary search: a
+# merge's few numpy calls take about as long as a binary search of 10^3
+# points among 10^2 breakpoints
+_RUN_COST = 1000
 
 
 def _walk_terms(terms):
@@ -320,11 +357,14 @@ class SensitiveApproximant:
     def eval(self, x) -> Fraction:
         return self.phi0.eval(x) + self.scale * self.wave.eval(x)
 
-    def eval_arr(self, xs) -> np.ndarray:
+    def eval_arr(self, xs, out=None, scratch=None) -> np.ndarray:
+        """Y at each point, into out, with scratch for the wave's floors
+        and then phi0's values; each is an array of xs's shape, or new
+        where None."""
         xs = np.asarray(xs, dtype=float)
-        out = self.wave.eval_arr(xs)
+        out = self.wave.eval_arr(xs, out=out, scratch=scratch)
         out *= float(self.scale)
-        out += self.phi0.eval_arr(xs)  # the same sum as phi0 + s * wave
+        out += self.phi0.eval_arr(xs, out=scratch)  # the same sum as phi0 + s * wave
         return out
 
     def min_abs_slope(self) -> Fraction:

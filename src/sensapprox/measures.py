@@ -29,8 +29,12 @@ then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. 2). The uniforms come one cache-sized block at a
 time through one reused buffer, and each block is sorted, so that within
 it each component's draws, and each pwd cell's, are one slice, found by
-a binary search of the cumulative weights. The normal quantile is
-Wichura's AS241 PPND16 (*Applied Statistics* 37, 1988), run in numpy.
+a binary search of the cumulative weights. Each slice is mapped in place
+by its kind's inverse CDF, which takes ``out`` and borrows its
+intermediates from scratch that the sampler makes once per call, so a
+block makes no array of its floats. The normal quantile is Wichura's
+AS241 PPND16 (*Applied Statistics* 37, 1988), run in numpy on ascending
+input, whose three bands are slices.
 """
 
 from __future__ import annotations
@@ -85,85 +89,112 @@ _AS241_FAR = _columns(
      7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
      2.04426310338993978564e-15),
 )
-# draws per block of the Monte Carlo path (sample_blocks, whose one buffer
-# from_uniforms maps in place, and mc_norm in norms, which folds each
-# block into its running mean and variance): a few block-sized
-# temporaries (256 kB each) stay in cache, and the path's memory does not
-# grow with the number of draws; on 10^6 points one block of all of them
-# takes more than twice as long, and smaller blocks make more numpy calls
+# draws per block of the Monte Carlo path (sample_blocks, which maps each
+# block in place through buffers it allocates once per call, and mc_norm
+# in norms, which folds each block into its running mean and variance):
+# no array of BLOCK floats is made per block, so the block's pages are
+# faulted in once per call and stay in cache, and the path's memory does
+# not grow with the number of draws; on 10^6 points one block of all of
+# them takes more than twice as long, and smaller blocks make more numpy
+# calls
 BLOCK = 1 << 15
+# rows of the scratch that the inverse CDFs borrow from their caller: the
+# normal quantile's central band holds r and its two Horner accumulators,
+# and a pwd cell's bisection its two ends, its midpoints and its
+# polynomial there
+SCRATCH_ROWS = 4
 
 
-def _rational(cols, x):
-    """num(x) / den(x) by Horner, both in one numpy call per step and in
-    place: on a few 10^4 points the calls and the new arrays, not the
-    arithmetic, set the cost."""
-    acc = cols[0] * x
+def _rational(cols, x, acc, out):
+    """num(x) / den(x) into out, which may be x, by Horner: numerator and
+    denominator in the two rows of acc, one numpy call per step and in
+    place, as on a few 10^4 points the calls, not the arithmetic, set the
+    cost."""
+    np.multiply(cols[0], x, out=acc)
     for c in cols[1:-1]:
         acc += c
         acc *= x
     acc += cols[-1]
-    return np.divide(acc[0], acc[1], out=acc[0])
+    return np.divide(acc[0], acc[1], out=out)
 
 
-def _ndtri_tail(s):
-    """Minus the standard normal quantile of each tail mass s < 0.075."""
-    r = np.log(s)
+def _ndtri_tail(s, acc):
+    """Minus the standard normal quantile of each tail mass s < 0.075, in
+    place; the rare points past r = 5 are gathered."""
+    r = np.log(s, out=s)
     np.sqrt(np.negative(r, out=r), out=r)
     far = r > 5.0
     rf = r[far] if far.any() else None
     r -= 1.6
-    out = _rational(_AS241_NEAR, r)
+    _rational(_AS241_NEAR, r, acc, r)
     if rf is not None:
-        out[far] = np.where(rf == np.inf, np.inf, _rational(_AS241_FAR, rf - 5.0))
-    return out
+        x = rf - 5.0
+        r[far] = np.where(rf == np.inf, np.inf, _rational(_AS241_FAR, x, acc[:, :x.size], x))
+    return r
 
 
-def _ndtri_central(p):
-    """Standard normal quantile of each p in [0.075, 0.925]."""
-    q = p - 0.5
-    r = q * q
-    out = _rational(_AS241_CENTRAL, np.subtract(0.180625, r, out=r))
-    out *= q
-    return out
+def _ndtri_central(p, scratch):
+    """Standard normal quantile of each p in [0.075, 0.925], in place."""
+    q = np.subtract(p, 0.5, out=p)
+    r = np.multiply(q, q, out=scratch[0])
+    _rational(_AS241_CENTRAL, np.subtract(0.180625, r, out=r), scratch[1:3], r)
+    q *= r
+    return q
 
 
 # the central values at the seams bound the tails, so that the output
 # does not step back where the branch changes (log in the tails is not
 # correctly rounded)
-_SEAM_LO, _SEAM_HI = _ndtri_central(np.array([0.075, 0.925]))
+_SEAM_LO, _SEAM_HI = _ndtri_central(np.array([0.075, 0.925]), np.empty((SCRATCH_ROWS, 2)))
 
 
-def _ndtri_low(p):
-    t = _ndtri_tail(p)
+def _ndtri_low(p, scratch):
+    t = _ndtri_tail(p, scratch[1:3])
     return np.minimum(np.negative(t, out=t), _SEAM_LO, out=t)
 
 
-def _ndtri_high(p):
-    t = _ndtri_tail(1.0 - p)  # 1 - p is exact here
+def _ndtri_high(p, scratch):
+    t = _ndtri_tail(np.subtract(1.0, p, out=p), scratch[1:3])  # 1 - p is exact here
     return np.maximum(t, _SEAM_HI, out=t)
 
 
-def _ndtri(p):
-    """Standard normal quantile of each p (AS241): -inf at 0, inf at 1,
-    NaN outside [0, 1].
+def _ndtri_sorted(p, scratch):
+    """Standard normal quantile (AS241) of each p of an ascending array,
+    NaN last, in place: -inf at 0, inf at 1, NaN outside [0, 1].
 
     Each p is mapped on its own, so the result does not depend on the
-    order or the blocking of the input; ``sample_blocks`` passes at most
-    ``BLOCK`` points at a time. Masks split p into the lower tail, the
-    central band [0.075, 0.925] and the upper tail; NaN falls in the upper
-    tail, which maps it to NaN.
+    blocking of the input. The lower tail p < 0.075, the central band up
+    to 0.925 and the upper tail, where NaN falls and maps to NaN, are
+    three slices of p, found by two binary searches. scratch is a float
+    array of SCRATCH_ROWS rows of at least p.size.
     """
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    low = p < 0.075
-    high = ~(p <= 0.925)
-    mid = ~(low | high)
+    i = np.searchsorted(p, 0.075, side="left")
+    j = np.searchsorted(p, 0.925, side="right")
     with np.errstate(divide="ignore", invalid="ignore"):
-        for part, branch in ((mid, _ndtri_central), (low, _ndtri_low), (high, _ndtri_high)):
-            x = p[part]
-            if x.size:
-                out[part] = branch(x)
+        for lo, hi, branch in ((0, i, _ndtri_low), (i, j, _ndtri_central),
+                               (j, p.size, _ndtri_high)):
+            if lo < hi:
+                branch(p[lo:hi], scratch[:, :hi - lo])
+    return p
+
+
+def _ndtri(p):
+    """Standard normal quantile of each p of any order and shape: the
+    quantiles of p sorted, NaN last, put back in p's order."""
+    p = np.asarray(p, dtype=float)
+    order = np.argsort(p, axis=None)
+    out = np.empty(p.shape)
+    out.flat[order] = _ndtri_sorted(p.ravel()[order], np.empty((SCRATCH_ROWS, p.size)))
+    return out
+
+
+def _out(v, out):
+    """out holding v, where out may be v itself, or a copy of v where out
+    is None: where an inverse CDF maps its points in place."""
+    if out is None:
+        return np.array(v, dtype=float)
+    if out is not v:
+        out[...] = v
     return out
 
 
@@ -210,8 +241,10 @@ class AtomKind:
         object.__setattr__(self, "location", as_rational(self.location))
         _check_floats("atom", "location", self.location)
 
-    def inv_cdf_arr(self, v):
-        return np.full_like(v, float(self.location))
+    def inv_cdf_arr(self, v, out=None, scratch=None):
+        out = np.empty_like(v) if out is None else out
+        out.fill(float(self.location))
+        return out
 
 
 @dataclass(frozen=True)
@@ -235,9 +268,12 @@ class Uniform:
         a, b = float(self.a), float(self.b)
         return np.where((xs > a) & (xs < b), 1.0 / (b - a), 0.0)
 
-    def inv_cdf_arr(self, v):
+    def inv_cdf_arr(self, v, out=None, scratch=None):
         a, b = float(self.a), float(self.b)
-        return a + (b - a) * v
+        x = _out(v, out)
+        x *= b - a
+        x += a
+        return x
 
     def variation(self):
         """Density jumps (x, jump) and the variation left between them."""
@@ -274,8 +310,13 @@ class Normal:
             z = (xs - m) / s
             return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
 
-    def inv_cdf_arr(self, v):
-        return float(self.mean) + float(self.std) * _ndtri(v)
+    def inv_cdf_arr(self, v, out=None, scratch=None):
+        """The quantile of each v of an ascending array."""
+        x = _out(v, out)
+        _ndtri_sorted(x, np.empty((SCRATCH_ROWS, x.size)) if scratch is None else scratch)
+        x *= float(self.std)
+        x += float(self.mean)
+        return x
 
     def variation(self):
         """No jumps; the density rises to pdf(mean) and falls back."""
@@ -285,7 +326,8 @@ class Normal:
     # costs make one _ndtri call on two points take about 0.1 ms
     @functools.lru_cache(maxsize=64)
     def spans(self, tail):
-        return [tuple(self.inv_cdf_arr(np.array([tail, 1.0 - tail])).tolist())]
+        z = float(self.mean) + float(self.std) * _ndtri(np.array([tail, 1.0 - tail]))
+        return [tuple(z.tolist())]
 
 
 @dataclass(frozen=True)
@@ -305,8 +347,12 @@ class Exponential:
         r = float(self.rate)
         return np.where(xs > 0.0, r * np.exp(-r * xs), 0.0)
 
-    def inv_cdf_arr(self, v):
-        return -np.log1p(-v) / float(self.rate)
+    def inv_cdf_arr(self, v, out=None, scratch=None):
+        x = np.negative(v, out=out)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        x /= float(self.rate)
+        return x
 
     def variation(self):
         """A jump of rate at 0, then a fall from rate to 0."""
@@ -452,39 +498,60 @@ class PiecewisePoly:
                 out[mask] = np.polyval(dens, xs[mask] - af)
         return out
 
-    def inv_cdf_arr(self, v):
+    def inv_cdf_arr(self, v, out=None, scratch=None):
         """x with F(x) = v, for ascending v: each cell's v form one slice,
         found by the mass before each cell, and are solved in that cell."""
         before = [cell[2] for cell in self._cells]
-        out = np.empty_like(v)
-        for i, start, stop in _slices(before, v):
-            out[start:stop] = self._cell_inv(i, v[start:stop] - before[i])
-        return out
+        t = _out(v, out)
+        # the slice bounds are all found before the first x is written
+        for i, start, stop in _slices(before, t):
+            cell = t[start:stop]
+            cell -= before[i]
+            self._cell_inv(i, cell, scratch)
+        return t
 
-    def _cell_inv(self, i, t):
-        """x in cell i whose mass from the cell's left end is t."""
+    def _cell_inv(self, i, t, scratch=None):
+        """x in cell i whose mass from the cell's left end is t, written
+        over t; the root form takes row 0 of scratch, and the bisection
+        all SCRATCH_ROWS rows."""
         af, bf, _, anti, dens, _ = self._cells[i]
         if len(dens) <= 2:
             # density d0 + c1*(x - a): a quadratic CDF, solved in the root
-            # form that does not cancel, also where d0 = 0; in place, which
-            # halves the time on a block of 2^15 draws (2 vCPU, numpy 2.4)
+            # form that does not cancel, also where d0 = 0, in place
             d0 = dens[-1]
             c1 = dens[0] if len(dens) == 2 else 0.0
-            disc = 2.0 * c1 * t
+            disc = np.multiply(t, 2.0 * c1, out=None if scratch is None else scratch[0, :t.size])
             disc += d0 * d0
             np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
             disc += d0
-            x = np.divide(2.0 * t, disc, out=disc)
-            x += af
-            return np.clip(x, af, bf, out=x)
-        lo = np.full_like(t, af)
-        hi = np.full_like(t, bf)
+            t *= 2.0
+            np.divide(t, disc, out=t)
+            t += af
+            return np.clip(t, af, bf, out=t)
+        # a cell of degree 2 or more bisects 56 times, in place: x holds
+        # the midpoint less a, at which y is the antiderivative by Horner
+        # as np.polyval evaluates it, and then the midpoint itself
+        if scratch is None:
+            scratch = np.empty((SCRATCH_ROWS, t.size))
+        lo, hi, x, y = (row[:t.size] for row in scratch)
+        ge = np.empty(t.size, dtype=bool)
+        lo.fill(af)
+        hi.fill(bf)
         for _ in range(56):
-            mid = 0.5 * (lo + hi)
-            ge = np.polyval(anti, mid - af) >= t
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid)
-        return hi
+            np.add(lo, hi, out=x)
+            x *= 0.5
+            x -= af
+            y.fill(anti[0])
+            for c in anti[1:]:
+                y *= x
+                y += c
+            np.greater_equal(y, t, out=ge)
+            np.add(lo, hi, out=x)
+            x *= 0.5
+            np.copyto(hi, x, where=ge)
+            np.copyto(lo, x, where=np.logical_not(ge, out=ge))
+        t[...] = hi
+        return t
 
     def variation(self):
         """The jump at every break; per cell, sum_{k>=1} |d_k| h^k bounds
@@ -607,27 +674,31 @@ class BorelMeasure:
 
         The uniforms are ``default_rng(seed).random(n)`` read a block at a
         time into one reused buffer, which is the same stream. Each block
-        is taken to 1 - u in (0, 1], sorted and mapped by
-        ``from_uniforms``, all in place, so the draws take one block of
-        memory whatever n is. A block is a view of that buffer: it may be
-        written to, and the next block overwrites it. A statistic that is
-        symmetric in the draws, such as the mean and variance in
-        ``norms.mc_norm``, sees the blocking only in the rounding of its
-        sums. The sorting makes the component split of a block a pair of
-        slice bounds, and each component's draws one ascending run; a
-        later step-function lookup of the block is a merge only where it
-        ascends overall, and a binary search per draw where parts overlap
-        or are listed out of order, as in mix(0.5*normal(0,1),
-        0.5*uniform(0,1)).
+        is taken to 1 - u in (0, 1], sorted and mapped as by
+        ``from_uniforms``, all in place, with the inverse CDFs' scratch
+        allocated once here: no array of BLOCK floats is made per block,
+        and the draws take a few blocks of memory whatever n is. A block
+        is a view of that buffer: it may be written to, and the next block
+        overwrites it. A statistic that is symmetric in the draws, such as
+        the mean and variance in ``norms.mc_norm``, sees the blocking only
+        in the rounding of its sums. The sorting makes the component split
+        of a block a pair of slice bounds, and each component's draws one
+        ascending run; a step-function lookup of the block merges each
+        run, so one merge where it ascends overall, and one per component
+        where parts overlap or are listed out of order, as in
+        mix(0.5*normal(0,1), 0.5*uniform(0,1)).
         """
         rng = np.random.default_rng(seed)
-        buf = np.empty(min(n, BLOCK))
+        size = min(n, BLOCK)
+        # rows of half a block: the draws and the scratch then take 3
+        # blocks of memory, not 5, for one more inverse CDF call per part
+        buf, scratch = np.empty(size), np.empty((SCRATCH_ROWS, (size + 1) // 2))
         for s in range(0, n, BLOCK):
             u = buf[:min(BLOCK, n - s)]
             rng.random(out=u)
             np.subtract(1.0, u, out=u)
             u.sort()
-            yield self.from_uniforms(u, out=u)
+            yield self._map_uniforms(u, u, scratch)
 
     def from_uniforms(self, u, out=None):
         """Map ascending uniforms u in (0, 1] to draws of mu / total_mass.
@@ -635,24 +706,31 @@ class BorelMeasure:
         Composition: the component is picked from the cumulative weights
         w / total_mass (atoms first, then parts, in stored order), so on
         ascending u each component's draws are one slice of u. Within it,
-        u is rescaled to v in (0, 1) and goes through the component's
-        inverse CDF in one call. Each u is mapped on its own, so the draws
-        do not depend on how u is cut into blocks; ``sample_blocks`` passes
-        at most ``BLOCK`` at a time, so that the temporaries stay in cache.
-        The draws go to ``out``, an array of u's shape, which may be u
-        itself, or to a new array; u that is not ascending, or holds NaN,
-        raises ValueError.
+        u is rescaled to v in (0, 1), written once into its slice of the
+        output, and mapped there in place by the component's inverse CDF.
+        Each u is mapped on its own, so the draws do not depend on how u is
+        cut into blocks. The draws go to ``out``, an array of u's shape,
+        which may be u itself, or to a new array; u that is not ascending,
+        or holds NaN, raises ValueError.
         """
         u = np.asarray(u, dtype=float)
         if not np.all(u[1:] >= u[:-1]) or np.isnan(u[:1]).any():
             raise ValueError("from_uniforms requires ascending uniforms")
-        if out is None:
-            out = np.empty_like(u)
+        return self._map_uniforms(u, np.empty_like(u) if out is None else out,
+                                  np.empty((SCRATCH_ROWS, u.size)))
+
+    def _map_uniforms(self, u, out, scratch):
+        """from_uniforms of ascending u into out, unchecked, with the
+        inverse CDFs' scratch of SCRATCH_ROWS rows: each component's slice
+        goes through its inverse CDF a row's length at a time."""
         # the slice bounds are all found before the first draw is written
         for i, start, stop in _slices(self._lowers, u):
-            v = np.subtract(u[start:stop], self._lowers[i], out=out[start:stop])
-            v /= self._weights[i]
-            out[start:stop] = self._kinds[i].inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v))
+            for a in range(start, stop, scratch.shape[1]):
+                b = min(a + scratch.shape[1], stop)
+                v = np.subtract(u[a:b], self._lowers[i], out=out[a:b])
+                v /= self._weights[i]
+                self._kinds[i].inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v), out=v,
+                                           scratch=scratch)
         return out
 
     # -- support window ------------------------------------------------------

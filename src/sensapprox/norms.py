@@ -110,8 +110,7 @@ def abs_pow(d, p, out=None):
     of the quadrature, the grid route's estimate and the Monte Carlo fold.
     It is np.abs, then the in-place ``**=``, so that at p = 2 it is numpy's
     square. It writes into ``out``, which may be d itself, or else into a
-    new array. Pass ``out`` only for an array of one's own: the float plan
-    of the target x returns the very points it is given."""
+    new array."""
     out = np.abs(d, out=out)
     with np.errstate(over="ignore"):  # an inf fails every check downstream
         out **= p
@@ -190,15 +189,17 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     """Monte Carlo ||f||_{L^p(mu)} with a 4-sigma delta-method error radius.
 
     Draws from mu / mass, then scales value and radius by mass^(1/p). The
-    draws come from ``mu.sample_blocks``, ``BLOCK`` at a time, and f is
-    called on one block, so its temporaries stay in cache; it must map
-    each point on its own. |f|^p overwrites the block, whose count, mean
-    and sum of squared deviations are folded into running totals by the
-    pairwise update of Chan, Golub & LeVeque ("Algorithms for computing
-    the sample variance", *Am. Stat.* 37, 1983). So no array of n floats
-    is made, and the mean and variance are those of the whole sample up
-    to the rounding of the sums; for n <= BLOCK they are numpy's, bit for
-    bit.
+    draws come from ``mu.sample_blocks``, ``BLOCK`` at a time, each mapped
+    in place, and f is called on one block; it must map each point on its
+    own, and may return an array of its own that it writes again for the
+    next block, as verify's does. |f|^p overwrites the block, whose count,
+    mean and sum of squared deviations are folded into running totals by
+    the pairwise update of Chan, Golub & LeVeque ("Algorithms for
+    computing the sample variance", *Am. Stat.* 37, 1983). So no array of
+    n floats is made, and no array of BLOCK floats per block where f makes
+    none: the sampler's buffers are made once per call. The mean and
+    variance are those of the whole sample up to the rounding of the sums;
+    for n <= BLOCK they are numpy's, bit for bit.
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")

@@ -35,6 +35,7 @@ import numpy as np
 
 from .intervals import as_rational
 from .measures import (
+    BLOCK,
     AtomKind,
     Exponential,
     MeasureSpec,
@@ -333,20 +334,48 @@ def _to_float(v):
         return math.inf if v > 0 else -math.inf
 
 
+class _Scratch:
+    """An interior node's output array, kept while the points keep their
+    shape, as they do block after block of a Monte Carlo path: past BLOCK
+    points each call has an array of its own, so that no large one is
+    kept."""
+
+    def __init__(self):
+        self.array = None
+
+    def __call__(self, shape):
+        if self.array is not None and self.array.shape == shape:
+            return self.array
+        array = np.empty(shape)
+        if array.size <= BLOCK:
+            self.array = array
+        return array
+
+
 def _float_node(op, fs, checks):
-    def fn(xs):
-        vals = [f(xs) for f in fs]
+    scratch = _Scratch()
+    first, rest = fs[0], fs[1:]
+
+    def fn(xs, out=None):
+        # a given out also takes the first operand's values, which the
+        # operation then overwrites in place
+        vals = [first(xs, out)] + [f(xs) for f in rest]
         for bad, message in checks:
             if np.any(bad(*vals)):
                 raise DomainError(message)
-        return op(*vals)
+        if np.ndarray not in map(type, vals):  # an x-free subterm: numbers
+            return op(*vals)
+        return op(*vals, out=scratch(xs.shape) if out is None else out)
     return fn
 
 
 def _masked_if(cmp, left, right, if_true, if_false):
-    def masked(xs):
+    scratch = _Scratch()
+
+    def masked(xs, out=None):
         mask = np.broadcast_to(cmp(left(xs), right(xs)), xs.shape)
-        out = np.empty(xs.shape)
+        if out is None:
+            out = scratch(xs.shape)
         if mask.any():
             out[mask] = if_true(xs[mask])
         inv = ~mask
@@ -426,9 +455,9 @@ class _Arithmetic(NamedTuple):
 
 
 _FLOAT = _Arithmetic(
-    _to_float, lambda xs: xs,
-    {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
-     "/": operator.truediv, "^": np.power, "min": np.minimum, "max": np.maximum,
+    _to_float, lambda xs, out=None: xs,
+    {"neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+     "/": np.true_divide, "^": np.power, "min": np.minimum, "max": np.maximum,
      "abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
      "sqrt": np.sqrt},
     _float_node, _masked_if)
@@ -454,10 +483,15 @@ def _literal(node):
 def _compile(node, arith):
     """The node's value over the arithmetic table arith, as a function of the
     points: _FLOAT's of a float array, run under the errstate that
-    eval_target_array sets, and _EXACT's of one point."""
+    eval_target_array sets, and _EXACT's of one point. A float node writes
+    its values into the array ``out`` that it is given, which must not
+    share memory with the points: the root into eval_target_array's, and
+    the first operand of a node given one into that node's. Any other node
+    of an operation writes into a scratch array of its own, which it keeps
+    while the points keep their shape."""
     if isinstance(node, Num):
         c = arith.literal(node.value)
-        return lambda xs: c
+        return lambda xs, out=None: c
     if isinstance(node, Var):
         return arith.var
     if isinstance(node, If):
@@ -479,23 +513,28 @@ def eval_target(f: TargetFunction, x):
     return v
 
 
-def eval_target_array(f: TargetFunction, xs) -> np.ndarray:
-    """Evaluate at a float array of points; raises on non-finite results.
-    A value past the float range is ±inf, and inf - inf or sin(inf) is NaN,
+def eval_target_array(f: TargetFunction, xs, out=None) -> np.ndarray:
+    """Evaluate at a float array of points, into out, an array of xs's
+    shape that shares no memory with xs, or a new one where None; raises
+    on non-finite results. A value
+    past the float range is ±inf, and inf - inf or sin(inf) is NaN,
     without a warning: only the result is checked."""
     xs = np.asarray(xs, dtype=float)
+    if out is None:
+        out = np.empty(xs.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = f.plan(xs)
-    if np.shape(out) != xs.shape:  # an x-free target
-        out = np.full(xs.shape, out)
+        value = f.plan(xs, out)
+    if value is not out:  # the target x, or an x-free one
+        out[...] = value
     if not np.isfinite(out).all():
         raise EvaluationError("overflow to non-finite value")
     return out
 
 
 def target_evaluator(f: TargetFunction):
-    """Array-callable view of the target."""
-    return lambda xs: eval_target_array(f, xs)
+    """Array-callable view of the target, which takes eval_target_array's
+    out."""
+    return lambda xs, out=None: eval_target_array(f, xs, out)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,25 @@ class TestSensitize:
         with pytest.raises(ValueError, match="^request p has no finite float$"):
             request("x", "uniform(0,1)", p=10**400)
 
+    @pytest.mark.parametrize("p,want", [("3/2", 1.5), ("2", 2.0), (Fraction(5, 4), 1.25),
+                                        ("1.5", 1.5)])
+    def test_p_is_read_as_eps_is(self, p, want):
+        req = request("x", "uniform(0,1)", p=p)
+        assert type(req.p) is float and req.p == want
+
+    @pytest.mark.parametrize("p", ["1e400", str(10**400), Fraction(10**400, 3)])
+    def test_p_with_no_float_is_refused_by_name(self, p):
+        with pytest.raises(ValueError, match="^request p has no finite float$") as info:
+            request("x", "uniform(0,1)", p=p)
+        assert not isinstance(info.value, MeasureSpecError)
+
+    @pytest.mark.parametrize("name", ["p", "eps", "M"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, "3/x"])
+    def test_a_field_that_is_no_finite_number_is_named(self, name, value):
+        fields = {"p": 2, "eps": "1/10", "M": 1, name: value}
+        with pytest.raises(ValueError, match=f"^request {name}: "):
+            ApproxRequest(target=parse_target("x"), mu=UNIFORM, **fields)
+
     def test_eps_with_no_float_is_a_plain_value_error(self):
         # eps is a request field, no measure parameter
         with pytest.raises(ValueError, match="request eps has no finite float") as info:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -895,6 +896,33 @@ def test_a_part_of_zero_float_width_is_input_error(tmp_path, capsys, build, spec
 # the density 3(x - 10^8)^2 on (10^8, 10^8 + 1), whose floats in powers of x
 # cancel to 0 and +-4
 FAR_PWD = "pwd(breaks(100000000,100000001), poly(30000000000000000,-600000000,3))"
+
+
+class TestVerifyPageFaults:
+    """verify maps and evaluates each block of draws in buffers that it
+    makes once, so that its minor page faults do not grow with the number
+    of draws."""
+
+    @pytest.mark.parametrize("target,mu", [
+        ("x^2", "normal(0,1)"),
+        ("x^2", "pwd(breaks(0,1), poly(0,2))"),
+        ("abs(x)", "mix(0.5*normal(0,1), 0.5*uniform(0,1))"),
+        ("abs(x-0.5)", "uniform(0,1)"),
+    ])
+    def test_faults_do_not_grow_with_the_draws(self, tmp_path, capsys, target, mu):
+        cert = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", target, "--measure", mu, "--p", "2",
+                     "--eps", "1/10", "--M", "5", "--out", str(cert)]) == 0
+        capsys.readouterr()
+        faults = []
+        for n in (10**5, 10**7):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            run = run_cli("verify", "--cert", str(cert), "--samples", str(n))
+            faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)
+            assert run.returncode == 0 and run.stdout.endswith("PASS\n")
+        # 10^7 draws are 306 blocks: one new array of a block's floats per
+        # block, mapped afresh, would fault 64 pages on each
+        assert faults[1] - faults[0] < 1000, faults
 
 
 class TestPwdFarFromTheOrigin:

@@ -303,6 +303,50 @@ def test_merge_lookup_at_breakpoints_that_round_to_one_float(parts):
             assert s.eval_arr(np.array([c])).tolist() == [float(values[0])]
 
 
+@st.composite
+def ascending_runs(draw, points):
+    """One to five ascending runs of the points, joined: a run starts at
+    or below the end of the one before where drawn so, and a NaN goes
+    anywhere where drawn."""
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        run = sorted(draw(st.lists(st.sampled_from(points), min_size=1, max_size=10)))
+        if runs and draw(st.booleans()):
+            start = draw(st.sampled_from([x for x in points if x <= runs[-1][-1]]))
+            run = [start] + [x for x in run if x >= start]
+        runs.append(run)
+    xs = [x for run in runs for x in run]
+    if draw(st.booleans()):
+        xs.insert(draw(st.integers(0, len(xs))), math.nan)
+    return np.array(xs)
+
+
+def _run_starts(xs):
+    """The index of each point that does not rise from the one before."""
+    return [i for i in range(1, len(xs)) if not xs[i] >= xs[i - 1]]
+
+
+@settings(deadline=None)
+@given(near_equal_step_parts(), st.data())
+def test_runwise_merge_equals_the_binary_search(parts, data):
+    terms, exc, centres = parts
+    s = StepFunction(terms=terms, exceptions=exc)
+    points = sorted({x for c in [*centres, *(float(p) for p in s.endpoints())]
+                     for x in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))}
+                    | {-math.inf, -0.0, math.inf} | set(data.draw(st.lists(st.floats(-200, 200)))))
+    xs = data.draw(ascending_runs(points))
+    want = s._search_lookup(xs)
+    cuts = _run_starts(xs)
+    assert_same_floats(s._merge_lookup(xs, cuts), want)
+    assert_same_floats(s.eval_arr(xs), want)
+    # many points a run: eval_arr merges each run
+    many = np.repeat(xs, 2000)
+    out = np.empty(many.size)
+    assert s.eval_arr(many, out=out) is out
+    assert_same_floats(out, np.repeat(want, 2000))
+    assert_same_floats(s._merge_lookup(many, _run_starts(many)), np.repeat(want, 2000))
+
+
 @settings(deadline=None)
 @given(step_parts().filter(lambda parts: len(parts[0]) > 1), st.data())
 def test_any_unsorted_term_order_raises(parts, data):

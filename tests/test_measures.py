@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sensapprox import norms
-from sensapprox.measures import (_BELOW_ONE, _UNDECIDED, BLOCK, AtomKind, BorelMeasure,
+from sensapprox.measures import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _BELOW_ONE,
+                                 _UNDECIDED, BLOCK, SCRATCH_ROWS, AtomKind, BorelMeasure,
                                  Exponential, MeasureSpecError, Normal, PiecewisePoly, Uniform,
-                                 _ndtri, _negative_point)
+                                 _ndtri, _ndtri_sorted, _negative_point)
 from sensapprox.parsing import parse_measure
 
 from paper_route import Interval, IntervalUnion, measure_of, open_interval
@@ -442,6 +443,96 @@ class TestNdtri:
         shuffle = rng.permutation(ps.size)
         assert np.array_equal(_ndtri(ps[shuffle]), one_point[shuffle])
         assert np.array_equal(_ndtri(ps.reshape(1, -1)), one_point.reshape(1, -1))
+
+
+def _mask_rational(cols, x):
+    acc = cols[0] * x
+    for c in cols[1:-1]:
+        acc += c
+        acc *= x
+    acc += cols[-1]
+    return np.divide(acc[0], acc[1], out=acc[0])
+
+
+def _mask_ndtri_tail(s):
+    r = np.log(s)
+    np.sqrt(np.negative(r, out=r), out=r)
+    far = r > 5.0
+    rf = r[far] if far.any() else None
+    r -= 1.6
+    out = _mask_rational(_AS241_NEAR, r)
+    if rf is not None:
+        out[far] = np.where(rf == np.inf, np.inf, _mask_rational(_AS241_FAR, rf - 5.0))
+    return out
+
+
+def _mask_ndtri_central(p):
+    q = p - 0.5
+    r = q * q
+    out = _mask_rational(_AS241_CENTRAL, np.subtract(0.180625, r, out=r))
+    out *= q
+    return out
+
+
+_MASK_SEAMS = _mask_ndtri_central(np.array([0.075, 0.925]))
+
+
+def _mask_ndtri(p):
+    """The normal quantile as the package computed it by masks, gathers and
+    scatters, in any order, before its bands became slices of sorted p."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    low = p < 0.075
+    high = ~(p <= 0.925)
+    mid = ~(low | high)
+
+    def lower(x):
+        t = _mask_ndtri_tail(x)
+        return np.minimum(np.negative(t, out=t), _MASK_SEAMS[0], out=t)
+
+    def upper(x):
+        t = _mask_ndtri_tail(1.0 - x)
+        return np.maximum(t, _MASK_SEAMS[1], out=t)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part, branch in ((mid, _mask_ndtri_central), (low, lower), (high, upper)):
+            x = p[part]
+            if x.size:
+                out[part] = branch(x)
+    return out
+
+
+class TestSortedNdtri:
+    """The in-place quantile of ascending p gives the mask-and-gather
+    quantile's floats, bit for bit."""
+
+    POINTS = [0.0, 5e-324, 1e-300, _BELOW_ONE, 1.0] + [
+        x for seam in SEAMS for x in _float_neighbours(seam)]
+
+    def test_bit_for_bit_on_ascending_input(self):
+        rng = np.random.default_rng(11)
+        ps = np.sort(np.concatenate([self.POINTS, rng.random(10**5)]))
+        want = _mask_ndtri(ps)
+        got = ps.copy()
+        assert _ndtri_sorted(got, np.empty((SCRATCH_ROWS, ps.size))) is got
+        assert np.array_equal(got, want)
+        assert got[0] == -np.inf and got[-1] == np.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 17, BLOCK // 2 + 1])
+    def test_short_arrays_and_a_wider_scratch(self, n):
+        rng = np.random.default_rng(n)
+        ps = np.sort(np.concatenate([self.POINTS, rng.random(n)])[-n:])
+        got = ps.copy()
+        _ndtri_sorted(got, np.empty((SCRATCH_ROWS, BLOCK)))
+        assert np.array_equal(got, _mask_ndtri(ps))
+
+    def test_any_order_is_sorted_first(self):
+        rng = np.random.default_rng(12)
+        ps = np.concatenate([self.POINTS, rng.random(1000), [-0.5, 1.5, np.nan]])
+        rng.shuffle(ps)
+        assert np.array_equal(_ndtri(ps), _mask_ndtri(ps), equal_nan=True)
+        grid = ps.reshape(10, -1)
+        assert np.array_equal(_ndtri(grid), _mask_ndtri(grid), equal_nan=True)
 
 
 class TestNormalSpans:
