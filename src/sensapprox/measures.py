@@ -27,14 +27,16 @@ and the hull from which ``essential_window`` is taken.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
 Generation*, 1986, ch. 2). The uniforms come one cache-sized block at a
-time through one reused buffer, and each block is sorted, so that within
-it each component's draws, and each pwd cell's, are one slice, found by
-a binary search of the cumulative weights. Each slice is mapped in place
-by its kind's inverse CDF, which takes ``out`` and borrows its
-intermediates from scratch that the sampler makes once per call, so a
-block makes no array of its floats. The normal quantile is Wichura's
-AS241 PPND16 (*Applied Statistics* 37, 1988), run in numpy on ascending
-input, whose three bands are slices.
+time through two buffers that take turns, and each block is sorted, so
+that within it each component's draws, and each pwd cell's, are one
+slice, found by a binary search of the cumulative weights. Where the
+process may run on more than one CPU, a helper thread draws and sorts
+the next block while the caller maps and evaluates the current one.
+Each slice is mapped in place by its kind's inverse CDF, which takes
+``out`` and borrows its intermediates from scratch that the sampler
+makes once per call, so a block makes no array of its floats. The
+normal quantile is Wichura's AS241 PPND16 (*Applied Statistics* 37,
+1988), run in numpy on ascending input, whose three bands are slices.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,6 +229,84 @@ def _slices(lowers, u):
     for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         if start < stop:
             yield i, start, stop
+
+
+# the read-ahead helper's stack: it makes numpy calls only, and a thread
+# of the default 8 MiB stack grows verify's peak address space by that much
+_HELPER_STACK = 256 * 1024
+# the stack size is the process's: two callers that set it at once could
+# leave the helper's in place
+_STACK_SIZE_LOCK = threading.Lock()
+
+
+def _cpus():
+    """The number of CPUs that this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_ahead(make, count):
+    """Yield make(0), ..., make(count - 1), each made in one helper thread
+    while the caller works on the one before.
+
+    The helper is at most one ahead: it starts make(k + 2) only once the
+    caller asks for k + 1, so make(k + 2) may overwrite what make(k)
+    returned. It runs under numpy's default error state, not the
+    caller's. An exception in make(k) is raised here when the caller
+    asks for k, and the helper is joined when the generator ends, raises
+    or is closed. Where no thread can be started, each make(k) runs here
+    in turn.
+    """
+    # per slot k % 2: the helper holds free while it makes k there and
+    # the caller until it is done with k, and releases ready once k is
+    # made; plain locks, as a Semaphore allocates a lock on every wait
+    free = threading.Lock(), threading.Lock()
+    ready = threading.Lock(), threading.Lock()
+    for lock in ready:
+        lock.acquire()
+    made, stop = [None, None], False
+
+    def run():
+        for k in range(count):
+            free[k % 2].acquire()
+            if stop:
+                return
+            try:
+                made[k % 2] = make(k)
+            except BaseException as exc:  # raised in the caller at k
+                made[k % 2] = exc
+                return
+            finally:
+                ready[k % 2].release()
+
+    helper = threading.Thread(target=run, name="read-ahead", daemon=True)
+    with _STACK_SIZE_LOCK:
+        old = threading.stack_size(_HELPER_STACK)
+        try:
+            helper.start()
+        except RuntimeError:  # the process may start no more threads
+            helper = None
+        finally:
+            threading.stack_size(old)
+    if helper is None:
+        yield from map(make, range(count))
+        return
+    try:
+        for k in range(count):
+            ready[k % 2].acquire()
+            if isinstance(made[k % 2], BaseException):
+                raise made[k % 2]
+            yield made[k % 2]
+            free[k % 2].release()
+    finally:
+        # only this side releases free, so a held one stays held until
+        # here; the helper takes the next, sees stop and returns
+        stop = True
+        for lock in free:
+            if lock.locked():
+                lock.release()
+        helper.join()
 
 
 # ---------------------------------------------------------------------------
@@ -673,32 +755,51 @@ class BorelMeasure:
         """Yield n i.i.d. draws of mu / total_mass, ``BLOCK`` at a time.
 
         The uniforms are ``default_rng(seed).random(n)`` read a block at a
-        time into one reused buffer, which is the same stream. Each block
-        is taken to 1 - u in (0, 1], sorted and mapped as by
+        time into two buffers that take turns, which is the same stream.
+        Each block is taken to 1 - u in (0, 1], sorted and mapped as by
         ``from_uniforms``, all in place, with the inverse CDFs' scratch
         allocated once here: no array of BLOCK floats is made per block,
-        and the draws take a few blocks of memory whatever n is. A block
-        is a view of that buffer: it may be written to, and the next block
-        overwrites it. A statistic that is symmetric in the draws, such as
+        and the draws take a few blocks of memory whatever n is. Where
+        there is more than one block and the process may run on more than
+        one CPU, a helper thread draws and sorts the next block while the
+        caller maps and works on the current one; otherwise each block is
+        drawn inline. Either way the draws are the same. A block is a view
+        of its buffer: it may be written to, and once the next block is
+        asked for, the block after that is drawn into it. A statistic that is symmetric in the draws, such as
         the mean and variance in ``norms.mc_norm``, sees the blocking only
         in the rounding of its sums. The sorting makes the component split
         of a block a pair of slice bounds, and each component's draws one
         ascending run; a step-function lookup of the block merges each
         run, so one merge where it ascends overall, and one per component
         where parts overlap or are listed out of order, as in
-        mix(0.5*normal(0,1), 0.5*uniform(0,1)).
+        mix(0.5*normal(0,1), 0.5*uniform(0,1)). A caller that stops early
+        closes the generator, which joins the helper.
         """
         rng = np.random.default_rng(seed)
-        size = min(n, BLOCK)
-        # rows of half a block: the draws and the scratch then take 3
-        # blocks of memory, not 5, for one more inverse CDF call per part
-        buf, scratch = np.empty(size), np.empty((SCRATCH_ROWS, (size + 1) // 2))
-        for s in range(0, n, BLOCK):
-            u = buf[:min(BLOCK, n - s)]
+        size, blocks = min(n, BLOCK), -(-n // BLOCK)
+        bufs = (np.empty(size), np.empty(size) if blocks > 1 else None)
+        # rows of half a block: the scratch then takes 2 blocks of memory,
+        # not 4, for one more inverse CDF call per part
+        scratch = np.empty((SCRATCH_ROWS, (size + 1) // 2))
+
+        def draw(k):
+            u = bufs[k % 2][:min(BLOCK, n - k * BLOCK)]
             rng.random(out=u)
             np.subtract(1.0, u, out=u)
             u.sort()
-            yield self._map_uniforms(u, u, scratch)
+            return u
+
+        # the helper only draws and sorts, which warn of nothing: the
+        # inverse CDFs make numpy temporaries, and under a ulimit -v too
+        # tight for a thread's own malloc arena, glibc maps each of a
+        # thread's allocations afresh
+        draws = (_read_ahead(draw, blocks) if blocks > 1 and _cpus() > 1
+                 else (draw(k) for k in range(blocks)))
+        try:
+            for u in draws:
+                yield self._map_uniforms(u, u, scratch)
+        finally:
+            draws.close()
 
     def from_uniforms(self, u, out=None):
         """Map ascending uniforms u in (0, 1] to draws of mu / total_mass.

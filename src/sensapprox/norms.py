@@ -15,6 +15,7 @@ every frequency; the wave lattice is never a knot source.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -199,14 +200,17 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     n floats is made, and no array of BLOCK floats per block where f makes
     none: the sampler's buffers are made once per call. The mean and
     variance are those of the whole sample up to the rounding of the sums;
-    for n <= BLOCK they are numpy's, bit for bit.
+    for n <= BLOCK they are numpy's, bit for bit. The blocks' generator is
+    closed when this returns or raises, which joins the sampler's helper
+    thread.
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
     count, mean, m2 = 0, 0.0, 0.0
     # an overflow leaves the estimate inf or nan, which passes no check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z in mu.sample_blocks(n, seed):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            contextlib.closing(mu.sample_blocks(n, seed)) as blocks:
+        for z in blocks:
             abs_pow(f(z), p, out=z)
             k = z.size
             z_mean = float(z.mean())
