@@ -26,15 +26,14 @@ the parts' spans into sorted disjoint pieces: the grid route's pieces,
 and the hull from which ``essential_window`` is taken.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
-Generation*, 1986, ch. 2). The uniforms come one cache-sized block at a
-time through two buffers that take turns, and each block is sorted, so
-that within it each component's draws, and each pwd cell's, are one
-slice, found by a binary search of the cumulative weights. Where the
-process may run on more than one CPU, a helper thread draws and sorts
-the next block while the caller maps and evaluates the current one.
-Each slice is mapped in place by its kind's inverse CDF, which takes
-``out`` and borrows its intermediates from scratch that the sampler
-makes once per call, so a block makes no array of its floats. The
+Generation*, 1986, ch. 2). The uniforms are stratified, two to each
+equal stratum of (0, 1] (three to the first where n is odd), so they
+come out ascending with no sort, one cache-sized block at a time through
+one buffer, and within a block each component's draws, and each pwd
+cell's, are one slice, found by a binary search of the cumulative
+weights. Each slice is mapped in place by its kind's inverse CDF, which
+takes ``out`` and borrows its intermediates from scratch that the
+sampler makes once per call, so a block makes no array of its floats. The
 normal quantile is Wichura's AS241 PPND16 (*Applied Statistics* 37,
 1988), run in numpy on ascending input, whose three bands are slices.
 """
@@ -44,8 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,12 +92,13 @@ _AS241_FAR = _columns(
 )
 # draws per block of the Monte Carlo path (sample_blocks, which maps each
 # block in place through buffers it allocates once per call, and mc_norm
-# in norms, which folds each block into its running mean and variance):
-# no array of BLOCK floats is made per block, so the block's pages are
-# faulted in once per call and stay in cache, and the path's memory does
-# not grow with the number of draws; on 10^6 points one block of all of
-# them takes more than twice as long, and smaller blocks make more numpy
-# calls
+# in norms, which folds each block into its two running sums); a multiple
+# of 4, so that a block holds whole strata and mc_norm's whole groups of
+# two strata. No array of BLOCK floats is made per block, so the block's
+# pages are faulted in once per call and stay in cache, and the path's
+# memory does not grow with the number of draws; on 10^6 points one block
+# of all of them takes more than twice as long, and smaller blocks make
+# more numpy calls
 BLOCK = 1 << 15
 # rows of the scratch that the inverse CDFs borrow from their caller: the
 # normal quantile's central band holds r and its two Horner accumulators,
@@ -229,84 +227,6 @@ def _slices(lowers, u):
     for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         if start < stop:
             yield i, start, stop
-
-
-# the read-ahead helper's stack: it makes numpy calls only, and a thread
-# of the default 8 MiB stack grows verify's peak address space by that much
-_HELPER_STACK = 256 * 1024
-# the stack size is the process's: two callers that set it at once could
-# leave the helper's in place
-_STACK_SIZE_LOCK = threading.Lock()
-
-
-def _cpus():
-    """The number of CPUs that this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _read_ahead(make, count):
-    """Yield make(0), ..., make(count - 1), each made in one helper thread
-    while the caller works on the one before.
-
-    The helper is at most one ahead: it starts make(k + 2) only once the
-    caller asks for k + 1, so make(k + 2) may overwrite what make(k)
-    returned. It runs under numpy's default error state, not the
-    caller's. An exception in make(k) is raised here when the caller
-    asks for k, and the helper is joined when the generator ends, raises
-    or is closed. Where no thread can be started, each make(k) runs here
-    in turn.
-    """
-    # per slot k % 2: the helper holds free while it makes k there and
-    # the caller until it is done with k, and releases ready once k is
-    # made; plain locks, as a Semaphore allocates a lock on every wait
-    free = threading.Lock(), threading.Lock()
-    ready = threading.Lock(), threading.Lock()
-    for lock in ready:
-        lock.acquire()
-    made, stop = [None, None], False
-
-    def run():
-        for k in range(count):
-            free[k % 2].acquire()
-            if stop:
-                return
-            try:
-                made[k % 2] = make(k)
-            except BaseException as exc:  # raised in the caller at k
-                made[k % 2] = exc
-                return
-            finally:
-                ready[k % 2].release()
-
-    helper = threading.Thread(target=run, name="read-ahead", daemon=True)
-    with _STACK_SIZE_LOCK:
-        old = threading.stack_size(_HELPER_STACK)
-        try:
-            helper.start()
-        except RuntimeError:  # the process may start no more threads
-            helper = None
-        finally:
-            threading.stack_size(old)
-    if helper is None:
-        yield from map(make, range(count))
-        return
-    try:
-        for k in range(count):
-            ready[k % 2].acquire()
-            if isinstance(made[k % 2], BaseException):
-                raise made[k % 2]
-            yield made[k % 2]
-            free[k % 2].release()
-    finally:
-        # only this side releases free, so a held one stays held until
-        # here; the helper takes the next, sees stop and returns
-        stop = True
-        for lock in free:
-            if lock.locked():
-                lock.release()
-        helper.join()
 
 
 # ---------------------------------------------------------------------------
@@ -738,11 +658,12 @@ class BorelMeasure:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, n, seed):
-        """n i.i.d. draws of mu / total_mass; deterministic given seed.
+        """n stratified draws of mu / total_mass; deterministic given seed.
 
         The blocks of ``sample_blocks(n, seed)``, joined in order: each
         block holds one ascending run per component (atoms first, then
-        parts, in stored order).
+        parts, in stored order). The draws are not independent: each
+        stratum of (0, 1] gets two of them, or three.
         """
         out = np.empty(n)
         s = 0
@@ -752,54 +673,55 @@ class BorelMeasure:
         return out
 
     def sample_blocks(self, n, seed):
-        """Yield n i.i.d. draws of mu / total_mass, ``BLOCK`` at a time.
+        """Yield n stratified draws of mu / total_mass, a block at a time.
 
-        The uniforms are ``default_rng(seed).random(n)`` read a block at a
-        time into two buffers that take turns, which is the same stream.
-        Each block is taken to 1 - u in (0, 1], sorted and mapped as by
-        ``from_uniforms``, all in place, with the inverse CDFs' scratch
-        allocated once here: no array of BLOCK floats is made per block,
-        and the draws take a few blocks of memory whatever n is. Where
-        there is more than one block and the process may run on more than
-        one CPU, a helper thread draws and sorts the next block while the
-        caller maps and works on the current one; otherwise each block is
-        drawn inline. Either way the draws are the same. A block is a view
-        of its buffer: it may be written to, and once the next block is
-        asked for, the block after that is drawn into it. A statistic that is symmetric in the draws, such as
-        the mean and variance in ``norms.mc_norm``, sees the blocking only
-        in the rounding of its sums. The sorting makes the component split
-        of a block a pair of slice bounds, and each component's draws one
+        (0, 1] is cut into strata of width 2/n, the first of width 3/n
+        where n is odd, and each stratum takes, in stream order, as many
+        uniforms V of ``default_rng(seed)`` as its width in units of 1/n.
+        A stratum whose upper end is 2c/n draws u = (c - w V) / (n/2), w
+        being 1 for a pair and 3/2 for the three, the larger V first; at
+        n = 2m, stratum j draws (j + 1 - V) / m. So each draw has
+        weight 1/n, and the u lie in (0, 1] and ascend over the whole
+        sample with no sort (Cochran, *Sampling Techniques*, 3rd ed.,
+        1977, ch. 5).
+
+        A block holds ``BLOCK`` draws, the first ``BLOCK - 1`` where n is
+        odd and the last what is left, so each holds whole strata: pairs,
+        after the stratum of three where its size is odd. Each block is
+        mapped as by ``from_uniforms``, in place, with the inverse CDFs'
+        scratch allocated once here: no array of BLOCK floats is made per
+        block, and the draws take a few blocks of memory whatever n is. A block
+        is a view of one buffer: it may be written to, and the next block
+        is drawn into it. Each component's draws in a block are one
         ascending run; a step-function lookup of the block merges each
         run, so one merge where it ascends overall, and one per component
         where parts overlap or are listed out of order, as in
-        mix(0.5*normal(0,1), 0.5*uniform(0,1)). A caller that stops early
-        closes the generator, which joins the helper.
+        mix(0.5*normal(0,1), 0.5*uniform(0,1)).
         """
         rng = np.random.default_rng(seed)
-        size, blocks = min(n, BLOCK), -(-n // BLOCK)
-        bufs = (np.empty(size), np.empty(size) if blocks > 1 else None)
+        buf = np.empty(min(n, BLOCK))
         # rows of half a block: the scratch then takes 2 blocks of memory,
-        # not 4, for one more inverse CDF call per part
-        scratch = np.empty((SCRATCH_ROWS, (size + 1) // 2))
-
-        def draw(k):
-            u = bufs[k % 2][:min(BLOCK, n - k * BLOCK)]
+        # not 4, for one more inverse CDF call per part; its first row
+        # holds the smaller V of each pair
+        scratch = np.empty((SCRATCH_ROWS, (buf.size + 1) // 2))
+        # the upper ends c of the next block's pairs
+        tops = np.arange(1.0, buf.size // 2 + 1) + 1.5 * (n % 2)
+        start, stop = 0, min(n, BLOCK - n % 2)
+        while start < n:
+            u = buf[:stop - start]
             rng.random(out=u)
-            np.subtract(1.0, u, out=u)
-            u.sort()
-            return u
-
-        # the helper only draws and sorts, which warn of nothing: the
-        # inverse CDFs make numpy temporaries, and under a ulimit -v too
-        # tight for a thread's own malloc arena, glibc maps each of a
-        # thread's allocations afresh
-        draws = (_read_ahead(draw, blocks) if blocks > 1 and _cpus() > 1
-                 else (draw(k) for k in range(blocks)))
-        try:
-            for u in draws:
-                yield self._map_uniforms(u, u, scratch)
-        finally:
-            draws.close()
+            if u.size % 2:  # the stratum of three, (0, 3/n]
+                u[:3] = [1.5 - 1.5 * v for v in sorted(u[:3].tolist(), reverse=True)]
+            pairs = u[u.size % 2 * 3:].reshape(-1, 2)
+            first, second, smaller = pairs[:, 0], pairs[:, 1], scratch[0, :len(pairs)]
+            np.minimum(first, second, out=smaller)
+            np.maximum(first, second, out=first)
+            np.subtract(tops[:len(pairs)], first, out=first)
+            np.subtract(tops[:len(pairs)], smaller, out=second)
+            tops += len(pairs)
+            u /= n / 2
+            yield self._map_uniforms(u, u, scratch)
+            start, stop = stop, min(stop + BLOCK, n)
 
     def from_uniforms(self, u, out=None):
         """Map ascending uniforms u in (0, 1] to draws of mu / total_mass.

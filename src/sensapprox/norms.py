@@ -15,13 +15,12 @@ every frequency; the wave lattice is never a knot source.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import BorelMeasure
+from .measures import BLOCK, BorelMeasure
 from .parsing import EvaluationError
 
 
@@ -190,38 +189,55 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     """Monte Carlo ||f||_{L^p(mu)} with a 4-sigma delta-method error radius.
 
     Draws from mu / mass, then scales value and radius by mass^(1/p). The
-    draws come from ``mu.sample_blocks``, ``BLOCK`` at a time, each mapped
-    in place, and f is called on one block; it must map each point on its
-    own, and may return an array of its own that it writes again for the
-    next block, as verify's does. |f|^p overwrites the block, whose count,
-    mean and sum of squared deviations are folded into running totals by
-    the pairwise update of Chan, Golub & LeVeque ("Algorithms for
-    computing the sample variance", *Am. Stat.* 37, 1983). So no array of
-    n floats is made, and no array of BLOCK floats per block where f makes
-    none: the sampler's buffers are made once per call. The mean and
-    variance are those of the whole sample up to the rounding of the sums;
-    for n <= BLOCK they are numpy's, bit for bit. The blocks' generator is
-    closed when this returns or raises, which joins the sampler's helper
-    thread.
+    draws come from ``mu.sample_blocks``, stratified, ``BLOCK`` at a time,
+    each mapped in place, and f is called on one block; it must map each
+    point on its own, and may return an array of its own that it writes
+    again for the next block, as verify's does. |f|^p overwrites the
+    block, which is folded into two running sums: S of the |f|^p, and D
+    of m s^2 over groups of m draws, s^2 their sample variance. A group
+    is two neighbouring strata, four draws, save the stratum of three
+    where n is odd and a last pair where the pairs are odd in number. The
+    mean is S / n, and D / n^2 estimates its variance (Cochran, *Sampling
+    Techniques*, 3rd ed., 1977, ch. 5 and 5A, on two units per stratum
+    and on collapsed strata). The pairs alone, (z_1 - z_2)^2 each, would
+    estimate it without bias, but where a few strata hold most of it, as
+    in an unbounded tail, that estimate rests on a few differences, and
+    the 4-sigma interval missed in 26 of 200 seeds for x|exponential(1)
+    at p=2 and 10^4 draws; a group adds the difference of its two strata
+    to their spread, which there is large. So no array of n floats is
+    made, and no array of BLOCK floats per block where f makes none. The
+    radius can still miss a jump: a group sees it only where its draws
+    fall on both sides, so for a target with a single jump, constant
+    elsewhere, such as an indicator, the radius can be 0 while the error
+    is up to 2/n times the jump.
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
-    count, mean, m2 = 0, 0.0, 0.0
+    total = spread = 0.0
+    # a block's squared differences, of pairs and then of groups, in one
+    # array made once per call
+    squares = np.empty(min(n, BLOCK) // 2)
     # an overflow leaves the estimate inf or nan, which passes no check
-    with np.errstate(over="ignore", invalid="ignore"), \
-            contextlib.closing(mu.sample_blocks(n, seed)) as blocks:
-        for z in blocks:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in mu.sample_blocks(n, seed):
             abs_pow(f(z), p, out=z)
-            k = z.size
-            z_mean = float(z.mean())
-            z -= z_mean
-            z *= z
-            delta = z_mean - mean
-            count += k
-            # k / count is 1 for the first block, which so sets mean and m2
-            mean += delta * (k / count)
-            m2 += float(z.sum()) + delta * delta * ((count - k) * k / count)
-    sd = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+            total += float(z.sum())
+            if z.size % 2:  # the stratum of three comes first
+                spread += 3.0 * float(z[:3].var(ddof=1))
+                z = z[3:]
+            if z.size % 4:  # the sample's last pair, a group of its own
+                spread += float(z[-2] - z[-1]) ** 2
+                z = z[:-2]
+            # the draws a, b, c, d of a group have 4 s^2 = 2/3 ((a - b)^2
+            # + (c - d)^2) + 1/3 (a + b - c - d)^2
+            d = np.subtract(z[::2], z[1::2], out=squares[:z.size // 2])
+            d *= d
+            pairs = float(d.sum())
+            np.add(z[::2], z[1::2], out=z[::2])
+            d = np.subtract(z[::4], z[2::4], out=squares[:z.size // 4])
+            d *= d
+            spread += (2.0 * pairs + float(d.sum())) / 3.0
+    mean, sd = total / n, math.sqrt(spread) / n
     root = float(mu.total_mass) ** (1.0 / p)
     if mean <= 0.0:
         value, radius = 0.0, (4.0 * sd) ** (1.0 / p)

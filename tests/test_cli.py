@@ -666,7 +666,7 @@ class TestSensitizeCommand:
 
     def test_breakpoints_that_round_to_one_float(self, tmp_path):
         # 1/3 and the 21-digit threshold round to the float of the atom,
-        # which the sorted draws of verify hit
+        # which the draws of verify hit
         out = tmp_path / "cert.json"
         run = run_cli("sensitize", "--target",
                       "if(x > 0, if(x < 1/3, 1, if(x < 0.333333333333333333333, 2, 0)), 0)",

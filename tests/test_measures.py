@@ -1,10 +1,5 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
-import threading
-import time
 import warnings
 from fractions import Fraction
 from statistics import NormalDist
@@ -14,15 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import sensapprox
 from sensapprox import norms
 from sensapprox.measures import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _BELOW_ONE,
                                  _UNDECIDED, BLOCK, SCRATCH_ROWS, AtomKind, BorelMeasure,
                                  Exponential, MeasureSpecError, Normal, PiecewisePoly, Uniform,
-                                 _cpus, _ndtri, _ndtri_sorted, _negative_point, _read_ahead)
-from sensapprox.norms import NormEstimate, mc_norm
-from sensapprox.parsing import DomainError, parse_measure, parse_target, target_evaluator
+                                 _ndtri, _ndtri_sorted, _negative_point)
+from sensapprox.parsing import parse_measure
 
+from mc_reference import stratified_uniforms
 from paper_route import Interval, IntervalUnion, measure_of, open_interval
 
 
@@ -221,34 +215,49 @@ class TestSample:
         v = np.linspace(0.0, 1.0, 2001)[1:-1]
         assert np.allclose(kind.cdf_arr(kind.inv_cdf_arr(v)), v, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("text", SAMPLED)
-    def test_sorted_uniforms_give_the_same_multiset(self, text):
-        # each block of sample is from_uniforms of that block of the
-        # generator's stream, sorted, draw for draw
-        mu = measure(text)
+    @pytest.mark.parametrize("n", [1000, 1001, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_uniform_draws_are_the_stratified_uniforms(self, n):
+        # one stratum of three draws, of width 3/n, first where n is odd,
+        # and pairs of width 2/n: each draw lies in its stratum
         for seed in (0, 9):
-            xs = mu.sample(10**5, seed)
-            rng = np.random.default_rng(seed)
-            for s in range(0, 10**5, BLOCK):
-                u = np.sort(1.0 - rng.random(min(BLOCK, 10**5 - s)))
-                assert np.array_equal(mu.from_uniforms(u), xs[s:s + BLOCK])
+            u = UNIFORM.sample(n, seed)
+            assert np.array_equal(u, stratified_uniforms(n, seed))
+            assert np.all(np.diff(u) >= 0)
+            # each stratum's ends in units of 1/n
+            k = np.arange(n)
+            three = 3 * (n % 2)
+            upper = np.where(k < three, 3, three + 2 * ((k - three) // 2 + 1))
+            lower = upper - np.where(k < three, 3, 2)
+            assert np.all((lower / n <= u) & (u <= upper / n))
+            assert upper[-1] == n
+
+    @pytest.mark.parametrize("n", [1000, 1001, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_sample_joins_the_blocks(self, n):
+        blocks = [blk.copy() for blk in MIX.sample_blocks(n, 5)]
+        assert np.array_equal(MIX.sample(n, 5), np.concatenate(blocks))
+        # each block holds whole strata: its size is odd only where it
+        # starts with the stratum of three
+        assert [blk.size % 2 for blk in blocks] == [n % 2] + [0] * (len(blocks) - 1)
+        assert all(blk.size <= BLOCK for blk in blocks)
 
     @pytest.mark.parametrize("text", SAMPLED)
-    def test_blocks_draw_the_globally_sorted_multiset(self, text):
-        # the draws of all n uniforms sorted at once, in another order
+    def test_blocks_map_the_one_shot_stratified_uniforms(self, text):
         mu = measure(text)
-        n = 3 * BLOCK + 11
-        for seed in (0, 9):
-            u = np.sort(1.0 - np.random.default_rng(seed).random(n))
-            assert np.array_equal(np.sort(mu.sample(n, seed)), np.sort(mu.from_uniforms(u)))
+        for n, seed in ((1001, 0), (3 * BLOCK + 7, 9)):
+            assert np.array_equal(mu.sample(n, seed), mu.from_uniforms(stratified_uniforms(n, seed)))
 
-    def test_blocks_take_turns_in_two_buffers(self):
+    def test_every_block_is_a_view_of_one_buffer(self):
         blocks = [(blk.size, blk.__array_interface__["data"][0])
                   for blk in MIX.sample_blocks(3 * BLOCK + 1, 5)]
-        assert [size for size, _ in blocks] == [BLOCK, BLOCK, BLOCK, 1]
-        first, second = blocks[0][1], blocks[1][1]
-        assert first != second
-        assert [address for _, address in blocks] == [first, second, first, second]
+        assert [size for size, _ in blocks] == [BLOCK - 1, BLOCK, BLOCK, 2]
+        assert len({address for _, address in blocks}) == 1
+
+    @pytest.mark.parametrize("text", SAMPLED)
+    def test_sampling_warns_nothing_under_the_default_error_state(self, text):
+        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+            warnings.simplefilter("error")
+            for seed in (0, 9):
+                measure(text).sample(3 * BLOCK + 11, seed)
 
     @pytest.mark.parametrize("text", SAMPLED + [
         "pwd(breaks(0,0.5,1), poly(0,4), poly(4,-4))",
@@ -344,166 +353,6 @@ class TestSample:
         # the ends of the two components of the mixture
         u = np.array([2.0**-53, 0.5, math.nextafter(0.5, 1.0), 1.0])
         assert np.all(np.isfinite(measure(text).from_uniforms(u)))
-
-
-# a target that maps each draw on its own, and its text for a subprocess
-TARGET = "sin(3*x) + x^2"
-F = target_evaluator(parse_target(TARGET))
-
-# mc_norm at p = 2 of each measure text after the first three arguments,
-# in a process pinned to one CPU: the float.hex of its value and bound
-PINNED_MC = """
-import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from sensapprox.measures import BorelMeasure
-from sensapprox.norms import mc_norm
-from sensapprox.parsing import parse_measure, parse_target, target_evaluator
-f = target_evaluator(parse_target(sys.argv[1]))
-for text in sys.argv[4:]:
-    mu = BorelMeasure.from_spec(parse_measure(text))
-    est = mc_norm(f, mu, 2.0, int(sys.argv[2]), int(sys.argv[3]))
-    print(est.value.hex(), est.absolute_error_bound.hex())
-"""
-
-
-def _reference_mc(f, mu, p, n, seed):
-    """mc_norm's estimate, drawn inline: each block of the generator's
-    stream taken to 1 - u, sorted and mapped by from_uniforms, and folded
-    as mc_norm folds it (a positive mean)."""
-    rng = np.random.default_rng(seed)
-    count, mean, m2 = 0, 0.0, 0.0
-    for s in range(0, n, BLOCK):
-        u = np.sort(1.0 - rng.random(min(BLOCK, n - s)))
-        z = norms.abs_pow(f(mu.from_uniforms(u)), p)
-        k, z_mean = z.size, float(z.mean())
-        delta = z_mean - mean
-        count += k
-        mean += delta * (k / count)
-        m2 += float(((z - z_mean) ** 2).sum()) + delta * delta * ((count - k) * k / count)
-    sd = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    root = float(mu.total_mass) ** (1.0 / p)
-    radius = 4.0 * sd * (1.0 / p) * mean ** (1.0 / p - 1.0)
-    return NormEstimate(value=mean ** (1.0 / p) * root, absolute_error_bound=radius * root)
-
-
-class TestReadAhead:
-    """Where there is more than one block and more than one CPU, a helper
-    thread draws and sorts the next block while the caller maps and
-    evaluates the current one; the draws are those of the inline path."""
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_estimates_do_not_depend_on_the_cpus(self):
-        # SAMPLED holds a degree-2 pwd, whose cell bisects
-        n, seed = 3 * BLOCK + 7, 2
-        reference = [_reference_mc(F, measure(text), 2.0, n, seed) for text in SAMPLED]
-        assert [mc_norm(F, measure(text), 2.0, n, seed) for text in SAMPLED] == reference
-        src = os.path.dirname(os.path.dirname(sensapprox.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", PINNED_MC, TARGET, str(n), str(seed),
-                              *SAMPLED], capture_output=True, text=True, env=env)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines() == [
-            f"{est.value.hex()} {est.absolute_error_bound.hex()}" for est in reference]
-
-    def test_no_helper_outlives_mc_norm(self):
-        before = threading.active_count()
-        mc_norm(F, NORMAL, 2.0, 3 * BLOCK + 7, 1)
-        assert threading.active_count() == before
-        assert threading.stack_size() == 0  # the default, as it was
-
-    def test_no_helper_outlives_a_target_that_raises(self):
-        counts = []
-
-        def f(xs):
-            counts.append(threading.active_count())
-            if len(counts) == 2:
-                raise DomainError("second block")
-            return xs
-
-        before = threading.active_count()
-        with pytest.raises(DomainError, match="second block"):
-            mc_norm(f, NORMAL, 2.0, 3 * BLOCK + 7, 1)
-        assert threading.active_count() == before
-        # the helper ran beside the first block where it may
-        assert counts[0] == before + (_cpus() > 1)
-
-    def test_no_helper_outlives_a_closed_generator(self):
-        before = threading.active_count()
-        blocks = NORMAL.sample_blocks(3 * BLOCK + 7, 1)
-        next(blocks)
-        blocks.close()
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("n", [1000, 2 * 10**4, BLOCK])
-    def test_one_block_starts_no_helper(self, n):
-        # a fine_eps or steep_b check verify draws 2*10^4 points
-        counts = []
-        mc_norm(lambda xs: counts.append(threading.active_count()) or xs, NORMAL, 2.0, n, 1)
-        assert counts == [threading.active_count()]
-
-    def test_the_helper_is_at_most_one_ahead(self):
-        started = []
-        for k in _read_ahead(lambda k: started.append(k) or k, 6):
-            time.sleep(0.001)  # time for the helper to run ahead if it could
-            assert max(started) <= k + 1
-
-    def test_blocks_hold_still_under_fast_switching(self):
-        # four readers, each with its own helper, on two buffers each: a
-        # helper two ahead would write k + 2 over the block k being read
-        def read(errors):
-            bufs = np.empty((2, 64))
-
-            def make(k):
-                bufs[k % 2].fill(k)
-                return bufs[k % 2]
-
-            for k, blk in enumerate(_read_ahead(make, 500)):
-                if not blk.min() == blk.max() == k:
-                    errors.append(k)
-
-        errors, interval = [], sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            readers = [threading.Thread(target=read, args=(errors,)) for _ in range(4)]
-            for reader in readers:
-                reader.start()
-            for reader in readers:
-                reader.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(reader.is_alive() for reader in readers)
-        assert errors == []
-
-    def test_a_helper_error_is_raised_at_its_block(self):
-        def make(k):
-            if k == 2:
-                raise KeyError(k)
-            return k
-
-        before = threading.active_count()
-        ahead = _read_ahead(make, 4)
-        assert [next(ahead), next(ahead)] == [0, 1]
-        with pytest.raises(KeyError):
-            next(ahead)
-        assert threading.active_count() == before
-
-    def test_no_thread_to_be_had_draws_inline(self, monkeypatch):
-        def refuse(thread):
-            raise RuntimeError("can't start new thread")
-
-        n = 3 * BLOCK + 7
-        drawn = NORMAL.sample(n, 4)
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert np.array_equal(NORMAL.sample(n, 4), drawn)
-        assert threading.stack_size() == 0  # the default, as it was
-
-    @pytest.mark.parametrize("text", SAMPLED)
-    def test_sampling_warns_nothing_under_the_default_error_state(self, text):
-        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
-            warnings.simplefilter("error")
-            for seed in (0, 9):
-                measure(text).sample(3 * BLOCK + 11, seed)
 
 
 def _float_neighbours(x):

@@ -20,6 +20,8 @@ from sensapprox.norms import (
 )
 from sensapprox.parsing import parse_measure, parse_target, target_evaluator
 
+from mc_reference import reference_mc
+
 
 def measure(text):
     return BorelMeasure.from_spec(parse_measure(text))
@@ -171,11 +173,13 @@ class TestMcNorm:
         assert est.value == 2.0
         assert est.absolute_error_bound == 0.0
 
-    @pytest.mark.parametrize("n", [1000, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("n", [1000, 1001, 1002, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     @pytest.mark.parametrize("text,p", [
         ("mix(0.5*normal(0,1), 0.5*uniform(0,1))", 2.0),
         ("mix(0.6*atom(0.5), 1.4*exponential(1), mass=2)", 1.0),
         ("pwd(breaks(0,1,2), poly(0,1), poly(2,-1))", 1.5),
+        ("pwd(breaks(0,1), poly(0,0,3))", 2.0),  # degree 2: bisection in the cell
+        ("mix(0.3*atom(2), 0.2*atom(-1), 0.5*normal(0,1))", 2.0),
     ])
     def test_blocks_give_the_one_shot_estimate(self, text, p, n):
         mu = measure(text)
@@ -183,17 +187,28 @@ class TestMcNorm:
                             exceptions=[(Fraction(1, 2), 5)])
         target = target_evaluator(parse_target("sin(3*x) + x^2"))
         for f in (target, lambda xs: phi0.eval_arr(xs) - target(xs)):
-            est = mc_norm(f, mu, p=p, n=n, seed=4)
-            # the whole sample at once, as a single array
-            z = np.abs(f(mu.sample(n, 4))) ** p
-            m = float(z.mean())
-            sd = float(z.std(ddof=1)) / math.sqrt(n)
-            root = float(mu.total_mass) ** (1.0 / p)
-            value = m ** (1.0 / p)
-            radius = 4.0 * sd * (1.0 / p) * m ** (1.0 / p - 1.0)
-            # the sums are folded block by block, so they round otherwise
-            assert abs(est.value - value * root) <= 4 * math.ulp(value * root)
-            assert abs(est.absolute_error_bound - radius * root) <= 4 * math.ulp(radius * root)
+            est, want = mc_norm(f, mu, p=p, n=n, seed=4), reference_mc(f, mu, p, n, 4)
+            if n <= BLOCK:
+                assert est == want
+            else:  # the sums are folded block by block, so they round otherwise
+                assert abs(est.value - want.value) <= 4 * math.ulp(want.value)
+                assert (abs(est.absolute_error_bound - want.absolute_error_bound)
+                        <= 4 * math.ulp(want.absolute_error_bound))
+
+    @pytest.mark.parametrize("target,text,p,exact", [
+        ("x^2", "normal(0,1)", 2.0, math.sqrt(3)),
+        ("sin(x)", "uniform(0,1)", 1.0, 1 - math.cos(1)),
+        ("x", "exponential(1)", 2.0, math.sqrt(2)),
+    ])
+    def test_the_radius_holds_the_exact_norm(self, target, text, p, exact):
+        # 4 sigma at 10^4 draws; a target with one jump is no case: the
+        # group of draws that straddles it may miss it, radius 0 and all
+        f, mu = target_evaluator(parse_target(target)), measure(text)
+        held = 0
+        for seed in range(200):
+            est = mc_norm(f, mu, p=p, n=10**4, seed=seed)
+            held += abs(est.value - exact) <= est.absolute_error_bound
+        assert held >= 199
 
     def test_memory_does_not_grow_with_n(self):
         phi0 = StepFunction(terms=[(1, -1, Fraction(1, 3)), (2, Fraction(1, 3), 1)],
