@@ -66,9 +66,9 @@ MAX_PLOT_POINTS = 10**5
 # most Monte Carlo draws that verify takes. The draws go through one
 # buffer of one block, so this bounds the time of a verify, not its
 # memory: at 10^7 draws, a verify of x^2 | normal(0,1) (p=2, eps=1/10,
-# M=5) takes 0.27 s and peaks at 112 948 KiB of address space (VmPeak)
-# and 38 MiB resident, 1 124 KiB and 1 060 KiB over its peaks at 10^3
-# draws (2 vCPU, Python 3.11, numpy 2.4, glibc 2.36)
+# M=5) takes 0.27 s and peaks at 112 788 KiB of address space (VmPeak)
+# and 37 MiB resident, 1 136 KiB and about 850 KiB over its peaks at 10^3
+# draws (2 vCPU, Python 3.11, numpy 2.4, glibc 2.36, one OpenBLAS thread)
 MAX_VERIFY_SAMPLES = 10**7
 
 

@@ -26,13 +26,12 @@ the parts' spans into sorted disjoint pieces: the grid route's pieces,
 and the hull from which ``essential_window`` is taken.
 Sampling draws from ``mu / total_mass`` by composition: pick a component,
 then invert its CDF exactly (Devroye, *Non-Uniform Random Variate
-Generation*, 1986, ch. 2). The uniforms are stratified, two to each
-equal stratum of (0, 1] (three to the first where n is odd), so they
-come out ascending with no sort, one cache-sized block at a time through
-one buffer, and within a block each component's draws, and each pwd
-cell's, are one slice, found by a binary search of the cumulative
-weights. Each slice is mapped in place by its kind's inverse CDF, which
-takes ``out`` and borrows its intermediates from scratch that the
+Generation*, 1986, ch. 2). The uniforms are stratified, one to each of
+n equal strata of (0, 1], so they come out ascending with no sort, one
+cache-sized block at a time through one buffer, and within a block each
+component's draws, and each pwd cell's, are one slice, found by a binary
+search of the cumulative weights. Each slice is mapped in place by its
+kind's inverse CDF, which borrows its intermediates from scratch that the
 sampler makes once per call, so a block makes no array of its floats. The
 normal quantile is Wichura's AS241 PPND16 (*Applied Statistics* 37,
 1988), run in numpy on ascending input, whose three bands are slices.
@@ -93,8 +92,8 @@ _AS241_FAR = _columns(
 # draws per block of the Monte Carlo path (sample_blocks, which maps each
 # block in place through buffers it allocates once per call, and mc_norm
 # in norms, which folds each block into its two running sums); a multiple
-# of 4, so that a block holds whole strata and mc_norm's whole groups of
-# two strata. No array of BLOCK floats is made per block, so the block's
+# of 4, so that every block but the last holds mc_norm's whole groups of
+# four strata. No array of BLOCK floats is made per block, so the block's
 # pages are faulted in once per call and stay in cache, and the path's
 # memory does not grow with the number of draws; on 10^6 points one block
 # of all of them takes more than twice as long, and smaller blocks make
@@ -180,26 +179,6 @@ def _ndtri_sorted(p, scratch):
     return p
 
 
-def _ndtri(p):
-    """Standard normal quantile of each p of any order and shape: the
-    quantiles of p sorted, NaN last, put back in p's order."""
-    p = np.asarray(p, dtype=float)
-    order = np.argsort(p, axis=None)
-    out = np.empty(p.shape)
-    out.flat[order] = _ndtri_sorted(p.ravel()[order], np.empty((SCRATCH_ROWS, p.size)))
-    return out
-
-
-def _out(v, out):
-    """out holding v, where out may be v itself, or a copy of v where out
-    is None: where an inverse CDF maps its points in place."""
-    if out is None:
-        return np.array(v, dtype=float)
-    if out is not v:
-        out[...] = v
-    return out
-
-
 class MeasureSpecError(ValueError):
     """Invalid component parameters or mass mismatch."""
 
@@ -243,10 +222,9 @@ class AtomKind:
         object.__setattr__(self, "location", as_rational(self.location))
         _check_floats("atom", "location", self.location)
 
-    def inv_cdf_arr(self, v, out=None, scratch=None):
-        out = np.empty_like(v) if out is None else out
-        out.fill(float(self.location))
-        return out
+    def inv_cdf_arr(self, v, scratch):
+        v.fill(float(self.location))
+        return v
 
 
 @dataclass(frozen=True)
@@ -270,12 +248,11 @@ class Uniform:
         a, b = float(self.a), float(self.b)
         return np.where((xs > a) & (xs < b), 1.0 / (b - a), 0.0)
 
-    def inv_cdf_arr(self, v, out=None, scratch=None):
+    def inv_cdf_arr(self, v, scratch):
         a, b = float(self.a), float(self.b)
-        x = _out(v, out)
-        x *= b - a
-        x += a
-        return x
+        v *= b - a
+        v += a
+        return v
 
     def variation(self):
         """Density jumps (x, jump) and the variation left between them."""
@@ -312,23 +289,24 @@ class Normal:
             z = (xs - m) / s
             return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
 
-    def inv_cdf_arr(self, v, out=None, scratch=None):
+    def inv_cdf_arr(self, v, scratch):
         """The quantile of each v of an ascending array."""
-        x = _out(v, out)
-        _ndtri_sorted(x, np.empty((SCRATCH_ROWS, x.size)) if scratch is None else scratch)
-        x *= float(self.std)
-        x += float(self.mean)
-        return x
+        _ndtri_sorted(v, scratch)
+        v *= float(self.std)
+        v += float(self.mean)
+        return v
 
     def variation(self):
         """No jumps; the density rises to pdf(mean) and falls back."""
         return [], 2.0 / (float(self.std) * math.sqrt(2.0 * math.pi))
 
     # every integral asks again for the same few tails, and numpy's fixed
-    # costs make one _ndtri call on two points take about 0.1 ms
+    # costs make one quantile call on two points take about 0.06 ms
     @functools.lru_cache(maxsize=64)
     def spans(self, tail):
-        z = float(self.mean) + float(self.std) * _ndtri(np.array([tail, 1.0 - tail]))
+        # tail <= 10^-6, so the two points ascend
+        z = _ndtri_sorted(np.array([tail, 1.0 - tail]), np.empty((SCRATCH_ROWS, 2)))
+        z = float(self.mean) + float(self.std) * z
         return [tuple(z.tolist())]
 
 
@@ -349,12 +327,12 @@ class Exponential:
         r = float(self.rate)
         return np.where(xs > 0.0, r * np.exp(-r * xs), 0.0)
 
-    def inv_cdf_arr(self, v, out=None, scratch=None):
-        x = np.negative(v, out=out)
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
-        x /= float(self.rate)
-        return x
+    def inv_cdf_arr(self, v, scratch):
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        np.negative(v, out=v)
+        v /= float(self.rate)
+        return v
 
     def variation(self):
         """A jump of rate at 0, then a fall from rate to 0."""
@@ -500,19 +478,19 @@ class PiecewisePoly:
                 out[mask] = np.polyval(dens, xs[mask] - af)
         return out
 
-    def inv_cdf_arr(self, v, out=None, scratch=None):
-        """x with F(x) = v, for ascending v: each cell's v form one slice,
-        found by the mass before each cell, and are solved in that cell."""
+    def inv_cdf_arr(self, v, scratch):
+        """x with F(x) = v, for ascending v, in place: each cell's v form
+        one slice, found by the mass before each cell, and are solved in
+        that cell."""
         before = [cell[2] for cell in self._cells]
-        t = _out(v, out)
         # the slice bounds are all found before the first x is written
-        for i, start, stop in _slices(before, t):
-            cell = t[start:stop]
+        for i, start, stop in _slices(before, v):
+            cell = v[start:stop]
             cell -= before[i]
             self._cell_inv(i, cell, scratch)
-        return t
+        return v
 
-    def _cell_inv(self, i, t, scratch=None):
+    def _cell_inv(self, i, t, scratch):
         """x in cell i whose mass from the cell's left end is t, written
         over t; the root form takes row 0 of scratch, and the bisection
         all SCRATCH_ROWS rows."""
@@ -522,7 +500,7 @@ class PiecewisePoly:
             # form that does not cancel, also where d0 = 0, in place
             d0 = dens[-1]
             c1 = dens[0] if len(dens) == 2 else 0.0
-            disc = np.multiply(t, 2.0 * c1, out=None if scratch is None else scratch[0, :t.size])
+            disc = np.multiply(t, 2.0 * c1, out=scratch[0, :t.size])
             disc += d0 * d0
             np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
             disc += d0
@@ -533,8 +511,6 @@ class PiecewisePoly:
         # a cell of degree 2 or more bisects 56 times, in place: x holds
         # the midpoint less a, at which y is the antiderivative by Horner
         # as np.polyval evaluates it, and then the midpoint itself
-        if scratch is None:
-            scratch = np.empty((SCRATCH_ROWS, t.size))
         lo, hi, x, y = (row[:t.size] for row in scratch)
         ge = np.empty(t.size, dtype=bool)
         lo.fill(af)
@@ -662,8 +638,8 @@ class BorelMeasure:
 
         The blocks of ``sample_blocks(n, seed)``, joined in order: each
         block holds one ascending run per component (atoms first, then
-        parts, in stored order). The draws are not independent: each
-        stratum of (0, 1] gets two of them, or three.
+        parts, in stored order). The draws are not independent: each of n
+        equal strata of (0, 1] gets one of them.
         """
         out = np.empty(n)
         s = 0
@@ -675,53 +651,38 @@ class BorelMeasure:
     def sample_blocks(self, n, seed):
         """Yield n stratified draws of mu / total_mass, a block at a time.
 
-        (0, 1] is cut into strata of width 2/n, the first of width 3/n
-        where n is odd, and each stratum takes, in stream order, as many
-        uniforms V of ``default_rng(seed)`` as its width in units of 1/n.
-        A stratum whose upper end is 2c/n draws u = (c - w V) / (n/2), w
-        being 1 for a pair and 3/2 for the three, the larger V first; at
-        n = 2m, stratum j draws (j + 1 - V) / m. So each draw has
-        weight 1/n, and the u lie in (0, 1] and ascend over the whole
-        sample with no sort (Cochran, *Sampling Techniques*, 3rd ed.,
-        1977, ch. 5).
+        (0, 1] is cut into n equal strata, and stratum k takes the k-th
+        uniform V of ``default_rng(seed)``: u_k = (k + 1 - V) / n. So
+        each draw has weight 1/n, and the u lie in (0, 1] and ascend over
+        the whole sample with no sort (Cochran, *Sampling Techniques*,
+        3rd ed., 1977, ch. 5).
 
-        A block holds ``BLOCK`` draws, the first ``BLOCK - 1`` where n is
-        odd and the last what is left, so each holds whole strata: pairs,
-        after the stratum of three where its size is odd. Each block is
-        mapped as by ``from_uniforms``, in place, with the inverse CDFs'
-        scratch allocated once here: no array of BLOCK floats is made per
-        block, and the draws take a few blocks of memory whatever n is. A block
-        is a view of one buffer: it may be written to, and the next block
-        is drawn into it. Each component's draws in a block are one
-        ascending run; a step-function lookup of the block merges each
-        run, so one merge where it ascends overall, and one per component
-        where parts overlap or are listed out of order, as in
-        mix(0.5*normal(0,1), 0.5*uniform(0,1)).
+        A block holds ``BLOCK`` draws, and the last what is left. Each
+        block is mapped as by ``from_uniforms``, in place, with the
+        inverse CDFs' scratch allocated once here: no array of BLOCK
+        floats is made per block, and the draws take a few blocks of
+        memory whatever n is. A block is a view of one buffer: it may be
+        written to, and the next block is drawn into it. Each component's
+        draws in a block are one ascending run; a step-function lookup of
+        the block merges each run, so one merge where it ascends overall,
+        and one per component where parts overlap or are listed out of
+        order, as in mix(0.5*normal(0,1), 0.5*uniform(0,1)).
         """
         rng = np.random.default_rng(seed)
         buf = np.empty(min(n, BLOCK))
         # rows of half a block: the scratch then takes 2 blocks of memory,
-        # not 4, for one more inverse CDF call per part; its first row
-        # holds the smaller V of each pair
+        # not 4, for one more inverse CDF call per part
         scratch = np.empty((SCRATCH_ROWS, (buf.size + 1) // 2))
-        # the upper ends c of the next block's pairs
-        tops = np.arange(1.0, buf.size // 2 + 1) + 1.5 * (n % 2)
-        start, stop = 0, min(n, BLOCK - n % 2)
-        while start < n:
-            u = buf[:stop - start]
+        # the upper ends k + 1 of the strata of the next half block
+        tops = np.arange(1.0, scratch.shape[1] + 1)
+        for start in range(0, n, BLOCK):
+            u = buf[:min(n - start, BLOCK)]
             rng.random(out=u)
-            if u.size % 2:  # the stratum of three, (0, 3/n]
-                u[:3] = [1.5 - 1.5 * v for v in sorted(u[:3].tolist(), reverse=True)]
-            pairs = u[u.size % 2 * 3:].reshape(-1, 2)
-            first, second, smaller = pairs[:, 0], pairs[:, 1], scratch[0, :len(pairs)]
-            np.minimum(first, second, out=smaller)
-            np.maximum(first, second, out=first)
-            np.subtract(tops[:len(pairs)], first, out=first)
-            np.subtract(tops[:len(pairs)], smaller, out=second)
-            tops += len(pairs)
-            u /= n / 2
+            for half in (u[:tops.size], u[tops.size:]):
+                np.subtract(tops[:half.size], half, out=half)
+                tops += half.size
+            u /= n
             yield self._map_uniforms(u, u, scratch)
-            start, stop = stop, min(stop + BLOCK, n)
 
     def from_uniforms(self, u, out=None):
         """Map ascending uniforms u in (0, 1] to draws of mu / total_mass.
@@ -752,8 +713,7 @@ class BorelMeasure:
                 b = min(a + scratch.shape[1], stop)
                 v = np.subtract(u[a:b], self._lowers[i], out=out[a:b])
                 v /= self._weights[i]
-                self._kinds[i].inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v), out=v,
-                                           scratch=scratch)
+                self._kinds[i].inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v), scratch)
         return out
 
     # -- support window ------------------------------------------------------

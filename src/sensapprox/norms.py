@@ -189,27 +189,26 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     """Monte Carlo ||f||_{L^p(mu)} with a 4-sigma delta-method error radius.
 
     Draws from mu / mass, then scales value and radius by mass^(1/p). The
-    draws come from ``mu.sample_blocks``, stratified, ``BLOCK`` at a time,
-    each mapped in place, and f is called on one block; it must map each
-    point on its own, and may return an array of its own that it writes
-    again for the next block, as verify's does. |f|^p overwrites the
-    block, which is folded into two running sums: S of the |f|^p, and D
-    of m s^2 over groups of m draws, s^2 their sample variance. A group
-    is two neighbouring strata, four draws, save the stratum of three
-    where n is odd and a last pair where the pairs are odd in number. The
-    mean is S / n, and D / n^2 estimates its variance (Cochran, *Sampling
-    Techniques*, 3rd ed., 1977, ch. 5 and 5A, on two units per stratum
-    and on collapsed strata). The pairs alone, (z_1 - z_2)^2 each, would
-    estimate it without bias, but where a few strata hold most of it, as
-    in an unbounded tail, that estimate rests on a few differences, and
-    the 4-sigma interval missed in 26 of 200 seeds for x|exponential(1)
-    at p=2 and 10^4 draws; a group adds the difference of its two strata
-    to their spread, which there is large. So no array of n floats is
-    made, and no array of BLOCK floats per block where f makes none. The
-    radius can still miss a jump: a group sees it only where its draws
-    fall on both sides, so for a target with a single jump, constant
-    elsewhere, such as an indicator, the radius can be 0 while the error
-    is up to 2/n times the jump.
+    draws come from ``mu.sample_blocks``, one to each of n equal strata,
+    ``BLOCK`` at a time, each mapped in place, and f is called on one
+    block; it must map each point on its own, and may return an array of
+    its own that it writes again for the next block, as verify's does.
+    |f|^p overwrites the block, which is folded into two running sums: S
+    of the |f|^p, and D of m s^2 over groups of m neighbouring draws, s^2
+    their sample variance. A group is four strata, save the sample's
+    last, which takes the 4 to 7 draws that are left. The mean is S / n,
+    and D / n^2 estimates its variance (Cochran, *Sampling Techniques*,
+    3rd ed., 1977, ch. 5A, on collapsed strata). One draw per stratum
+    shows no variance within a stratum, so the strata are collapsed into
+    groups. Two draws per stratum and their plain differences, tried
+    before, missed the exact norm in 26 of 200 seeds for x|exponential(1)
+    at p=2 and 10^4 draws, as a few tail strata hold most of the
+    variance; a group adds the spread between its strata, which there is
+    large. So no array of n floats is made, and no array of BLOCK floats
+    per block where f makes none. The radius can still miss a jump: a
+    group sees it only where its draws fall on both sides, so for a
+    target with a single jump, constant elsewhere, such as an indicator,
+    the radius can be 0 while the error is up to 1/n times the jump.
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
@@ -217,17 +216,21 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     # a block's squared differences, of pairs and then of groups, in one
     # array made once per call
     squares = np.empty(min(n, BLOCK) // 2)
+    # the sample's last group, gathered from the one or two blocks that
+    # hold it
+    first = n - 4 - n % 4
+    last = np.empty(n - first)
+    start = 0
     # an overflow leaves the estimate inf or nan, which passes no check
     with np.errstate(over="ignore", invalid="ignore"):
         for z in mu.sample_blocks(n, seed):
             abs_pow(f(z), p, out=z)
             total += float(z.sum())
-            if z.size % 2:  # the stratum of three comes first
-                spread += 3.0 * float(z[:3].var(ddof=1))
-                z = z[3:]
-            if z.size % 4:  # the sample's last pair, a group of its own
-                spread += float(z[-2] - z[-1]) ** 2
-                z = z[:-2]
+            # the block's draws from index first of the sample on
+            cut = min(max(first - start, 0), z.size)
+            last[start + cut - first:start + z.size - first] = z[cut:]
+            start += z.size
+            z = z[:cut]
             # the draws a, b, c, d of a group have 4 s^2 = 2/3 ((a - b)^2
             # + (c - d)^2) + 1/3 (a + b - c - d)^2
             d = np.subtract(z[::2], z[1::2], out=squares[:z.size // 2])
@@ -237,6 +240,7 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
             d = np.subtract(z[::4], z[2::4], out=squares[:z.size // 4])
             d *= d
             spread += (2.0 * pairs + float(d.sum())) / 3.0
+        spread += last.size * float(last.var(ddof=1))
     mean, sd = total / n, math.sqrt(spread) / n
     root = float(mu.total_mass) ** (1.0 / p)
     if mean <= 0.0:

@@ -195,18 +195,21 @@ class TestMcNorm:
                 assert (abs(est.absolute_error_bound - want.absolute_error_bound)
                         <= 4 * math.ulp(want.absolute_error_bound))
 
+    # n = 10^4 + 1 and + 2 end in a group of five and of six draws
+    @pytest.mark.parametrize("n", [10**4, 10**4 + 1, 10**4 + 2])
     @pytest.mark.parametrize("target,text,p,exact", [
         ("x^2", "normal(0,1)", 2.0, math.sqrt(3)),
         ("sin(x)", "uniform(0,1)", 1.0, 1 - math.cos(1)),
         ("x", "exponential(1)", 2.0, math.sqrt(2)),
+        ("exp(x)", "exponential(3)", 1.0, 1.5),  # e^x has no third moment
     ])
-    def test_the_radius_holds_the_exact_norm(self, target, text, p, exact):
-        # 4 sigma at 10^4 draws; a target with one jump is no case: the
-        # group of draws that straddles it may miss it, radius 0 and all
+    def test_the_radius_holds_the_exact_norm(self, target, text, p, exact, n):
+        # 4 sigma; a target with one jump is no case: the group of draws
+        # that straddles it may miss it, radius 0 and all
         f, mu = target_evaluator(parse_target(target)), measure(text)
         held = 0
         for seed in range(200):
-            est = mc_norm(f, mu, p=p, n=10**4, seed=seed)
+            est = mc_norm(f, mu, p=p, n=n, seed=seed)
             held += abs(est.value - exact) <= est.absolute_error_bound
         assert held >= 199
 
