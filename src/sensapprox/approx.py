@@ -164,7 +164,8 @@ def build_step_approximation(req: ApproxRequest, target_err):
     by greedy refinement on dyadic cells with short values (adaptive tree
     approximation: DeVore, *Acta Numerica* 1998, sec. 3; Binev & DeVore,
     *Numer. Math.* 2004). The certificate is a quadrature of tolerance
-    ``req.quadrature_tolerance``; sensitize sets target_err.
+    ``req.quadrature_tolerance``; sensitize sets target_err to all of eps
+    that the wave and that tolerance leave.
 
     The pieces are ``BorelMeasure.spans`` at the outer tail of the
     quadrature, ``norms.TAILS[-1]``: every part's spans there (its window
@@ -181,7 +182,8 @@ def build_step_approximation(req: ApproxRequest, target_err):
     then halves the fewest worst cells that hold the error to be removed.
     A deviation large enough for one Monte Carlo draw to fail a check
     weighs 10^6 times more in the estimate. Each run of touching cells of
-    one value is one row of phi0.
+    one value in one piece is one row of phi0, so no row spans a gap
+    between pieces.
     """
     f = target_evaluator(req.target)
     p = req.p
@@ -266,11 +268,13 @@ def build_step_approximation(req: ApproxRequest, target_err):
             keep = ~fresh | inside(lo, hi)
             lo, hi, v, err, fresh = lo[keep], hi[keep], v[keep], err[keep], fresh[keep]
             v[fresh], err[fresh] = evaluate(lo[fresh], hi[fresh])
-        # each run of touching cells of one value is one row: cut[k] says
-        # that a row ends before cell k; StepFunction takes each float as
-        # its exact binary value
+        # each run of touching cells of one value in one piece is one row:
+        # cut[j] says that a row ends before cell j, so no row spans a gap
+        # between pieces; StepFunction takes each float as its exact binary
+        # value
+        k = piece(lo)
         cut = np.ones(len(lo) + 1, dtype=bool)
-        cut[1:-1] = (lo[1:] != hi[:-1]) | (v[1:] != v[:-1])
+        cut[1:-1] = (lo[1:] != hi[:-1]) | (v[1:] != v[:-1]) | (k[1:] != k[:-1])
         starts = cut[:-1]
         terms = [(x, exact.get(a, a), exact.get(b, b)) for a, b, x in
                  zip(lo[starts].tolist(), hi[cut[1:]].tolist(), v[starts].tolist()) if x]
@@ -325,9 +329,11 @@ def sensitize(req: ApproxRequest):
     wave_ub = norms.wave_norm_bound(wave, req.mu, req.p)
     quad_tol = req.quadrature_tolerance
     headroom = float(eps) - quad_tol - float(scale) * wave_ub
-    # the one split of eps: phi0 gets what the wave and the quadrature leave,
-    # at most eps / 2; scale * wave_ub <= eps / 2, as wave_ub <= mass^(1/p)
-    target_err = min(float(eps) / 2.0, headroom) * (1.0 - 1e-9)
+    # the one split of eps: phi0 gets all that the wave and the quadrature
+    # leave (the paper's eps / 2 for phi0 is a device of its proof); that is
+    # at least eps / 2 - eps / 100, as wave_ub <= mass^(1/p) gives
+    # scale * wave_ub <= eps / 2, and the wave takes about (eps/2)(p+1)^(-1/p)
+    target_err = headroom * (1.0 - 1e-9)
 
     try:
         phi0, est = build_step_approximation(req, target_err)

@@ -64,7 +64,7 @@ HARD = [
     ("x^2", "mix(0.3*atom(0.5), 0.7*normal(0,1))", "1", "1/10", "1"),
     ("if(x < 1/2, if(x > 0, 1, if(x > -1, 2, 0)), 0)",
      "mix(0.5*atom(0), 0.5*uniform(-1,1))", "1", "1/10", "1"),
-    ("if(2*x<0.6,1,-1)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", "1", "1/50", "0"),
+    ("if(2*x<0.6,1,-1)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", "1", "1/100", "0"),
     ("x", "normal(0,1)", "1", "1/10", str(10**20)),
     ("if(x < sqrt(2)^1000000, 1, 0)", "mix(0.5*atom(0.5), 0.5*uniform(0,1))",
      "1", "1/10", "0"),

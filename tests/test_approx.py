@@ -177,22 +177,31 @@ class TestBuildStepApproximation:
 
     def test_failed_certification_refines_again(self, monkeypatch):
         # the first refinement run meets its float estimate, but the
-        # certified distance of its phi0 is not below target_err <= eps / 2,
-        # so the grid route halves its share and refines again
-        distances = []
+        # certified distance of its phi0 is not below target_err, all of
+        # eps that the wave and the quadrature leave, so the grid route
+        # halves its share and refines again
+        distances, targets = [], []
         lp_distance = approx.norms.lp_distance
+        build = approx.build_step_approximation
 
         def spy(*args, **kwargs):
             est = lp_distance(*args, **kwargs)
             distances.append(est.value + est.absolute_error_bound)
             return est
+
+        def spy_build(req, target_err):
+            targets.append(target_err)
+            return build(req, target_err)
         monkeypatch.setattr(approx.norms, "lp_distance", spy)
+        monkeypatch.setattr(approx, "build_step_approximation", spy_build)
         req = request("if(2*x<0.6,1,-1)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
-                      p=1, eps="1/50", M=0)
+                      p=1, eps="1/100", M=0)
         cert = sensitize(req)
+        (target_err,) = targets
+        assert float(req.eps) / 2 < target_err < float(req.eps)
         assert len(distances) >= 2
-        assert distances[0] >= float(req.eps) / 2
-        assert distances[-1] < float(req.eps) / 2
+        assert distances[0] >= target_err
+        assert distances[-1] < target_err
         assert cert.error_bound < float(req.eps)
 
     @pytest.mark.parametrize("target, mu, p, eps, rows, row, floor", [
