@@ -129,9 +129,11 @@ def check_finite_moment(req: ApproxRequest):
 
 # Refinement budget of the grid route. A refinement run ends when the float
 # estimate of ||target - phi0||_p^p falls to a share of target_err^p, at
-# first (3/4)^p, or after _MAX_ROUNDS rounds or at _MAX_CELLS cells. The
-# quadrature then certifies phi0, at most _MAX_CHECKS times; a failed
-# certification halves the share for the next run.
+# first (63/64)^p, or after _MAX_ROUNDS rounds or at _MAX_CELLS cells. The
+# estimate tracks the certified distance closely, so the first run aims
+# at nearly all of target_err. The quadrature then certifies phi0, at most
+# _MAX_CHECKS times; a failed certification halves the share for the next
+# run.
 _MAX_CELLS = 1 << 17
 _MAX_ROUNDS = 200
 _MAX_CHECKS = 8
@@ -180,6 +182,8 @@ def build_step_approximation(req: ApproxRequest, target_err):
     pieces, where mu has no mass, and a cell that meets none is dropped. Each
     round estimates the error of the new cells by Simpson's rule on floats,
     then halves the fewest worst cells that hold the error to be removed.
+    The rounds aim the estimate at (63/64)^p target_err^p; a failed
+    certification halves the p-th power of the aim and refines again.
     A deviation large enough for one Monte Carlo draw to fail a check
     weighs 10^6 times more in the estimate. Each run of touching cells of
     one value in one piece is one row of phi0, so no row spans a gap
@@ -243,7 +247,7 @@ def build_step_approximation(req: ApproxRequest, target_err):
     # phi0 misses that value
     pins = [(loc, eval_target(req.target, loc))
             for loc in dict.fromkeys(loc for loc, _ in req.mu.atoms)]
-    share = 0.75**p
+    share = (63 / 64)**p
     best = math.inf
     rounds = 0
     for _ in range(_MAX_CHECKS):

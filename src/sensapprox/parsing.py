@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -146,6 +147,9 @@ def _tokenize(text):
                     raise ParseError("malformed number", i)
                 while j < n and text[j].isdecimal():
                     j += 1
+            if re.match(r"[eE][+-]?\d", text[j:j + 3]):
+                raise ParseError("the grammar takes no e notation: write the number "
+                                 "as a decimal or as n/d", j)
             tokens.append(("num", text[i:j], i))
             i = j
             continue

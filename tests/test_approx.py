@@ -43,6 +43,26 @@ def request(target, mu, p=2, eps="1/10", M=10):
     )
 
 
+def certifications(monkeypatch):
+    """Lists that fill, as sensitize runs, with each certified distance of a
+    phi0 (value plus bound) and each target_err that phi0 is built for."""
+    distances, targets = [], []
+    lp_distance = approx.norms.lp_distance
+    build = approx.build_step_approximation
+
+    def spy(*args, **kwargs):
+        est = lp_distance(*args, **kwargs)
+        distances.append(est.value + est.absolute_error_bound)
+        return est
+
+    def spy_build(req, target_err):
+        targets.append(target_err)
+        return build(req, target_err)
+    monkeypatch.setattr(approx.norms, "lp_distance", spy)
+    monkeypatch.setattr(approx, "build_step_approximation", spy_build)
+    return distances, targets
+
+
 UNIFORM = measure("uniform(0,1)")
 NORMAL = measure("normal(0,1)")
 MIX = measure("mix(0.5*atom(0), 0.5*uniform(0,1))")
@@ -162,7 +182,7 @@ class TestBuildStepApproximation:
     @pytest.mark.parametrize("target, mu, pin, rows", [
         # the pin's value is 0, at a point inside a nonzero cell
         ("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", (Fraction(3, 10), 0), 16),
-        ("x^2", "mix(0.3*atom(0.5), 0.7*normal(0,1))", (Fraction(1, 2), Fraction(1, 4)), 55),
+        ("x^2", "mix(0.3*atom(0.5), 0.7*normal(0,1))", (Fraction(1, 2), Fraction(1, 4)), 43),
         # the atom sits on a threshold, the end of two rows, where phi0 is 0
         ("if(x < 1/2, if(x > 0, 1, if(x > -1, 2, 0)), 0)",
          "mix(0.5*atom(0), 0.5*uniform(-1,1))", (Fraction(0), 2), 2),
@@ -180,20 +200,7 @@ class TestBuildStepApproximation:
         # certified distance of its phi0 is not below target_err, all of
         # eps that the wave and the quadrature leave, so the grid route
         # halves its share and refines again
-        distances, targets = [], []
-        lp_distance = approx.norms.lp_distance
-        build = approx.build_step_approximation
-
-        def spy(*args, **kwargs):
-            est = lp_distance(*args, **kwargs)
-            distances.append(est.value + est.absolute_error_bound)
-            return est
-
-        def spy_build(req, target_err):
-            targets.append(target_err)
-            return build(req, target_err)
-        monkeypatch.setattr(approx.norms, "lp_distance", spy)
-        monkeypatch.setattr(approx, "build_step_approximation", spy_build)
+        distances, targets = certifications(monkeypatch)
         req = request("if(2*x<0.6,1,-1)", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
                       p=1, eps="1/100", M=0)
         cert = sensitize(req)
@@ -203,6 +210,15 @@ class TestBuildStepApproximation:
         assert distances[0] >= target_err
         assert distances[-1] < target_err
         assert cert.error_bound < float(req.eps)
+
+    def test_refinement_spends_its_budget(self, monkeypatch):
+        # the refinement aims at 63/64 of target_err, and its estimate
+        # tracks the certified distance closely, so phi0 is certified within
+        # 5 % below target_err
+        distances, targets = certifications(monkeypatch)
+        sensitize(request("x^2", "normal(0,1)", p=2, eps="1/50", M=0))
+        (target_err,) = targets
+        assert 0.95 * target_err <= distances[-1] < target_err
 
     @pytest.mark.parametrize("target, mu, p, eps, rows, row, floor", [
         # one row per constant piece that meets the spans, its ends the

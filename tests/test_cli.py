@@ -554,15 +554,22 @@ class TestSensitizeCommand:
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("target, measure", [
-        ("x+" + "1" * 4400, "uniform(0,1)"),
-        ("x", "uniform(0," + "1" * 4400 + ")"),
-    ], ids=["target", "measure"])
-    def test_a_literal_with_too_many_digits_is_input_error(self, tmp_path, capsys, target,
-                                                           measure):
+    @pytest.mark.parametrize("target, measure, message", [
+        ("x+" + "1" * 4400, "uniform(0,1)", "number has too many digits (offset "),
+        ("x", "uniform(0," + "1" * 4400 + ")", "number has too many digits (offset "),
+        # the flags read e notation, the grammars do not: the error is at the e
+        ("1e-08", "uniform(0,1)", "the grammar takes no e notation: write the number "
+         "as a decimal or as n/d (offset 1)"),
+        ("x", "normal(0,1E3)", "the grammar takes no e notation: write the number "
+         "as a decimal or as n/d (offset 10)"),
+    ], ids=["target", "measure", "e-target", "e-measure"])
+    def test_a_literal_the_grammar_refuses_is_input_error(self, tmp_path, capsys, target,
+                                                          measure, message):
+        out = tmp_path / "c.json"
         assert main(["sensitize", "--target", target, "--measure", measure, "--p", "1",
-                     "--eps", "1/10", "--M", "0", "--out", str(tmp_path / "c.json")]) == 2
-        assert capsys.readouterr().err.startswith("error: number has too many digits (offset ")
+                     "--eps", "1e-1", "--M", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message)
+        assert not out.exists()
 
     def test_bad_target_is_input_error(self, tmp_path, capsys):
         rc = main([

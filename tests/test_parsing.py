@@ -131,6 +131,7 @@ class TestParseTarget:
 
 # What each grammar says of a malformed input, and where: the exact message
 # and byte offset of the ParseError
+_NO_E = "the grammar takes no e notation: write the number as a decimal or as n/d"
 _MALFORMED = [
     (parse_target, "x +", "expected expression", 3),
     (parse_target, "x^", "expected expression", 2),
@@ -148,7 +149,11 @@ _MALFORMED = [
     (parse_target, "if(x=1,1,2)", "expected comparison operator in if(...)", 4),
     (parse_target, "if(1<2<3,1,2)", "expected ','", 6),
     (parse_target, "x < 1", "trailing input", 2),
-    (parse_target, "1e5", "trailing input", 1),
+    (parse_target, "1e5", _NO_E, 1),
+    (parse_target, "2.5E+3", _NO_E, 3),
+    (parse_target, "x^1e-8", _NO_E, 3),
+    (parse_target, "1e", "trailing input", 1),
+    (parse_target, "1e+x", "trailing input", 1),
     (parse_target, "1 2", "trailing input", 2),
     (parse_target, "0.", "malformed number", 0),
     (parse_target, "1.5.5", "unexpected character '.'", 3),
@@ -172,6 +177,7 @@ _MALFORMED = [
     (parse_measure, "foo(1)", "unknown distribution 'foo'", 0),
     (parse_measure, "1", "expected distribution name", 0),
     (parse_measure, "uniform(0,1) x", "trailing input", 13),
+    (parse_measure, "normal(0,1E3)", _NO_E, 10),
     (parse_measure, "", "empty measure specification", 0),
 ]
 
