@@ -161,13 +161,22 @@ def _split(lo, hi, marked):
     return lo, hi, counts
 
 
-def build_step_approximation(req: ApproxRequest, target_err):
-    """Step function phi0 with certified ||phi0 - target||_p < target_err,
-    by greedy refinement on dyadic cells with short values (adaptive tree
-    approximation: DeVore, *Acta Numerica* 1998, sec. 3; Binev & DeVore,
-    *Numer. Math.* 2004). The certificate is a quadrature of tolerance
-    ``req.quadrature_tolerance``; sensitize sets target_err to all of eps
-    that the wave and that tolerance leave.
+def value_quantum(mu: BorelMeasure, p, target_err) -> float:
+    """The power of two whose multiples are phi0's values: the largest one
+    whose rounding error, at most half of it, costs at most target_err / 128
+    in L^p(mu)."""
+    root = float(mu.total_mass) ** (1.0 / p)
+    return 2.0 ** -math.ceil(math.log2(64.0 * root / target_err))
+
+
+def build_step_approximation(req: ApproxRequest, target_err, centre=0):
+    """Step function phi0 with certified ||target - centre - phi0||_p <
+    target_err, by greedy refinement on dyadic cells with short values
+    (adaptive tree approximation: DeVore, *Acta Numerica* 1998, sec. 3;
+    Binev & DeVore, *Numer. Math.* 2004). The certificate is a quadrature
+    of tolerance ``req.quadrature_tolerance``; sensitize sets target_err to
+    all of eps that the wave and that tolerance leave, and centre, an exact
+    multiple of the value quantum, to about the wave's mean.
 
     The pieces are ``BorelMeasure.spans`` at the outer tail of the
     quadrature, ``norms.TAILS[-1]``: every part's spans there (its window
@@ -178,7 +187,7 @@ def build_step_approximation(req: ApproxRequest, target_err):
     is halved until it meets one. A cell's value is the
     target at the midpoint of the cell's part inside its piece, rounded to
     a multiple of a power of two that costs at most target_err / 128 in
-    L^p; the target is never evaluated outside the
+    L^p, less centre; the target is never evaluated outside the
     pieces, where mu has no mass, and a cell that meets none is dropped. Each
     round estimates the error of the new cells by Simpson's rule on floats,
     then halves the fewest worst cells that hold the error to be removed.
@@ -189,7 +198,8 @@ def build_step_approximation(req: ApproxRequest, target_err):
     one value in one piece is one row of phi0, so no row spans a gap
     between pieces.
     """
-    f = target_evaluator(req.target)
+    target, shift = target_evaluator(req.target), float(centre)
+    f = lambda xs: target(xs) - shift  # noqa: E731
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
     pieces = req.mu.spans(norms.TAILS[-1])
@@ -204,8 +214,7 @@ def build_step_approximation(req: ApproxRequest, target_err):
     exact = {float(t): t for t in thresholds(req.target) if ends[0] < t < ends[-1]}
     if exact:
         ends = np.union1d(ends, list(exact))
-    root = float(req.mu.total_mass) ** (1.0 / p)
-    quantum = 2.0 ** -math.ceil(math.log2(64.0 * root / target_err))
+    quantum = value_quantum(req.mu, p, target_err)
     # one draw where |target - v|^p exceeds 1000 target_err^p can fail a
     # Monte Carlo check of 1000 draws, the fewest that verify takes, on its
     # own; such deviations weigh 10^6 times their size in the estimate, so
@@ -243,9 +252,9 @@ def build_step_approximation(req: ApproxRequest, target_err):
         lo, hi, _ = _split(lo, hi, straddle)
     v, err = evaluate(lo, hi)
     # each atom of mu, listed once, with the target's exact value there, a
-    # float as its exact binary value; StepFunction keeps a pin only where
-    # phi0 misses that value
-    pins = [(loc, eval_target(req.target, loc))
+    # float as its exact binary value, less centre; StepFunction keeps a pin
+    # only where phi0 misses that value
+    pins = [(loc, as_rational(eval_target(req.target, loc)) - centre)
             for loc in dict.fromkeys(loc for loc, _ in req.mu.atoms)]
     share = (63 / 64)**p
     best = math.inf
@@ -302,11 +311,14 @@ def build_step_approximation(req: ApproxRequest, target_err):
 # Final assembly
 
 
-def certify_error(phi0_err_bound, s, wave_norm_bound):
-    """Minkowski chain: total bound = phi0 error + scale * wave norm."""
-    if phi0_err_bound < 0 or float(s) < 0 or wave_norm_bound < 0:
+def certify_error(phi0_err_bound, s, wave_norm_bound, offset=0):
+    """Minkowski chain: total bound = phi0 error + scale * wave norm +
+    offset, the exact sum rounded up to a float."""
+    if phi0_err_bound < 0 or float(s) < 0 or wave_norm_bound < 0 or offset < 0:
         raise ValueError("error components must be nonnegative")
-    return phi0_err_bound + float(s) * wave_norm_bound
+    total = Fraction(phi0_err_bound) + Fraction(s) * Fraction(wave_norm_bound) + offset
+    bound = float(total)
+    return bound if bound >= total else math.nextafter(bound, math.inf)
 
 
 def _rational_upper_root(total_mass: Fraction, p) -> Fraction:
@@ -316,9 +328,27 @@ def _rational_upper_root(total_mass: Fraction, p) -> Fraction:
     return as_rational(r)
 
 
+def wave_centre(req: ApproxRequest, scale: Fraction, headroom):
+    """The constant c that phi0 takes of the wave's mean scale / 2, and
+    the offset |c - scale/2| R' >= ||c - scale/2||_p, R' >= mass^(1/p)
+    rational and 1 at mass 1. c is the multiple of value_quantum(headroom)
+    nearest scale / 2, so the offset is about headroom / 128 at most. The build's
+    target_err is below headroom, so its quantum is this one or a smaller
+    power of two, and c is a multiple of it too: a constant target keeps
+    exact row values, and an atom's pin its row value."""
+    quantum = Fraction(value_quantum(req.mu, req.p, headroom))
+    centre = round(scale / 2 / quantum) * quantum
+    mass = req.mu.total_mass
+    root = 1 if mass == 1 else _rational_upper_root(mass, req.p)
+    return centre, abs(centre - scale / 2) * root
+
+
 def sensitize(req: ApproxRequest):
     """Run the full pipeline; returns the Certificate of Y = phi0 + scale * wave,
-    which is its approximant."""
+    which is its approximant. phi0 approximates X - c, c from wave_centre,
+    so that the chain ||X - Y|| <= ||X - c - phi0|| + scale ||wave - 1/2||
+    + ||c - scale/2|| charges the wave less its mean: about half of its
+    norm."""
     check_finite_moment(req)
 
     eps = req.eps
@@ -333,21 +363,23 @@ def sensitize(req: ApproxRequest):
     wave_ub = norms.wave_norm_bound(wave, req.mu, req.p)
     quad_tol = req.quadrature_tolerance
     headroom = float(eps) - quad_tol - float(scale) * wave_ub
-    # the one split of eps: phi0 gets all that the wave and the quadrature
-    # leave (the paper's eps / 2 for phi0 is a device of its proof); that is
-    # at least eps / 2 - eps / 100, as wave_ub <= mass^(1/p) gives
-    # scale * wave_ub <= eps / 2, and the wave takes about (eps/2)(p+1)^(-1/p)
-    target_err = headroom * (1.0 - 1e-9)
+    centre, offset = wave_centre(req, scale, headroom)
+    # the one split of eps: phi0 gets all that the wave, the offset and the
+    # quadrature leave (the paper's eps / 2 for phi0 is a device of its
+    # proof); the wave takes about (eps/4)(p+1)^(-1/p), at most eps / 4 as
+    # wave_ub <= mass^(1/p) / 2, and the offset, twice over, about
+    # headroom / 64 at most
+    target_err = (headroom - 2 * float(offset)) * (1.0 - 1e-9)
 
     try:
-        phi0, est = build_step_approximation(req, target_err)
+        phi0, est = build_step_approximation(req, target_err, centre)
     except (EvaluationError, NonIntegrableError) as exc:
         # the moment check's points can miss a pole that the grid route hits
         raise NonFiniteMomentError(
             f"target cannot be evaluated or integrated where the measure has mass: {exc}"
         ) from exc
     phi0_err = est.value + est.absolute_error_bound
-    error_bound = certify_error(phi0_err, scale, wave_ub)
+    error_bound = certify_error(phi0_err, scale, wave_ub, offset)
 
     Y = SensitiveApproximant(phi0=phi0, scale=scale, wave=wave)
     assert Y.min_abs_slope() >= M + 1

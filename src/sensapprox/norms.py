@@ -9,8 +9,9 @@ splits. The Monte Carlo path is an
 independent oracle used for cross-validation and certificate
 verification; it draws, evaluates and folds its sample one cache-sized
 block at a time, so that its memory does not grow with the number of
-draws. The wave term has a closed-form bound that costs the same at
-every frequency; the wave lattice is never a knot source.
+draws. The wave less its mean 1/2, which is what the error chain
+charges, has a closed-form bound that costs the same at every frequency;
+the wave lattice is never a knot source.
 """
 
 from __future__ import annotations
@@ -252,9 +253,9 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
 
 
 def _gap_upper(u, p):
-    """Upper bound of u - u^(p+1) for an exact wave value u: 0 on the
-    lattice, else the float value plus its rounding error (the slope in u
-    lies in [-p, 1], and the power and the difference round once each)."""
+    """Upper bound of u - u^(p+1) for an exact u in [0, 1]: 0 at 0 and 1,
+    else the float value plus its rounding error (the slope in u lies in
+    [-p, 1], and the power and the difference round once each)."""
     if u in (0, 1):
         return 0.0
     uf = float(u)
@@ -267,28 +268,32 @@ def _raise_ulps(x, ulps):
 
 
 def wave_norm_bound(wave, mu: BorelMeasure, p) -> float:
-    """Upper bound for the wave's L^p norm; at most total_mass^(1/p).
+    """Upper bound for ||wave - 1/2||_{L^p(mu)}; at most total_mass^(1/p) / 2.
 
-    wave^p averages 1/(p+1) over every half-period, so G, the primitive of
-    wave^p - 1/(p+1), is 0 on the lattice and |G| = (u - u^(p+1)) / (b(p+1))
-    <= c_p / (b(p+1)), with u = wave and c_p = p (p+1)^(-1-1/p). Integrating
-    by parts, a unit density f adds 1/(p+1) - int G df <= (1 + S/b) / (p+1),
-    where S sums |jump| (u - u^(p+1)) over the jumps of f plus c_p times the
-    rest of its variation (a Koksma-type inequality: Kuipers & Niederreiter,
-    *Uniform Distribution of Sequences*, 1974, ch. 2). Atoms add
-    m wave(loc)^p. The sum and its root are rounded up past their error.
+    With q = |2 wave - 1|, |wave - 1/2|^p = 2^-p q^p averages 2^-p / (p+1)
+    over every half-period, so G, the primitive of |wave - 1/2|^p -
+    2^-p / (p+1), is 0 at the lattice points and at their midpoints, and
+    |G| = 2^-(p+1) (q - q^(p+1)) / (b(p+1)) <= 2^-(p+1) c_p / (b(p+1)), with
+    c_p = p (p+1)^(-1-1/p). Integrating by parts, a unit density f adds
+    2^-p / (p+1) - int G df <= 2^-p (1 + S/(2b)) / (p+1), where S sums
+    |jump| (q - q^(p+1)) over the jumps of f plus c_p times the rest of its
+    variation (a Koksma-type inequality: Kuipers & Niederreiter, *Uniform
+    Distribution of Sequences*, 1974, ch. 2). Atoms add
+    m |wave(loc) - 1/2|^p. The sum and its root are rounded up past their
+    error.
     """
-    crude = float(mu.total_mass) ** (1.0 / p)
+    crude = float(mu.total_mass) ** (1.0 / p) / 2.0
     crude = math.nextafter(crude, math.inf)
     c_p = p * (p + 1) ** (-1.0 - 1.0 / p)
-    terms = [float(m) * float(wave.eval(loc)) ** p for loc, m in mu.atoms]
+    terms = [float(m) * (float(abs(2 * wave.eval(loc) - 1)) / 2) ** p for loc, m in mu.atoms]
     for w, kind in mu.parts:
         jumps, rest = kind.variation()
-        s = math.fsum([abs(float(d)) * _gap_upper(wave.eval(x), p) for x, d in jumps]
-                      + [c_p * float(rest)])
-        terms.append(float(w) * (1.0 + s / wave.b) / (p + 1))
-    # nonnegative terms of a few roundings each, and wave(loc)^p carries p
-    # times the rounding of wave(loc): p + 32 ulps exceed the sum's error
+        s = math.fsum([abs(float(d)) * _gap_upper(abs(2 * wave.eval(x) - 1), p)
+                       for x, d in jumps] + [c_p * float(rest)])
+        # not 2.0**p or 2 * b, which pass the float range at a large p or b
+        terms.append(float(w) * (1.0 + s / wave.b / 2) / (p + 1) * 0.5**p)
+    # nonnegative terms of a few roundings each, and an atom's term carries
+    # p times the rounding of its q: p + 32 ulps exceed the sum's error
     total = _raise_ulps(math.fsum(terms), p + 32)
     # an ulp of pow, and the rounding of 1/p times |ln total|
     root = _raise_ulps(total ** (1.0 / p), abs(math.log(total)) / p + 2)

@@ -55,9 +55,9 @@ def certifications(monkeypatch):
         distances.append(est.value + est.absolute_error_bound)
         return est
 
-    def spy_build(req, target_err):
+    def spy_build(req, target_err, centre=0):
         targets.append(target_err)
-        return build(req, target_err)
+        return build(req, target_err, centre)
     monkeypatch.setattr(approx.norms, "lp_distance", spy)
     monkeypatch.setattr(approx, "build_step_approximation", spy_build)
     return distances, targets
@@ -220,27 +220,29 @@ class TestBuildStepApproximation:
         (target_err,) = targets
         assert 0.95 * target_err <= distances[-1] < target_err
 
-    @pytest.mark.parametrize("target, mu, p, eps, rows, row, floor", [
+    @pytest.mark.parametrize("target, mu, p, eps, c, rows, zeros, row", [
         # one row per constant piece that meets the spans, its ends the
-        # exact thresholds; the indicator's exact ||X - Y||_1 is scale / 2
-        ("if(x<0.3,1,0)", "uniform(0,1)", 1, "1/10",
-         1, (1, 0, Fraction(3, 10)), Fraction(1, 40)),
-        ("if(x<0.3,1,if(x<2/3,-2,0))", "normal(0,1)", 2, "1/100",
-         2, (-2, Fraction(3, 10), Fraction(2, 3)), 0),
-        ("if(x>1/3, if(x<0.7,1,0), 0)", "normal(0,1)", 2, "1/100",
-         1, (1, Fraction(1, 3), Fraction(7, 10)), 0),
+        # exact thresholds, and its value the target's less c, the multiple
+        # of the value quantum nearest scale / 2; a zero piece is a row at -c
+        ("if(x<0.3,1,0)", "uniform(0,1)", 1, "1/10", Fraction(13, 512),
+         2, 1, (1, 0, Fraction(3, 10))),
+        ("if(x<0.3,1,if(x<2/3,-2,0))", "normal(0,1)", 2, "1/100", Fraction(5, 2048),
+         3, 1, (-2, Fraction(3, 10), Fraction(2, 3))),
+        ("if(x>1/3, if(x<0.7,1,0), 0)", "normal(0,1)", 2, "1/100", Fraction(5, 2048),
+         3, 2, (1, Fraction(1, 3), Fraction(7, 10))),
         # a kinked target: its constant middle piece is one row
         ("if(x <= 0.25, x, if(x >= 0.75, 1 - x, 0.5))", "uniform(0,1)", 2, "1/10",
-         9, (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)), 0),
+         Fraction(13, 512), 9, 0, (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))),
         # a threshold past the float range is no cell end
-        ("if(x < sqrt(2)^1000000, 1, 0)", "uniform(0,1)", 1, "1/10",
-         1, (1, 0, 1), 0),
+        ("if(x < sqrt(2)^1000000, 1, 0)", "uniform(0,1)", 1, "1/10", Fraction(13, 512),
+         1, 0, (1, 0, 1)),
     ], ids=["indicator", "nested", "window", "kinked", "overflowing"])
-    def test_if_thresholds_are_exact_row_ends(self, target, mu, p, eps, rows, row, floor):
-        cert = sensitize(request(target, mu, p=p, eps=eps, M=0))
-        assert len(cert.approximant.phi0.terms) == rows
-        assert row in cert.approximant.phi0.terms
-        assert cert.error_bound >= floor
+    def test_if_thresholds_are_exact_row_ends(self, target, mu, p, eps, c, rows, zeros, row):
+        terms = sensitize(request(target, mu, p=p, eps=eps, M=0)).approximant.phi0.terms
+        assert len(terms) == rows
+        value, lo, hi = row
+        assert (value - c, lo, hi) in terms
+        assert sum(v == -c for v, _, _ in terms) == zeros
 
     @pytest.mark.parametrize("mu", [
         "uniform(0,1)",
@@ -327,6 +329,12 @@ class TestCertifyError:
     def test_chain(self):
         assert certify_error(0.04, Fraction(1, 20), 0.6) == pytest.approx(0.07)
 
+    def test_offset_is_added_and_the_sum_rounded_up(self):
+        offset = Fraction(1, 3 * 2**40)
+        bound = certify_error(0.1, Fraction(1, 3), 0.7, offset)
+        exact = Fraction(0.1) + Fraction(1, 3) * Fraction(0.7) + offset
+        assert exact <= Fraction(bound) and float(exact) == pytest.approx(bound, rel=1e-15)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             certify_error(-0.1, Fraction(1, 2), 0.5)
@@ -338,8 +346,10 @@ class TestSensitize:
         Y = cert.approximant
         assert Y.wave.b == 2
         assert Y.min_abs_slope() == 1
-        assert cert.error_bound < 1.0
-        assert Y.phi0.terms == ()
+        # c = scale / 2 = 1/4 sits on the value quantum: phi0 is one row at
+        # -c, and ||X - Y||_1 = ||1/4 - wave / 2||_1 = 1/8 exactly
+        assert Y.phi0.terms == ((Fraction(-1, 4), 0, 1),)
+        assert 1 / 8 <= cert.error_bound < 1.0
 
     def test_indicator_target(self):
         cert = sensitize(request("if(x<0.5, if(x>0, 1, 0), 0)",
@@ -347,7 +357,34 @@ class TestSensitize:
         Y = cert.approximant
         assert Y.wave.b == 16
         assert Y.min_abs_slope() == 4
-        assert Y.phi0.terms == ((1, 0, Fraction(1, 2)),)
+        # c = scale / 2 = 1/8
+        assert Y.phi0.terms == ((Fraction(7, 8), 0, Fraction(1, 2)),
+                                (Fraction(-1, 8), Fraction(1, 2), 1))
+
+    def test_the_centre_offset_is_paid(self):
+        # phi0 is exactly X - c on both pieces, and b = 20 half-periods
+        # tile [0, 1], so X - Y = c - scale * wave with the wave uniform on
+        # [0, 1]: ||X - Y||_1 = scale (g^2 + (1 - g)^2) / 2, g = c / scale.
+        # c = 13/512 misses scale / 2 = 1/40, and the bound must pay
+        # |c - scale / 2| on top of scale ||wave - 1/2||_1 = scale / 4
+        cert = sensitize(request("if(x<0.3,1,0)", "uniform(0,1)", p=1, eps="1/10", M=0))
+        Y = cert.approximant
+        c = -Y.phi0.eval(Fraction(1, 2))
+        assert c == Fraction(13, 512) and Y.wave.b == 20
+        assert Y.phi0.eval(Fraction(1, 10)) == 1 - c
+        g = c / Y.scale
+        exact = Y.scale * (g**2 + (1 - g)**2) / 2
+        assert float(exact) == pytest.approx(0.0125031, abs=1e-7)
+        assert Fraction(cert.error_bound) >= exact
+
+    def test_a_small_mass_pays_the_offset_at_its_root(self):
+        # at mass 1/100 the value quantum, 1/128, passes scale / 2 = 1/400,
+        # so c = 0; the offset is ||scale / 2||_1 = 1/40000, not the
+        # scale / 2 that R = 1 would charge
+        cert = sensitize(request("x^2", "mix(0.01*uniform(0,1), mass=0.01)",
+                                 p=1, eps="1/100", M=0))
+        assert cert.approximant.scale == Fraction(1, 200)
+        assert cert.error_bound < 1 / 1000
 
     def test_quadratic_normal(self):
         req = request("x^2", "normal(0,1)", p=2, eps="1/10", M=10)

@@ -83,20 +83,24 @@ def read_raw(raw):
 
 
 class TestCertificateRoundTrip:
-    # (target, measure, p, eps, M) and what the certificate's shape shows
+    # (target, measure, p, eps, M) and what the certificate's shape shows;
+    # phi0 approximates X - c, and c = 13/512 at eps = 1/10, the multiple
+    # of the value quantum nearest scale / 2 = 1/40
     @pytest.mark.parametrize("case, shape", [
         (("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", 1.0, "1/10", 1),
-         lambda c: {"point": "3/10", "value": "0/1"} in c["exceptions"]),
+         lambda c: {"point": "3/10", "value": "-13/512"} in c["exceptions"]),
         (("if(x<0.3,1,0)", "uniform(0,1)", 1.0, "1/10", 0),
-         lambda c: c["phi0"] == [{"lower": "0/1", "upper": "3/10", "value": "1/1"}]),
+         lambda c: c["phi0"] == [{"lower": "0/1", "upper": "3/10", "value": "499/512"},
+                                 {"lower": "3/10", "upper": "1/1", "value": "-13/512"}]),
         (("x", "mix(2*uniform(0,1), mass=2)", 2.0, "1/10", 3),
          lambda c: Fraction(c["scale"]) < Fraction(1, 20)),
         (("0", "uniform(0,1)", 1.0, "1/10", 0),
-         lambda c: c["phi0"] == c["exceptions"] == []
-         and c["window"] == {"lower": "-1/1", "upper": "1/1"}),
+         lambda c: c["phi0"] == [{"lower": "0/1", "upper": "1/1", "value": "-13/512"}]
+         and c["exceptions"] == []
+         and c["window"] == {"lower": "-1/1", "upper": "2/1"}),
         (("x", "normal(0,1)", 1.0, "1/10", 10**20),
          lambda c: c["nondiff_count_in_window"] > 10**20),
-    ], ids=["atom-pin", "threshold-row", "mass-two", "no-rows", "huge-M"])
+    ], ids=["atom-pin", "threshold-row", "mass-two", "zero-target", "huge-M"])
     def test_reconstruction_matches(self, tmp_path, case, shape):
         cert = make_certificate(*case)
         path, back = tmp_path / "cert.json", tmp_path / "back.json"
@@ -437,7 +441,8 @@ class TestCertificateWriter:
                      "mix(0.3*atom(0.5), 0.7*normal(0,1))", "--p", "2", "--eps", "1/25",
                      "--M", "0", "--out", str(tmp_path / "cli.json")]) == 0
         assert len(fractions) <= 1
-        assert cert.approximant.phi0.exceptions == ((Fraction(1, 2), Fraction(1, 4)),)
+        # x^2 at the atom less c = 5/512, nearest scale / 2 = 1/100
+        assert cert.approximant.phi0.exceptions == ((Fraction(1, 2), Fraction(123, 512)),)
 
 
 class TestSensitizeCommand:
@@ -530,14 +535,17 @@ class TestSensitizeCommand:
         assert run.stderr.count("\n") == 1 and not out.exists()
 
     def test_a_float_pin_is_its_exact_binary_value(self, tmp_path, capsys):
-        # sin(0.3) is a float, pinned as n / 2^54, not as its shortest decimal
+        # sin(0.3) is a float, pinned as its binary value n / 2^54 less
+        # c = 13/512, not as its shortest decimal
         out = tmp_path / "cert.json"
         assert main(["sensitize", "--target", "sin(x)",
                      "--measure", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
                      "--p", "1", "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
-        value = "5323618770401843/18014398509481984"
+        value = "4866221933247027/18014398509481984"
         assert json.loads(out.read_text())["exceptions"] == [{"point": "3/10", "value": value}]
-        assert Fraction(value) == Fraction(eval_target(parse_target("sin(x)"), Fraction(3, 10)))
+        exact = Fraction(eval_target(parse_target("sin(x)"), Fraction(3, 10)))
+        assert exact == Fraction(5323618770401843, 2**54)
+        assert Fraction(value) == exact - Fraction(13, 512)
         capsys.readouterr()
         assert main(["verify", "--cert", str(out), "--samples", "200000", "--seed", "3"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -639,9 +647,10 @@ class TestSensitizeCommand:
         assert "PASS" in capsys.readouterr().out
 
     def test_atom_pin_of_value_zero(self, tmp_path, capsys):
-        # x - 0.3 is 0 at the atom, inside a cell of nonzero value
+        # x - 0.3 + 13/512 is c = 13/512 at the atom, so the pin of X - c
+        # is 0, inside a cell of nonzero value
         out = tmp_path / "cert.json"
-        assert main(["sensitize", "--target", "x-0.3",
+        assert main(["sensitize", "--target", "x-0.3+13/512",
                      "--measure", "mix(0.5*atom(0.3), 0.5*uniform(0,1))",
                      "--p", "1", "--eps", "1/10", "--M", "1", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
@@ -1098,8 +1107,9 @@ class TestPlotCommand:
         lines = out1.read_text().strip().split("\n")
         assert lines[0] == "x,target,approximant"
         ys = [float(ln.split(",")[2]) for ln in lines[1:]]
-        # eps=1, M=0 gives the half-scaled b=2 wave: 0, 1/4, 1/2, 1/4, 0
-        assert ys == [0.0, 0.25, 0.5, 0.25, 0.0]
+        # eps=1, M=0 gives the half-scaled b=2 wave, 0, 1/4, 1/2, 1/4, 0,
+        # plus phi0, one row of -c = -1/4 on the open (0, 1)
+        assert ys == [0.0, 0.0, 0.25, 0.0, 0.0]
         nondiff = (tmp_path / "a.csv.nondiff").read_text().split()
         assert [float(v) for v in nondiff] == [0.5]
 

@@ -5,8 +5,8 @@ error_bound, a float sum that may move in its last bits, which must
 agree within a relative 1e-12. The cases use uniform, pwd and atom
 measures only, so the expected values depend on IEEE arithmetic alone.
 Two goldens whose phi0 the grid route refines are also held to phi0's
-share of error_bound by the exact ||X - phi0||_p, taken with mpmath at
-30 digits.
+share of error_bound by the exact ||X - c - phi0||_p, taken with mpmath
+at 30 digits, c being the constant that phi0 takes of the wave's mean.
 """
 
 import json
@@ -17,6 +17,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from sensapprox.approx import wave_centre
 from sensapprox.cli import main, read_certificate
 from sensapprox.norms import wave_norm_bound
 
@@ -66,10 +67,11 @@ EXACT = {
 }
 
 
-def exact_phi0_distance(name):
-    """||X - phi0||_p of a golden certificate at 30 digits: mpmath.quad
-    between phi0's knots and mu's breaks, each cell split where the target
-    crosses phi0's value there, so that every integrand is smooth."""
+def exact_phi0_distance(name, centre):
+    """||X - centre - phi0||_p of a golden certificate at 30 digits:
+    mpmath.quad between phi0's knots and mu's breaks, each cell split where
+    the target crosses centre plus phi0's value there, so that every
+    integrand is smooth."""
     cert = read_certificate(GOLDEN / f"{name}.json")
     f, inverse, parts = EXACT[name]
     phi0, p = cert.approximant.phi0, cert.request.p
@@ -80,7 +82,7 @@ def exact_phi0_distance(name):
             knots = sorted({Fraction(lo), Fraction(hi)}
                            | {Fraction(e) for e in phi0.endpoints() if lo < e < hi})
             for a, b in zip(knots, knots[1:]):
-                v = phi0.eval((a + b) / 2)
+                v = centre + phi0.eval((a + b) / 2)
                 a, b, v = (mpmath.mpf(q.numerator) / q.denominator for q in (a, b, v))
                 cuts = [a] + [c for c in [inverse(v)] if a < c < b] + [b]
                 total += w * mpmath.quad(lambda x: abs(f(x) - v) ** p * pdf(x), cuts)
@@ -89,11 +91,15 @@ def exact_phi0_distance(name):
 
 @pytest.mark.parametrize("name", sorted(EXACT))
 def test_phi0_share_of_the_bound_holds_at_30_digits(name):
-    # phi0's share of error_bound, what the wave term leaves of it, is at
-    # least the exact ||X - phi0||_p
-    cert, distance = exact_phi0_distance(name)
-    assert (cert.request.target.source_text, cert.request.mu.source_text) == CASES[name][:2]
-    Y = cert.approximant
-    share = cert.error_bound - float(Y.scale) * wave_norm_bound(Y.wave, cert.request.mu,
-                                                                cert.request.p)
-    assert share >= distance
+    # phi0's share of error_bound, what the wave term scale ||wave - 1/2||_p
+    # and the offset ||c - scale/2||_p leave of it, is at least the exact
+    # ||X - c - phi0||_p, with c as sensitize takes it
+    cert = read_certificate(GOLDEN / f"{name}.json")
+    req, Y = cert.request, cert.approximant
+    assert (req.target.source_text, req.mu.source_text) == CASES[name][:2]
+    bound = wave_norm_bound(Y.wave, req.mu, req.p)
+    c, offset = wave_centre(req, Y.scale, float(req.eps) - req.quadrature_tolerance
+                            - float(Y.scale) * bound)
+    share = Fraction(cert.error_bound) - Y.scale * Fraction(bound) - offset
+    _, distance = exact_phi0_distance(name, c)
+    assert mpmath.mpf(share.numerator) / share.denominator >= distance

@@ -238,24 +238,49 @@ class TestMcNorm:
 
 
 class TestWaveNormBound:
-    def test_probability_cap(self):
-        assert wave_norm_bound(TriangleWave(5), NORMAL, p=2) <= 1.0 + 1e-12
+    # the bound is of ||wave - 1/2||_p, the wave less its mean
 
-    def test_uniform_computed_near_half(self):
+    def test_probability_cap(self):
+        assert wave_norm_bound(TriangleWave(5), NORMAL, p=2) <= 0.5 + 1e-12
+
+    def test_uniform_computed_near_a_quarter(self):
         bound = wave_norm_bound(TriangleWave(2), UNIFORM, p=1)
-        assert 0.45 <= bound <= 0.55
+        assert 0.245 <= bound <= 0.255
 
     def test_mass_four_cap(self):
         mu = measure("mix(4*uniform(0,1), mass=4)")
-        assert wave_norm_bound(TriangleWave(3), mu, p=2) <= 2.0 + 1e-9
+        assert wave_norm_bound(TriangleWave(3), mu, p=2) <= 1.0 + 1e-9
 
     def test_always_valid_upper_bound(self):
         for b in (2, 7, 16):
             wave = TriangleWave(b)
             bound = wave_norm_bound(wave, UNIFORM, p=2)
-            est = lp_norm(wave.eval_arr, UNIFORM, p=2, tol=1e-8,
-                          knots=[float(k) for k in wave.lattice_points(0, 1)])
+            # |wave - 1/2| kinks at the lattice points and at their midpoints
+            knots = [j / (2 * b) for j in range(1, 2 * b)]
+            est = lp_norm(lambda xs, w=wave: w.eval_arr(xs) - 0.5, UNIFORM, p=2,
+                          tol=1e-8, knots=knots)
             assert est.value <= bound + 1e-9
+
+    def test_a_large_p_or_b_stays_in_the_float_range(self):
+        # 2^-p / (p+1) underflows, and b = 2^1023 doubles past the floats
+        big_p = wave_norm_bound(TriangleWave(2), UNIFORM, p=2000.0)
+        assert 0.5 * 2001 ** (-1 / 2000) <= big_p <= 0.5 + 1e-15
+        big_b = wave_norm_bound(TriangleWave(2**1023), UNIFORM, p=2.0)
+        assert 3 ** -0.5 / 2 <= big_b <= 3 ** -0.5 / 2 + 1e-14
+
+    @pytest.mark.parametrize("loc, b, p, exact", [
+        # at a lattice point |wave - 1/2| is 1/2, its largest, at any p
+        ("0.6", 5, 2.0, Fraction(1, 2)),
+        ("0", 5, 1.5, Fraction(1, 2)),
+        # off it: wave(3/10) = 6/10 at b = 2, so |wave - 1/2| = 1/10
+        ("0.3", 2, 2.0, Fraction(1, 10)),
+        # at a midpoint the wave is 1/2
+        ("0.25", 2, 1.0, Fraction(0)),
+    ], ids=["lattice", "origin", "off-lattice", "midpoint"])
+    def test_an_atom_adds_its_exact_term(self, loc, b, p, exact):
+        mu = measure(f"atom({loc})")
+        bound = wave_norm_bound(TriangleWave(b), mu, p)
+        assert float(exact) <= bound <= float(exact) * (1 + 1e-13) + 1e-300
 
 
 def _mp(q):
@@ -289,22 +314,24 @@ def _mp_density(kind):
 
 
 def _mp_wave_norm(mu, b, p):
-    """(integral of wave^p d mu)^(1/p) by mpmath.quad, split at the lattice
-    and the breakpoints; the tails outside the window count with weight 1,
-    so the value is at least the exact norm."""
-    wave = lambda x: 1 - abs(mpmath.fmod(x * b, 2) - 1)  # noqa: E731
+    """(integral of |wave - 1/2|^p d mu)^(1/p) by mpmath.quad, split at the
+    lattice points, at their midpoints and at the breakpoints; the tails
+    outside the window count with weight 2^-p, the integrand's largest
+    value, so the value is at least the exact norm."""
+    half = mpmath.mpf(1) / 2
+    centred = lambda x: abs(half - abs(mpmath.fmod(x * b, 2) - 1))  # noqa: E731
     total = mpmath.mpf(0)
     for loc, m in mu.atoms:
-        total += _mp(m) * wave(_mp(loc)) ** p
+        total += _mp(m) * centred(_mp(loc)) ** p
     for w, kind in mu.parts:
         pdf, lo, hi, tail = _mp_density(kind)
         # a uniform or exponential density jumps at lo or hi only
         cuts = {lo, hi} | {_mp(q) for q in getattr(kind, "breaks", ())}
-        cuts |= {mpmath.mpf(j) / b for j in range(int(mpmath.floor(lo * b)),
-                                                  int(mpmath.ceil(hi * b)) + 1)}
+        cuts |= {mpmath.mpf(j) / (2 * b) for j in range(int(mpmath.floor(2 * lo * b)),
+                                                        int(mpmath.ceil(2 * hi * b)) + 1)}
         cuts = sorted(c for c in cuts if lo <= c <= hi)
-        part = mpmath.quad(lambda x: wave(x) ** p * pdf(x), cuts)
-        total += _mp(w) * (part + tail)
+        part = mpmath.quad(lambda x: centred(x) ** p * pdf(x), cuts)
+        total += _mp(w) * (part + half ** p * tail)
     return total ** (1 / mpmath.mpf(p))
 
 
@@ -316,6 +343,8 @@ BOUND_MEASURES = [
     # a jump at 1/2 and a degree-2 cell
     measure("pwd(breaks(0, 0.5, 1), poly(1), poly(3, -12, 12))"),
     measure("mix(0.25*atom(0.1), 0.5*atom(-0.37), 0.25*atom(1))"),
+    # an atom at 0, a lattice point at every b, and one off the lattice
+    measure("mix(0.25*atom(0), 0.25*atom(0.3), 0.5*uniform(0.13, 0.71))"),
     measure("mix(2*uniform(0,1), mass=2)"),
 ]
 
@@ -336,7 +365,8 @@ def test_wave_norm_bound_needs_no_quadrature_at_large_b(monkeypatch):
 
     monkeypatch.setattr(norms, "lp_norm", refuse)
     bound = wave_norm_bound(TriangleWave(2 * 10**7), UNIFORM, 2)
-    assert 3 ** -0.5 <= bound <= 3 ** -0.5 + 1e-14
+    # ||wave - 1/2||_2 = 3^(-1/2) / 2 over whole half-periods
+    assert 3 ** -0.5 / 2 <= bound <= 3 ** -0.5 / 2 + 1e-14
 
 
 CORPUS = [
