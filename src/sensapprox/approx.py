@@ -114,7 +114,10 @@ def target_norm(target: TargetFunction, mu: BorelMeasure, p, tol):
 
 
 def check_finite_moment(req: ApproxRequest):
-    """Flag targets whose p-th moment estimate diverges; cannot prove it."""
+    """Flag targets whose p-th moment estimate diverges; cannot prove it.
+    It is the only test of the tails of |X|^p: phi0 follows X out to the
+    spans that the certification integrates, which so sees only the
+    residual X - c - phi0 there."""
     try:
         target_norm(req.target, req.mu, req.p, 1e-3)
     except NonIntegrableError as exc:
@@ -143,8 +146,8 @@ def _dyadic_cells(span_lo, span_hi, n):
     """Ends of the cells that cover [span_lo, span_hi], all of the least
     power-of-two width at least (span_hi - span_lo) / n; every end is a
     multiple of the width, so every later midpoint of these cells is
-    exact. A cell that the grid route ends at a threshold has no exact
-    midpoint in general; halving rounds it to a float."""
+    exact. A cell that the grid route ends at a threshold or at a piece's
+    end has no exact midpoint in general; halving rounds it to a float."""
     width = 2.0 ** math.ceil(math.log2(max(span_hi - span_lo, 2.0**-40) / n))
     return np.arange(math.floor(span_lo / width), math.ceil(span_hi / width) + 1) * width
 
@@ -181,39 +184,38 @@ def build_step_approximation(req: ApproxRequest, target_err, centre=0):
     The pieces are ``BorelMeasure.spans`` at the outer tail of the
     quadrature, ``norms.TAILS[-1]``: every part's spans there (its window
     less the pwd cells of density 0), merged into sorted disjoint pieces.
-    The cells tile the dyadic hull of the pieces, starting from about 16
-    cells of one power-of-two width, each cut at the target's if()
-    thresholds inside it, and a first cell that reaches into two pieces
-    is halved until it meets one. A cell's value is the
-    target at the midpoint of the cell's part inside its piece, rounded to
-    a multiple of a power of two that costs at most target_err / 128 in
-    L^p, less centre; the target is never evaluated outside the
-    pieces, where mu has no mass, and a cell that meets none is dropped. Each
-    round estimates the error of the new cells by Simpson's rule on floats,
+    The first cells tile the hull of the pieces, about 16 cells of one
+    power-of-two width, each cut at the target's if() thresholds and at
+    the pieces' ends inside it; a first cell is kept when its midpoint
+    lies in a piece. So every cell, and each half of a split, lies in one
+    piece, and the outer rows end at the pieces' ends, where the
+    certification stops integrating. A cell's value is the target at the
+    cell's midpoint, rounded to a multiple of a power of two that costs
+    at most target_err / 128 in L^p, less centre; the target is never
+    evaluated outside the pieces, where mu has no mass. Each round
+    estimates the error of the new cells by Simpson's rule on floats,
     then halves the fewest worst cells that hold the error to be removed.
     The rounds aim the estimate at (63/64)^p target_err^p; a failed
     certification halves the p-th power of the aim and refines again.
     A deviation large enough for one Monte Carlo draw to fail a check
     weighs 10^6 times more in the estimate. Each run of touching cells of
-    one value in one piece is one row of phi0, so no row spans a gap
-    between pieces.
+    one value is one row of phi0; cells of two pieces never touch, so no
+    row spans a gap between pieces.
     """
     target, shift = target_evaluator(req.target), float(centre)
     f = lambda xs: target(xs) - shift  # noqa: E731
     p = req.p
     parts = [(float(w), kind) for w, kind in req.mu.parts]
     pieces = req.mu.spans(norms.TAILS[-1])
-    # piece lower ends, padded so that "the piece after k" always exists
-    lows = np.array([a for a, _ in pieces] + [math.inf, math.inf])
-    highs = np.array([b for _, b in pieces])
+    edges = np.array(pieces, dtype=float).reshape(-1)  # a0, b0, a1, b1, ...
     hull = (pieces[0][0], pieces[-1][1]) if pieces else (0.0, 0.0)
     ends = _dyadic_cells(*hull, 16)
-    # every if() threshold inside the cells is a cell end, so that a jump or
+    # every if() threshold inside the hull is a cell end, so that a jump or
     # kink of the target there is one; a row that ends at a threshold ends
-    # at the threshold itself, which may be no float
-    exact = {float(t): t for t in thresholds(req.target) if ends[0] < t < ends[-1]}
-    if exact:
-        ends = np.union1d(ends, list(exact))
+    # at the threshold itself, which may be no float. Every piece end is a
+    # cell end too, so each cell lies in one piece or in a gap
+    exact = {float(t): t for t in thresholds(req.target) if hull[0] < t < hull[1]}
+    ends = np.union1d(ends[(hull[0] < ends) & (ends < hull[1])], [*exact, *edges])
     quantum = value_quantum(req.mu, p, target_err)
     # one draw where |target - v|^p exceeds 1000 target_err^p can fail a
     # Monte Carlo check of 1000 draws, the fewest that verify takes, on its
@@ -221,35 +223,20 @@ def build_step_approximation(req: ApproxRequest, target_err, centre=0):
     # that the mass holding them carries at most 10^-6 of the budget
     outlier = 1000.0 * target_err**p
 
-    def piece(lo):
-        """Index of the first piece that ends past each cell's lower end."""
-        return np.searchsorted(highs, lo, side="right")
-
-    def inside(lo, hi):
-        return lows[piece(lo)] < hi
-
     def evaluate(lo, hi):
-        """Short values and error estimates of sorted cells, each of which
-        meets one piece."""
-        k = piece(lo)
-        a, b = np.maximum(lo, lows[k]), np.minimum(hi, highs[k])
-        v = np.round(f(0.5 * (a + b)) / quantum) * quantum
+        """Short values and error estimates of sorted cells."""
+        v = np.round(f(0.5 * (lo + hi)) / quantum) * quantum
 
         def g(xs):
-            step = v[np.searchsorted(a, xs, side="right") - 1]
+            step = v[np.searchsorted(lo, xs, side="right") - 1]
             d = norms.abs_pow(f(xs) - step, p)
             d[d > outlier] *= 1e6
             return d * sum(w * kind.pdf_arr(xs) for w, kind in parts)
-        return v, norms._simpson_pair(g, a, b)[0]
+        return v, norms._simpson_pair(g, lo, hi)[0]
 
     lo, hi = ends[:-1], ends[1:]
-    while True:
-        keep = inside(lo, hi)
-        lo, hi = lo[keep], hi[keep]
-        straddle = lows[piece(lo) + 1] < hi
-        if not straddle.any():
-            break
-        lo, hi, _ = _split(lo, hi, straddle)
+    keep = np.searchsorted(edges, 0.5 * (lo + hi), side="right") % 2 == 1  # in a piece
+    lo, hi = lo[keep], hi[keep]
     v, err = evaluate(lo, hi)
     # each atom of mu, listed once, with the target's exact value there, a
     # float as its exact binary value, less centre; StepFunction keeps a pin
@@ -278,16 +265,13 @@ def build_step_approximation(req: ApproxRequest, target_err, centre=0):
             lo, hi, counts = _split(lo, hi, marked)
             v, err = np.repeat(v, counts), np.repeat(err, counts)
             fresh = np.repeat(marked, counts)
-            keep = ~fresh | inside(lo, hi)
-            lo, hi, v, err, fresh = lo[keep], hi[keep], v[keep], err[keep], fresh[keep]
             v[fresh], err[fresh] = evaluate(lo[fresh], hi[fresh])
-        # each run of touching cells of one value in one piece is one row:
-        # cut[j] says that a row ends before cell j, so no row spans a gap
-        # between pieces; StepFunction takes each float as its exact binary
-        # value
-        k = piece(lo)
+        # each run of touching cells of one value is one row: cut[j] says
+        # that a row ends before cell j; cells of two pieces never touch, so
+        # no row spans a gap between pieces. StepFunction takes each float
+        # as its exact binary value
         cut = np.ones(len(lo) + 1, dtype=bool)
-        cut[1:-1] = (lo[1:] != hi[:-1]) | (v[1:] != v[:-1]) | (k[1:] != k[:-1])
+        cut[1:-1] = (lo[1:] != hi[:-1]) | (v[1:] != v[:-1])
         starts = cut[:-1]
         terms = [(x, exact.get(a, a), exact.get(b, b)) for a, b, x in
                  zip(lo[starts].tolist(), hi[cut[1:]].tolist(), v[starts].tolist()) if x]

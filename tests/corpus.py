@@ -28,8 +28,10 @@ oscillation, poles with infinite and with finite moments, a moment that
 is infinite in the tails, atom pins, a certification that fails once,
 an M far past the float range's integers, an if() threshold past the
 float range, a float pin, an exact pin and a threshold whose exact
-values would pass the exact plan's size limit, and a first cell that
-reaches across a gap between two parts where the target is undefined.
+values would pass the exact plan's size limit, a gap between two parts,
+where the target is undefined, whose ends are cell ends, and two
+moments that are infinite only in the tails, which the moment check
+alone refuses.
 """
 
 import contextlib
@@ -73,6 +75,8 @@ HARD = [
     ("if(x < (3^10000)^10000, 1, 0)", "uniform(0,1)", "1", "1/10", "0"),
     ("sqrt((x-0.3)*(x-0.31))", "mix(0.5*uniform(0,0.3), 0.5*uniform(0.31,1))",
      "1", "1/10", "0"),
+    ("exp(x^2/3)", "normal(0,1)", "2", "1/10", "0"),
+    ("exp(0.6*x)", "exponential(1)", "2", "1/10", "0"),
 ]
 
 

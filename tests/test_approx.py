@@ -147,6 +147,18 @@ class TestFiniteMomentCheck:
         with pytest.raises(NonFiniteMomentError):
             check_finite_moment(request("exp(x^2)", "normal(0,1)"))
 
+    @pytest.mark.parametrize("target, mu", [
+        ("exp(x^2/3)", "normal(0,1)"),
+        ("exp(0.6*x)", "exponential(1)"),
+    ])
+    def test_a_moment_infinite_only_in_the_tails_is_refused(self, target, mu):
+        # the p = 2 moments are the integrals of e^(x^2/6) / sqrt(2 pi) and
+        # of e^(0.2 x), both infinite; phi0 follows X out to the spans, so
+        # the certification sees only the small residual there, and the
+        # moment check is the one test of the tails of |X|^p
+        with pytest.raises(NonFiniteMomentError):
+            sensitize(request(target, mu, p=2, eps="1/10", M=0))
+
 
 class TestBuildStepApproximation:
     def test_indicator_exact(self):
@@ -279,15 +291,34 @@ class TestBuildStepApproximation:
         outlying = np.sum(density * z * (z > 1000 * target_err**p)) * dx
         assert outlying < 1e-3 * target_err**p
 
-    def test_a_first_cell_that_reaches_into_two_pieces_is_halved(self):
-        # the target is undefined in the gap (0.3, 0.31) between the parts,
-        # inside the first cell (0.25, 0.3125): the halves of that cell that
-        # meet one piece each are rows, and no row spans the gap
+    def test_a_gaps_ends_are_cell_ends(self):
+        # the target is undefined in the gap (0.3, 0.31) between the parts;
+        # both ends of the gap are cell ends, so a row ends at the float
+        # 0.3 and the next row starts at the float 0.31
         cert = sensitize(request("sqrt((x-0.3)*(x-0.31))",
                                     "mix(0.5*uniform(0,0.3), 0.5*uniform(0.31,1))",
                                     p=1, eps="1/10", M=0))
-        assert not [(lo, hi) for _, lo, hi in cert.approximant.phi0.terms
-                    if lo < Fraction(3, 10) and hi > Fraction(31, 100)]
+        terms = cert.approximant.phi0.terms
+        i = [hi for _, _, hi in terms].index(Fraction(0.3))
+        assert terms[i + 1][1] == Fraction(0.31)
+
+    @pytest.mark.parametrize("target, mu", [
+        ("1 + sin(x)", "normal(0,1)"),
+        ("1 + sin(x)", "exponential(1)"),
+        ("sqrt((x-0.3)*(x-0.31))", "mix(0.5*uniform(0,0.3), 0.5*uniform(0.31,1))"),
+        ("1 + sin(x)", "mix(0.5*normal(0,1), 0.5*normal(100,1))"),
+        ("1 + sin(x)", "pwd(breaks(0,0.4,0.6,1), poly(1.25), poly(0), poly(1.25))"),
+    ])
+    def test_rows_lie_in_the_pieces_and_reach_the_hulls_ends(self, target, mu):
+        # every piece end is a cell end, so each row lies in one piece, and
+        # a target nonzero at the hull's ends has rows out to them: the
+        # spans that the certification integrates, not the dyadic grid
+        req = request(target, mu, p=1, eps="1/10")
+        phi0, _ = build_step_approximation(req, float(req.eps) / 2)
+        pieces = req.mu.spans(approx.norms.TAILS[-1])
+        for _, lo, hi in phi0.terms:
+            assert any(a <= lo and hi <= b for a, b in pieces), (lo, hi, pieces)
+        assert (phi0.terms[0][1], phi0.terms[-1][2]) == (pieces[0][0], pieces[-1][1])
 
     @pytest.mark.parametrize("n", [1, 3, 16, 4096])
     @pytest.mark.parametrize("lo, hi", [
