@@ -224,12 +224,12 @@ def build_step_approximation(req: ApproxRequest, target_err, centre=0):
     outlier = 1000.0 * target_err**p
 
     def evaluate(lo, hi):
-        """Short values and error estimates of sorted cells."""
+        """Short values and error estimates of cells."""
         v = np.round(f(0.5 * (lo + hi)) / quantum) * quantum
 
         def g(xs):
-            step = v[np.searchsorted(lo, xs, side="right") - 1]
-            d = norms.abs_pow(f(xs) - step, p)
+            # the value of cell i at each of its five nodes (see _simpson_pair)
+            d = norms.abs_pow(f(xs) - np.tile(v, 5), p)
             d[d > outlier] *= 1e6
             return d * sum(w * kind.pdf_arr(xs) for w, kind in parts)
         return v, norms._simpson_pair(g, lo, hi)[0]

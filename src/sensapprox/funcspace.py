@@ -142,17 +142,21 @@ class StepFunction:
     them too, as Python's == and hash agree across a float and an equal
     Fraction.
 
-    The float breakpoints end in a NaN, which sorts after every float and
-    equals none, so the index that ``searchsorted`` returns always selects
-    a region and the breakpoint to test for equality. An input made of a
-    few ascending runs, such as a plot grid or a block of sorted Monte
-    Carlo draws, one run per component of the measure, is looked up by a
-    merge per run instead: the breakpoints are placed among the run's
-    points, which then fall in runs of one value each.
+    Both float lookups read that one float table, whose entries 2k and
+    2k + 1 are region k and breakpoint k. The float breakpoints end in a
+    NaN, which sorts after every float and equals none, so the index k
+    that ``searchsorted`` returns always selects a region, and the
+    breakpoint to test for equality. An input made of a few ascending
+    runs, such as a plot grid or a block of sorted Monte Carlo draws, one
+    run per component of the measure, is looked up by a merge per run
+    instead: the breakpoints are placed among the run's points, which
+    then fall in runs of one value each. It merges where the breakpoints
+    placed, all of them in each run, and a fixed cost per run past the
+    first are fewer than the points; so a point, or a few points against
+    a larger table, are searched.
     """
 
-    __slots__ = ("_terms", "_exc", "_pts", "_vals", "_pts_f", "_runs", "_region", "_point",
-                 "_ids")
+    __slots__ = ("_terms", "_exc", "_pts", "_vals", "_pts_f", "_runs", "_ids")
 
     def __init__(self, terms=(), exceptions=()):
         rows = []
@@ -194,8 +198,6 @@ class StepFunction:
         # exception's value
         for p, v in kept:
             self._runs[2 * np.searchsorted(self._pts_f, float(p)) + 1] = float(v)
-        self._region = self._runs[0::2]
-        self._point = self._runs[1::2]
         # the index of each value run, in the smallest integer type that
         # holds them: numpy's repeat, which has no out, then makes the run
         # index of a block of 2^15 points in at most 64 KiB while a step
@@ -253,7 +255,7 @@ class StepFunction:
             # an ascending run ends where the points descend or meet a NaN
             rises = xs[1:] >= xs[:-1]
             cuts = () if rises.all() else np.flatnonzero(np.logical_not(rises, out=rises)) + 1
-            if len(cuts) * (self._pts_f.size + _RUN_COST) < xs.size:
+            if (len(cuts) + 1) * self._pts_f.size + len(cuts) * _RUN_COST < xs.size:
                 return self._merge_lookup(xs, cuts, out)
         if out is None:
             return self._search_lookup(xs)
@@ -261,13 +263,10 @@ class StepFunction:
         return out
 
     def _search_lookup(self, xs):
-        """Binary search of each point among the breakpoints."""
+        """Binary search of each point among the breakpoints: region idx,
+        or breakpoint idx where the point is on it."""
         idx = np.searchsorted(self._pts_f, xs, side="left")
-        out = self._region[idx]
-        hit = self._pts_f[idx] == xs
-        if hit.any():
-            out[hit] = self._point[idx[hit]]
-        return out
+        return self._runs[2 * idx + (self._pts_f[idx] == xs)]
 
     def _merge_lookup(self, xs, cuts=(), out=None):
         """The same values for xs made of ascending runs, each starting at
@@ -298,9 +297,10 @@ class StepFunction:
         return np.take(self._runs, idx, out=out, mode="clip")
 
 
-# the cost of one more merge in points looked up by binary search: a
-# merge's few numpy calls take about as long as a binary search of 10^3
-# points among 10^2 breakpoints
+# the fixed cost of one more run's merge, past the breakpoints that it
+# places, in points looked up by binary search: a merge's few numpy calls
+# take about as long as a binary search of 10^3 points among 10^2
+# breakpoints
 _RUN_COST = 1000
 
 

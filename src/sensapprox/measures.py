@@ -600,7 +600,7 @@ class BorelMeasure:
         if self.total_mass <= 0:
             raise MeasureSpecError("total mass must be positive")
         _check_floats("mix", "total mass", self.total_mass)
-        # the composition table of from_uniforms: per component (atoms
+        # the composition table of _map_uniforms: per component (atoms
         # first, then parts, in stored order), its float weight w / mass,
         # the float cumulative weight before it and its kind
         comps = [(m / self.total_mass, AtomKind(loc)) for loc, m in self.atoms]
@@ -658,7 +658,7 @@ class BorelMeasure:
         3rd ed., 1977, ch. 5).
 
         A block holds ``BLOCK`` draws, and the last what is left. Each
-        block is mapped as by ``from_uniforms``, in place, with the
+        block is mapped in place by ``_map_uniforms``, with the
         inverse CDFs' scratch allocated once here: no array of BLOCK
         floats is made per block, and the draws take a few blocks of
         memory whatever n is. A block is a view of one buffer: it may be
@@ -682,39 +682,29 @@ class BorelMeasure:
                 np.subtract(tops[:half.size], half, out=half)
                 tops += half.size
             u /= n
-            yield self._map_uniforms(u, u, scratch)
+            yield self._map_uniforms(u, scratch)
 
-    def from_uniforms(self, u, out=None):
-        """Map ascending uniforms u in (0, 1] to draws of mu / total_mass.
+    def _map_uniforms(self, u, scratch):
+        """Map ascending uniforms u in (0, 1] to draws of mu / total_mass,
+        in place and unchecked, with the inverse CDFs' scratch of
+        SCRATCH_ROWS rows.
 
         Composition: the component is picked from the cumulative weights
         w / total_mass (atoms first, then parts, in stored order), so on
         ascending u each component's draws are one slice of u. Within it,
-        u is rescaled to v in (0, 1), written once into its slice of the
-        output, and mapped there in place by the component's inverse CDF.
-        Each u is mapped on its own, so the draws do not depend on how u is
-        cut into blocks. The draws go to ``out``, an array of u's shape,
-        which may be u itself, or to a new array; u that is not ascending,
-        or holds NaN, raises ValueError.
+        u is rescaled to v in (0, 1) in place and mapped there by the
+        component's inverse CDF, a scratch row's length at a time. Each u
+        is mapped on its own, so the draws do not depend on how u is cut
+        into blocks.
         """
-        u = np.asarray(u, dtype=float)
-        if not np.all(u[1:] >= u[:-1]) or np.isnan(u[:1]).any():
-            raise ValueError("from_uniforms requires ascending uniforms")
-        return self._map_uniforms(u, np.empty_like(u) if out is None else out,
-                                  np.empty((SCRATCH_ROWS, u.size)))
-
-    def _map_uniforms(self, u, out, scratch):
-        """from_uniforms of ascending u into out, unchecked, with the
-        inverse CDFs' scratch of SCRATCH_ROWS rows: each component's slice
-        goes through its inverse CDF a row's length at a time."""
         # the slice bounds are all found before the first draw is written
         for i, start, stop in _slices(self._lowers, u):
             for a in range(start, stop, scratch.shape[1]):
                 b = min(a + scratch.shape[1], stop)
-                v = np.subtract(u[a:b], self._lowers[i], out=out[a:b])
+                v = np.subtract(u[a:b], self._lowers[i], out=u[a:b])
                 v /= self._weights[i]
                 self._kinds[i].inv_cdf_arr(np.minimum(v, _BELOW_ONE, out=v), scratch)
-        return out
+        return u
 
     # -- support window ------------------------------------------------------
 

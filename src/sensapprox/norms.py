@@ -49,8 +49,10 @@ def _simpson_pair(g, a, b):
     interior: knots sit exactly on kinks and removable discontinuities
     (open-interval step endpoints, density support boundaries), and the
     integral only sees the interior values.  The nudge is O(1e-9 * h),
-    so the induced quadrature bias vanishes under refinement. A
-    non-finite segment value raises NonIntegrableError.
+    so the induced quadrature bias vanishes under refinement. g is called
+    once, on the flat array of the five nodes of every segment, node j of
+    segment i at position j * len(a) + i. A non-finite segment value
+    raises NonIntegrableError.
     """
     h = b - a
     x = np.empty((5, len(a)))

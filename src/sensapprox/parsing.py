@@ -125,49 +125,36 @@ CMP_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = ("<=", ">=", "==", "+", "-", "*", "/", "^", "(", ")", ",", "<", ">", "=")
+# one token at each match, whitespace between matches: a decimal number
+# (the digits of a malformed one, such as "1.", end in its point), a word,
+# an operator, or any other character, which no grammar takes. \d is the
+# set of str.isdecimal, \w that of str.isalnum and "_", \s that of
+# str.isspace
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?)|(\w+)|(<=|>=|==|[-+*/^(),<>=])|(\S)")
+_NO_E = re.compile(r"[eE][+-]?\d")
 
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                if j >= n or not text[j].isdecimal():
-                    raise ParseError("malformed number", i)
-                while j < n and text[j].isdecimal():
-                    j += 1
-            if re.match(r"[eE][+-]?\d", text[j:j + 3]):
+    for m in _TOKEN.finditer(text):
+        num, word, op, _ = m.groups()
+        i = m.start()
+        if num is not None:
+            if num.endswith("."):
+                raise ParseError("malformed number", i)
+            if _NO_E.match(text, m.end()):
                 raise ParseError("the grammar takes no e notation: write the number "
-                                 "as a decimal or as n/d", j)
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(("op", p, i))
-                i += len(p)
-                break
+                                 "as a decimal or as n/d", m.end())
+            tokens.append(("num", num, i))
+        # a word that starts with a number that is no decimal digit, such
+        # as "²", "½" or "Ⅻ", is no name
+        elif word is not None and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(("ident", word, i))
+        elif op is not None:
+            tokens.append(("op", op, i))
         else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

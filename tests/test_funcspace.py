@@ -256,7 +256,9 @@ def test_merge_lookup_equals_the_binary_search(s, extra, repeats, data):
     want = s._search_lookup(xs)
     assert_same_floats(s._merge_lookup(xs), want)
     assert_same_floats(s.eval_arr(xs), want)
-    for part in (xs[:1], xs[:0], xs[len(xs) // 2:]):
+    # one point, no point, half the points, and a run shorter than the table
+    for part in (xs[:1], xs[:0], xs[len(xs) // 2:], xs[:len(pts) // 2]):
+        assert_same_floats(s._merge_lookup(part), s._search_lookup(part))
         assert_same_floats(s.eval_arr(part), s._search_lookup(part))
     # one NaN, or one descent, sends the input to the binary search
     i = data.draw(st.integers(0, len(xs) - 1))

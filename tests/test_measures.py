@@ -16,7 +16,7 @@ from sensapprox.measures import (_AS241_CENTRAL, _AS241_FAR, _AS241_NEAR, _BELOW
                                  _ndtri_sorted, _negative_point)
 from sensapprox.parsing import parse_measure
 
-from mc_reference import stratified_uniforms
+from mc_reference import from_uniforms, stratified_uniforms
 from paper_route import Interval, IntervalUnion, measure_of, open_interval
 
 
@@ -239,7 +239,8 @@ class TestSample:
     def test_blocks_map_the_one_shot_stratified_uniforms(self, text):
         mu = measure(text)
         for n, seed in ((1001, 0), (3 * BLOCK + 7, 9)):
-            assert np.array_equal(mu.sample(n, seed), mu.from_uniforms(stratified_uniforms(n, seed)))
+            assert np.array_equal(mu.sample(n, seed),
+                                  from_uniforms(mu, stratified_uniforms(n, seed)))
 
     def test_every_block_is_a_view_of_one_buffer(self):
         blocks = [(blk.size, blk.__array_interface__["data"][0])
@@ -273,13 +274,13 @@ class TestSample:
         rng = np.random.default_rng(3)
         u = np.sort(np.concatenate([1.0 - rng.random(3 * BLOCK + 5), edges,
                                     [2.0**-53, 2.0**-53, 1.0, 1.0]]))
-        assert np.array_equal(mu.from_uniforms(u), _mask_and_scatter_draws(mu, u))
+        assert np.array_equal(from_uniforms(mu, u), _mask_and_scatter_draws(mu, u))
         # each component in turn draws nothing
         upper = np.array([float(c) for c in cuts[:len(comps)]])
         lower = np.concatenate(([0.0], upper[:-1]))
         for lo, hi in zip(lower, upper):
             rest = u[(u <= lo) | (u > hi)]
-            assert np.array_equal(mu.from_uniforms(rest), _mask_and_scatter_draws(mu, rest))
+            assert np.array_equal(from_uniforms(mu, rest), _mask_and_scatter_draws(mu, rest))
 
     @pytest.mark.parametrize("bad", [
         [0.5, 0.25], [0.1, 0.2, 0.2, 0.15, 0.3], [math.nan], [math.nan, 0.5],
@@ -287,18 +288,18 @@ class TestSample:
     ])
     def test_uniforms_that_are_not_ascending_raise(self, bad):
         with pytest.raises(ValueError, match="ascending"):
-            MIX.from_uniforms(np.array(bad))
+            from_uniforms(MIX, np.array(bad))
 
     @pytest.mark.parametrize("text", ["uniform(0,1)", "atom(3)", "mix(2*uniform(0,1), mass=2)",
                                       "mix(0.5*atom(0), 0.5*uniform(0,1))"])
     def test_uniforms_are_not_written_to(self, text):
         u = np.sort(1.0 - np.random.default_rng(8).random(BLOCK + 9))
         kept = u.copy()
-        xs = measure(text).from_uniforms(u)
+        xs = from_uniforms(measure(text), u)
         assert np.array_equal(u, kept)
-        assert measure(text).from_uniforms(u[:0]).shape == (0,)
-        # unless they are the output
-        assert measure(text).from_uniforms(u, out=u) is u
+        assert from_uniforms(measure(text), u[:0]).shape == (0,)
+        # unless they are mapped in place, as sample_blocks maps a block
+        assert measure(text)._map_uniforms(u, np.empty((SCRATCH_ROWS, u.size))) is u
         assert np.array_equal(u, xs)
 
     @pytest.mark.parametrize("text", SAMPLED)
@@ -332,7 +333,7 @@ class TestSample:
         u = np.append(1.0 - np.random.default_rng(5).random(10**5), [2.0**-53, 1.0])
         u.sort()
         padded = BorelMeasure(atoms=mu.atoms, parts=mu.parts + ((0, Uniform(5, 6)),))
-        assert np.array_equal(mu.from_uniforms(u), padded.from_uniforms(u))
+        assert np.array_equal(from_uniforms(mu, u), from_uniforms(padded, u))
         if mu.parts and isinstance(mu.parts[0][1], PiecewisePoly):
             kind = mu.parts[0][1]
             cell = PiecewisePoly(kind.breaks + (kind.breaks[-1] + 1,), kind.coeffs + ((0,),))
@@ -349,7 +350,7 @@ class TestSample:
         # 1 - rng.random() lies in [2^-53, 1]; 1/2 and its successor are
         # the ends of the two components of the mixture
         u = np.array([2.0**-53, 0.5, math.nextafter(0.5, 1.0), 1.0])
-        assert np.all(np.isfinite(measure(text).from_uniforms(u)))
+        assert np.all(np.isfinite(from_uniforms(measure(text), u)))
 
 
 def _float_neighbours(x):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from time import perf_counter
 
@@ -18,6 +19,7 @@ from sensapprox.parsing import (
     Var,
     _BITS,
     _to_float,
+    _tokenize,
     eval_target,
     eval_target_array,
     parse_measure,
@@ -213,6 +215,82 @@ class TestGrammar:
         """+ - * / group to the left, ^ to the right, and a unary minus binds
         looser than ^ but may start an exponent."""
         assert eval_target(parse_target(text), 0) == want
+
+
+# The lexer as a character loop: the oracle of the one-pattern lexer
+_PUNCT = ("<=", ">=", "==", "+", "-", "*", "/", "^", "(", ")", ",", "<", ">", "=")
+
+
+def _loop_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                if j >= n or not text[j].isdecimal():
+                    raise ParseError("malformed number", i)
+                while j < n and text[j].isdecimal():
+                    j += 1
+            if re.match(r"[eE][+-]?\d", text[j:j + 3]):
+                raise ParseError("the grammar takes no e notation: write the number "
+                                 "as a decimal or as n/d", j)
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        for p in _PUNCT:
+            if text.startswith(p, i):
+                tokens.append(("op", p, i))
+                i += len(p)
+                break
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _lexed(tokenize, text):
+    """The token list, or the ParseError's message and offset."""
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return str(e), e.offset
+
+
+# an Arabic-Indic three (a decimal digit, Nd), a superscript two and a
+# vulgar half (digits that are not decimal), a Roman twelve (a number
+# letter, Nl), a combining acute, a no-break space and a zero-width space
+_ODD = ["\u0663", "\u00b2", "\u00bd", "\u216b", "\u0301", "\u00a0", "\u200b"]
+
+
+class TestLexer:
+    @pytest.mark.parametrize("c", _ODD)
+    @pytest.mark.parametrize("context", ["{}", "x{}", "{}1", "1{}", "1.{}", "1{}5", "_{}e",
+                                         "1{}e5", "sin({})", "x {} <= 1"])
+    def test_a_character_lexes_as_the_loop_lexes_it(self, c, context):
+        text = context.format(c)
+        assert _lexed(_tokenize, text) == _lexed(_loop_tokenize, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(list("0123456789.eE+-*/^(),<>=xy_ \t\n;!\u00e9")
+                                    + ["sin", "1.5", "2e3"] + _ODD), max_size=24).map("".join))
+    def test_a_text_lexes_as_the_loop_lexes_it(self, text):
+        assert _lexed(_tokenize, text) == _lexed(_loop_tokenize, text)
 
 
 class TestEvalTarget:
