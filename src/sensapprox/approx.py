@@ -7,8 +7,10 @@ file's other fields are functions of the request and Y, and cli derives
 them.
 
 One route produces the step function. It refines dyadic cells greedily,
-splitting only the cells of largest estimated error, gives each cell a
-short dyadic value, and certifies the result by quadrature. The first
+splitting only the cells of largest estimated error, and gives each cell
+a short dyadic value; it then coarsens, merging touching cells where the
+error budget has room, and certifies the result by quadrature, with the
+refined cells' ends among the knots. The first
 cells also end at every threshold c of an if() test ``x cmp c`` of the
 target, so a jump or kink there is a cell end and is never bisected
 toward; a row that ends at a threshold that is no float ends at the
@@ -198,9 +200,23 @@ def build_step_approximation(req: ApproxRequest, target_err, centre=0):
     The rounds aim the estimate at (63/64)^p target_err^p; a failed
     certification halves the p-th power of the aim and refines again.
     A deviation large enough for one Monte Carlo draw to fail a check
-    weighs 10^6 times more in the estimate. Each run of touching cells of
-    one value is one row of phi0; cells of two pieces never touch, so no
-    row spans a gap between pieces.
+    weighs 10^6 times more in the estimate.
+
+    A run that meets its aim is then coarsened, as adaptive tree
+    approximation pairs refinement with coarsening (Binev, Dahmen &
+    DeVore, *Numer. Math.* 97, 2004): touching groups of cells, at first
+    the cells, merge cheapest first while the estimate stays within the
+    aim, each merged group taking the value of one of its halves, and the
+    estimates read the target only at the cells' Simpson nodes, where the
+    refinement read it. No merge crosses a gap between pieces or an if()
+    threshold, so each threshold stays an exact row end where the values
+    differ. An aim that is no positive normal float, as at p = 1000, where
+    every merge would cost 0, is not coarsened. Each run of touching cells
+    of one value is one row of phi0; cells of two pieces never touch, so
+    no row spans a gap between pieces. The certification's knots are the
+    rows' ends and the refined cells' ends, so it integrates no coarser
+    than the refinement estimated; a failed certification refines again
+    from the refined cells, not the merged ones.
     """
     target, shift = target_evaluator(req.target), float(centre)
     f = lambda xs: target(xs) - shift  # noqa: E731
@@ -222,17 +238,58 @@ def build_step_approximation(req: ApproxRequest, target_err, centre=0):
     # own; such deviations weigh 10^6 times their size in the estimate, so
     # that the mass holding them carries at most 10^-6 of the budget
     outlier = 1000.0 * target_err**p
+    density = lambda xs: sum(w * kind.pdf_arr(xs) for w, kind in parts)  # noqa: E731
+
+    def weigh(d, dens):
+        """The estimate's integrand at deviations d from the values."""
+        d = norms.abs_pow(d, p, out=d)
+        return np.where(d > outlier, 1e6, 1.0) * d * dens
 
     def evaluate(lo, hi):
         """Short values and error estimates of cells."""
         v = np.round(f(0.5 * (lo + hi)) / quantum) * quantum
+        # the Simpson value of each cell's estimate, from its five nodes
+        x = norms.simpson_nodes(lo, hi)
+        return v, norms.simpson(hi - lo, weigh(f(x) - v, density(x)))
 
-        def g(xs):
-            # the value of cell i at each of its five nodes (see _simpson_pair)
-            d = norms.abs_pow(f(xs) - np.tile(v, 5), p)
-            d[d > outlier] *= 1e6
-            return d * sum(w * kind.pdf_arr(xs) for w, kind in parts)
-        return v, norms._simpson_pair(g, lo, hi)[0]
+    @np.errstate(over="ignore", invalid="ignore")
+    def coarsen(lo, hi, v, err, goal):
+        """The cells' values once touching groups of cells, at first the
+        cells, merge cheapest first while the estimate stays within goal.
+        A pass pairs the groups (0, 1), (2, 3), ..., and the next pass
+        (1, 2), (3, 4), ...; two passes in a row that merge none end it. A
+        merged group takes the value of its half that costs it less. A cell
+        after a gap or at a threshold starts a group. The estimates read
+        the target at the cells' Simpson nodes only, where evaluate read it."""
+        # the target, and each node's Simpson weight times the density, at
+        # the nodes: the Simpson value is linear in the node values
+        x = norms.simpson_nodes(lo, hi)
+        fx, wts = f(x), norms.simpson(hi - lo, np.eye(5)[..., None]) * density(x)
+        # inf where a cell starts at a threshold or after a gap, and so a group
+        fixed = np.where(np.isin(lo, list(exact)) | (lo != np.append(-np.inf, hi[:-1])), np.inf, 0)
+        # each group's first cell (and the end), value and estimate
+        bounds, gv, gc = np.arange(len(lo) + 1), v.copy(), err.copy()
+        idle = first = 0
+        while idle < 2:
+            k = (len(gv) - first) // 2  # the pairs (first, first + 1), ...
+            ends = bounds[first:first + 2 * k + 1]
+            a, b = ends[0], ends[-1]
+            # each group's estimate at the value of the other group of its
+            # pair, less its own: what the pair adds taking that value
+            u = gv[first:first + 2 * k].reshape(k, 2)[:, ::-1].repeat(ends[1:] - ends[:-1])
+            s = np.add.reduceat(np.add.reduce(weigh(fx[:, a:b] - u, wts[:, a:b])), ends[:-1] - a)
+            extra = (s - gc[first:first + 2 * k]).reshape(k, 2)
+            delta = np.minimum(extra[:, 0], extra[:, 1]) + fixed[ends[1:-1:2]]
+            order = delta.argsort(kind="stable")
+            take = order[np.logical_and.accumulate(delta[order].cumsum() <= goal - gc.sum())]
+            if len(take):
+                g = first + 2 * take
+                gv[g] = gv[g + (extra[take, 0] < extra[take, 1])]  # the cheaper value
+                gc[g] += gc[g + 1] + delta[take]
+                keep = np.bincount(g + 1, minlength=len(bounds)) == 0
+                bounds, gv, gc = bounds[keep], gv[keep[:-1]], gc[keep[:-1]]
+            idle, first = (idle + 1) * (not len(take)), 1 - first
+        return gv.repeat(bounds[1:] - bounds[:-1])
 
     lo, hi = ends[:-1], ends[1:]
     keep = np.searchsorted(edges, 0.5 * (lo + hi), side="right") % 2 == 1  # in a piece
@@ -266,18 +323,23 @@ def build_step_approximation(req: ApproxRequest, target_err, centre=0):
             v, err = np.repeat(v, counts), np.repeat(err, counts)
             fresh = np.repeat(marked, counts)
             v[fresh], err[fresh] = evaluate(lo[fresh], hi[fresh])
+        # a run that met a goal of a normal float is coarsened
+        value = (coarsen(lo, hi, v, err, goal)
+                 if len(lo) > 1 and 2.0**-1022 <= goal and err.sum() <= goal else v)
         # each run of touching cells of one value is one row: cut[j] says
         # that a row ends before cell j; cells of two pieces never touch, so
         # no row spans a gap between pieces. StepFunction takes each float
         # as its exact binary value
         cut = np.ones(len(lo) + 1, dtype=bool)
-        cut[1:-1] = (lo[1:] != hi[:-1]) | (v[1:] != v[:-1])
+        cut[1:-1] = (lo[1:] != hi[:-1]) | (value[1:] != value[:-1])
         starts = cut[:-1]
         terms = [(x, exact.get(a, a), exact.get(b, b)) for a, b, x in
-                 zip(lo[starts].tolist(), hi[cut[1:]].tolist(), v[starts].tolist()) if x]
+                 zip(lo[starts].tolist(), hi[cut[1:]].tolist(), value[starts].tolist()) if x]
         phi0 = StepFunction(terms=terms, exceptions=pins)
+        # the refined cells' ends are knots too, so that the certification
+        # integrates no coarser than the search estimated
         est = norms.lp_distance(f, phi0.eval_arr, req.mu, p, req.quadrature_tolerance,
-                                knots=phi0.endpoint_floats())
+                                knots=np.concatenate((phi0.endpoint_floats(), lo, hi)))
         achieved = est.value + est.absolute_error_bound
         best = min(best, achieved)
         if achieved < target_err:

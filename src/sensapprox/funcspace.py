@@ -151,9 +151,9 @@ class StepFunction:
     run per component of the measure, is looked up by a merge per run
     instead: the breakpoints are placed among the run's points, which
     then fall in runs of one value each. It merges where the breakpoints
-    placed, all of them in each run, and a fixed cost per run past the
-    first are fewer than the points; so a point, or a few points against
-    a larger table, are searched.
+    placed, all of them in each run and each weighing two points, and a
+    fixed cost per run past the first are fewer than the points; so a
+    point, or a few points against a larger table, are searched.
     """
 
     __slots__ = ("_terms", "_exc", "_pts", "_vals", "_pts_f", "_runs", "_ids")
@@ -255,7 +255,7 @@ class StepFunction:
             # an ascending run ends where the points descend or meet a NaN
             rises = xs[1:] >= xs[:-1]
             cuts = () if rises.all() else np.flatnonzero(np.logical_not(rises, out=rises)) + 1
-            if (len(cuts) + 1) * self._pts_f.size + len(cuts) * _RUN_COST < xs.size:
+            if 2 * (len(cuts) + 1) * self._pts_f.size + len(cuts) * _RUN_COST < xs.size:
                 return self._merge_lookup(xs, cuts, out)
         if out is None:
             return self._search_lookup(xs)
@@ -297,9 +297,11 @@ class StepFunction:
         return np.take(self._runs, idx, out=out, mode="clip")
 
 
-# the fixed cost of one more run's merge, past the breakpoints that it
-# places, in points looked up by binary search: a merge's few numpy calls
-# take about as long as a binary search of 10^3 points among 10^2
+# eval_arr merges where the merge costs less than the binary search, in
+# points looked up by binary search: a merge places each breakpoint by two
+# binary searches over each run, so a breakpoint costs about two points,
+# and each run past the first costs _RUN_COST more, as a merge's few numpy
+# calls take about as long as a binary search of 10^3 points among 10^2
 # breakpoints
 _RUN_COST = 1000
 

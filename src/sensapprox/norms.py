@@ -42,29 +42,42 @@ _MAX_SEGMENTS = 200_000
 _MAX_ROUNDS = 60
 
 
-def _simpson_pair(g, a, b):
-    """Vectorized coarse/fine Simpson over arrays of segment bounds.
-
-    The two endpoint samples are nudged slightly into the segment
-    interior: knots sit exactly on kinks and removable discontinuities
-    (open-interval step endpoints, density support boundaries), and the
-    integral only sees the interior values.  The nudge is O(1e-9 * h),
-    so the induced quadrature bias vanishes under refinement. g is called
-    once, on the flat array of the five nodes of every segment, node j of
-    segment i at position j * len(a) + i. A non-finite segment value
-    raises NonIntegrableError.
-    """
+def simpson_nodes(a, b):
+    """The five Simpson nodes of each segment [a, b] of two arrays, node j
+    of segment i at [j, i]: the quarter points, and the two ends nudged
+    slightly into the segment interior. Knots sit exactly on kinks and
+    removable discontinuities (open-interval step endpoints, density
+    support boundaries), and the integral only sees the interior values.
+    The nudge is O(1e-9 * h), so the induced quadrature bias vanishes under
+    refinement."""
     h = b - a
     x = np.empty((5, len(a)))
     np.maximum(a + 1e-9 * h, np.nextafter(a, b), out=x[0])
     np.multiply(h, [[0.25], [0.5], [0.75]], out=x[1:4])
     x[1:4] += a
     np.minimum(b - 1e-9 * h, np.nextafter(b, a), out=x[4])
-    y = g(x.ravel()).reshape(x.shape)
-    coarse = h / 6.0 * (y[0] + 4.0 * y[2] + y[4])
+    return x
+
+
+def simpson(h, y):
+    """The fine (composite, two-panel) Simpson value of each segment of
+    width h from its node values y, laid out as simpson_nodes lays out
+    the nodes. A non-finite value raises NonIntegrableError."""
     fine = h / 12.0 * (y[0] + 4.0 * y[1] + 2.0 * y[2] + 4.0 * y[3] + y[4])
     if not np.isfinite(fine).all():
         raise NonIntegrableError("non-finite quadrature contribution")
+    return fine
+
+
+def _simpson_pair(g, a, b):
+    """Vectorized coarse/fine Simpson over arrays of segment bounds. g is
+    called once, on the flat array of simpson_nodes, node j of segment i
+    at position j * len(a) + i.
+    """
+    h = b - a
+    y = g(simpson_nodes(a, b).ravel()).reshape(5, -1)
+    coarse = h / 6.0 * (y[0] + 4.0 * y[2] + y[4])
+    fine = simpson(h, y)
     return fine, np.abs(fine - coarse) / 15.0
 
 
@@ -110,7 +123,7 @@ TAILS = (1e-6, 1e-9, 1e-12)
 
 def abs_pow(d, p, out=None):
     """|d|^p, inf past the float range, with no warning: the one p-th power
-    of the quadrature, the grid route's estimate and the Monte Carlo fold.
+    of the quadrature and the grid route's estimate.
     It is np.abs, then the in-place ``**=``, so that at p = 2 it is numpy's
     square. It writes into ``out``, which may be d itself, or else into a
     new array."""
@@ -196,8 +209,9 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     ``BLOCK`` at a time, each mapped in place, and f is called on one
     block; it must map each point on its own, and may return an array of
     its own that it writes again for the next block, as verify's does.
-    |f|^p overwrites the block, which is folded into two running sums: S
-    of the |f|^p, and D of m s^2 over groups of m neighbouring draws, s^2
+    |f/u|^p overwrites the block, u a scale that keeps the powers in the
+    float range, and is folded into two running sums: S of the
+    |f/u|^p, and D of m s^2 over groups of m neighbouring draws, s^2
     their sample variance. A group is four strata, save the sample's
     last, which takes the 4 to 7 draws that are left. The mean is S / n,
     and D / n^2 estimates its variance (Cochran, *Sampling Techniques*,
@@ -215,7 +229,7 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     """
     if n < 1000:
         raise ValueError("mc_norm requires n >= 1000")
-    total = spread = 0.0
+    total = spread = top = 0.0
     # a block's squared differences, of pairs and then of groups, in one
     # array made once per call
     squares = np.empty(min(n, BLOCK) // 2)
@@ -223,11 +237,23 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
     # hold it
     first = n - 4 - n % 4
     last = np.empty(n - first)
-    start = 0
-    # an overflow leaves the estimate inf or nan, which passes no check
+    # the draws before the block, and the unit: the sums are in units of
+    # u^p and u^2p, where u is 1 while the largest |f| so far, top, has its
+    # p-th power within 2^+-480, so that a sum of squared powers stays in
+    # the float range; else u is top, whose power is 1 at every p, and the
+    # sums so far are scaled down to it (they are 0 where u falls from 1).
+    # An inf or nan |f| leaves the estimate inf or nan, which passes no
+    # check
+    start, u = 0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for z in mu.sample_blocks(n, seed):
-            abs_pow(f(z), p, out=z)
+            top = max(top, float(np.abs(f(z), out=z).max()))  # |f| into the block
+            if 0.0 < top < math.inf and (u != 1.0 or abs(p * math.log2(top)) > 480):
+                shrink = (u / top) ** p if top > u else 1.0
+                total, spread, u = total * shrink, spread * shrink * shrink, top
+                last[:max(start - first, 0)] *= shrink
+                z /= u
+            z **= p
             total += float(z.sum())
             # the block's draws from index first of the sample on
             cut = min(max(first - start, 0), z.size)
@@ -245,7 +271,7 @@ def mc_norm(f, mu: BorelMeasure, p, n, seed) -> NormEstimate:
             spread += (2.0 * pairs + float(d.sum())) / 3.0
         spread += last.size * float(last.var(ddof=1))
     mean, sd = total / n, math.sqrt(spread) / n
-    root = float(mu.total_mass) ** (1.0 / p)
+    root = u * float(mu.total_mass) ** (1.0 / p)
     if mean <= 0.0:
         value, radius = 0.0, (4.0 * sd) ** (1.0 / p)
     else:

@@ -14,10 +14,11 @@ from sensapprox.approx import (
     certify_error,
     check_finite_moment,
     sensitize,
+    wave_centre,
 )
 from sensapprox.funcspace import StepFunction
 from sensapprox.measures import BorelMeasure, MeasureSpecError
-from sensapprox.norms import mc_norm
+from sensapprox.norms import mc_norm, wave_norm_bound
 from sensapprox.parsing import parse_measure, parse_target, target_evaluator
 
 from paper_route import (
@@ -193,8 +194,8 @@ class TestBuildStepApproximation:
 
     @pytest.mark.parametrize("target, mu, pin, rows", [
         # the pin's value is 0, at a point inside a nonzero cell
-        ("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", (Fraction(3, 10), 0), 16),
-        ("x^2", "mix(0.3*atom(0.5), 0.7*normal(0,1))", (Fraction(1, 2), Fraction(1, 4)), 43),
+        ("x-0.3", "mix(0.5*atom(0.3), 0.5*uniform(0,1))", (Fraction(3, 10), 0), 3),
+        ("x^2", "mix(0.3*atom(0.5), 0.7*normal(0,1))", (Fraction(1, 2), Fraction(1, 4)), 35),
         # the atom sits on a threshold, the end of two rows, where phi0 is 0
         ("if(x < 1/2, if(x > 0, 1, if(x > -1, 2, 0)), 0)",
          "mix(0.5*atom(0), 0.5*uniform(-1,1))", (Fraction(0), 2), 2),
@@ -242,9 +243,10 @@ class TestBuildStepApproximation:
          3, 1, (-2, Fraction(3, 10), Fraction(2, 3))),
         ("if(x>1/3, if(x<0.7,1,0), 0)", "normal(0,1)", 2, "1/100", Fraction(5, 2048),
          3, 2, (1, Fraction(1, 3), Fraction(7, 10))),
-        # a kinked target: its constant middle piece is one row
+        # a kinked target: its constant middle piece is one row, and the
+        # coarsening merges each linear piece into one row too
         ("if(x <= 0.25, x, if(x >= 0.75, 1 - x, 0.5))", "uniform(0,1)", 2, "1/10",
-         Fraction(13, 512), 9, 0, (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))),
+         Fraction(13, 512), 3, 0, (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))),
         # a threshold past the float range is no cell end
         ("if(x < sqrt(2)^1000000, 1, 0)", "uniform(0,1)", 1, "1/10", Fraction(13, 512),
          1, 0, (1, 0, 1)),
@@ -371,6 +373,82 @@ class TestCertifyError:
             certify_error(-0.1, Fraction(1, 2), 0.5)
 
 
+class TestCoarsening:
+    """Once a refinement run meets its goal, build_step_approximation
+    merges touching cells while its estimate stays within the goal, and
+    certifies the coarser phi0 with the search's cell ends as knots."""
+
+    def test_coarsening_evaluates_no_new_point(self, monkeypatch):
+        # the target's points, each tagged with whether the certification
+        # asked for it; the coarsening's call is the last one before the
+        # certification, and reads only points that the search read
+        calls, certifying = [], [False]
+        evaluator, lp_distance = approx.target_evaluator, approx.norms.lp_distance
+
+        def spy_evaluator(target):
+            f = evaluator(target)
+
+            def spy(xs, out=None):
+                calls.append((certifying[0], np.array(xs, dtype=float).ravel()))
+                return f(xs, out)
+            return spy
+
+        def spy_distance(*args, **kwargs):
+            certifying[0] = True
+            try:
+                return lp_distance(*args, **kwargs)
+            finally:
+                certifying[0] = False
+        monkeypatch.setattr(approx, "target_evaluator", spy_evaluator)
+        monkeypatch.setattr(approx.norms, "lp_distance", spy_distance)
+        phi0, _ = build_step_approximation(request("x", "uniform(0,1)", p=2, eps="1/10"), 0.08)
+        assert len(phi0.terms) < 16  # cells were merged
+        search = [xs for c, xs in calls if not c]
+        # one run: the search, the coarsening, then the certification
+        assert len(calls) > len(search) and all(c for c, _ in calls[len(search):])
+        *before, coarsening = search
+        assert np.isin(coarsening, np.concatenate(before)).all()
+
+    def test_the_search_cells_are_knots_of_the_certification(self, monkeypatch):
+        # the rows of a coarse phi0 miss some of the first cells' ends at
+        # multiples of 1/16, which the certification still integrates at
+        knots = []
+        lp_distance = approx.norms.lp_distance
+
+        def spy(*args, **kwargs):
+            knots.append(kwargs["knots"])
+            return lp_distance(*args, **kwargs)
+        monkeypatch.setattr(approx.norms, "lp_distance", spy)
+        phi0, _ = build_step_approximation(request("x", "uniform(0,1)", p=2, eps="1/10"), 0.08)
+        first = np.arange(17) / 16
+        assert not np.isin(first, phi0.endpoint_floats()).all()
+        assert np.isin(first, knots[-1]).all()
+
+    def test_no_merge_crosses_a_threshold(self):
+        # the threshold 1/2 of an if() whose two branches agree is a row
+        # end, where the same target without the test has a row across it
+        def rows(target):
+            return sensitize(request(target, "uniform(0,1)", p=2, eps="1/10", M=9)
+                             ).approximant.phi0.terms
+        assert any(lo < 0.5 < hi for _, lo, hi in rows("x"))
+        assert Fraction(1, 2) in [hi for _, _, hi in rows("if(x<0.5,x,x)")]
+
+    def test_no_merge_crosses_a_gap(self):
+        # merged across the gap (1, 1.0625), the rows on its two sides
+        # would take one value
+        terms = sensitize(request("x", "mix(0.5*uniform(0,1), 0.5*uniform(1.0625,2))",
+                                  p=1, eps="1/4", M=0)).approximant.phi0.terms
+        i = [hi for _, _, hi in terms].index(1)
+        assert terms[i + 1][1] == Fraction(1.0625)
+        assert terms[i][0] != terms[i + 1][0]
+
+    def test_an_underflowing_goal_is_not_coarsened(self):
+        # at p = 1000 the goal ((63/64) target_err)^p is 0, and every merge
+        # would cost 0 in the estimate: the rows are the search's
+        cert = sensitize(request("0.9*sin(100*x)", "uniform(0,1)", p=1000, eps="1/10", M=0))
+        assert len(cert.approximant.phi0.terms) == 121
+
+
 class TestSensitize:
     def test_zero_target(self):
         cert = sensitize(request("0", "uniform(0,1)", p=1, eps="1", M=0))
@@ -411,11 +489,17 @@ class TestSensitize:
     def test_a_small_mass_pays_the_offset_at_its_root(self):
         # at mass 1/100 the value quantum, 1/128, passes scale / 2 = 1/400,
         # so c = 0; the offset is ||scale / 2||_1 = 1/40000, not the
-        # scale / 2 that R = 1 would charge
-        cert = sensitize(request("x^2", "mix(0.01*uniform(0,1), mass=0.01)",
-                                 p=1, eps="1/100", M=0))
-        assert cert.approximant.scale == Fraction(1, 200)
-        assert cert.error_bound < 1 / 1000
+        # scale / 2 = 1/400 that R = 1 would charge
+        req = request("x^2", "mix(0.01*uniform(0,1), mass=0.01)", p=1, eps="1/100", M=0)
+        cert = sensitize(req)
+        Y = cert.approximant
+        assert Y.scale == Fraction(1, 200)
+        headroom = (float(req.eps) - req.quadrature_tolerance
+                    - float(Y.scale) * wave_norm_bound(Y.wave, req.mu, req.p))
+        c, offset = wave_centre(req, Y.scale, headroom)
+        assert c == 0
+        assert float(offset) == pytest.approx(1 / 40000, rel=1e-12)
+        assert cert.error_bound < float(req.eps)
 
     def test_quadratic_normal(self):
         req = request("x^2", "normal(0,1)", p=2, eps="1/10", M=10)

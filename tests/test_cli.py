@@ -991,6 +991,50 @@ class TestOverflowingPower:
         assert "Warning" not in run.stderr
 
 
+class TestCoarsePhi0:
+    """A coarsened phi0 still passes verify, and verify still catches what
+    the certification's quadrature aliases."""
+
+    @staticmethod
+    def sensitize(tmp_path, target, p, M):
+        out = tmp_path / "cert.json"
+        assert main(["sensitize", "--target", target, "--measure", "uniform(0,1)",
+                     "--p", p, "--eps", "1/10", "--M", M, "--out", str(out)]) == 0
+        return out
+
+    def test_a_coarse_target_takes_few_rows_and_verifies(self, tmp_path, capsys):
+        out = self.sensitize(tmp_path, "x", "2", "9")
+        assert len(json.loads(out.read_text())["phi0"]) <= 6
+        for seed in range(5):
+            assert main(["verify", "--cert", str(out), "--samples", "1000",
+                         "--seed", str(seed)]) == 0
+            assert capsys.readouterr().out.endswith("PASS\n")
+
+    @pytest.mark.parametrize("target, rc", [
+        # its Simpson nodes at multiples of 1/16 fall near zeros of sin(50x),
+        # and the search's cell ends among the knots keep it certified
+        ("abs(sin(50*x))", 0),
+        # at 64 pi the nodes alias, and only verify catches the false
+        # certificate
+        ("abs(sin(201.06192982974676*x))", 1),
+    ], ids=["50", "64pi"])
+    def test_a_fast_oscillation(self, tmp_path, capsys, target, rc):
+        out = self.sensitize(tmp_path, target, "1", "1")
+        assert main(["verify", "--cert", str(out), "--seed", "5"]) == rc
+
+    def test_verify_fails_a_certificate_whose_powers_underflow(self, tmp_path, capsys):
+        # |X - Y| stays below about 0.48, so each |X - Y|^1000 is below
+        # 10^-319; verify's sums, kept in units of the largest |X - Y|,
+        # still read the distance, about 0.474
+        out = self.sensitize(tmp_path, "0.9*sin(100*x)", "1000", "0")
+        capsys.readouterr()
+        for seed in range(5):
+            assert main(["verify", "--cert", str(out), "--seed", str(seed)]) == 1
+            fields = dict(kv.split("=") for kv in capsys.readouterr().out.split()
+                          if "=" in kv)
+            assert float(fields["mc_distance"]) == pytest.approx(0.474, abs=0.005)
+
+
 class TestNormCommand:
     def test_uniform_identity(self, capsys):
         rc = main(["norm", "--target", "x", "--measure", "uniform(0,1)",

@@ -12,6 +12,7 @@ from sensapprox.funcspace import (
     TriangleWave,
     build_zigzag,
 )
+from sensapprox.measures import BLOCK
 
 from paper_route import slope_profile
 
@@ -267,6 +268,21 @@ def test_merge_lookup_equals_the_binary_search(s, extra, repeats, data):
         broken.append(np.append(xs, xs[i]))
     for ys in broken:
         assert_same_floats(s.eval_arr(ys), s._search_lookup(ys))
+
+
+@pytest.mark.parametrize("size", [BLOCK, 4 * BLOCK])
+def test_merge_lookup_equals_the_binary_search_on_a_large_table(size):
+    # about 20 000 breakpoints: eval_arr searches a block of 2^15 sorted
+    # draws, as each breakpoint that a merge places costs about two
+    # searched points, and merges four such blocks in one run
+    rng = np.random.default_rng(3)
+    ends = np.unique(rng.normal(size=20_001)).tolist()
+    s = StepFunction(terms=[(v, lo, hi) for v, lo, hi in
+                            zip(rng.integers(-8, 8, len(ends) - 1).tolist(), ends, ends[1:])])
+    xs = np.sort(np.concatenate((rng.normal(size=size - len(ends)), ends)))
+    want = s._search_lookup(xs)
+    assert_same_floats(s._merge_lookup(xs), want)
+    assert_same_floats(s.eval_arr(xs), want)
 
 
 @st.composite

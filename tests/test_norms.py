@@ -213,6 +213,28 @@ class TestMcNorm:
             held += abs(est.value - exact) <= est.absolute_error_bound
         assert held >= 199
 
+    @pytest.mark.parametrize("target, exact", [
+        # every power underflows: 0.45^1000 is about 10^-347
+        ("0.45", 0.45),
+        # the first block's powers underflow and later blocks' do not, so
+        # the sums are scaled down as the largest |f| grows
+        ("0.3*x", 0.3 * 1001 ** -0.001),
+        # the powers overflow
+        ("10*x", 10 * 1001 ** -0.001),
+    ])
+    def test_powers_past_the_float_range_keep_the_norm(self, target, exact):
+        # ||c x||_1000 on uniform(0,1) is c 1001^(-1/1000)
+        f = target_evaluator(parse_target(target))
+        est = mc_norm(f, UNIFORM, p=1000.0, n=3 * BLOCK + 7, seed=2)
+        assert abs(est.value - exact) <= est.absolute_error_bound + 1e-12 * exact
+
+    def test_powers_in_the_float_range_are_not_scaled(self):
+        # the largest power is about (1/3)^p = 2^-479, within 2^+-480
+        f = target_evaluator(parse_target("x"))
+        p = 479.0 / math.log2(3.0)
+        est = mc_norm(lambda xs: f(xs) / 3.0, UNIFORM, p=p, n=BLOCK, seed=4)
+        assert est == reference_mc(lambda xs: f(xs) / 3.0, UNIFORM, p, BLOCK, 4)
+
     def test_memory_does_not_grow_with_n(self):
         phi0 = StepFunction(terms=[(1, -1, Fraction(1, 3)), (2, Fraction(1, 3), 1)],
                             exceptions=[(Fraction(1, 2), 5)])
